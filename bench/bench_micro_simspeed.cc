@@ -4,7 +4,8 @@
  * components -- the DRAM channel command loop, the cache lookup path,
  * the stream prefetcher, the synthetic generator, the memory-controller
  * scheduling loop (sharded vs. reference, at several queue depths), the
- * parallel sweep runner, and a full single-core simulation step.
+ * parallel sweep runner, a full single-core simulation step, and
+ * end-to-end System::run throughput on one and four cores.
  *
  * Unless the caller passes its own --benchmark_out, results are also
  * written to BENCH_simspeed.json in the working directory.
@@ -379,33 +380,40 @@ pointerChaseProfile()
 }
 
 /**
- * Full System::run throughput (sim-cycles/sec counter) on a short
- * single-core mix, cycle-by-cycle (BM_EndToEnd) vs. the event-driven
- * next-event loop (BM_EndToEndEventDriven). Arg 0 is an idle-heavy
- * serial pointer chase (bench_pchase, prefetcher off) where nearly
- * every cycle is a dead wait on a dependent DRAM miss; Arg 1 is a
- * saturated streaming profile (libquantum_06) where nearly every cycle
- * does work. Compare the pair at the same arg: the idle-heavy arg
+ * Full System::run throughput (sim-cycles/sec counter), cycle-by-cycle
+ * (BM_EndToEnd) vs. the event-driven next-event loop
+ * (BM_EndToEndEventDriven). Arg 0 is an idle-heavy serial pointer chase
+ * (bench_pchase, prefetcher off) where nearly every cycle is a dead
+ * wait on a dependent DRAM miss; Arg 1 is a saturated streaming profile
+ * (libquantum_06) where nearly every cycle does work. Both are short
+ * single-core runs (~14k sim-cycles on Arg 1), so System construction
+ * weighs on them. Compare the pair at the same arg: the idle-heavy arg
  * shows the skipping win, the saturated arg bounds its overhead when
- * there is nothing to skip.
+ * there is nothing to skip. Arg 2 (event-driven only) is a four-core
+ * saturated mix of prefetch-friendly profiles, long enough that the
+ * controller's deep-queue scheduling, not construction, dominates.
  */
 void
 endToEnd(benchmark::State &state, bool event_skip)
 {
+    const std::int64_t arm = state.range(0);
+    const bool four_core = arm == 2;
     sim::SystemConfig cfg = sim::applyPolicy(
-        sim::SystemConfig::baseline(1), sim::PolicySetup::Padc);
+        sim::SystemConfig::baseline(four_core ? 4 : 1),
+        sim::PolicySetup::Padc);
     cfg.event_skip = event_skip;
-    const bool idle_heavy = state.range(0) == 0;
-    if (idle_heavy) {
+    workload::Mix mix = {"libquantum_06"};
+    if (arm == 0) {
         // No prefetcher: a stream prefetcher keeps the channel busy
         // between the dependent misses, and the chase defeats it
         // anyway (random next-line, one access per line).
         cfg.prefetch_enabled = false;
+        mix = {pointerChaseProfile()};
+    } else if (four_core) {
+        mix = {"libquantum_06", "swim_00", "lbm_06", "bwaves_06"};
     }
-    const workload::Mix mix = {idle_heavy ? pointerChaseProfile()
-                                          : "libquantum_06"};
     sim::RunOptions opt;
-    opt.instructions = 15000;
+    opt.instructions = four_core ? 60000 : 15000;
     opt.warmup = 0;
     std::uint64_t total_cycles = 0;
     for (auto _ : state) {
@@ -433,6 +441,7 @@ BM_EndToEndEventDriven(benchmark::State &state)
 BENCHMARK(BM_EndToEndEventDriven)
     ->Arg(0)
     ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // --- telemetry overhead check ---------------------------------------

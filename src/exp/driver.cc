@@ -637,12 +637,6 @@ recordRunProfile(ExperimentResult &result)
                        snap.seconds(telemetry::ProfilePhase::Simulate));
     result.profile.add("collect_seconds",
                        snap.seconds(telemetry::ProfilePhase::Collect));
-    result.profile.add("scheduler_seconds_est",
-                       snap.schedulerSecondsEstimate());
-    result.profile.add(
-        "scheduler_sampled_cycles",
-        static_cast<double>(
-            snap.calls(telemetry::ProfilePhase::SchedulerSample)));
     // Event-driven main loop: how much simulated time was jumped over
     // rather than stepped. The caller sets wall_seconds before this
     // runs, so the throughput figure tracks the same run.
@@ -1215,8 +1209,7 @@ driverMain(int argc, const char *const *argv)
         if (options.format == DriverOptions::Format::Text) {
             std::printf(
                 "[%s] %.3g sim-cycles in %.2fs (%.3g cycles/sec); "
-                "build %.2fs, simulate %.2fs, collect %.2fs, "
-                "scheduler ~%.2fs (sampled estimate)\n",
+                "build %.2fs, simulate %.2fs, collect %.2fs\n",
                 info.name.c_str(),
                 static_cast<double>(result.simCycles()),
                 result.wall_seconds,
@@ -1226,8 +1219,7 @@ driverMain(int argc, const char *const *argv)
                     : 0.0,
                 result.profile.get("build_seconds"),
                 result.profile.get("simulate_seconds"),
-                result.profile.get("collect_seconds"),
-                result.profile.get("scheduler_seconds_est"));
+                result.profile.get("collect_seconds"));
             for (const SinkSummary &sink : result.sinks) {
                 std::printf("[%s] wrote %s '%s' (%llu rows, %llu "
                             "beyond retention)\n",

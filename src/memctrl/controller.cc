@@ -14,13 +14,16 @@ MemoryController::MemoryController(const SchedulerConfig &config,
     : config_(config), channel_(channel), tracker_(tracker),
       handler_(handler), num_cores_(num_cores),
       context_(config_, tracker_), apd_(config_, tracker_),
-      pool_(config_.request_buffer_size)
+      pool_(config_.request_buffer_size),
+      read_index_(config_.request_buffer_size)
 {
     assert(num_cores_ <= kMaxCores);
     assert(channel_.numBanks() <= 64); // occupied_banks_ is one word
     shards_.resize(channel_.numBanks());
     for (auto &shard : shards_)
         shard.pref_by_core.assign(num_cores_, 0);
+    cell_keys_.resize(num_cores_ * kRequestClassCount);
+    updateCellKeys();
 }
 
 // --- incremental bookkeeping ------------------------------------------
@@ -51,8 +54,9 @@ MemoryController::trackEnqueued(std::uint32_t slot)
         assert(false && "unsupported class in the read buffer");
         break;
     }
-    ++pending_rows_[rowKey(req.coord)];
+    trackPendingRow(req.coord, +1);
     shard.wake = 0; // new arrival: rescan this bank
+    shard.memo_valid = false;
     occupied_banks_ |= 1ULL << req.coord.bank;
 }
 
@@ -81,9 +85,8 @@ MemoryController::untrackQueued(Request &req)
         assert(false && "unsupported class in the read buffer");
         break;
     }
-    auto it = pending_rows_.find(rowKey(req.coord));
-    if (--it->second == 0)
-        pending_rows_.erase(it);
+    trackPendingRow(req.coord, -1);
+    shard.memo_valid = false;
 }
 
 void
@@ -97,7 +100,23 @@ MemoryController::trackPromoted(Request &req)
         if (--shard.pref_by_core[req.core] == 0)
             shard.pref_core_mask &= ~(1ULL << req.core);
         ++shard.queued_demands;
+        shard.memo_valid = false; // new class: new key, maybe unblocked
     }
+}
+
+void
+MemoryController::trackPendingRow(const dram::DramCoord &coord, int delta)
+{
+    assert(delta == 1 || delta == -1);
+    if (config_.row_policy != RowPolicy::Closed)
+        return;
+    if (delta > 0) {
+        ++pending_rows_[rowKey(coord)];
+        return;
+    }
+    auto it = pending_rows_.find(rowKey(coord));
+    if (--it->second == 0)
+        pending_rows_.erase(it);
 }
 
 std::uint64_t
@@ -148,13 +167,10 @@ MemoryController::enqueueRead(const dram::DramCoord &coord, Addr line_addr,
     // Duplicate of an outstanding read: coalesce with it instead of
     // corrupting read_index_ (formerly an assert, i.e. silent corruption
     // in NDEBUG builds). A demand duplicate promotes the in-flight
-    // prefetch, mirroring what the L2 does on a demand match. The
-    // speculative try_emplace doubles as the admission insert, so the
-    // hot paths (coalesce, fresh enqueue) pay a single hash probe; the
-    // rare forward/reject exits below undo it.
-    auto [index_it, inserted] = read_index_.try_emplace(line_addr, 0);
-    if (!inserted) {
-        const Request &existing = pool_.at(index_it->second);
+    // prefetch, mirroring what the L2 does on a demand match.
+    const std::uint32_t existing_slot = read_index_.find(line_addr);
+    if (existing_slot != RequestPool::kNone) {
+        const Request &existing = pool_.at(existing_slot);
         ++stats_.duplicate_reads;
         traceRequest(telemetry::EventKind::Coalesce, existing, now);
         if (cls == RequestClass::DemandRead && existing.isPrefetch())
@@ -168,7 +184,6 @@ MemoryController::enqueueRead(const dram::DramCoord &coord, Addr line_addr,
     // skips the hash probe.
     if (!write_q_.empty() &&
         write_index_.find(line_addr) != write_index_.end()) {
-        read_index_.erase(index_it);
         Request req;
         req.line_addr = line_addr;
         req.coord = coord;
@@ -191,7 +206,6 @@ MemoryController::enqueueRead(const dram::DramCoord &coord, Addr line_addr,
     }
 
     if (readBufferFull()) {
-        read_index_.erase(index_it);
         if (is_prefetch)
             ++stats_.prefetches_rejected_full;
         else
@@ -220,7 +234,7 @@ MemoryController::enqueueRead(const dram::DramCoord &coord, Addr line_addr,
     const std::uint32_t slot = pool_.allocate();
     pool_.at(slot) = req; // full overwrite: recycled slots hold stale data
     pool_.syncHot(slot);
-    index_it->second = slot;
+    read_index_.insert(line_addr, slot);
     trackEnqueued(slot);
     traceRequest(telemetry::EventKind::Enqueue, pool_.at(slot), now);
     if (is_prefetch)
@@ -244,22 +258,22 @@ MemoryController::enqueueWrite(const dram::DramCoord &coord, Addr line_addr,
     req.seq = next_seq_++;
     write_q_.push_back(req);
     write_index_[line_addr] = std::prev(write_q_.end());
-    ++pending_rows_[rowKey(coord)];
+    trackPendingRow(coord, +1);
     traceRequest(telemetry::EventKind::EnqueueWrite, write_q_.back(), now);
 }
 
 bool
 MemoryController::promote(Addr line_addr, Cycle now)
 {
-    auto it = read_index_.find(line_addr);
-    if (it == read_index_.end())
+    const std::uint32_t slot = read_index_.find(line_addr);
+    if (slot == RequestPool::kNone)
         return false;
-    Request &req = pool_.at(it->second);
+    Request &req = pool_.at(slot);
     if (!req.isPrefetch())
         return false;
     trackPromoted(req);
     req.cls = RequestClass::DemandRead;
-    pool_.syncHot(it->second); // the class column feeds the scheduler
+    pool_.syncHot(slot); // the class column feeds the scheduler
     ++stats_.promotions;
     traceRequest(telemetry::EventKind::Promote, req, now);
     return true;
@@ -357,7 +371,7 @@ MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
             // Queued -> Servicing: the read leaves its bank shard and
             // joins the (seq-sorted) in-flight set.
             untrackQueued(req);
-            const std::uint32_t slot = read_index_.find(req.line_addr)->second;
+            const std::uint32_t slot = pool_.slotOf(req);
             servicing_.insert(
                 std::lower_bound(servicing_.begin(), servicing_.end(), slot,
                                  [this](std::uint32_t a, std::uint32_t b) {
@@ -391,8 +405,10 @@ MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
         traceRequest(kind, req, now);
     }
     // The command changed this bank's state (open row and/or readiness),
-    // so its cached wake-up hint is stale.
-    shards_[req.coord.bank].wake = 0;
+    // so its cached wake-up hint and its scan memo are stale.
+    BankShard &shard = shards_[req.coord.bank];
+    shard.wake = 0;
+    shard.memo_valid = false;
 }
 
 void
@@ -449,7 +465,7 @@ MemoryController::completeFinished(Cycle now)
             }
             slot = next;
         }
-    } else {
+    } else if (servicing_min_ready_ <= now) {
         // servicing_ is seq-sorted, so same-cycle completions are
         // reported in queue (seq) order, exactly like the queue walk.
         for (std::size_t i = 0; i < servicing_.size();) {
@@ -506,6 +522,91 @@ MemoryController::runApd(Cycle now)
 
 // --- scheduling -------------------------------------------------------
 
+void
+MemoryController::invalidateMemos()
+{
+    for (BankShard &shard : shards_)
+        shard.memo_valid = false;
+}
+
+void
+MemoryController::updateCellKeys()
+{
+    for (CoreId core = 0; core < num_cores_; ++core) {
+        const bool accurate = ((memo_mask_ >> core) & 1) != 0;
+        for (std::size_t c = 0; c < kRequestClassCount; ++c) {
+            const LatticeSlot cell =
+                context_.latticeSlot(static_cast<RequestClass>(c), accurate);
+            cell_keys_[core * kRequestClassCount + c] = {
+                context_.keyHigh(cell, core), cell.level != 0};
+        }
+    }
+}
+
+void
+MemoryController::rebuildMemo(std::uint32_t bank)
+{
+    BankShard &shard = shards_[bank];
+    const bool has_preferred = shardHasPreferred(shard, memo_mask_);
+    // Every request to this bank needs one of at most two commands:
+    // Column for the open row and Precharge for any other, or Activate
+    // when the bank is closed. The scan reads only the pool's hot
+    // columns and the per-(core, class) key table.
+    const std::uint64_t open = channel_.openRow(bank);
+    const NextCmd miss_cmd =
+        open == dram::kNoOpenRow ? NextCmd::Activate : NextCmd::Precharge;
+    std::uint8_t blocked_wants = 0;
+    std::uint32_t best_slot[2] = {RequestPool::kNone, RequestPool::kNone};
+    std::uint64_t best_key[2] = {0, 0}; // [0] row miss, [1] row hit
+    for (const std::uint32_t slot : shard.queued) {
+        const CellKey &cell =
+            cell_keys_[pool_.coreOf(slot) * kRequestClassCount +
+                       static_cast<std::size_t>(pool_.classOf(slot))];
+        const bool row_hit = pool_.rowOf(slot) == open;
+        if (has_preferred && !cell.preferred) {
+            blocked_wants |= cmdBit(row_hit ? NextCmd::Column : miss_cmd);
+            continue;
+        }
+        const std::uint64_t key = cell.high |
+                                  SchedContext::rowHitBits(row_hit) |
+                                  SchedContext::arrivalBits(pool_.seqOf(slot));
+        if (best_slot[row_hit] == RequestPool::kNone ||
+            key > best_key[row_hit]) {
+            best_slot[row_hit] = slot;
+            best_key[row_hit] = key;
+        }
+    }
+    shard.miss_cmd = miss_cmd;
+    shard.blocked_wants = blocked_wants;
+    shard.miss_slot = best_slot[0];
+    shard.miss_key = best_key[0];
+    shard.hit_slot = best_slot[1];
+    shard.hit_key = best_key[1];
+    shard.memo_valid = true;
+}
+
+void
+MemoryController::checkMemo(std::uint32_t bank) const
+{
+#ifndef NDEBUG
+    const BankShard &shard = shards_[bank];
+    const std::uint64_t open = channel_.openRow(bank);
+    assert((shard.miss_cmd == NextCmd::Activate) ==
+           (open == dram::kNoOpenRow));
+    for (const std::uint32_t slot : {shard.hit_slot, shard.miss_slot}) {
+        if (slot == RequestPool::kNone)
+            continue;
+        const Request &req = pool_.at(slot);
+        assert(req.state == RequestState::Queued);
+        assert(req.coord.bank == bank);
+        assert(shard.queued[req.bank_slot] == slot);
+        assert((slot == shard.hit_slot) == (req.coord.row == open));
+    }
+#else
+    (void)bank;
+#endif
+}
+
 bool
 MemoryController::scheduleRead(Cycle now)
 {
@@ -516,7 +617,9 @@ MemoryController::scheduleRead(Cycle now)
         (context_.latticeAccuracyDependent() || config_.ranking_enabled)
             ? accurateCoreMask()
             : 0;
-
+    // Memo keys and class blocking embed the mask and the ranks.
+    bool keys_stale = accurate_mask != memo_mask_;
+    memo_mask_ = accurate_mask;
     if (config_.ranking_enabled) {
         std::array<std::uint32_t, kMaxCores> counts{};
         for (std::uint32_t c = 0; c < num_cores_; ++c) {
@@ -524,13 +627,16 @@ MemoryController::scheduleRead(Cycle now)
             if ((accurate_mask >> c) & 1)
                 counts[c] += prefs_per_core_[c];
         }
-        context_.updateRanks(counts, num_cores_);
+        keys_stale |= context_.updateRanks(counts, num_cores_);
+    }
+    if (keys_stale) {
+        updateCellKeys();
+        invalidateMemos();
     }
 
     std::uint32_t best_slot = RequestPool::kNone;
     std::uint64_t best_key = 0;
     NextCmd best_cmd = NextCmd::None;
-    bool best_hit = false;
 
     const Cycle retry = now + channel_.timing().cpu_per_dram_cycle;
     for (std::uint64_t mask = occupied_banks_; mask != 0; mask &= mask - 1) {
@@ -538,74 +644,68 @@ MemoryController::scheduleRead(Cycle now)
         BankShard &shard = shards_[b];
         if (now < shard.wake)
             continue;
-        const bool has_preferred = shardHasPreferred(shard, accurate_mask);
-        Cycle wake = kNeverCycle;
+        if (shard.memo_valid)
+            checkMemo(b);
+        else
+            rebuildMemo(b);
+
+        // Legality depends on the bank and the command, never on the
+        // request, so each memoized candidate costs one probe. Commands
+        // nobody can issue this cycle feed the wake-up hint instead.
         bool issuable_here = false;
-
-        // All requests to this bank need one of at most two distinct
-        // commands (Column/Precharge against the open row, or Activate
-        // when closed), and command legality does not depend on which
-        // request wants it -- so resolve the bank state and each
-        // command's legality once per shard, not once per request. The
-        // scan itself reads only the pool's hot columns.
-        const std::uint64_t open = channel_.openRow(b);
-        const bool bank_open = open != dram::kNoOpenRow;
-        int col_ok = -1; // lazy tri-state: -1 unknown, else 0/1
-        int pre_ok = -1;
-        int act_ok = -1;
-
-        for (const std::uint32_t slot : shard.queued) {
-            NextCmd cmd;
-            bool row_hit = false;
-            bool issuable;
-            if (!bank_open) {
-                cmd = NextCmd::Activate;
-                if (act_ok < 0)
-                    act_ok = channel_.canActivate(b, now) ? 1 : 0;
-                issuable = act_ok != 0;
-            } else if (pool_.rowOf(slot) == open) {
-                cmd = NextCmd::Column;
-                row_hit = true;
-                if (col_ok < 0)
-                    col_ok = channel_.canColumn(b, false, now) ? 1 : 0;
-                issuable = col_ok != 0;
-            } else {
-                cmd = NextCmd::Precharge;
-                if (pre_ok < 0)
-                    pre_ok = channel_.canPrecharge(b, now) ? 1 : 0;
-                issuable = pre_ok != 0;
+        std::uint8_t wants = shard.blocked_wants;
+        const auto offer = [&](std::uint32_t slot, std::uint64_t key,
+                               NextCmd cmd, bool legal) {
+            if (!legal) {
+                wants |= cmdBit(cmd);
+                return;
             }
-            const RequestClass cls = pool_.classOf(slot);
-            const CoreId core = pool_.coreOf(slot);
-            const bool blocked =
-                has_preferred && context_.latticeLevel(cls, core) == 0;
-            if (!blocked && issuable) {
-                issuable_here = true;
-                const std::uint64_t key = context_.priorityKey(
-                    cls, core, pool_.seqOf(slot), row_hit);
-                if (best_slot == RequestPool::kNone || key > best_key) {
-                    best_slot = slot;
-                    best_key = key;
-                    best_cmd = cmd;
-                    best_hit = row_hit;
-                }
-            } else {
-                // Fold this request's bank-local readiness into the
-                // shard's wake-up hint. A request that is bank-ready but
-                // held back (class blocking or a channel-global
-                // constraint) forces a retry next DRAM cycle, since that
-                // blocking state can change with any issued command.
+            issuable_here = true;
+            if (best_slot == RequestPool::kNone || key > best_key) {
+                best_slot = slot;
+                best_key = key;
+                best_cmd = cmd;
+            }
+        };
+        if (shard.hit_slot != RequestPool::kNone) {
+            offer(shard.hit_slot, shard.hit_key, NextCmd::Column,
+                  channel_.canColumn(b, false, now));
+        }
+        if (shard.miss_slot != RequestPool::kNone) {
+            offer(shard.miss_slot, shard.miss_key, shard.miss_cmd,
+                  shard.miss_cmd == NextCmd::Activate
+                      ? channel_.canActivate(b, now)
+                      : channel_.canPrecharge(b, now));
+        }
+        // An issuable-but-not-chosen request must be reconsidered next
+        // cycle. Otherwise sleep until the earliest bank-local readiness
+        // of any wanted command; a command that is bank-ready but held
+        // back (class blocking or a channel-global constraint) forces a
+        // retry next DRAM cycle, since that blocking state can change
+        // with any issued command.
+        if (issuable_here) {
+            shard.wake = now;
+            continue;
+        }
+        Cycle wake = kNeverCycle;
+        for (const NextCmd cmd :
+             {NextCmd::Precharge, NextCmd::Activate, NextCmd::Column}) {
+            if ((wants & cmdBit(cmd)) != 0) {
                 const Cycle local = bankLocalReady(b, cmd);
                 wake = std::min(wake, local <= now ? retry : local);
             }
         }
-        // An issuable-but-not-chosen request must be reconsidered next
-        // cycle; otherwise sleep until the earliest bank-local readiness.
-        shard.wake = issuable_here ? now : wake;
+        shard.wake = wake;
     }
     if (best_slot == RequestPool::kNone)
         return false;
-    issueCommand(pool_.at(best_slot), best_cmd, best_hit, now);
+    const std::uint32_t bank = pool_.at(best_slot).coord.bank;
+    issueCommand(pool_.at(best_slot), best_cmd,
+                 best_cmd == NextCmd::Column, now);
+    // The next round would rescan this bank anyway; doing it now lets
+    // the next-event bound read the memo instead of walking the bank.
+    if (!shards_[bank].queued.empty())
+        rebuildMemo(bank);
     return true;
 }
 
@@ -703,9 +803,7 @@ MemoryController::scheduleWrite(Cycle now)
             RequestClass::Writeback)];
         traceRequest(telemetry::EventKind::WriteRetire, *best, now,
                      best->arrival);
-        auto pending = pending_rows_.find(rowKey(best->coord));
-        if (--pending->second == 0)
-            pending_rows_.erase(pending);
+        trackPendingRow(best->coord, -1);
         write_index_.erase(best->line_addr);
         write_q_.erase(best);
     }
@@ -730,8 +828,10 @@ MemoryController::tick(Cycle now)
     }
 
     if (channel_.refreshDue(now)) {
-        if (channel_.commandBusFree(now))
+        if (channel_.commandBusFree(now)) {
             channel_.refresh(now);
+            invalidateMemos(); // every bank is now closed
+        }
         return;
     }
 
@@ -785,12 +885,16 @@ MemoryController::nextEventCycle(Cycle from) const
     // DRAM cycle later) and would fragment a gap where nothing issues.
     // Class-blocked requests are excluded: accuracy estimates and ranks
     // only move on controller or core events, so a request blocked at
-    // `from` stays blocked for the whole gap.
+    // `from` stays blocked for the whole gap. A valid scan memo already
+    // names the commands unblocked requests want, but only if it was
+    // built under the current mask: the tracker can flip accuracy on a
+    // cycle whose tick() returned before scheduling.
     if (occupied_banks_ != 0) {
         const std::uint64_t accurate_mask =
             (context_.latticeAccuracyDependent() || config_.ranking_enabled)
                 ? accurateCoreMask()
                 : 0;
+        const bool memos_current = accurate_mask == memo_mask_;
         const Cycle col_global = channel_.readColumnGlobalReadyAt();
         const Cycle act_global = channel_.activateGlobalReadyAt();
         const Cycle pre_global = channel_.commandBusFreeAt();
@@ -798,29 +902,34 @@ MemoryController::nextEventCycle(Cycle from) const
              mask &= mask - 1) {
             const auto b = static_cast<std::uint32_t>(__builtin_ctzll(mask));
             const BankShard &shard = shards_[b];
-            // A shard can hold a class-blocked request only when it mixes
-            // the preferred and deprioritized lattice levels; the common
-            // pure shard skips the per-slot class checks entirely.
-            const bool maybe_blocked =
-                context_.shardHasLevelZero(shard.queued_demands,
-                                           shard.pref_core_mask,
-                                           accurate_mask) &&
-                context_.shardHasPreferred(shard.queued_demands,
-                                           shard.pref_core_mask,
-                                           accurate_mask);
-            const std::uint64_t open = channel_.openRow(b);
-            const bool bank_open = open != dram::kNoOpenRow;
             // Which command classes does some unblocked request want?
             bool want_act = false;
             bool want_col = false;
             bool want_pre = false;
-            if (!bank_open && !maybe_blocked) {
-                want_act = true;
+            if (memos_current && shard.memo_valid) {
+                const bool want_miss = shard.miss_slot != RequestPool::kNone;
+                want_col = shard.hit_slot != RequestPool::kNone;
+                want_act = want_miss && shard.miss_cmd == NextCmd::Activate;
+                want_pre = want_miss && shard.miss_cmd == NextCmd::Precharge;
             } else {
+                // A shard can hold a class-blocked request only when it
+                // mixes the preferred and deprioritized lattice levels;
+                // the common pure shard skips the per-slot class checks.
+                const bool maybe_blocked =
+                    context_.shardHasLevelZero(shard.queued_demands,
+                                               shard.pref_core_mask,
+                                               accurate_mask) &&
+                    context_.shardHasPreferred(shard.queued_demands,
+                                               shard.pref_core_mask,
+                                               accurate_mask);
+                const std::uint64_t open = channel_.openRow(b);
+                const bool bank_open = open != dram::kNoOpenRow;
                 for (const std::uint32_t slot : shard.queued) {
+                    const bool accurate =
+                        ((accurate_mask >> pool_.coreOf(slot)) & 1) != 0;
                     if (maybe_blocked &&
-                        context_.latticeLevel(pool_.classOf(slot),
-                                              pool_.coreOf(slot)) == 0)
+                        context_.latticeSlot(pool_.classOf(slot), accurate)
+                                .level == 0)
                         continue;
                     if (!bank_open) {
                         want_act = true;
@@ -911,28 +1020,32 @@ MemoryController::nextEventCycle(Cycle from) const
     // O(queue) deadline refinement only runs when the bare scan
     // schedule would otherwise bound the jump.
     if (config_.apd_enabled) {
-        bool any_pref = false;
+        std::uint64_t pref_cores = 0; // cores with a queued prefetch
         for (std::uint64_t mask = occupied_banks_; mask != 0;
              mask &= mask - 1) {
             const auto b = static_cast<std::uint32_t>(__builtin_ctzll(mask));
-            if (shards_[b].pref_core_mask != 0) {
-                any_pref = true;
-                break;
-            }
+            pref_cores |= shards_[b].pref_core_mask;
         }
-        if (any_pref) {
+        if (pref_cores != 0) {
             const Cycle scan_base = std::max(next_apd_scan_, from);
             const Cycle bare_scan =
                 (scan_base + period - 1) / period * period;
             if (bare_scan < raw) {
+                // All of a core's requests share its drop threshold and
+                // the pool chain is in arrival order, so a core's first
+                // queued prefetch holds its earliest deadline: the walk
+                // stops once every such core has been seen.
                 Cycle min_deadline = kNeverCycle;
                 for (std::uint32_t slot = pool_.head();
-                     slot != RequestPool::kNone; slot = pool_.next(slot)) {
+                     slot != RequestPool::kNone && pref_cores != 0;
+                     slot = pool_.next(slot)) {
                     const Request &req = pool_.at(slot);
-                    if (req.isPrefetch() &&
+                    const std::uint64_t bit = 1ULL << req.core;
+                    if ((pref_cores & bit) != 0 && req.isPrefetch() &&
                         req.state == RequestState::Queued) {
                         min_deadline =
                             std::min(min_deadline, apd_.dropDeadline(req));
+                        pref_cores &= ~bit;
                     }
                 }
                 if (min_deadline != kNeverCycle)

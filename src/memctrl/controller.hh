@@ -23,11 +23,14 @@
  * "Performance architecture"):
  *  - per-bank lists of *queued* reads, so a round never walks requests
  *    that are already in flight;
+ *  - a per-bank memo of the best unblocked row-hit and row-miss
+ *    candidates, so a round rescans only banks whose queue, open row or
+ *    priority inputs changed and costs O(banks) otherwise;
  *  - a cached per-bank wake-up cycle (lower bound on the next cycle any
  *    command to that bank could be bank-locally legal), invalidated on
  *    enqueue and whenever a command changes the bank's state;
  *  - per-(bank,row) pending counters replacing the O(queue) same-row
- *    scan of the closed-row policy;
+ *    scan of the closed-row policy (kept only under that policy);
  *  - per-bank demand/prefetch occupancy counters and per-core criticality
  *    counters replacing the per-cycle class-mask and ranking rescans.
  * The naive O(queue) scheduler is retained behind
@@ -181,7 +184,7 @@ class MemoryController
     /** True if a read for @p line_addr is outstanding here. */
     bool hasRead(Addr line_addr) const
     {
-        return read_index_.find(line_addr) != read_index_.end();
+        return read_index_.find(line_addr) != RequestPool::kNone;
     }
 
     /** Advance the controller; call once per processor cycle. */
@@ -251,6 +254,12 @@ class MemoryController
     /** The next DRAM command a request needs, given current bank state. */
     enum class NextCmd : std::uint8_t { Precharge, Activate, Column, None };
 
+    /** Bit of @p cmd in a BankShard::blocked_wants set. */
+    static constexpr std::uint8_t cmdBit(NextCmd cmd)
+    {
+        return static_cast<std::uint8_t>(1u << static_cast<unsigned>(cmd));
+    }
+
     /** Scheduler shard for one DRAM bank. */
     struct BankShard
     {
@@ -273,6 +282,23 @@ class MemoryController
             accurate-core mask. */
         std::vector<std::uint32_t> pref_by_core;
         std::uint64_t pref_core_mask = 0;
+
+        /** Scan memo: the result of the last full walk of `queued`,
+            reusable while memo_valid (see DESIGN.md section 6.1 for
+            every event that clears it). Keys are exact for the memo's
+            accurate-core mask and ranks; legality is never memoized. */
+        bool memo_valid = false;
+        /** Command the row-miss candidate needs: Activate when the bank
+            was closed at the scan, else Precharge. */
+        NextCmd miss_cmd = NextCmd::None;
+        /** cmdBit() set of the commands class-blocked requests need. */
+        std::uint8_t blocked_wants = 0;
+        /** Best unblocked row-hit / row-miss request (RequestPool::kNone
+            when there is none) and its priority key. */
+        std::uint32_t hit_slot = RequestPool::kNone;
+        std::uint32_t miss_slot = RequestPool::kNone;
+        std::uint64_t hit_key = 0;
+        std::uint64_t miss_key = 0;
     };
 
     NextCmd nextCommand(const Request &req, bool *row_hit) const;
@@ -305,6 +331,18 @@ class MemoryController
     bool shardHasPreferred(const BankShard &shard,
                            std::uint64_t accurate_mask) const;
 
+    /** Rescan bank @p bank's queued reads into its memo. */
+    void rebuildMemo(std::uint32_t bank);
+
+    /** Recompute cell_keys_ for memo_mask_ and the current ranks. */
+    void updateCellKeys();
+
+    /** Clear every bank's memo (refresh, mask or rank change). */
+    void invalidateMemos();
+
+    /** Debug check that bank @p bank's valid memo matches its state. */
+    void checkMemo(std::uint32_t bank) const;
+
     /** Bank-local lower bound for @p cmd on bank @p bank. */
     Cycle bankLocalReady(std::uint32_t bank, NextCmd cmd) const;
 
@@ -316,6 +354,10 @@ class MemoryController
 
     /** Account a queued prefetch being promoted to a demand. */
     void trackPromoted(Request &req);
+
+    /** Count a request joining (+1) or leaving (-1) @p coord's row in
+        pending_rows_; a no-op unless the closed-row policy reads it. */
+    void trackPendingRow(const dram::DramCoord &coord, int delta);
 
     /** Record one lifecycle event for @p req (no-op when untraced). */
     void traceRequest(telemetry::EventKind kind, const Request &req,
@@ -354,7 +396,7 @@ class MemoryController
 
     /** Arena + SoA hot columns backing the memory request buffer. */
     RequestPool pool_;
-    std::unordered_map<Addr, std::uint32_t> read_index_;
+    LineIndex read_index_;
     std::list<Request> write_q_;
     std::unordered_map<Addr, std::list<Request>::iterator> write_index_;
 
@@ -365,6 +407,22 @@ class MemoryController
         scan and the next-event computation visit only occupied banks
         (banks per channel never exceed 64). */
     std::uint64_t occupied_banks_ = 0;
+
+    /** Accurate-core mask every valid shard memo was built under; a
+        round that computes a different mask clears all memos first. */
+    std::uint64_t memo_mask_ = 0;
+
+    /** Memo-scan inputs of one (core, request class) pair under
+        memo_mask_ and the current ranks: the priority-key fields the
+        pair fixes, and whether it is the preferred lattice level. */
+    struct CellKey
+    {
+        std::uint64_t high = 0;
+        bool preferred = false;
+    };
+
+    /** Indexed [core * kRequestClassCount + class]. */
+    std::vector<CellKey> cell_keys_;
 
     /** alignUp(from) memo from the last nextEventCycle() call, so the
         skipTo() that immediately follows it in the jump path does not
@@ -383,7 +441,8 @@ class MemoryController
     Cycle servicing_min_ready_ = kNeverCycle;
 
     /** Queued reads + pending writes per (bank,row); backs the closed-row
-        policy's pendingSameRow() in O(1). */
+        policy's pendingSameRow() in O(1). Empty under the open-row
+        policy, which never asks. */
     std::unordered_map<std::uint64_t, std::uint32_t> pending_rows_;
 
     /** Requests (any state) in the read queue per core, split by current

@@ -1,22 +1,12 @@
 #include "memctrl/policy.hh"
 
 #include <algorithm>
-#include <cassert>
 
 namespace padc::memctrl
 {
 
 namespace
 {
-
-/// Width of the inverted-arrival (FCFS) field in the packed key.
-constexpr std::uint32_t kArrivalBits = 52;
-constexpr std::uint64_t kArrivalMask = (1ULL << kArrivalBits) - 1;
-
-constexpr std::uint32_t kRankShift = kArrivalBits;        // 8 bits
-constexpr std::uint32_t kUrgentShift = kRankShift + 8;    // 1 bit
-constexpr std::uint32_t kRowHitShift = kUrgentShift + 1;  // 1 bit
-constexpr std::uint32_t kLevel0Shift = kRowHitShift + 1;  // 1 bit
 
 // Lattice-slot shorthand: {level, urgent}.
 constexpr LatticeSlot kLo{0, false};   // deprioritized
@@ -203,26 +193,24 @@ SchedContext::SchedContext(const SchedulerConfig &config,
 {
 }
 
-void
+bool
 SchedContext::updateRanks(
     const std::array<std::uint32_t, kMaxCores> &critical_counts,
     std::uint32_t num_cores)
 {
     if (!config_.ranking_enabled)
-        return;
+        return false;
     // Shortest job first: fewer outstanding critical requests -> higher
     // rank. Encoding the (saturated) complement of the count preserves
     // the ordering without a sort and gives equal-count cores equal rank.
+    bool changed = false;
     for (std::uint32_t i = 0; i < num_cores && i < kMaxCores; ++i) {
         const std::uint32_t count = std::min(critical_counts[i], 255u);
-        rank_[i] = static_cast<std::uint8_t>(255u - count);
+        const auto rank = static_cast<std::uint8_t>(255u - count);
+        changed |= rank_[i] != rank;
+        rank_[i] = rank;
     }
-}
-
-std::uint32_t
-SchedContext::latticeLevel(RequestClass cls, CoreId core) const
-{
-    return lattice_.of(cls)[coreAccurate(core) ? 1 : 0].level;
+    return changed;
 }
 
 bool
@@ -269,28 +257,6 @@ std::uint64_t
 SchedContext::priorityKey(const Request &req, bool row_hit) const
 {
     return priorityKey(req.cls, req.core, req.seq, row_hit);
-}
-
-std::uint64_t
-SchedContext::priorityKey(RequestClass cls, CoreId core,
-                          std::uint64_t seq, bool row_hit) const
-{
-    assert(core < kMaxCores);
-    const LatticeSlot slot = lattice_.of(cls)[coreAccurate(core) ? 1 : 0];
-
-    const std::uint64_t level0 = slot.level;
-    const std::uint64_t urgent =
-        (slot.urgent && config_.urgency_enabled) ? 1 : 0;
-    // Footnote 12: only critical (level-1) requests are ranked;
-    // level-0 requests keep the lowest rank value (0).
-    std::uint64_t rank = 0;
-    if (lattice_.ranked && config_.ranking_enabled && slot.level != 0)
-        rank = rank_[core];
-
-    const std::uint64_t inv_arrival = (~seq) & kArrivalMask;
-    return (level0 << kLevel0Shift) | ((row_hit ? 1ULL : 0ULL)
-           << kRowHitShift) | (urgent << kUrgentShift) |
-           (rank << kRankShift) | inv_arrival;
 }
 
 } // namespace padc::memctrl

@@ -29,6 +29,7 @@
 #define PADC_MEMCTRL_POLICY_HH
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -184,10 +185,21 @@ class SchedContext
      *
      * @param critical_counts outstanding critical requests per core
      * @param num_cores cores participating
+     * @return true when any core's rank changed
      */
-    void updateRanks(const std::array<std::uint32_t, kMaxCores>
+    bool updateRanks(const std::array<std::uint32_t, kMaxCores>
                          &critical_counts,
                      std::uint32_t num_cores);
+
+    /**
+     * Lattice cell of a @p cls request from a core whose accuracy state
+     * is @p accurate. Scans pass one bit of the round's accurate-core
+     * mask, so they read the tracker once per core, not per request.
+     */
+    LatticeSlot latticeSlot(RequestClass cls, bool accurate) const
+    {
+        return lattice_.of(cls)[accurate ? 1 : 0];
+    }
 
     /**
      * Lattice level of a @p cls request from @p core under the
@@ -199,7 +211,10 @@ class SchedContext
      * serviced"). The controller enforces this with per-bank class
      * masks.
      */
-    std::uint32_t latticeLevel(RequestClass cls, CoreId core) const;
+    std::uint32_t latticeLevel(RequestClass cls, CoreId core) const
+    {
+        return latticeSlot(cls, coreAccurate(core)).level;
+    }
 
     /**
      * True when some class's lattice slot differs between the accurate
@@ -242,13 +257,58 @@ class SchedContext
      * (request class, core, seq) without touching the Request record.
      */
     std::uint64_t priorityKey(RequestClass cls, CoreId core,
-                              std::uint64_t seq, bool row_hit) const;
+                              std::uint64_t seq, bool row_hit) const
+    {
+        assert(core < kMaxCores);
+        return keyHigh(latticeSlot(cls, coreAccurate(core)), core) |
+               rowHitBits(row_hit) | arrivalBits(seq);
+    }
+
+    /**
+     * The key fields fixed by the lattice cell and the core (level-0
+     * class, urgent, rank). They change only with the ranks, so a scan
+     * can look them up per (core, class) and OR in rowHitBits() and
+     * arrivalBits() per request.
+     */
+    std::uint64_t keyHigh(LatticeSlot slot, CoreId core) const
+    {
+        const std::uint64_t level0 = slot.level;
+        const std::uint64_t urgent =
+            (slot.urgent && config_.urgency_enabled) ? 1 : 0;
+        // Footnote 12: only critical (level-1) requests are ranked;
+        // level-0 requests keep the lowest rank value (0).
+        std::uint64_t rank = 0;
+        if (lattice_.ranked && config_.ranking_enabled && slot.level != 0)
+            rank = rank_[core];
+        return (level0 << kLevel0Shift) | (urgent << kUrgentShift) |
+               (rank << kRankShift);
+    }
+
+    /** Row-hit field of a key. */
+    static std::uint64_t rowHitBits(bool row_hit)
+    {
+        return row_hit ? 1ULL << kRowHitShift : 0;
+    }
+
+    /** Inverted-arrival (FCFS) field of the key of request @p seq. */
+    static std::uint64_t arrivalBits(std::uint64_t seq)
+    {
+        return (~seq) & kArrivalMask;
+    }
 
     const SchedulerConfig &config() const { return config_; }
 
     const PolicyLattice &lattice() const { return lattice_; }
 
   private:
+    /// Width of the inverted-arrival (FCFS) field in the packed key.
+    static constexpr std::uint32_t kArrivalBits = 52;
+    static constexpr std::uint64_t kArrivalMask = (1ULL << kArrivalBits) - 1;
+    static constexpr std::uint32_t kRankShift = kArrivalBits;       // 8 bits
+    static constexpr std::uint32_t kUrgentShift = kRankShift + 8;   // 1 bit
+    static constexpr std::uint32_t kRowHitShift = kUrgentShift + 1; // 1 bit
+    static constexpr std::uint32_t kLevel0Shift = kRowHitShift + 1; // 1 bit
+
     const SchedulerConfig &config_;
     const AccuracyTracker &tracker_;
     const PolicyLattice &lattice_;

@@ -686,19 +686,8 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
         tracker_->tick(now_);
         if (now_ >= next_interval_)
             intervalTick(now_);
-        if ((now_ & (telemetry::kSchedulerSampleInterval - 1)) == 0) {
-            // 1-in-1024 sampled wall-clock timing of the scheduler hot
-            // path (extrapolated in the profiler snapshot); two steady-
-            // clock reads per kilocycle, negligible against a cycle of
-            // simulation work.
-            telemetry::WallProfiler::Scope scope(
-                telemetry::ProfilePhase::SchedulerSample);
-            for (auto &controller : controllers_)
-                controller->tick(now_);
-        } else {
-            for (auto &controller : controllers_)
-                controller->tick(now_);
-        }
+        for (auto &controller : controllers_)
+            controller->tick(now_);
 
         bool all_done = true;
         for (CoreId i = 0; i < config_.num_cores; ++i) {

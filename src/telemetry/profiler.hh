@@ -5,17 +5,12 @@
  * A process-wide singleton accumulates (nanoseconds, calls) per phase
  * through RAII scopes. The coarse phases (Build / Simulate / Collect)
  * wrap whole runMix stages, so their cost is a handful of clock reads
- * per simulated run. The scheduler hot path is too hot to time every
- * cycle; instead System::run times the memory-controller tick loop on
- * one cycle out of kSchedulerSampleInterval and the reader extrapolates
- * (sampled_ns * interval estimates the full scheduler wall time). Each
- * sample pays two steady_clock reads, so the extrapolation is an upper
- * bound that overestimates most when a controller tick is cheaper than
- * the clock reads (tiny configs); treat it as a trend/ceiling, not an
- * exact attribution. The
- * counters are atomics so parallel sweep workers can share the
- * singleton; numbers therefore aggregate *across* worker threads (CPU
- * seconds, not elapsed seconds, when the pool fans out).
+ * per simulated run. Nothing inside System::run's cycle loop is timed:
+ * a clock read costs more than a controller tick, so per-layer cost
+ * comes from replaying each layer standalone (perfbench), not from
+ * sampling here. The counters are atomics so parallel sweep workers
+ * can share the singleton; numbers therefore aggregate *across* worker
+ * threads (CPU seconds, not elapsed seconds, when the pool fans out).
  *
  * The driver snapshots-and-resets around each experiment and reports
  * the phases next to the sim-cycles/sec block and in the "profile"
@@ -37,16 +32,12 @@ namespace padc::telemetry
 /** Profiled pipeline phases. */
 enum class ProfilePhase : std::uint8_t
 {
-    Build,           ///< trace construction + System assembly
-    Simulate,        ///< System::run
-    Collect,         ///< metrics collection
-    SchedulerSample, ///< sampled controller-tick loop (see file comment)
+    Build,    ///< trace construction + System assembly
+    Simulate, ///< System::run
+    Collect,  ///< metrics collection
 };
 
-constexpr std::size_t kProfilePhases = 4;
-
-/** Cycles between scheduler hot-path samples (power of two). */
-constexpr std::uint64_t kSchedulerSampleInterval = 1024;
+constexpr std::size_t kProfilePhases = 3;
 
 /**
  * Process-wide wall-clock accumulator; see file comment.
@@ -101,17 +92,6 @@ class WallProfiler
         std::uint64_t calls(ProfilePhase phase) const
         {
             return entries[static_cast<std::size_t>(phase)].calls;
-        }
-
-        /**
-         * Extrapolated scheduler wall time: one cycle in
-         * kSchedulerSampleInterval is timed, so the full-loop estimate
-         * is the sampled time scaled back up.
-         */
-        double schedulerSecondsEstimate() const
-        {
-            return seconds(ProfilePhase::SchedulerSample) *
-                   static_cast<double>(kSchedulerSampleInterval);
         }
     };
 

@@ -24,7 +24,12 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "padc_trace_test.trc";
+        // One file per test: ctest runs each case as its own process,
+        // in parallel under -j.
+        const ::testing::TestInfo *test =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        path_ = ::testing::TempDir() + "padc_trace_test_" + test->name() +
+                ".trc";
     }
 
     void

@@ -176,6 +176,23 @@ TEST(EventSkipTest, ClosedRowWithRefresh)
     expectEquivalent(cfg, {"libquantum_06"});
 }
 
+TEST(EventSkipTest, PadcFourCoreMidDramCycleAccuracyFlips)
+{
+    // An accuracy interval that is not a multiple of the DRAM clock
+    // flips the accurate-core mask on a cycle whose controller tick
+    // returns before scheduling, and the next-event bound is taken right
+    // after it: the bound must not reuse scheduler state derived under
+    // the old mask. Four cores mixing accurate and inaccurate
+    // prefetchers keep the mask moving.
+    SystemConfig cfg = padcConfig(4);
+    cfg.sched.accuracy.interval = 2003;
+    ASSERT_NE(cfg.sched.accuracy.interval %
+                  cfg.dram.timing.cpu_per_dram_cycle,
+              0u);
+    expectEquivalent(cfg, {"libquantum_06", "omnetpp_06", "swim_00",
+                           "milc_06"});
+}
+
 TEST(EventSkipTest, JumpsActuallyTaken)
 {
     // Guard against the suite passing vacuously: on an idle-heavy
