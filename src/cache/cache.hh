@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "cache/replacement.hh"
 
@@ -52,6 +53,18 @@ struct CacheConfig
      */
     void validate(ConfigErrors &errors, const std::string &prefix) const;
 };
+
+/** CacheConfig's field table; see common/fields.hh. */
+template <fields::Of<CacheConfig> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("size_bytes", s.size_bytes);
+    v("ways", s.ways);
+    v("hit_latency", s.hit_latency);
+    v("repl", s.repl);
+}
+static_assert(fields::complete<CacheConfig>());
 
 /** Per-line metadata. */
 struct Line

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "core/trace.hh"
 
@@ -47,6 +48,21 @@ struct CoreConfig
     /** Append one diagnostic per violated constraint under @p prefix. */
     void validate(ConfigErrors &errors, const std::string &prefix) const;
 };
+
+/** CoreConfig's field table; see common/fields.hh. */
+template <fields::Of<CoreConfig> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("window_size", s.window_size);
+    v("retire_width", s.retire_width);
+    v("fetch_width", s.fetch_width);
+    v("lsq_size", s.lsq_size);
+    v("mem_issue_width", s.mem_issue_width);
+    v("runahead", s.runahead);
+    v("runahead_max_ops", s.runahead_max_ops);
+}
+static_assert(fields::complete<CoreConfig>());
 
 /** Outcome classes returned by the memory port. */
 enum class AccessStatus : std::uint8_t

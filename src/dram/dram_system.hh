@@ -33,6 +33,16 @@ struct DramConfig
     void validate(ConfigErrors &errors, const std::string &prefix) const;
 };
 
+/** DramConfig's field table; see common/fields.hh. */
+template <fields::Of<DramConfig> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("timing", s.timing);
+    v("geometry", s.geometry);
+}
+static_assert(fields::complete<DramConfig>());
+
 /**
  * The DRAM device array visible to the memory controllers.
  *

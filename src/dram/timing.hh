@@ -20,6 +20,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace padc::dram
@@ -69,6 +70,31 @@ struct TimingParams
     bool valid() const;
 };
 
+/** TimingParams's field table; see common/fields.hh. */
+template <fields::Of<TimingParams> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("cpu_per_dram_cycle", s.cpu_per_dram_cycle);
+    v("tRCD", s.tRCD);
+    v("tRP", s.tRP);
+    v("tCL", s.tCL);
+    v("tCWL", s.tCWL);
+    v("tRAS", s.tRAS);
+    v("tRC", s.tRC);
+    v("tBURST", s.tBURST);
+    v("tCCD", s.tCCD);
+    v("tRRD", s.tRRD);
+    v("tFAW", s.tFAW);
+    v("tWTR", s.tWTR);
+    v("tWR", s.tWR);
+    v("tRTP", s.tRTP);
+    v("tREFI", s.tREFI);
+    v("tRFC", s.tRFC);
+    v("refresh_enabled", s.refresh_enabled);
+}
+static_assert(fields::complete<TimingParams>());
+
 /** Bank-interleaving granularity of the address map. */
 enum class Interleave : std::uint8_t
 {
@@ -111,6 +137,19 @@ struct Geometry
     /** Power-of-two check for all dimensions. */
     bool valid() const;
 };
+
+/** Geometry's field table; see common/fields.hh. */
+template <fields::Of<Geometry> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("channels", s.channels);
+    v("banks_per_channel", s.banks_per_channel);
+    v("row_bytes", s.row_bytes);
+    v("interleave", s.interleave);
+    v("permutation_interleaving", s.permutation_interleaving);
+}
+static_assert(fields::complete<Geometry>());
 
 } // namespace padc::dram
 

@@ -55,7 +55,7 @@ jsonNumber(double value)
     return buf;
 }
 
-JsonWriter::JsonWriter()
+JsonWriter::JsonWriter(Layout layout) : layout_(layout)
 {
     first_in_scope_.push_back(true);
 }
@@ -63,6 +63,8 @@ JsonWriter::JsonWriter()
 void
 JsonWriter::indent()
 {
+    if (layout_ == Layout::OneLine)
+        return;
     out_ += '\n';
     out_.append(2 * (first_in_scope_.size() - 1), ' ');
 }

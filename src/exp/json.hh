@@ -36,13 +36,20 @@ std::string jsonNumber(double value);
 /**
  * Incremental writer for the subset of JSON the result files use:
  * nested objects and arrays, string/number/bool members. Produces
- * 2-space-indented output with deterministic member order (insertion
- * order -- the caller controls it).
+ * 2-space-indented output (or, for line-oriented files such as the
+ * sweep journal, the same document on one line) with deterministic
+ * member order (insertion order -- the caller controls it).
  */
 class JsonWriter
 {
   public:
-    JsonWriter();
+    enum class Layout
+    {
+        Pretty,  ///< one member per line, 2-space indent
+        OneLine, ///< no line breaks (string escapes keep it one line)
+    };
+
+    explicit JsonWriter(Layout layout = Layout::Pretty);
 
     JsonWriter(const JsonWriter &) = delete;
     JsonWriter &operator=(const JsonWriter &) = delete;
@@ -73,6 +80,7 @@ class JsonWriter
     void indent();
     void comma();
 
+    Layout layout_;
     std::string out_;
     std::vector<bool> first_in_scope_; ///< per nesting level
 };

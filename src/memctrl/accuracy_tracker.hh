@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace padc::memctrl
@@ -50,6 +51,17 @@ struct AccuracyConfig
      */
     std::uint32_t min_samples = 8;
 };
+
+/** AccuracyConfig's field table; see common/fields.hh. */
+template <fields::Of<AccuracyConfig> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("interval", s.interval);
+    v("initial_accuracy", s.initial_accuracy);
+    v("min_samples", s.min_samples);
+}
+static_assert(fields::complete<AccuracyConfig>());
 
 /**
  * Tracks prefetch accuracy per core over fixed time intervals.

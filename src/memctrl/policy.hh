@@ -34,6 +34,7 @@
 #include <cstdint>
 
 #include "common/config.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "memctrl/accuracy_tracker.hh"
 #include "memctrl/request.hh"
@@ -139,6 +140,29 @@ struct SchedulerConfig
     /** Append one diagnostic per violated constraint under @p prefix. */
     void validate(ConfigErrors &errors, const std::string &prefix) const;
 };
+
+/** SchedulerConfig's field table; see common/fields.hh. */
+template <fields::Of<SchedulerConfig> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("kind", s.kind);
+    v("apd_enabled", s.apd_enabled);
+    v("urgency_enabled", s.urgency_enabled);
+    v("ranking_enabled", s.ranking_enabled);
+    v("promotion_threshold", s.promotion_threshold);
+    v("request_buffer_size", s.request_buffer_size);
+    v("write_buffer_size", s.write_buffer_size);
+    v("write_drain_high", s.write_drain_high);
+    v("write_drain_low", s.write_drain_low);
+    v("row_policy", s.row_policy);
+    v("reference_scheduler", s.reference_scheduler);
+    v("age_quantum", s.age_quantum);
+    v("drop_thresholds", s.drop_thresholds);
+    v("drop_accuracy_bounds", s.drop_accuracy_bounds);
+    v("accuracy", s.accuracy);
+}
+static_assert(fields::complete<SchedulerConfig>());
 
 /**
  * Reject core counts the packed rank field (and every per-core mask in

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace padc::prefetch
@@ -29,6 +30,17 @@ struct DdpfConfig
     std::uint8_t threshold = 2;         ///< issue when counter >= threshold
     std::uint8_t initial = 3;           ///< counters start permissive
 };
+
+/** DdpfConfig's field table; see common/fields.hh. */
+template <fields::Of<DdpfConfig> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("table_entries", s.table_entries);
+    v("threshold", s.threshold);
+    v("initial", s.initial);
+}
+static_assert(fields::complete<DdpfConfig>());
 
 /**
  * DDPF usefulness predictor; see file comment.

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace padc::prefetch
@@ -40,6 +41,21 @@ struct FdpConfig
     std::uint32_t pollution_filter_bits = 4096;
     std::uint32_t initial_level = 3; ///< 1..5
 };
+
+/** FdpConfig's field table; see common/fields.hh. */
+template <fields::Of<FdpConfig> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("interval", s.interval);
+    v("accuracy_high", s.accuracy_high);
+    v("accuracy_low", s.accuracy_low);
+    v("lateness_threshold", s.lateness_threshold);
+    v("pollution_threshold", s.pollution_threshold);
+    v("pollution_filter_bits", s.pollution_filter_bits);
+    v("initial_level", s.initial_level);
+}
+static_assert(fields::complete<FdpConfig>());
 
 /**
  * Remembers lines recently evicted by prefetch fills (bit-vector

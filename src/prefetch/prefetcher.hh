@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace padc::prefetch
@@ -63,6 +64,25 @@ struct PrefetcherConfig
                                            ///< (the paper: "a large table")
     std::uint32_t markov_successors = 2; ///< successors per entry
 };
+
+/** PrefetcherConfig's field table; see common/fields.hh. */
+template <fields::Of<PrefetcherConfig> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("kind", s.kind);
+    v("stream_entries", s.stream_entries);
+    v("degree", s.degree);
+    v("distance", s.distance);
+    v("train_window", s.train_window);
+    v("stride_entries", s.stride_entries);
+    v("czone_shift", s.czone_shift);
+    v("czone_entries", s.czone_entries);
+    v("delta_history", s.delta_history);
+    v("markov_entries", s.markov_entries);
+    v("markov_successors", s.markov_successors);
+}
+static_assert(fields::complete<PrefetcherConfig>());
 
 /**
  * Abstract prefetcher. One instance per core; all addresses are from

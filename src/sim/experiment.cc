@@ -265,10 +265,8 @@ namespace
 
 /**
  * Execute one sweep point under the fault-tolerance contract: serve it
- * from the journal when recorded, otherwise run @p fn, fold any
- * exception or cycle-cap truncation into the per-point outcome, and
- * checkpoint the finished point. @p fn receives a RunStatus out-param
- * and returns the point's value.
+ * from the journal when recorded, otherwise run it through
+ * executePoint, and checkpoint the finished point.
  */
 template <typename T, typename Fn>
 Result<T>
@@ -292,22 +290,7 @@ runPoint(SweepJournal *journal, const SweepPoint &point, Fn &&fn)
         result.outcome.attempts = 0;
         return result;
     }
-    try {
-        RunStatus status;
-        result.value = fn(&status);
-        if (!status.converged()) {
-            result.outcome.status = PointStatus::Truncated;
-            result.outcome.detail = status.detail();
-        }
-    } catch (const std::exception &e) {
-        result.value = T{};
-        result.outcome.status = PointStatus::Failed;
-        result.outcome.detail = e.what();
-    } catch (...) {
-        result.value = T{};
-        result.outcome.status = PointStatus::Failed;
-        result.outcome.detail = "unknown exception";
-    }
+    result = executePoint<T>(fn);
     if (journal != nullptr)
         journal->record(key, result);
     notePointCompleted();

@@ -13,11 +13,13 @@
 #define PADC_SIM_EXPERIMENT_HH
 
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "sim/metrics.hh"
 #include "sim/parallel.hh"
 #include "sim/system.hh"
@@ -57,6 +59,18 @@ struct RunOptions
     std::uint64_t max_cycles = 30000000; ///< safety cap
     std::uint64_t mix_seed = 0;          ///< per-mix seed salt
 };
+
+/** RunOptions's field table; see common/fields.hh. */
+template <fields::Of<RunOptions> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("instructions", s.instructions);
+    v("warmup", s.warmup);
+    v("max_cycles", s.max_cycles);
+    v("mix_seed", s.mix_seed);
+}
+static_assert(fields::complete<RunOptions>());
 
 /**
  * Run one multiprogrammed mix under @p config.
@@ -128,6 +142,16 @@ struct MixEvaluation
     MultiCoreMetrics summary;
 };
 
+/** MixEvaluation's field table; see common/fields.hh. */
+template <fields::Of<MixEvaluation> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("metrics", s.metrics);
+    v("summary", s.summary);
+}
+static_assert(fields::complete<MixEvaluation>());
+
 MixEvaluation evaluateMix(const SystemConfig &config,
                           const workload::Mix &mix,
                           const RunOptions &options, AloneIpcCache &alone,
@@ -142,6 +166,20 @@ struct SweepPoint
     workload::Mix mix;
     RunOptions options;   ///< carries the per-point seed
 };
+
+/**
+ * SweepPoint's field table; see common/fields.hh. sweepPointKey hashes
+ * exactly these rows, so a point's key covers its whole configuration.
+ */
+template <fields::Of<SweepPoint> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("config", s.config);
+    v("mix", s.mix);
+    v("options", s.options);
+}
+static_assert(fields::complete<SweepPoint>());
 
 /** Short human-readable identification of a sweep point. */
 std::string describePoint(const SweepPoint &point);
@@ -186,6 +224,21 @@ struct PointOutcome
 };
 
 /**
+ * PointOutcome's field table; see common/fields.hh. attempts and
+ * last_error have no row: they describe how this process ran the point,
+ * not its result, so the journal does not store them and the
+ * supervisor fills them in itself.
+ */
+template <fields::Of<PointOutcome> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("status", s.status);
+    v("detail", s.detail);
+}
+static_assert(fields::complete<PointOutcome>(/*unlisted=*/2));
+
+/**
  * A per-point sweep result: the computed value plus the outcome that
  * says how far it can be trusted. Failed points carry a
  * default-constructed value; Truncated points carry the partial
@@ -199,6 +252,51 @@ struct Result
 
     bool ok() const { return outcome.ok(); }
 };
+
+/**
+ * Result<T>'s field table; see common/fields.hh. The constraint
+ * recovers T from the member's declared type.
+ */
+template <typename S, typename V>
+    requires fields::Of<S, Result<decltype(S::value)>>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("value", s.value);
+    v("outcome", s.outcome);
+}
+static_assert(fields::complete<Result<RunMetrics>>());
+static_assert(fields::complete<Result<MixEvaluation>>());
+
+/**
+ * Run one sweep point: @p fn receives a RunStatus out-param and returns
+ * the point's value. A cycle-cap truncation becomes a Truncated outcome
+ * and an exception a Failed one with a default value, each with its
+ * diagnostic. Shared by the in-process sweeps and the worker process.
+ */
+template <typename T, typename Fn>
+Result<T>
+executePoint(Fn &&fn)
+{
+    Result<T> result;
+    try {
+        RunStatus status;
+        result.value = fn(&status);
+        if (!status.converged()) {
+            result.outcome.status = PointStatus::Truncated;
+            result.outcome.detail = status.detail();
+        }
+    } catch (const std::exception &e) {
+        result.value = T{};
+        result.outcome.status = PointStatus::Failed;
+        result.outcome.detail = e.what();
+    } catch (...) {
+        result.value = T{};
+        result.outcome.status = PointStatus::Failed;
+        result.outcome.detail = "unknown exception";
+    }
+    return result;
+}
 
 /**
  * Evaluate every point across @p runner; results are ordered like

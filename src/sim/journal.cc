@@ -9,7 +9,10 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <vector>
+#include <type_traits>
+
+#include "common/fields.hh"
+#include "sim/wire.hh"
 
 namespace padc::sim
 {
@@ -63,266 +66,35 @@ class Fnv
     std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-// --- payload serialization --------------------------------------------
-//
-// One journal line is: "padcj1 <kind> <key> <body...>\n", where every
-// token is space-separated, integers are lowercase hex, doubles are the
-// hex of their IEEE-754 bit pattern (bit-exact round trip), and the
-// outcome detail string is hex-encoded bytes ("-" when empty).
-
-class TokenWriter
-{
-  public:
-    void
-    u64(std::uint64_t v)
-    {
-        char buf[20];
-        std::snprintf(buf, sizeof(buf), "%llx",
-                      static_cast<unsigned long long>(v));
-        append(buf);
-    }
-
-    void
-    d(double v)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    void
-    str(const std::string &s)
-    {
-        if (s.empty()) {
-            append("-");
-            return;
-        }
-        std::string hex;
-        hex.reserve(s.size() * 2);
-        static const char digits[] = "0123456789abcdef";
-        for (const char c : s) {
-            const auto b = static_cast<unsigned char>(c);
-            hex.push_back(digits[b >> 4]);
-            hex.push_back(digits[b & 0xf]);
-        }
-        append(hex.c_str());
-    }
-
-    const std::string &
-    out() const
-    {
-        return body_;
-    }
-
-  private:
-    void
-    append(const char *token)
-    {
-        if (!body_.empty())
-            body_.push_back(' ');
-        body_ += token;
-    }
-
-    std::string body_;
-};
-
-class TokenReader
-{
-  public:
-    explicit TokenReader(const std::string &body) : in_(body) {}
-
-    bool
-    u64(std::uint64_t *v)
-    {
-        std::string token;
-        if (!(in_ >> token))
-            return false;
-        char *end = nullptr;
-        *v = std::strtoull(token.c_str(), &end, 16);
-        return end != token.c_str() && *end == '\0';
-    }
-
-    bool
-    d(double *v)
-    {
-        std::uint64_t bits = 0;
-        if (!u64(&bits))
-            return false;
-        std::memcpy(v, &bits, sizeof(*v));
-        return true;
-    }
-
-    bool
-    str(std::string *s)
-    {
-        std::string token;
-        if (!(in_ >> token))
-            return false;
-        s->clear();
-        if (token == "-")
-            return true;
-        if (token.size() % 2 != 0)
-            return false;
-        for (std::size_t i = 0; i < token.size(); i += 2) {
-            int hi = hexVal(token[i]);
-            int lo = hexVal(token[i + 1]);
-            if (hi < 0 || lo < 0)
-                return false;
-            s->push_back(static_cast<char>((hi << 4) | lo));
-        }
-        return true;
-    }
-
-    bool
-    done()
-    {
-        std::string token;
-        return !(in_ >> token);
-    }
-
-  private:
-    static int
-    hexVal(char c)
-    {
-        if (c >= '0' && c <= '9')
-            return c - '0';
-        if (c >= 'a' && c <= 'f')
-            return c - 'a' + 10;
-        return -1;
-    }
-
-    std::istringstream in_;
-};
-
+/**
+ * Fold @p value into @p h by its field table: bools, enums and
+ * integers as u64, doubles as their bits, strings as length + bytes,
+ * arrays element by element, vectors as length + elements.
+ */
+template <typename T>
 void
-writeOutcome(TokenWriter &w, const PointOutcome &outcome)
+hashValue(Fnv &h, const T &value)
 {
-    w.u64(static_cast<std::uint64_t>(outcome.status));
-    w.str(outcome.detail);
-}
-
-bool
-readOutcome(TokenReader &r, PointOutcome *outcome)
-{
-    std::uint64_t status = 0;
-    if (!r.u64(&status) || status > 2)
-        return false;
-    outcome->status = static_cast<PointStatus>(status);
-    return r.str(&outcome->detail);
-}
-
-void
-writeMetrics(TokenWriter &w, const RunMetrics &metrics)
-{
-    w.u64(metrics.cores.size());
-    for (const CoreMetrics &core : metrics.cores) {
-        w.d(core.ipc);
-        w.d(core.mpki);
-        w.d(core.spl);
-        w.d(core.acc);
-        w.d(core.cov);
-        w.d(core.rbh);
-        w.d(core.rbhu);
-        w.u64(core.traffic_demand);
-        w.u64(core.traffic_pref_useful);
-        w.u64(core.traffic_pref_useless);
-        w.u64(core.traffic_writeback);
-        w.u64(core.instructions);
-        w.u64(core.cycles);
+    if constexpr (fields::Tabled<T>) {
+        forEachField(value, [&h](const char *, const auto &member) {
+            hashValue(h, member);
+        });
+    } else if constexpr (std::is_same_v<T, double>) {
+        h.d(value);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        h.str(value);
+    } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+        h.u64(static_cast<std::uint64_t>(value));
+    } else {
+        if constexpr (fields::kIsVector<T>)
+            h.u64(value.size());
+        for (const auto &element : value)
+            hashValue(h, element);
     }
-    for (const std::uint64_t serviced : metrics.class_serviced)
-        w.u64(serviced);
 }
 
-bool
-readMetrics(TokenReader &r, RunMetrics *metrics)
-{
-    std::uint64_t cores = 0;
-    if (!r.u64(&cores) || cores > memctrl::kMaxCores)
-        return false;
-    metrics->cores.clear();
-    metrics->cores.resize(cores);
-    for (CoreMetrics &core : metrics->cores) {
-        if (!r.d(&core.ipc) || !r.d(&core.mpki) || !r.d(&core.spl) ||
-            !r.d(&core.acc) || !r.d(&core.cov) || !r.d(&core.rbh) ||
-            !r.d(&core.rbhu) || !r.u64(&core.traffic_demand) ||
-            !r.u64(&core.traffic_pref_useful) ||
-            !r.u64(&core.traffic_pref_useless) ||
-            !r.u64(&core.traffic_writeback) ||
-            !r.u64(&core.instructions) || !r.u64(&core.cycles)) {
-            return false;
-        }
-    }
-    for (std::uint64_t &serviced : metrics->class_serviced) {
-        if (!r.u64(&serviced))
-            return false;
-    }
-    return true;
-}
-
-void
-writeSummary(TokenWriter &w, const MultiCoreMetrics &summary)
-{
-    w.u64(summary.speedups.size());
-    for (const double is : summary.speedups)
-        w.d(is);
-    w.d(summary.ws);
-    w.d(summary.hs);
-    w.d(summary.uf);
-}
-
-bool
-readSummary(TokenReader &r, MultiCoreMetrics *summary)
-{
-    std::uint64_t n = 0;
-    if (!r.u64(&n) || n > memctrl::kMaxCores)
-        return false;
-    summary->speedups.clear();
-    summary->speedups.resize(n);
-    for (double &is : summary->speedups) {
-        if (!r.d(&is))
-            return false;
-    }
-    return r.d(&summary->ws) && r.d(&summary->hs) && r.d(&summary->uf);
-}
-
-std::string
-serialize(const Result<RunMetrics> &result)
-{
-    TokenWriter w;
-    writeOutcome(w, result.outcome);
-    writeMetrics(w, result.value);
-    return w.out();
-}
-
-std::string
-serialize(const Result<MixEvaluation> &result)
-{
-    TokenWriter w;
-    writeOutcome(w, result.outcome);
-    writeMetrics(w, result.value.metrics);
-    writeSummary(w, result.value.summary);
-    return w.out();
-}
-
-bool
-deserialize(const std::string &body, Result<RunMetrics> *result)
-{
-    TokenReader r(body);
-    return readOutcome(r, &result->outcome) &&
-           readMetrics(r, &result->value) && r.done();
-}
-
-bool
-deserialize(const std::string &body, Result<MixEvaluation> *result)
-{
-    TokenReader r(body);
-    return readOutcome(r, &result->outcome) &&
-           readMetrics(r, &result->value.metrics) &&
-           readSummary(r, &result->value.summary) && r.done();
-}
-
-constexpr char kLineTag[] = "padcj2";
+/** Line tag of the current format; see the file comment of journal.hh. */
+constexpr char kLineTag[] = "padcj3";
 
 } // namespace
 
@@ -330,108 +102,7 @@ std::uint64_t
 sweepPointKey(const SweepPoint &point)
 {
     Fnv h;
-    const SystemConfig &c = point.config;
-
-    h.u64(c.num_cores);
-    h.u64(c.core.window_size);
-    h.u64(c.core.retire_width);
-    h.u64(c.core.fetch_width);
-    h.u64(c.core.lsq_size);
-    h.u64(c.core.mem_issue_width);
-    h.u64(c.core.runahead ? 1 : 0);
-    h.u64(c.core.runahead_max_ops);
-
-    for (const cache::CacheConfig *cache : {&c.l1, &c.l2}) {
-        h.u64(cache->size_bytes);
-        h.u64(cache->ways);
-        h.u64(cache->hit_latency);
-        h.u64(static_cast<std::uint64_t>(cache->repl));
-    }
-    h.u64(c.shared_l2 ? 1 : 0);
-    h.u64(c.mshr_per_l2);
-
-    h.u64(c.prefetch_enabled ? 1 : 0);
-    h.u64(static_cast<std::uint64_t>(c.prefetcher.kind));
-    h.u64(c.prefetcher.stream_entries);
-    h.u64(c.prefetcher.degree);
-    h.u64(c.prefetcher.distance);
-    h.u64(c.prefetcher.train_window);
-    h.u64(c.prefetcher.stride_entries);
-    h.u64(c.prefetcher.czone_shift);
-    h.u64(c.prefetcher.czone_entries);
-    h.u64(c.prefetcher.delta_history);
-    h.u64(c.prefetcher.markov_entries);
-    h.u64(c.prefetcher.markov_successors);
-
-    h.u64(c.ddpf_enabled ? 1 : 0);
-    h.u64(c.ddpf.table_entries);
-    h.u64(c.ddpf.threshold);
-    h.u64(c.ddpf.initial);
-
-    h.u64(c.fdp_enabled ? 1 : 0);
-    h.u64(c.fdp.interval);
-    h.d(c.fdp.accuracy_high);
-    h.d(c.fdp.accuracy_low);
-    h.d(c.fdp.lateness_threshold);
-    h.d(c.fdp.pollution_threshold);
-    h.u64(c.fdp.pollution_filter_bits);
-    h.u64(c.fdp.initial_level);
-
-    h.u64(static_cast<std::uint64_t>(c.sched.kind));
-    h.u64(c.sched.apd_enabled ? 1 : 0);
-    h.u64(c.sched.urgency_enabled ? 1 : 0);
-    h.u64(c.sched.ranking_enabled ? 1 : 0);
-    h.d(c.sched.promotion_threshold);
-    h.u64(c.sched.request_buffer_size);
-    h.u64(c.sched.write_buffer_size);
-    h.u64(c.sched.write_drain_high);
-    h.u64(c.sched.write_drain_low);
-    h.u64(static_cast<std::uint64_t>(c.sched.row_policy));
-    h.u64(c.sched.reference_scheduler ? 1 : 0);
-    h.u64(c.sched.age_quantum);
-    for (const Cycle t : c.sched.drop_thresholds)
-        h.u64(t);
-    for (const double b : c.sched.drop_accuracy_bounds)
-        h.d(b);
-    h.u64(c.sched.accuracy.interval);
-    h.d(c.sched.accuracy.initial_accuracy);
-    h.u64(c.sched.accuracy.min_samples);
-
-    const dram::TimingParams &t = c.dram.timing;
-    h.u64(t.cpu_per_dram_cycle);
-    h.u64(t.tRCD);
-    h.u64(t.tRP);
-    h.u64(t.tCL);
-    h.u64(t.tCWL);
-    h.u64(t.tRAS);
-    h.u64(t.tRC);
-    h.u64(t.tBURST);
-    h.u64(t.tCCD);
-    h.u64(t.tRRD);
-    h.u64(t.tFAW);
-    h.u64(t.tWTR);
-    h.u64(t.tWR);
-    h.u64(t.tRTP);
-    h.u64(t.tREFI);
-    h.u64(t.tRFC);
-    h.u64(t.refresh_enabled ? 1 : 0);
-
-    const dram::Geometry &g = c.dram.geometry;
-    h.u64(g.channels);
-    h.u64(g.banks_per_channel);
-    h.u64(g.row_bytes);
-    h.u64(static_cast<std::uint64_t>(g.interleave));
-    h.u64(g.permutation_interleaving ? 1 : 0);
-
-    h.u64(point.mix.size());
-    for (const std::string &profile : point.mix)
-        h.str(profile);
-
-    h.u64(point.options.instructions);
-    h.u64(point.options.warmup);
-    h.u64(point.options.max_cycles);
-    h.u64(point.options.mix_seed);
-
+    hashValue(h, point);
     return h.digest();
 }
 
@@ -460,16 +131,16 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
             if (end == key_hex.c_str() || *end != '\0')
                 return;
             std::string body;
-            std::getline(tokens, body);
+            std::getline(tokens >> std::ws, body);
             // Validate the payload now so a corrupt line surfaces as a
             // miss at load time, not a broken result mid-sweep.
             bool valid = false;
             if (kind[0] == 'e') {
                 Result<MixEvaluation> probe;
-                valid = deserialize(body, &probe);
+                valid = wire::decodeRecord(body, &probe, nullptr);
             } else if (kind[0] == 'r') {
                 Result<RunMetrics> probe;
-                valid = deserialize(body, &probe);
+                valid = wire::decodeRecord(body, &probe, nullptr);
             }
             if (!valid)
                 return;
@@ -581,26 +252,28 @@ bool
 SweepJournal::lookup(std::uint64_t key, Result<MixEvaluation> *out)
 {
     std::string body;
-    return lookupLine('e', key, &body) && deserialize(body, out);
+    return lookupLine('e', key, &body) &&
+           wire::decodeRecord(body, out, nullptr);
 }
 
 bool
 SweepJournal::lookup(std::uint64_t key, Result<RunMetrics> *out)
 {
     std::string body;
-    return lookupLine('r', key, &body) && deserialize(body, out);
+    return lookupLine('r', key, &body) &&
+           wire::decodeRecord(body, out, nullptr);
 }
 
 void
 SweepJournal::record(std::uint64_t key, const Result<MixEvaluation> &result)
 {
-    recordLine('e', key, serialize(result));
+    recordLine('e', key, wire::encodeRecord(result));
 }
 
 void
 SweepJournal::record(std::uint64_t key, const Result<RunMetrics> &result)
 {
-    recordLine('r', key, serialize(result));
+    recordLine('r', key, wire::encodeRecord(result));
 }
 
 namespace

@@ -9,10 +9,16 @@
  * config, mix, run options and seeds), and a rerun pointed at the same
  * journal replays recorded points instead of recomputing them.
  *
+ * One line is "padcj3 <kind> <key> <record>": kind 'e' (evaluateSweep)
+ * or 'r' (runSweep), the key in hex, and the result as one line of the
+ * worker wire's JSON (wire::encodeRecord). Lines of any other format,
+ * older journals included, load as misses, so those points rerun.
+ *
  * Guarantees:
  *  - Replayed results are bit-identical to recomputed ones: doubles are
- *    stored as their IEEE-754 bit patterns, never via decimal round
- *    trips.
+ *    written as the shortest decimal that parses back to the same bits.
+ *    A non-finite double (written as null) does not decode, so its
+ *    line is a miss and the point reruns.
  *  - A journal truncated mid-append (process killed during a write)
  *    loses at most the final partial line; loading tolerates and
  *    discards it, and opening for append first repairs the missing
@@ -25,11 +31,10 @@
  *    process being killed); set PADC_JOURNAL_FSYNC=1 to fsync(2) after
  *    every record when the journal must also survive a machine crash.
  *
- * The key hashes every field that influences a point's result. Config
- * fields added in the future must be folded into sweepPointKey();
- * failing to do so risks stale replays across configs that differ only
- * in the new field (the version tag below guards format changes, not
- * key-coverage changes).
+ * The key hashes every row of SweepPoint's field table, recursively
+ * (common/fields.hh): the whole SystemConfig but its two execution
+ * details, the mix and the RunOptions. A config field added without a
+ * table row does not compile, so it cannot be left out of the key.
  *
  * Benches opt in via the PADC_RESUME environment variable (see
  * envJournal()); the library never touches the filesystem unless asked.
@@ -52,9 +57,10 @@ namespace padc::sim
 {
 
 /**
- * Deterministic 64-bit key of one sweep point: FNV-1a over a canonical
- * serialization of the complete SystemConfig, the mix profile names,
- * and the RunOptions (including seeds).
+ * Deterministic 64-bit key of one sweep point: FNV-1a over every leaf
+ * of its field table in table order. Bools, enums and integers hash as
+ * u64, doubles as their bits, arrays element by element, vectors and
+ * strings with their length first.
  */
 std::uint64_t sweepPointKey(const SweepPoint &point);
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "sim/system.hh"
 
 namespace padc::sim
@@ -38,6 +39,27 @@ struct CoreMetrics
     Cycle cycles = 0; ///< cycles to reach the instruction target
 };
 
+/** CoreMetrics's field table; see common/fields.hh. */
+template <fields::Of<CoreMetrics> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("ipc", s.ipc);
+    v("mpki", s.mpki);
+    v("spl", s.spl);
+    v("acc", s.acc);
+    v("cov", s.cov);
+    v("rbh", s.rbh);
+    v("rbhu", s.rbhu);
+    v("traffic_demand", s.traffic_demand);
+    v("traffic_pref_useful", s.traffic_pref_useful);
+    v("traffic_pref_useless", s.traffic_pref_useless);
+    v("traffic_writeback", s.traffic_writeback);
+    v("instructions", s.instructions);
+    v("cycles", s.cycles);
+}
+static_assert(fields::complete<CoreMetrics>());
+
 /** Whole-run derived metrics. */
 struct RunMetrics
 {
@@ -59,6 +81,16 @@ struct RunMetrics
     std::uint64_t trafficWriteback() const;
 };
 
+/** RunMetrics's field table; see common/fields.hh. */
+template <fields::Of<RunMetrics> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("cores", s.cores);
+    v("class_serviced", s.class_serviced);
+}
+static_assert(fields::complete<RunMetrics>());
+
 /** Extract metrics from a finished System run. */
 RunMetrics collectMetrics(const System &system);
 
@@ -75,6 +107,18 @@ struct MultiCoreMetrics
     double hs = 0.0;
     double uf = 1.0;
 };
+
+/** MultiCoreMetrics's field table; see common/fields.hh. */
+template <fields::Of<MultiCoreMetrics> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("speedups", s.speedups);
+    v("ws", s.ws);
+    v("hs", s.hs);
+    v("uf", s.uf);
+}
+static_assert(fields::complete<MultiCoreMetrics>());
 
 MultiCoreMetrics
 multiCoreMetrics(const RunMetrics &together,

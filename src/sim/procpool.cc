@@ -95,36 +95,6 @@ closeWorkerFds(W *worker)
 }
 
 /**
- * Worker-side execution of one point, mirroring the in-thread
- * runPoint() fault-tolerance contract exactly (same Truncated/Failed
- * mapping and detail strings) minus the journaling, which is the
- * supervisor's job.
- */
-template <typename T, typename Fn>
-Result<T>
-executePoint(Fn &&fn)
-{
-    Result<T> result;
-    try {
-        RunStatus status;
-        result.value = fn(&status);
-        if (!status.converged()) {
-            result.outcome.status = PointStatus::Truncated;
-            result.outcome.detail = status.detail();
-        }
-    } catch (const std::exception &e) {
-        result.value = T{};
-        result.outcome.status = PointStatus::Failed;
-        result.outcome.detail = e.what();
-    } catch (...) {
-        result.value = T{};
-        result.outcome.status = PointStatus::Failed;
-        result.outcome.detail = "unknown exception";
-    }
-    return result;
-}
-
-/**
  * The worker's alone-run caches, one per distinct (base config,
  * options) pair, warm across every task this worker process executes.
  */
@@ -581,11 +551,11 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         WorkerSlotProfile &slot = slotProfile(worker);
         ++slot.tasks;
         slot.pid = worker.pid;
-        if (result.worker.present) {
-            slot.sim_cycles += result.worker.sim_cycles;
-            slot.exec_seconds += result.worker.exec_seconds;
-            profile_.sim_cycles += result.worker.sim_cycles;
-            profile_.exec_seconds += result.worker.exec_seconds;
+        if (result.worker) {
+            slot.sim_cycles += result.worker->sim_cycles;
+            slot.exec_seconds += result.worker->exec_seconds;
+            profile_.sim_cycles += result.worker->sim_cycles;
+            profile_.exec_seconds += result.worker->exec_seconds;
         }
         // Registry hot-path instrument (overhead proven within noise
         // by bench_micro_simspeed --obs-overhead-check).
@@ -886,15 +856,14 @@ ProcessPool::workerMain(int task_fd, int result_fd)
         // Self-report (append-only wire extension): per-THIS-task
         // execution time and simulated cycles, so the supervisor's
         // profile aggregation is a plain sum.
-        result.worker.present = true;
-        result.worker.pid = static_cast<std::uint64_t>(::getpid());
-        result.worker.tasks = ++tasks_done;
-        result.worker.exec_seconds =
+        wire::WireWorkerReport &report = result.worker.emplace();
+        report.pid = static_cast<std::uint64_t>(::getpid());
+        report.tasks = ++tasks_done;
+        report.exec_seconds =
             static_cast<double>(nowMs() - started_ms) / 1000.0;
-        result.worker.sim_cycles =
-            task.kind == wire::WireTask::Kind::Run
-                ? runCyclesOf(result.run.value)
-                : runCyclesOf(result.eval.value.metrics);
+        report.sim_cycles = task.kind == wire::WireTask::Kind::Run
+                                ? runCyclesOf(result.run.value)
+                                : runCyclesOf(result.eval.value.metrics);
         if (!wire::writeFrame(result_fd, wire::encodeResult(result)))
             return 1; // supervisor is gone
     }

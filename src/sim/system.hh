@@ -26,6 +26,7 @@
 
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
+#include "common/fields.hh"
 #include "common/histogram.hh"
 #include "common/stats.hh"
 #include "core/core.hh"
@@ -110,6 +111,34 @@ struct SystemConfig
      */
     ConfigErrors validate() const;
 };
+
+/**
+ * SystemConfig's field table; see common/fields.hh. Every row is a
+ * simulated parameter, so the table is what the sweep key hashes and
+ * what a worker receives. collector and event_skip have no row: both
+ * are execution details that cannot change a result (see their
+ * comments), so they are neither keyed nor sent.
+ */
+template <fields::Of<SystemConfig> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("num_cores", s.num_cores);
+    v("core", s.core);
+    v("l1", s.l1);
+    v("l2", s.l2);
+    v("shared_l2", s.shared_l2);
+    v("mshr_per_l2", s.mshr_per_l2);
+    v("prefetch_enabled", s.prefetch_enabled);
+    v("prefetcher", s.prefetcher);
+    v("ddpf_enabled", s.ddpf_enabled);
+    v("ddpf", s.ddpf);
+    v("fdp_enabled", s.fdp_enabled);
+    v("fdp", s.fdp);
+    v("sched", s.sched);
+    v("dram", s.dram);
+}
+static_assert(fields::complete<SystemConfig>(/*unlisted=*/2));
 
 /**
  * Outcome of one System::run call. A core is "truncated" when the

@@ -6,6 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <type_traits>
+
+#include "common/fields.hh"
 
 namespace padc::sim::wire
 {
@@ -49,7 +53,7 @@ readAll(int fd, char *data, std::size_t size)
     return true;
 }
 
-// --- JSON member helpers ----------------------------------------------
+// --- table-driven JSON codec -------------------------------------------
 
 bool
 fail(std::string *error, const std::string &message)
@@ -57,13 +61,6 @@ fail(std::string *error, const std::string &message)
     if (error != nullptr)
         *error = message;
     return false;
-}
-
-/** Decimal u64 as a string member (see file comment of wire.hh). */
-std::string
-u64s(std::uint64_t value)
-{
-    return std::to_string(value);
 }
 
 /** Strict unsigned decimal parse: whole string, no sign, no overflow. */
@@ -82,562 +79,143 @@ parseU64Strict(const char *text, std::uint64_t *out)
     return true;
 }
 
-bool
-getObject(const exp::JsonValue &value, const std::string &key,
-          const exp::JsonValue **out, std::string *error)
-{
-    const exp::JsonValue *member = value.find(key);
-    if (member == nullptr || !member->isObject())
-        return fail(error, "missing object member '" + key + "'");
-    *out = member;
-    return true;
-}
-
-bool
-getString(const exp::JsonValue &value, const std::string &key,
-          std::string *out, std::string *error)
-{
-    const exp::JsonValue *member = value.find(key);
-    if (member == nullptr || !member->isString())
-        return fail(error, "missing string member '" + key + "'");
-    *out = member->string;
-    return true;
-}
-
-bool
-getU64(const exp::JsonValue &value, const std::string &key,
-       std::uint64_t *out, std::string *error)
-{
-    std::string text;
-    if (!getString(value, key, &text, error))
-        return false;
-    if (!parseU64Strict(text.c_str(), out))
-        return fail(error, "member '" + key + "' is not a u64: '" +
-                               text + "'");
-    return true;
-}
-
-/** getU64 into any integer/enum field type. */
+/**
+ * Write @p value as member @p key of the open object, or as the next
+ * element of the open array when @p key is null. Tabled structs become
+ * objects, vectors and arrays become arrays (of members only), u64s
+ * and enums decimal strings (see the file comment of wire.hh).
+ */
 template <typename T>
-bool
-u64Field(const exp::JsonValue &value, const std::string &key, T *field,
-         std::string *error)
-{
-    std::uint64_t v = 0;
-    if (!getU64(value, key, &v, error))
-        return false;
-    *field = static_cast<T>(v);
-    return true;
-}
-
-bool
-getDouble(const exp::JsonValue &value, const std::string &key,
-          double *out, std::string *error)
-{
-    const exp::JsonValue *member = value.find(key);
-    if (member == nullptr || !member->isNumber())
-        return fail(error, "missing number member '" + key + "'");
-    *out = member->number;
-    return true;
-}
-
-bool
-getBool(const exp::JsonValue &value, const std::string &key, bool *out,
-        std::string *error)
-{
-    const exp::JsonValue *member = value.find(key);
-    if (member == nullptr || member->kind != exp::JsonValue::Kind::Bool)
-        return fail(error, "missing bool member '" + key + "'");
-    *out = member->boolean;
-    return true;
-}
-
-// --- config / options / mix -------------------------------------------
-
 void
-encodeOptions(exp::JsonWriter &w, const std::string &key,
-              const RunOptions &options)
+put(exp::JsonWriter &w, const char *key, const T &value)
 {
-    w.beginObject(key);
-    w.member("instructions", u64s(options.instructions));
-    w.member("warmup", u64s(options.warmup));
-    w.member("max_cycles", u64s(options.max_cycles));
-    w.member("mix_seed", u64s(options.mix_seed));
-    w.endObject();
-}
-
-bool
-decodeOptions(const exp::JsonValue &value, RunOptions *out,
-              std::string *error)
-{
-    return u64Field(value, "instructions", &out->instructions, error) &&
-           u64Field(value, "warmup", &out->warmup, error) &&
-           u64Field(value, "max_cycles", &out->max_cycles, error) &&
-           u64Field(value, "mix_seed", &out->mix_seed, error);
-}
-
-void
-encodeCache(exp::JsonWriter &w, const std::string &key,
-            const cache::CacheConfig &cache)
-{
-    w.beginObject(key);
-    w.member("size_bytes", u64s(cache.size_bytes));
-    w.member("ways", u64s(cache.ways));
-    w.member("hit_latency", u64s(cache.hit_latency));
-    w.member("repl", u64s(static_cast<std::uint64_t>(cache.repl)));
-    w.endObject();
-}
-
-bool
-decodeCache(const exp::JsonValue &value, cache::CacheConfig *out,
-            std::string *error)
-{
-    return u64Field(value, "size_bytes", &out->size_bytes, error) &&
-           u64Field(value, "ways", &out->ways, error) &&
-           u64Field(value, "hit_latency", &out->hit_latency, error) &&
-           u64Field(value, "repl", &out->repl, error);
+    if constexpr (fields::Tabled<T>) {
+        if (key != nullptr)
+            w.beginObject(key);
+        else
+            w.beginObject();
+        forEachField(value, [&w](const char *name, const auto &member) {
+            put(w, name, member);
+        });
+        w.endObject();
+    } else if constexpr (fields::kIsVector<T> || fields::kIsArray<T>) {
+        w.beginArray(key);
+        for (const auto &element : value)
+            put(w, nullptr, element);
+        w.endArray();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        w.member(key, value);
+    } else if constexpr (std::is_same_v<T, double> ||
+                         std::is_same_v<T, std::string>) {
+        if (key != nullptr)
+            w.member(key, value);
+        else
+            w.element(value);
+    } else {
+        static_assert(std::is_unsigned_v<T> || std::is_enum_v<T>);
+        const std::string text =
+            std::to_string(static_cast<std::uint64_t>(value));
+        if (key != nullptr)
+            w.member(key, text);
+        else
+            w.element(text);
+    }
 }
 
 /**
- * Serialize every SystemConfig field sweepPointKey() hashes, in the
- * same order (that function is the canonical "fields that influence a
- * result" list; collector and event_skip are execution details and
- * deliberately stay behind).
+ * Read what put() wrote for @p value (the JSON at dotted @p path) into
+ * @p out. A missing or mistyped value, or a vector longer than
+ * kMaxCores, fails naming @p path.
  */
-void
-encodeConfig(exp::JsonWriter &w, const std::string &key,
-             const SystemConfig &c)
-{
-    w.beginObject(key);
-    w.member("num_cores", u64s(c.num_cores));
-
-    w.beginObject("core");
-    w.member("window_size", u64s(c.core.window_size));
-    w.member("retire_width", u64s(c.core.retire_width));
-    w.member("fetch_width", u64s(c.core.fetch_width));
-    w.member("lsq_size", u64s(c.core.lsq_size));
-    w.member("mem_issue_width", u64s(c.core.mem_issue_width));
-    w.member("runahead", c.core.runahead);
-    w.member("runahead_max_ops", u64s(c.core.runahead_max_ops));
-    w.endObject();
-
-    encodeCache(w, "l1", c.l1);
-    encodeCache(w, "l2", c.l2);
-    w.member("shared_l2", c.shared_l2);
-    w.member("mshr_per_l2", u64s(c.mshr_per_l2));
-
-    w.member("prefetch_enabled", c.prefetch_enabled);
-    w.beginObject("prefetcher");
-    w.member("kind", u64s(static_cast<std::uint64_t>(c.prefetcher.kind)));
-    w.member("stream_entries", u64s(c.prefetcher.stream_entries));
-    w.member("degree", u64s(c.prefetcher.degree));
-    w.member("distance", u64s(c.prefetcher.distance));
-    w.member("train_window", u64s(c.prefetcher.train_window));
-    w.member("stride_entries", u64s(c.prefetcher.stride_entries));
-    w.member("czone_shift", u64s(c.prefetcher.czone_shift));
-    w.member("czone_entries", u64s(c.prefetcher.czone_entries));
-    w.member("delta_history", u64s(c.prefetcher.delta_history));
-    w.member("markov_entries", u64s(c.prefetcher.markov_entries));
-    w.member("markov_successors", u64s(c.prefetcher.markov_successors));
-    w.endObject();
-
-    w.member("ddpf_enabled", c.ddpf_enabled);
-    w.beginObject("ddpf");
-    w.member("table_entries", u64s(c.ddpf.table_entries));
-    w.member("threshold", u64s(c.ddpf.threshold));
-    w.member("initial", u64s(c.ddpf.initial));
-    w.endObject();
-
-    w.member("fdp_enabled", c.fdp_enabled);
-    w.beginObject("fdp");
-    w.member("interval", u64s(c.fdp.interval));
-    w.member("accuracy_high", c.fdp.accuracy_high);
-    w.member("accuracy_low", c.fdp.accuracy_low);
-    w.member("lateness_threshold", c.fdp.lateness_threshold);
-    w.member("pollution_threshold", c.fdp.pollution_threshold);
-    w.member("pollution_filter_bits", u64s(c.fdp.pollution_filter_bits));
-    w.member("initial_level", u64s(c.fdp.initial_level));
-    w.endObject();
-
-    w.beginObject("sched");
-    w.member("kind", u64s(static_cast<std::uint64_t>(c.sched.kind)));
-    w.member("apd_enabled", c.sched.apd_enabled);
-    w.member("urgency_enabled", c.sched.urgency_enabled);
-    w.member("ranking_enabled", c.sched.ranking_enabled);
-    w.member("promotion_threshold", c.sched.promotion_threshold);
-    w.member("request_buffer_size", u64s(c.sched.request_buffer_size));
-    w.member("write_buffer_size", u64s(c.sched.write_buffer_size));
-    w.member("write_drain_high", u64s(c.sched.write_drain_high));
-    w.member("write_drain_low", u64s(c.sched.write_drain_low));
-    w.member("row_policy",
-             u64s(static_cast<std::uint64_t>(c.sched.row_policy)));
-    w.member("reference_scheduler", c.sched.reference_scheduler);
-    w.member("age_quantum", u64s(c.sched.age_quantum));
-    for (std::size_t i = 0; i < c.sched.drop_thresholds.size(); ++i)
-        w.member("drop_thresholds_" + std::to_string(i),
-                 u64s(c.sched.drop_thresholds[i]));
-    for (std::size_t i = 0; i < c.sched.drop_accuracy_bounds.size(); ++i)
-        w.member("drop_accuracy_bounds_" + std::to_string(i),
-                 c.sched.drop_accuracy_bounds[i]);
-    w.beginObject("accuracy");
-    w.member("interval", u64s(c.sched.accuracy.interval));
-    w.member("initial_accuracy", c.sched.accuracy.initial_accuracy);
-    w.member("min_samples", u64s(c.sched.accuracy.min_samples));
-    w.endObject();
-    w.endObject();
-
-    w.beginObject("dram");
-    const dram::TimingParams &t = c.dram.timing;
-    w.beginObject("timing");
-    w.member("cpu_per_dram_cycle", u64s(t.cpu_per_dram_cycle));
-    w.member("tRCD", u64s(t.tRCD));
-    w.member("tRP", u64s(t.tRP));
-    w.member("tCL", u64s(t.tCL));
-    w.member("tCWL", u64s(t.tCWL));
-    w.member("tRAS", u64s(t.tRAS));
-    w.member("tRC", u64s(t.tRC));
-    w.member("tBURST", u64s(t.tBURST));
-    w.member("tCCD", u64s(t.tCCD));
-    w.member("tRRD", u64s(t.tRRD));
-    w.member("tFAW", u64s(t.tFAW));
-    w.member("tWTR", u64s(t.tWTR));
-    w.member("tWR", u64s(t.tWR));
-    w.member("tRTP", u64s(t.tRTP));
-    w.member("tREFI", u64s(t.tREFI));
-    w.member("tRFC", u64s(t.tRFC));
-    w.member("refresh_enabled", t.refresh_enabled);
-    w.endObject();
-    const dram::Geometry &g = c.dram.geometry;
-    w.beginObject("geometry");
-    w.member("channels", u64s(g.channels));
-    w.member("banks_per_channel", u64s(g.banks_per_channel));
-    w.member("row_bytes", u64s(g.row_bytes));
-    w.member("interleave",
-             u64s(static_cast<std::uint64_t>(g.interleave)));
-    w.member("permutation_interleaving", g.permutation_interleaving);
-    w.endObject();
-    w.endObject();
-
-    w.endObject();
-}
-
+template <typename T>
 bool
-decodeConfig(const exp::JsonValue &value, SystemConfig *out,
-             std::string *error)
+get(const exp::JsonValue *value, const std::string &path, T *out,
+    std::string *error)
 {
-    SystemConfig &c = *out;
-    if (!u64Field(value, "num_cores", &c.num_cores, error))
-        return false;
-
-    const exp::JsonValue *core = nullptr;
-    if (!getObject(value, "core", &core, error) ||
-        !u64Field(*core, "window_size", &c.core.window_size, error) ||
-        !u64Field(*core, "retire_width", &c.core.retire_width, error) ||
-        !u64Field(*core, "fetch_width", &c.core.fetch_width, error) ||
-        !u64Field(*core, "lsq_size", &c.core.lsq_size, error) ||
-        !u64Field(*core, "mem_issue_width", &c.core.mem_issue_width,
-                  error) ||
-        !getBool(*core, "runahead", &c.core.runahead, error) ||
-        !u64Field(*core, "runahead_max_ops", &c.core.runahead_max_ops,
-                  error)) {
-        return false;
-    }
-
-    const exp::JsonValue *l1 = nullptr;
-    const exp::JsonValue *l2 = nullptr;
-    if (!getObject(value, "l1", &l1, error) ||
-        !decodeCache(*l1, &c.l1, error) ||
-        !getObject(value, "l2", &l2, error) ||
-        !decodeCache(*l2, &c.l2, error) ||
-        !getBool(value, "shared_l2", &c.shared_l2, error) ||
-        !u64Field(value, "mshr_per_l2", &c.mshr_per_l2, error)) {
-        return false;
-    }
-
-    const exp::JsonValue *pf = nullptr;
-    if (!getBool(value, "prefetch_enabled", &c.prefetch_enabled,
-                 error) ||
-        !getObject(value, "prefetcher", &pf, error) ||
-        !u64Field(*pf, "kind", &c.prefetcher.kind, error) ||
-        !u64Field(*pf, "stream_entries", &c.prefetcher.stream_entries,
-                  error) ||
-        !u64Field(*pf, "degree", &c.prefetcher.degree, error) ||
-        !u64Field(*pf, "distance", &c.prefetcher.distance, error) ||
-        !u64Field(*pf, "train_window", &c.prefetcher.train_window,
-                  error) ||
-        !u64Field(*pf, "stride_entries", &c.prefetcher.stride_entries,
-                  error) ||
-        !u64Field(*pf, "czone_shift", &c.prefetcher.czone_shift,
-                  error) ||
-        !u64Field(*pf, "czone_entries", &c.prefetcher.czone_entries,
-                  error) ||
-        !u64Field(*pf, "delta_history", &c.prefetcher.delta_history,
-                  error) ||
-        !u64Field(*pf, "markov_entries", &c.prefetcher.markov_entries,
-                  error) ||
-        !u64Field(*pf, "markov_successors",
-                  &c.prefetcher.markov_successors, error)) {
-        return false;
-    }
-
-    const exp::JsonValue *ddpf = nullptr;
-    if (!getBool(value, "ddpf_enabled", &c.ddpf_enabled, error) ||
-        !getObject(value, "ddpf", &ddpf, error) ||
-        !u64Field(*ddpf, "table_entries", &c.ddpf.table_entries,
-                  error) ||
-        !u64Field(*ddpf, "threshold", &c.ddpf.threshold, error) ||
-        !u64Field(*ddpf, "initial", &c.ddpf.initial, error)) {
-        return false;
-    }
-
-    const exp::JsonValue *fdp = nullptr;
-    if (!getBool(value, "fdp_enabled", &c.fdp_enabled, error) ||
-        !getObject(value, "fdp", &fdp, error) ||
-        !u64Field(*fdp, "interval", &c.fdp.interval, error) ||
-        !getDouble(*fdp, "accuracy_high", &c.fdp.accuracy_high,
-                   error) ||
-        !getDouble(*fdp, "accuracy_low", &c.fdp.accuracy_low, error) ||
-        !getDouble(*fdp, "lateness_threshold",
-                   &c.fdp.lateness_threshold, error) ||
-        !getDouble(*fdp, "pollution_threshold",
-                   &c.fdp.pollution_threshold, error) ||
-        !u64Field(*fdp, "pollution_filter_bits",
-                  &c.fdp.pollution_filter_bits, error) ||
-        !u64Field(*fdp, "initial_level", &c.fdp.initial_level, error)) {
-        return false;
-    }
-
-    const exp::JsonValue *sched = nullptr;
-    if (!getObject(value, "sched", &sched, error) ||
-        !u64Field(*sched, "kind", &c.sched.kind, error) ||
-        !getBool(*sched, "apd_enabled", &c.sched.apd_enabled, error) ||
-        !getBool(*sched, "urgency_enabled", &c.sched.urgency_enabled,
-                 error) ||
-        !getBool(*sched, "ranking_enabled", &c.sched.ranking_enabled,
-                 error) ||
-        !getDouble(*sched, "promotion_threshold",
-                   &c.sched.promotion_threshold, error) ||
-        !u64Field(*sched, "request_buffer_size",
-                  &c.sched.request_buffer_size, error) ||
-        !u64Field(*sched, "write_buffer_size",
-                  &c.sched.write_buffer_size, error) ||
-        !u64Field(*sched, "write_drain_high", &c.sched.write_drain_high,
-                  error) ||
-        !u64Field(*sched, "write_drain_low", &c.sched.write_drain_low,
-                  error) ||
-        !u64Field(*sched, "row_policy", &c.sched.row_policy, error) ||
-        !getBool(*sched, "reference_scheduler",
-                 &c.sched.reference_scheduler, error) ||
-        !u64Field(*sched, "age_quantum", &c.sched.age_quantum, error)) {
-        return false;
-    }
-    for (std::size_t i = 0; i < c.sched.drop_thresholds.size(); ++i) {
-        if (!u64Field(*sched, "drop_thresholds_" + std::to_string(i),
-                      &c.sched.drop_thresholds[i], error))
-            return false;
-    }
-    for (std::size_t i = 0; i < c.sched.drop_accuracy_bounds.size();
-         ++i) {
-        if (!getDouble(*sched,
-                       "drop_accuracy_bounds_" + std::to_string(i),
-                       &c.sched.drop_accuracy_bounds[i], error))
-            return false;
-    }
-    const exp::JsonValue *accuracy = nullptr;
-    if (!getObject(*sched, "accuracy", &accuracy, error) ||
-        !u64Field(*accuracy, "interval", &c.sched.accuracy.interval,
-                  error) ||
-        !getDouble(*accuracy, "initial_accuracy",
-                   &c.sched.accuracy.initial_accuracy, error) ||
-        !u64Field(*accuracy, "min_samples",
-                  &c.sched.accuracy.min_samples, error)) {
-        return false;
-    }
-
-    const exp::JsonValue *dram = nullptr;
-    const exp::JsonValue *timing = nullptr;
-    const exp::JsonValue *geometry = nullptr;
-    if (!getObject(value, "dram", &dram, error) ||
-        !getObject(*dram, "timing", &timing, error) ||
-        !getObject(*dram, "geometry", &geometry, error)) {
-        return false;
-    }
-    dram::TimingParams &t = c.dram.timing;
-    if (!u64Field(*timing, "cpu_per_dram_cycle", &t.cpu_per_dram_cycle,
-                  error) ||
-        !u64Field(*timing, "tRCD", &t.tRCD, error) ||
-        !u64Field(*timing, "tRP", &t.tRP, error) ||
-        !u64Field(*timing, "tCL", &t.tCL, error) ||
-        !u64Field(*timing, "tCWL", &t.tCWL, error) ||
-        !u64Field(*timing, "tRAS", &t.tRAS, error) ||
-        !u64Field(*timing, "tRC", &t.tRC, error) ||
-        !u64Field(*timing, "tBURST", &t.tBURST, error) ||
-        !u64Field(*timing, "tCCD", &t.tCCD, error) ||
-        !u64Field(*timing, "tRRD", &t.tRRD, error) ||
-        !u64Field(*timing, "tFAW", &t.tFAW, error) ||
-        !u64Field(*timing, "tWTR", &t.tWTR, error) ||
-        !u64Field(*timing, "tWR", &t.tWR, error) ||
-        !u64Field(*timing, "tRTP", &t.tRTP, error) ||
-        !u64Field(*timing, "tREFI", &t.tREFI, error) ||
-        !u64Field(*timing, "tRFC", &t.tRFC, error) ||
-        !getBool(*timing, "refresh_enabled", &t.refresh_enabled,
-                 error)) {
-        return false;
-    }
-    dram::Geometry &g = c.dram.geometry;
-    if (!u64Field(*geometry, "channels", &g.channels, error) ||
-        !u64Field(*geometry, "banks_per_channel", &g.banks_per_channel,
-                  error) ||
-        !u64Field(*geometry, "row_bytes", &g.row_bytes, error) ||
-        !u64Field(*geometry, "interleave", &g.interleave, error) ||
-        !getBool(*geometry, "permutation_interleaving",
-                 &g.permutation_interleaving, error)) {
-        return false;
-    }
-    return true;
-}
-
-// --- outcome / metrics / summary --------------------------------------
-
-void
-encodeOutcome(exp::JsonWriter &w, const PointOutcome &outcome)
-{
-    w.member("status", toString(outcome.status));
-    w.member("detail", outcome.detail);
-}
-
-bool
-decodeOutcome(const exp::JsonValue &value, PointOutcome *out,
-              std::string *error)
-{
-    std::string status;
-    if (!getString(value, "status", &status, error) ||
-        !getString(value, "detail", &out->detail, error))
-        return false;
-    if (status == "ok")
-        out->status = PointStatus::Ok;
-    else if (status == "truncated")
-        out->status = PointStatus::Truncated;
-    else if (status == "failed")
-        out->status = PointStatus::Failed;
-    else
-        return fail(error, "unknown point status '" + status + "'");
-    return true;
-}
-
-void
-encodeMetrics(exp::JsonWriter &w, const std::string &key,
-              const RunMetrics &metrics)
-{
-    w.beginObject(key);
-    w.beginArray("cores");
-    for (const CoreMetrics &core : metrics.cores) {
-        w.beginObject();
-        w.member("ipc", core.ipc);
-        w.member("mpki", core.mpki);
-        w.member("spl", core.spl);
-        w.member("acc", core.acc);
-        w.member("cov", core.cov);
-        w.member("rbh", core.rbh);
-        w.member("rbhu", core.rbhu);
-        w.member("traffic_demand", u64s(core.traffic_demand));
-        w.member("traffic_pref_useful", u64s(core.traffic_pref_useful));
-        w.member("traffic_pref_useless",
-                 u64s(core.traffic_pref_useless));
-        w.member("traffic_writeback", u64s(core.traffic_writeback));
-        w.member("instructions", u64s(core.instructions));
-        w.member("cycles", u64s(core.cycles));
-        w.endObject();
-    }
-    w.endArray();
-    w.beginObject("class_serviced");
-    for (std::size_t c = 0; c < kRequestClassCount; ++c) {
-        w.member(toString(static_cast<RequestClass>(c)),
-                 u64s(metrics.class_serviced[c]));
-    }
-    w.endObject();
-    w.endObject();
-}
-
-bool
-decodeMetrics(const exp::JsonValue &value, RunMetrics *out,
-              std::string *error)
-{
-    const exp::JsonValue *cores = value.find("cores");
-    if (cores == nullptr || !cores->isArray())
-        return fail(error, "missing array member 'cores'");
-    if (cores->array.size() > memctrl::kMaxCores)
-        return fail(error, "implausible core count");
-    out->cores.clear();
-    out->cores.resize(cores->array.size());
-    for (std::size_t i = 0; i < cores->array.size(); ++i) {
-        const exp::JsonValue &v = cores->array[i];
-        CoreMetrics &core = out->cores[i];
-        if (!getDouble(v, "ipc", &core.ipc, error) ||
-            !getDouble(v, "mpki", &core.mpki, error) ||
-            !getDouble(v, "spl", &core.spl, error) ||
-            !getDouble(v, "acc", &core.acc, error) ||
-            !getDouble(v, "cov", &core.cov, error) ||
-            !getDouble(v, "rbh", &core.rbh, error) ||
-            !getDouble(v, "rbhu", &core.rbhu, error) ||
-            !u64Field(v, "traffic_demand", &core.traffic_demand,
-                      error) ||
-            !u64Field(v, "traffic_pref_useful",
-                      &core.traffic_pref_useful, error) ||
-            !u64Field(v, "traffic_pref_useless",
-                      &core.traffic_pref_useless, error) ||
-            !u64Field(v, "traffic_writeback", &core.traffic_writeback,
-                      error) ||
-            !u64Field(v, "instructions", &core.instructions, error) ||
-            !u64Field(v, "cycles", &core.cycles, error)) {
-            return false;
+    const auto bad = [&] {
+        return fail(error, "missing or mistyped member '" + path + "'");
+    };
+    if (value == nullptr)
+        return bad();
+    if constexpr (fields::Tabled<T>) {
+        if (!value->isObject())
+            return bad();
+        bool ok = true;
+        forEachField(*out, [&](const char *name, auto &member) {
+            ok = ok && get(value->find(name),
+                           path.empty() ? name : path + "." + name,
+                           &member, error);
+        });
+        return ok;
+    } else if constexpr (fields::kIsVector<T> || fields::kIsArray<T>) {
+        if (!value->isArray())
+            return bad();
+        const std::size_t n = value->array.size();
+        if constexpr (fields::kIsVector<T>) {
+            if (n > memctrl::kMaxCores)
+                return fail(error, "member '" + path + "' has " +
+                                       std::to_string(n) +
+                                       " elements; the limit is " +
+                                       std::to_string(memctrl::kMaxCores));
+            out->clear();
+            out->resize(n);
+        } else if (n != out->size()) {
+            return bad();
         }
-    }
-    const exp::JsonValue *by_class = value.find("class_serviced");
-    if (by_class == nullptr)
-        return fail(error, "missing member 'class_serviced'");
-    for (std::size_t c = 0; c < kRequestClassCount; ++c) {
-        if (!u64Field(*by_class, toString(static_cast<RequestClass>(c)),
-                      &out->class_serviced[c], error)) {
-            return false;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!get(&value->array[i], path + "[" + std::to_string(i) + "]",
+                     &(*out)[i], error))
+                return false;
         }
+        return true;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (value->kind != exp::JsonValue::Kind::Bool)
+            return bad();
+        *out = value->boolean;
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (!value->isNumber())
+            return bad();
+        *out = value->number;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        if (!value->isString())
+            return bad();
+        *out = value->string;
+    } else {
+        using Raw = typename std::conditional_t<std::is_enum_v<T>,
+                                                std::underlying_type<T>,
+                                                std::type_identity<T>>::type;
+        std::uint64_t raw = 0;
+        if (!value->isString() ||
+            !parseU64Strict(value->string.c_str(), &raw) ||
+            raw > std::numeric_limits<Raw>::max())
+            return bad();
+        *out = static_cast<T>(raw);
     }
     return true;
 }
 
-void
-encodeSummary(exp::JsonWriter &w, const std::string &key,
-              const MultiCoreMetrics &summary)
+/** get() of the member @p key of @p object. */
+template <typename T>
+bool
+getMember(const exp::JsonValue &object, const char *key, T *out,
+          std::string *error)
 {
-    w.beginObject(key);
-    w.beginArray("speedups");
-    for (const double s : summary.speedups)
-        w.element(s);
-    w.endArray();
-    w.member("ws", summary.ws);
-    w.member("hs", summary.hs);
-    w.member("uf", summary.uf);
-    w.endObject();
+    return get(object.find(key), key, out, error);
 }
 
+/** get() of a sweep result, which must also carry a known status. */
+template <typename T>
 bool
-decodeSummary(const exp::JsonValue &value, MultiCoreMetrics *out,
-              std::string *error)
+getResult(const exp::JsonValue *value, const std::string &path,
+          Result<T> *out, std::string *error)
 {
-    const exp::JsonValue *speedups = value.find("speedups");
-    if (speedups == nullptr || !speedups->isArray())
-        return fail(error, "missing array member 'speedups'");
-    if (speedups->array.size() > memctrl::kMaxCores)
-        return fail(error, "implausible speedup count");
-    out->speedups.clear();
-    for (const exp::JsonValue &s : speedups->array) {
-        if (!s.isNumber())
-            return fail(error, "non-number speedup element");
-        out->speedups.push_back(s.number);
-    }
-    return getDouble(value, "ws", &out->ws, error) &&
-           getDouble(value, "hs", &out->hs, error) &&
-           getDouble(value, "uf", &out->uf, error);
+    if (!get(value, path, out, error))
+        return false;
+    if (out->outcome.status > PointStatus::Failed)
+        return fail(error, "unknown point status " +
+                               std::to_string(static_cast<unsigned>(
+                                   out->outcome.status)));
+    return true;
 }
 
 constexpr char kHelloTag[] = "padc-worker-hello-v1";
@@ -719,37 +297,40 @@ void
 encodePoint(exp::JsonWriter &writer, const std::string &key,
             const SweepPoint &point)
 {
-    writer.beginObject(key);
-    encodeConfig(writer, "config", point.config);
-    writer.beginArray("mix");
-    for (const std::string &profile : point.mix)
-        writer.element(profile);
-    writer.endArray();
-    encodeOptions(writer, "options", point.options);
-    writer.endObject();
+    put(writer, key.c_str(), point);
 }
 
 bool
 decodePoint(const exp::JsonValue &value, SweepPoint *out,
             std::string *error)
 {
-    const exp::JsonValue *config = nullptr;
-    const exp::JsonValue *options = nullptr;
-    if (!getObject(value, "config", &config, error) ||
-        !decodeConfig(*config, &out->config, error))
-        return false;
-    const exp::JsonValue *mix = value.find("mix");
-    if (mix == nullptr || !mix->isArray())
-        return fail(error, "missing array member 'mix'");
-    out->mix.clear();
-    for (const exp::JsonValue &profile : mix->array) {
-        if (!profile.isString())
-            return fail(error, "non-string mix element");
-        out->mix.push_back(profile.string);
-    }
-    return getObject(value, "options", &options, error) &&
-           decodeOptions(*options, &out->options, error);
+    return get(&value, "", out, error);
 }
+
+template <typename T>
+std::string
+encodeRecord(const Result<T> &result)
+{
+    exp::JsonWriter writer(exp::JsonWriter::Layout::OneLine);
+    put(writer, nullptr, result);
+    return writer.str();
+}
+
+template <typename T>
+bool
+decodeRecord(const std::string &text, Result<T> *out, std::string *error)
+{
+    exp::JsonValue root;
+    return exp::parseJson(text, &root, error) &&
+           getResult(&root, "", out, error);
+}
+
+template std::string encodeRecord(const Result<RunMetrics> &);
+template std::string encodeRecord(const Result<MixEvaluation> &);
+template bool decodeRecord(const std::string &, Result<RunMetrics> *,
+                           std::string *);
+template bool decodeRecord(const std::string &, Result<MixEvaluation> *,
+                           std::string *);
 
 std::string
 encodeHello()
@@ -768,12 +349,12 @@ encodeTask(const WireTask &task)
     writer.beginObject();
     writer.member("padc", kTaskTag);
     writer.member("kind", kindName(task.kind));
-    writer.member("index", u64s(task.index));
-    writer.member("attempt", u64s(task.attempt));
-    encodePoint(writer, "point", task.point);
+    put(writer, "index", task.index);
+    put(writer, "attempt", task.attempt);
+    put(writer, "point", task.point);
     if (task.kind == WireTask::Kind::Eval) {
-        encodeConfig(writer, "alone_config", task.alone_base);
-        encodeOptions(writer, "alone_options", task.alone_options);
+        put(writer, "alone_config", task.alone_base);
+        put(writer, "alone_options", task.alone_options);
     }
     writer.endObject();
     return writer.str();
@@ -786,25 +367,15 @@ encodeResult(const WireResult &result)
     writer.beginObject();
     writer.member("padc", kResultTag);
     writer.member("kind", kindName(result.kind));
-    writer.member("index", u64s(result.index));
-    if (result.kind == WireTask::Kind::Eval) {
-        encodeOutcome(writer, result.eval.outcome);
-        encodeMetrics(writer, "metrics", result.eval.value.metrics);
-        encodeSummary(writer, "summary", result.eval.value.summary);
-    } else {
-        encodeOutcome(writer, result.run.outcome);
-        encodeMetrics(writer, "metrics", result.run.value);
-    }
+    put(writer, "index", result.index);
+    if (result.kind == WireTask::Kind::Eval)
+        put(writer, "result", result.eval);
+    else
+        put(writer, "result", result.run);
     // Append-only extension (see WireWorkerReport): old supervisors
     // decode by member name and skip this object entirely.
-    if (result.worker.present) {
-        writer.beginObject("worker");
-        writer.member("pid", u64s(result.worker.pid));
-        writer.member("tasks", u64s(result.worker.tasks));
-        writer.member("sim_cycles", u64s(result.worker.sim_cycles));
-        writer.member("exec_seconds", result.worker.exec_seconds);
-        writer.endObject();
-    }
+    if (result.worker)
+        put(writer, "worker", *result.worker);
     writer.endObject();
     return writer.str();
 }
@@ -817,7 +388,7 @@ decodeKind(const exp::JsonValue &root, WireTask::Kind *kind,
            std::string *error)
 {
     std::string text;
-    if (!getString(root, "kind", &text, error))
+    if (!getMember(root, "kind", &text, error))
         return false;
     if (text == "run")
         *kind = WireTask::Kind::Run;
@@ -835,7 +406,7 @@ parseTagged(const std::string &payload, const char *expected_tag,
     if (!exp::parseJson(payload, root, error))
         return false;
     std::string tag;
-    if (!getString(*root, "padc", &tag, error))
+    if (!getMember(*root, "padc", &tag, error))
         return false;
     if (tag != expected_tag)
         return fail(error, "unexpected payload tag '" + tag + "'");
@@ -848,27 +419,16 @@ bool
 decodeTask(const std::string &payload, WireTask *out, std::string *error)
 {
     exp::JsonValue root;
-    if (!parseTagged(payload, kTaskTag, &root, error))
-        return false;
-    const exp::JsonValue *point = nullptr;
-    if (!decodeKind(root, &out->kind, error) ||
-        !getU64(root, "index", &out->index, error) ||
-        !u64Field(root, "attempt", &out->attempt, error) ||
-        !getObject(root, "point", &point, error) ||
-        !decodePoint(*point, &out->point, error)) {
+    if (!parseTagged(payload, kTaskTag, &root, error) ||
+        !decodeKind(root, &out->kind, error) ||
+        !getMember(root, "index", &out->index, error) ||
+        !getMember(root, "attempt", &out->attempt, error) ||
+        !getMember(root, "point", &out->point, error)) {
         return false;
     }
-    if (out->kind == WireTask::Kind::Eval) {
-        const exp::JsonValue *alone_config = nullptr;
-        const exp::JsonValue *alone_options = nullptr;
-        if (!getObject(root, "alone_config", &alone_config, error) ||
-            !decodeConfig(*alone_config, &out->alone_base, error) ||
-            !getObject(root, "alone_options", &alone_options, error) ||
-            !decodeOptions(*alone_options, &out->alone_options, error)) {
-            return false;
-        }
-    }
-    return true;
+    return out->kind != WireTask::Kind::Eval ||
+           (getMember(root, "alone_config", &out->alone_base, error) &&
+            getMember(root, "alone_options", &out->alone_options, error));
 }
 
 bool
@@ -879,7 +439,7 @@ decodeResult(const std::string &payload, WireResult *out,
     if (!exp::parseJson(payload, &root, error))
         return false;
     std::string tag;
-    if (!getString(root, "padc", &tag, error))
+    if (!getMember(root, "padc", &tag, error))
         return false;
     if (tag == kHelloTag) {
         out->hello = true;
@@ -889,39 +449,19 @@ decodeResult(const std::string &payload, WireResult *out,
         return fail(error, "unexpected payload tag '" + tag + "'");
     out->hello = false;
     if (!decodeKind(root, &out->kind, error) ||
-        !getU64(root, "index", &out->index, error))
+        !getMember(root, "index", &out->index, error))
         return false;
     // Optional worker self-report: absent from old workers, and a
     // malformed one is dropped rather than failing the whole result
     // (it is advisory observability data, not the payload).
-    out->worker = WireWorkerReport{};
-    if (const exp::JsonValue *worker = root.find("worker");
-        worker != nullptr && worker->isObject()) {
-        WireWorkerReport report;
-        std::string ignored;
-        if (getU64(*worker, "pid", &report.pid, &ignored) &&
-            getU64(*worker, "tasks", &report.tasks, &ignored) &&
-            getU64(*worker, "sim_cycles", &report.sim_cycles,
-                   &ignored) &&
-            getDouble(*worker, "exec_seconds", &report.exec_seconds,
-                      &ignored)) {
-            report.present = true;
-            out->worker = report;
-        }
-    }
-    const exp::JsonValue *metrics = nullptr;
-    if (out->kind == WireTask::Kind::Eval) {
-        const exp::JsonValue *summary = nullptr;
-        return decodeOutcome(root, &out->eval.outcome, error) &&
-               getObject(root, "metrics", &metrics, error) &&
-               decodeMetrics(*metrics, &out->eval.value.metrics,
-                             error) &&
-               getObject(root, "summary", &summary, error) &&
-               decodeSummary(*summary, &out->eval.value.summary, error);
-    }
-    return decodeOutcome(root, &out->run.outcome, error) &&
-           getObject(root, "metrics", &metrics, error) &&
-           decodeMetrics(*metrics, &out->run.value, error);
+    WireWorkerReport report;
+    std::string ignored;
+    out->worker.reset();
+    if (getMember(root, "worker", &report, &ignored))
+        out->worker = report;
+    if (out->kind == WireTask::Kind::Eval)
+        return getResult(root.find("result"), "result", &out->eval, error);
+    return getResult(root.find("result"), "result", &out->run, error);
 }
 
 // --- fault injection --------------------------------------------------

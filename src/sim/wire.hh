@@ -10,19 +10,31 @@
  *
  * Three payload shapes exist: the worker's hello (handshake), a task
  * (one SweepPoint plus, for evaluate tasks, the alone-run baseline the
- * worker's AloneIpcCache needs), and a result (padc-bench-result-v1
- * style status/detail plus the full metrics).
+ * worker's AloneIpcCache needs), and a result (the point's outcome and
+ * full metrics, plus the worker's optional self-report).
+ *
+ * Points, results and reports are written and read by one generic
+ * codec driven by the structs' field tables (common/fields.hh): a
+ * tabled struct is an object with one member per row, named by the
+ * row; vectors and arrays are JSON arrays. The sweep journal stores
+ * the same result JSON on one line (encodeRecord).
  *
  * Encoding rules:
  *  - doubles are plain JSON numbers; exp::jsonNumber emits the shortest
  *    decimal that strtod()s back to the same bits, so replaying a
- *    worker's result is bit-identical to computing it in-process.
+ *    worker's result is bit-identical to computing it in-process. A
+ *    non-finite double is written as null, which does not decode.
  *  - 64-bit integers are decimal STRINGS ("123"), never JSON numbers:
  *    the parser stores numbers as double, which silently loses
  *    precision past 2^53 (seeds and cycle caps can exceed that).
  *  - enums travel as their underlying integer value; both ends run the
  *    same binary (the supervisor execs /proc/self/exe), so the values
  *    always agree.
+ *  - decoding is strict: a missing or mistyped member, an integer out
+ *    of its field's range, a vector longer than kMaxCores or an
+ *    unknown point status fails, and the error names the member's
+ *    dotted path (for example "point.config.sched.accuracy.interval",
+ *    or "cores[2]" for an element).
  *
  * The deterministic fault-injection hook lives here too:
  * PADC_FAULT_INJECT=crash:<every>|hang:<every>|exit:<code>:<every>
@@ -37,8 +49,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
+#include "common/fields.hh"
 #include "exp/json.hh"
 #include "sim/experiment.hh"
 
@@ -113,18 +127,29 @@ struct WireTask
  * Appended as the named member "worker" — an append-only protocol
  * extension: decodeResult looks members up by name and ignores unknown
  * ones, so old supervisors skip it and old workers simply never send
- * it (present stays false). Values are per-THIS-task deltas, not
- * worker-lifetime totals, so the supervisor aggregates without delta
- * bookkeeping across retries/respawns.
+ * it (WireResult::worker stays empty). Values are per-THIS-task
+ * deltas, not worker-lifetime totals, so the supervisor aggregates
+ * without delta bookkeeping across retries/respawns.
  */
 struct WireWorkerReport
 {
-    bool present = false;       ///< member was on the wire
     std::uint64_t pid = 0;      ///< reporting worker process
     std::uint64_t tasks = 0;    ///< tasks this worker has completed
     std::uint64_t sim_cycles = 0; ///< simulated cycles of this task
     double exec_seconds = 0.0;  ///< wall seconds executing this task
 };
+
+/** WireWorkerReport's field table; see common/fields.hh. */
+template <fields::Of<WireWorkerReport> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("pid", s.pid);
+    v("tasks", s.tasks);
+    v("sim_cycles", s.sim_cycles);
+    v("exec_seconds", s.exec_seconds);
+}
+static_assert(fields::complete<WireWorkerReport>());
 
 /** One worker->supervisor result (or the initial hello when hello). */
 struct WireResult
@@ -134,7 +159,7 @@ struct WireResult
     std::uint64_t index = 0;
     Result<RunMetrics> run;      ///< Kind::Run payload
     Result<MixEvaluation> eval;  ///< Kind::Eval payload
-    WireWorkerReport worker;     ///< optional self-report extension
+    std::optional<WireWorkerReport> worker; ///< self-report extension
 };
 
 std::string encodeHello();
@@ -147,7 +172,7 @@ bool decodeTask(const std::string &payload, WireTask *out,
 bool decodeResult(const std::string &payload, WireResult *out,
                   std::string *error);
 
-// --- point (de)serialization, exposed for tests ----------------------
+// --- table-driven values ---------------------------------------------
 
 /** Append the point as a JSON object member @p key of @p writer. */
 void encodePoint(exp::JsonWriter &writer, const std::string &key,
@@ -156,6 +181,19 @@ void encodePoint(exp::JsonWriter &writer, const std::string &key,
 /** Decode a point encoded by encodePoint. */
 bool decodePoint(const exp::JsonValue &value, SweepPoint *out,
                  std::string *error);
+
+/**
+ * A sweep result (T is RunMetrics or MixEvaluation) as one line of
+ * JSON: the sweep journal's record body, shaped like the "result"
+ * member of a result frame.
+ */
+template <typename T>
+std::string encodeRecord(const Result<T> &result);
+
+/** Decode a record written by encodeRecord. */
+template <typename T>
+bool decodeRecord(const std::string &text, Result<T> *out,
+                  std::string *error);
 
 // --- fault injection --------------------------------------------------
 

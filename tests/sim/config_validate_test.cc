@@ -2,15 +2,19 @@
  * @file
  * Tests for structured configuration validation: every baseline and
  * policy setup passes, violations are reported with dotted field paths
- * and accumulate (not fail-fast), and System construction surfaces them
- * as one readable std::invalid_argument instead of an assert.
+ * that are rows of SystemConfig's field table and accumulate (not
+ * fail-fast), and System construction surfaces them as one readable
+ * std::invalid_argument instead of an assert.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "field_walk.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 
@@ -19,14 +23,33 @@ namespace padc::sim
 namespace
 {
 
+/** Leaf paths of SystemConfig's field table ("sched.drop_thresholds[2]"). */
+const std::set<std::string> &
+tablePaths()
+{
+    static const std::set<std::string> paths = [] {
+        const std::vector<std::string> leaves =
+            test::leafPaths(SystemConfig{});
+        return std::set<std::string>(leaves.begin(), leaves.end());
+    }();
+    return paths;
+}
+
+/**
+ * True when @p errors reports @p field. Also checks that every reported
+ * path is a row of the config table, so the validators' hand-written
+ * dotted names cannot drift from the fields they describe.
+ */
 bool
 mentions(const ConfigErrors &errors, const std::string &field)
 {
+    bool found = false;
     for (const ConfigError &error : errors.errors()) {
-        if (error.field == field)
-            return true;
+        EXPECT_EQ(tablePaths().count(error.field), 1u)
+            << "'" << error.field << "' is not a SystemConfig table row";
+        found = found || error.field == field;
     }
-    return false;
+    return found;
 }
 
 TEST(ConfigValidate, BaselinesAreValid)
@@ -126,6 +149,20 @@ TEST(ConfigValidate, ViolationsAccumulateInsteadOfFailingFast)
     EXPECT_NE(errors.str().find("mshr_per_l2:"), std::string::npos);
     EXPECT_NE(errors.str().find("dram.timing.tBURST:"),
               std::string::npos);
+}
+
+TEST(ConfigValidate, ZeroedConfigReportsOnlyTableRows)
+{
+    // Zero every leaf: most validators fire at once, and mentions()
+    // checks each reported path against the table.
+    SystemConfig cfg = SystemConfig::baseline(2);
+    test::forEachLeaf(cfg, "", [](const std::string &, auto &leaf) {
+        leaf = {};
+    });
+    const ConfigErrors errors = cfg.validate();
+    EXPECT_GE(errors.errors().size(), 20u) << errors.str();
+    EXPECT_TRUE(mentions(errors, "sched.drop_accuracy_bounds[1]"))
+        << errors.str();
 }
 
 TEST(ConfigValidate, SystemConstructionThrowsNamingTheField)

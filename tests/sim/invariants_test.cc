@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <tuple>
 
 #include "sim/metrics.hh"
@@ -37,6 +38,20 @@ struct Shape
     bool shared_l2;
     RowPolicy row_policy;
 };
+
+/**
+ * Spell a shape out field by field. gtest otherwise prints the raw
+ * object bytes, padding included, so the test names (and with them
+ * `ctest -R` and `--rerun-failed`) changed from build to build.
+ */
+void
+PrintTo(const Shape &shape, std::ostream *os)
+{
+    *os << shape.cores << "core_" << toString(shape.policy) << "_"
+        << (shape.apd ? "apd" : "noapd") << "_" << shape.channels << "ch_"
+        << toString(shape.prefetcher) << (shape.shared_l2 ? "_shared-l2" : "")
+        << "_" << toString(shape.row_policy);
+}
 
 class InvariantProperty : public ::testing::TestWithParam<Shape>
 {

@@ -11,9 +11,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "field_walk.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/parallel.hh"
@@ -38,6 +40,27 @@ class JournalTest : public ::testing::Test
     TearDown() override
     {
         std::remove(path_.c_str());
+    }
+
+    /**
+     * The line a journal writes when it records @p result under @p key
+     * (terminating '\n' included): fixtures built from it carry the
+     * live line tag and a genuine record body.
+     */
+    std::string
+    recordedLine(std::uint64_t key, const Result<MixEvaluation> &result)
+    {
+        const std::string line_path = path_ + ".line";
+        std::remove(line_path.c_str());
+        {
+            SweepJournal journal(line_path);
+            journal.record(key, result);
+        }
+        std::ifstream in(line_path, std::ios::binary);
+        const std::string line((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        std::remove(line_path.c_str());
+        return line;
     }
 
     std::string path_;
@@ -71,34 +94,12 @@ twoPolicyPoints()
     return points;
 }
 
+/** Every tabled leaf equal, doubles bit for bit. */
 void
 expectBitIdentical(const Result<MixEvaluation> &a,
                    const Result<MixEvaluation> &b)
 {
-    EXPECT_EQ(a.outcome.status, b.outcome.status);
-    EXPECT_EQ(a.outcome.detail, b.outcome.detail);
-    EXPECT_EQ(a.value.summary.ws, b.value.summary.ws);
-    EXPECT_EQ(a.value.summary.hs, b.value.summary.hs);
-    EXPECT_EQ(a.value.summary.uf, b.value.summary.uf);
-    EXPECT_EQ(a.value.summary.speedups, b.value.summary.speedups);
-    ASSERT_EQ(a.value.metrics.cores.size(), b.value.metrics.cores.size());
-    for (std::size_t c = 0; c < a.value.metrics.cores.size(); ++c) {
-        const CoreMetrics &x = a.value.metrics.cores[c];
-        const CoreMetrics &y = b.value.metrics.cores[c];
-        EXPECT_EQ(x.ipc, y.ipc);
-        EXPECT_EQ(x.mpki, y.mpki);
-        EXPECT_EQ(x.spl, y.spl);
-        EXPECT_EQ(x.acc, y.acc);
-        EXPECT_EQ(x.cov, y.cov);
-        EXPECT_EQ(x.rbh, y.rbh);
-        EXPECT_EQ(x.rbhu, y.rbhu);
-        EXPECT_EQ(x.traffic_demand, y.traffic_demand);
-        EXPECT_EQ(x.traffic_pref_useful, y.traffic_pref_useful);
-        EXPECT_EQ(x.traffic_pref_useless, y.traffic_pref_useless);
-        EXPECT_EQ(x.traffic_writeback, y.traffic_writeback);
-        EXPECT_EQ(x.instructions, y.instructions);
-        EXPECT_EQ(x.cycles, y.cycles);
-    }
+    EXPECT_EQ(test::leafDump(a), test::leafDump(b));
 }
 
 TEST(SweepPointKey, DistinguishesConfigMixSeedAndOptions)
@@ -240,9 +241,14 @@ TEST_F(JournalTest, PartialTrailingLineIsDropped)
         journal.record(1, result);
     }
     // Simulate a process killed mid-append: a final line with no '\n'.
+    // Only the missing newline marks it torn; the rest is a genuine
+    // record, so a loader that ignored the newline would accept it.
+    Result<MixEvaluation> torn;
+    torn.value.summary.ws = 2.5;
+    const std::string line = recordedLine(0xdeadbeef, torn);
     {
         std::ofstream out(path_, std::ios::binary | std::ios::app);
-        out << "padcj1 e deadbeef 0 - 1 3ff4";
+        out << line.substr(0, line.size() - 1);
     }
     SweepJournal reopened(path_);
     EXPECT_EQ(reopened.loadedEntries(), 1u);
@@ -264,9 +270,10 @@ TEST_F(JournalTest, AppendAfterTornTailDoesNotMergeLines)
     // A supervisor killed mid-append leaves a torn final line. A later
     // resume must not glue its first fresh record onto that tail: the
     // journal terminates the tail at open so both stay separate lines.
+    const std::string line = recordedLine(0xdeadbeef, first);
     {
         std::ofstream out(path_, std::ios::binary | std::ios::app);
-        out << "padcj1 e deadbeef 0 - 1 3ff4";
+        out << line.substr(0, line.size() / 2);
     }
     Result<MixEvaluation> second;
     second.value.summary.hs = 0.75;
@@ -287,11 +294,20 @@ TEST_F(JournalTest, AppendAfterTornTailDoesNotMergeLines)
 
 TEST_F(JournalTest, CorruptCompleteLinesAreSkippedNotFatal)
 {
+    Result<MixEvaluation> result;
+    result.value.summary.ws = 1.25;
+    const std::string line = recordedLine(0x10, result);
+    const std::string head = line.substr(0, line.find('{'));
+    ASSERT_EQ(head, line.substr(0, line.find(' ')) + " e 10 ");
     {
         std::ofstream out(path_, std::ios::binary);
-        out << "padcj1 e 10 0 - 1 zz zz\n"; // bad payload tokens
+        // Live tag, corrupt JSON body: only the load-time payload check
+        // rejects these two.
+        out << line.substr(0, line.size() - 3) << "\n";
+        out << head << "{\"value\": 1, \"outcome\": {}}\n";
         out << "garbage line entirely\n";
-        out << "padcj1 q 11 0 -\n"; // unknown kind
+        out << head.substr(0, head.find(' ')) << " q 11 "
+            << line.substr(head.size()); // unknown kind
     }
     SweepJournal journal(path_);
     EXPECT_EQ(journal.loadedEntries(), 0u);
@@ -302,6 +318,28 @@ TEST_F(JournalTest, CorruptCompleteLinesAreSkippedNotFatal)
     fresh.value.summary.hs = 0.5;
     journal.record(0x20, fresh);
     EXPECT_TRUE(journal.lookup(0x20, &fresh));
+}
+
+TEST_F(JournalTest, PreviousFormatLoadsAsAMissAndThePointReruns)
+{
+    const workload::Mix mix = {"libquantum_06", "milc_06"};
+    const std::vector<SweepPoint> points = {
+        {applyPolicy(base2(), PolicySetup::DemandFirst), mix,
+         quickOptions()}};
+    {
+        // A complete record as the padcj2 format (hex tokens) wrote it.
+        std::ofstream out(path_, std::ios::binary);
+        out << "padcj2 r " << std::hex << sweepPointKey(points[0])
+            << " 0 - 1 3ff8000000000000 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n";
+    }
+    SweepJournal journal(path_);
+    EXPECT_EQ(journal.loadedEntries(), 0u);
+    ParallelExperimentRunner runner(1);
+    const auto results = runSweep(points, runner, &journal);
+    EXPECT_EQ(journal.hits(), 0u);
+    EXPECT_EQ(results[0].outcome.attempts, 1u) << "point was not rerun";
+    SweepJournal reopened(path_);
+    EXPECT_EQ(reopened.loadedEntries(), 1u); // the rerun's new record
 }
 
 TEST_F(JournalTest, KilledThenResumedSweepIsBitIdenticalToStraightRun)

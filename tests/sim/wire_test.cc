@@ -2,8 +2,9 @@
  * @file
  * Tests for the process-pool wire protocol: frame I/O over real pipes,
  * incremental frame reassembly (FrameBuffer), task/result/point
- * round-trips (bit-exact doubles, full-width u64s, every keyed config
- * field), and the PADC_FAULT_INJECT parser + schedule.
+ * round-trips (bit-exact doubles, full-width u64s), and the
+ * PADC_FAULT_INJECT parser + schedule. field_table_test.cc walks every
+ * keyed and metric field through the same codec.
  */
 
 #include "sim/wire.hh"
@@ -76,43 +77,6 @@ TEST(WirePoint, RoundTripsEveryKeyedField)
               point.config.sched.promotion_threshold);
 }
 
-TEST(WirePoint, KeyedFieldChangesSurviveTheWire)
-{
-    // Mutate a representative field per layer and check the decoded
-    // point keys differently from the unmutated one: a silently dropped
-    // field would collapse both onto the same key.
-    const SweepPoint base = fancyPoint();
-    const std::uint64_t base_key = sweepPointKey(base);
-    const auto reKey = [](const SweepPoint &p) {
-        exp::JsonValue parsed;
-        std::string error;
-        SweepPoint decoded;
-        EXPECT_TRUE(exp::parseJson(encodePointDoc(p), &parsed, &error));
-        EXPECT_TRUE(
-            decodePoint(*parsed.find("point"), &decoded, &error));
-        return sweepPointKey(decoded);
-    };
-
-    SweepPoint p = base;
-    p.config.prefetcher.distance += 1;
-    EXPECT_NE(reKey(p), base_key);
-    p = base;
-    p.config.fdp.accuracy_high += 0.0625;
-    EXPECT_NE(reKey(p), base_key);
-    p = base;
-    p.config.sched.drop_thresholds[2] += 1;
-    EXPECT_NE(reKey(p), base_key);
-    p = base;
-    p.config.dram.timing.tRFC += 1;
-    EXPECT_NE(reKey(p), base_key);
-    p = base;
-    p.options.mix_seed += 1;
-    EXPECT_NE(reKey(p), base_key);
-    p = base;
-    p.mix = {"libquantum_06", "mcf_06"};
-    EXPECT_NE(reKey(p), base_key);
-}
-
 TEST(WireTaskCodec, RunAndEvalTasksRoundTrip)
 {
     WireTask task;
@@ -156,12 +120,17 @@ TEST(WireResultCodec, RunResultRoundTripsBitExactly)
     core.instructions = 123456789;
     core.cycles = 987654321;
     result.run.value.cores.push_back(core);
+    result.worker = WireWorkerReport{4242, 7, (1ULL << 55) + 1, 0.1 + 0.2};
 
     WireResult decoded;
     std::string error;
     ASSERT_TRUE(decodeResult(encodeResult(result), &decoded, &error))
         << error;
     EXPECT_FALSE(decoded.hello);
+    ASSERT_TRUE(decoded.worker.has_value());
+    EXPECT_EQ(decoded.worker->pid, 4242u);
+    EXPECT_EQ(decoded.worker->sim_cycles, (1ULL << 55) + 1);
+    EXPECT_EQ(decoded.worker->exec_seconds, 0.1 + 0.2);
     EXPECT_EQ(decoded.index, 4u);
     EXPECT_EQ(decoded.run.outcome.status, PointStatus::Truncated);
     EXPECT_EQ(decoded.run.outcome.detail, "cycle cap");
@@ -192,6 +161,7 @@ TEST(WireResultCodec, EvalResultCarriesSummaryAndHelloDecodes)
     ASSERT_TRUE(decodeResult(encodeResult(result), &decoded, &error))
         << error;
     EXPECT_EQ(decoded.eval.value.summary.ws, 1.75);
+    EXPECT_FALSE(decoded.worker.has_value()) << "no report was sent";
     EXPECT_EQ(decoded.eval.value.summary.speedups,
               result.eval.value.summary.speedups);
     ASSERT_EQ(decoded.eval.value.metrics.cores.size(), 1u);
