@@ -19,9 +19,6 @@
 #include "exp/report.hh"
 #include "obs/monitor.hh"
 #include "obs/status.hh"
-#include "serve/client.hh"
-#include "serve/daemon.hh"
-#include "serve/protocol.hh"
 #include "sim/interrupt.hh"
 #include "sim/procpool.hh"
 #include "telemetry/export.hh"
@@ -128,16 +125,6 @@ driverUsage()
            "  status <dir>             render the live status.json a\n"
            "                           `run --progress` sweep keeps in\n"
            "                           its --out directory\n"
-           "  serve <dir>              run the long-lived sweep service\n"
-           "                           daemon on state directory <dir>:\n"
-           "                           Unix socket, durable job queue,\n"
-           "                           killed jobs resume on restart\n"
-           "  submit <dir> <sel>...    enqueue experiments on the daemon\n"
-           "                           at <dir> (names, tags, or globs)\n"
-           "  jobs <dir>               list the daemon's job queue\n"
-           "  cancel <dir> <job-id>    cancel a pending or running job\n"
-           "  metrics <dir>            print the daemon's metrics\n"
-           "                           registry (Prometheus text)\n"
            "  trace <subcommand>       trace-corpus toolchain (capture,\n"
            "                           convert, info, verify; see\n"
            "                           'padc trace help')\n"
@@ -178,14 +165,8 @@ driverUsage()
            "                 (default: <out>/<name>.trace.json)\n"
            "  --trace-limit N\n"
            "                 events retained per run (default: 1048576)\n"
-           "  --queue-cap N  serve: max pending jobs before submits are\n"
-           "                 rejected (default: PADC_SERVE_QUEUE_CAP or "
-           "256)\n"
-           "  --wait         submit: block until the submitted jobs\n"
-           "                 reach a terminal state; exit 1 when any\n"
-           "                 failed or was cancelled\n"
-           "  --json         status/submit/jobs/metrics: machine-\n"
-           "                 readable JSON instead of the text forms\n"
+           "  --json         status: print the raw status.json snapshot\n"
+           "                 instead of the text report\n"
            "\n"
            "Every run also writes a machine-readable BENCH_<name>.json\n"
            "(schema padc-bench-result-v1) per experiment into --out.\n";
@@ -210,16 +191,6 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
         out->command = DriverOptions::Command::Run;
     } else if (command == "status") {
         out->command = DriverOptions::Command::Status;
-    } else if (command == "serve") {
-        out->command = DriverOptions::Command::Serve;
-    } else if (command == "submit") {
-        out->command = DriverOptions::Command::Submit;
-    } else if (command == "jobs") {
-        out->command = DriverOptions::Command::Jobs;
-    } else if (command == "cancel") {
-        out->command = DriverOptions::Command::Cancel;
-    } else if (command == "metrics") {
-        out->command = DriverOptions::Command::Metrics;
     } else {
         *error = "unknown command '" + command + "' (try 'padc help')";
         return false;
@@ -294,16 +265,12 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
         } else if (arg == "--progress") {
             out->progress = true;
         } else if (arg == "--json") {
-            out->json = true;
-        } else if (arg == "--wait") {
-            out->wait = true;
-        } else if (arg == "--queue-cap") {
-            std::uint64_t cap = 0;
-            if (!parseUint64(value(), &cap) || cap == 0) {
-                *error = "--queue-cap expects a positive integer";
+            if (out->command != DriverOptions::Command::Status) {
+                *error = "--json only applies to 'status'; use --format "
+                         "json for machine-readable output";
                 return false;
             }
-            out->queue_cap = static_cast<std::size_t>(cap);
+            out->json = true;
         } else if (arg == "--timeseries") {
             out->timeseries = true;
         } else if (arg.rfind("--timeseries=", 0) == 0) {
@@ -340,27 +307,6 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
         } else if (out->command == DriverOptions::Command::Status &&
                    out->status_dir.empty()) {
             out->status_dir = arg;
-        } else if (out->command == DriverOptions::Command::Serve ||
-                   out->command == DriverOptions::Command::Submit ||
-                   out->command == DriverOptions::Command::Jobs ||
-                   out->command == DriverOptions::Command::Cancel ||
-                   out->command == DriverOptions::Command::Metrics) {
-            if (out->state_dir.empty()) {
-                out->state_dir = arg;
-            } else if (out->command == DriverOptions::Command::Submit) {
-                out->selectors.push_back(arg);
-            } else if (out->command == DriverOptions::Command::Cancel &&
-                       !out->job_id_set) {
-                if (!parseUint64(arg.c_str(), &out->job_id)) {
-                    *error = "cancel expects a numeric job id, got '" +
-                             arg + "'";
-                    return false;
-                }
-                out->job_id_set = true;
-            } else {
-                *error = "unexpected argument '" + arg + "'";
-                return false;
-            }
         } else {
             *error = "unexpected argument '" + arg + "'";
             return false;
@@ -375,25 +321,6 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
     if (out->command == DriverOptions::Command::Status &&
         out->status_dir.empty()) {
         *error = "status expects the --out directory of a running sweep";
-        return false;
-    }
-    if ((out->command == DriverOptions::Command::Serve ||
-         out->command == DriverOptions::Command::Submit ||
-         out->command == DriverOptions::Command::Jobs ||
-         out->command == DriverOptions::Command::Cancel ||
-         out->command == DriverOptions::Command::Metrics) &&
-        out->state_dir.empty()) {
-        *error = "expected a serve state directory (try 'padc help')";
-        return false;
-    }
-    if (out->command == DriverOptions::Command::Submit &&
-        out->selectors.empty()) {
-        *error = "submit expects experiment names, tags, or globs";
-        return false;
-    }
-    if (out->command == DriverOptions::Command::Cancel &&
-        !out->job_id_set) {
-        *error = "cancel expects a job id (see 'padc jobs <dir>')";
         return false;
     }
     return true;
@@ -623,9 +550,10 @@ writeSinks(const DriverOptions &options, const ExperimentInfo &info,
     }
 }
 
-} // namespace
-
-/** Snapshot the wall-clock profiler into the result's profile block. */
+/**
+ * Snapshot the process-wide WallProfiler into @p result's profile block:
+ * build/simulate/collect seconds and the event-loop figures.
+ */
 void
 recordRunProfile(ExperimentResult &result)
 {
@@ -700,9 +628,6 @@ recordPoolProfile(sim::ProcessPool &pool, ExperimentResult &result)
     }
 }
 
-namespace
-{
-
 /**
  * `padc status <dir>`: render the status.json a `run --progress` sweep
  * maintains. Works mid-sweep (the writer atomic-renames complete
@@ -727,8 +652,7 @@ statusCommand(const DriverOptions &options)
             std::fprintf(stderr,
                          "padc: no status.json in '%s' -- no sweep has "
                          "run here yet. Start one with `padc run "
-                         "--progress --out <dir>`, or point at a serve "
-                         "job directory (<state>/jobs/<id>).\n",
+                         "--progress --out <dir>`.\n",
                          options.status_dir.c_str());
         } else {
             std::fprintf(stderr, "padc: %s\n", error.c_str());
@@ -739,156 +663,6 @@ statusCommand(const DriverOptions &options)
         std::printf("%s\n", obs::formatStatus(status).c_str());
     else
         std::printf("%s", obs::renderStatusReport(status).c_str());
-    return 0;
-}
-
-/** Shared job-table rendering of `padc jobs` and `padc submit`. */
-void
-printJobs(const std::vector<serve::JobView> &jobs, bool json)
-{
-    if (json) {
-        JsonWriter writer;
-        writer.beginObject();
-        writer.member("schema", "padc-serve-jobs-v1");
-        writer.beginArray("jobs");
-        for (const serve::JobView &job : jobs) {
-            writer.beginObject();
-            writer.member("id", std::to_string(job.id));
-            writer.member("experiment", job.experiment);
-            writer.member("state", job.state);
-            writer.member("status", job.status);
-            writer.member("detail", job.detail);
-            writer.member("attempts", job.attempts);
-            if (job.seed.has_value())
-                writer.member("seed", std::to_string(*job.seed));
-            writer.member("submitted_t_ms",
-                          std::to_string(job.submitted_t_ms));
-            writer.member("dir", job.dir);
-            writer.endObject();
-        }
-        writer.endArray();
-        writer.endObject();
-        std::printf("%s\n", writer.str().c_str());
-        return;
-    }
-    std::printf("%-6s %-16s %-10s %-9s %s\n", "job", "experiment",
-                "state", "attempts", "detail");
-    for (const serve::JobView &job : jobs) {
-        const std::string &note =
-            !job.detail.empty() ? job.detail : job.status;
-        std::printf("%-6llu %-16s %-10s %-9llu %s\n",
-                    static_cast<unsigned long long>(job.id),
-                    job.experiment.c_str(), job.state.c_str(),
-                    static_cast<unsigned long long>(job.attempts),
-                    note.c_str());
-    }
-}
-
-int
-serveCommand(const DriverOptions &options)
-{
-    serve::ServeConfig config;
-    config.state_dir = options.state_dir;
-    config.workers = options.workers;
-    config.queue_cap = options.queue_cap;
-    config.corpus_dir = options.corpus_dir;
-    return serve::serveMain(config);
-}
-
-int
-submitCommand(const DriverOptions &options)
-{
-    serve::ServeRequest request;
-    request.op = serve::ServeRequest::Op::Submit;
-    request.selectors = options.selectors;
-    request.seed = options.seed;
-    serve::ServeResponse response;
-    std::string error;
-    if (!serve::requestOnce(options.state_dir, request, &response,
-                            &error)) {
-        std::fprintf(stderr, "padc: %s\n", error.c_str());
-        return 2;
-    }
-    if (!response.ok) {
-        for (const std::string &message : response.errors)
-            std::fprintf(stderr, "padc: %s\n", message.c_str());
-        return 2;
-    }
-    if (!options.wait) {
-        printJobs(response.jobs, options.json);
-        return 0;
-    }
-
-    // --wait: poll until every submitted job is terminal. The bound is
-    // a day -- "forever" for a sweep, finite for a wedged daemon.
-    const auto terminal = serve::awaitJobs(
-        options.state_dir, response.job_ids, 86'400'000, 100, &error);
-    if (!terminal.has_value()) {
-        std::fprintf(stderr, "padc: %s\n", error.c_str());
-        return 2;
-    }
-    printJobs(*terminal, options.json);
-    for (const serve::JobView &job : *terminal) {
-        if (job.state != serve::kJobDone)
-            return 1;
-    }
-    return 0;
-}
-
-int
-jobsCommand(const DriverOptions &options)
-{
-    serve::ServeRequest request;
-    request.op = serve::ServeRequest::Op::Jobs;
-    serve::ServeResponse response;
-    std::string error;
-    if (!serve::requestOnce(options.state_dir, request, &response,
-                            &error)) {
-        std::fprintf(stderr, "padc: %s\n", error.c_str());
-        return 2;
-    }
-    printJobs(response.jobs, options.json);
-    return 0;
-}
-
-int
-cancelCommand(const DriverOptions &options)
-{
-    serve::ServeRequest request;
-    request.op = serve::ServeRequest::Op::Cancel;
-    request.job_id = options.job_id;
-    serve::ServeResponse response;
-    std::string error;
-    if (!serve::requestOnce(options.state_dir, request, &response,
-                            &error)) {
-        std::fprintf(stderr, "padc: %s\n", error.c_str());
-        return 2;
-    }
-    if (!response.ok) {
-        for (const std::string &message : response.errors)
-            std::fprintf(stderr, "padc: %s\n", message.c_str());
-        return 1;
-    }
-    printJobs(response.jobs, options.json);
-    return 0;
-}
-
-int
-metricsCommand(const DriverOptions &options)
-{
-    serve::ServeRequest request;
-    request.op = serve::ServeRequest::Op::Metrics;
-    request.metrics_json = options.json;
-    serve::ServeResponse response;
-    std::string error;
-    if (!serve::requestOnce(options.state_dir, request, &response,
-                            &error)) {
-        std::fprintf(stderr, "padc: %s\n", error.c_str());
-        return 2;
-    }
-    std::printf("%s", response.text.c_str());
-    if (!response.text.empty() && response.text.back() != '\n')
-        std::printf("\n");
     return 0;
 }
 
@@ -1068,16 +842,6 @@ driverMain(int argc, const char *const *argv)
         return listExperiments(options);
       case DriverOptions::Command::Status:
         return statusCommand(options);
-      case DriverOptions::Command::Serve:
-        return serveCommand(options);
-      case DriverOptions::Command::Submit:
-        return submitCommand(options);
-      case DriverOptions::Command::Jobs:
-        return jobsCommand(options);
-      case DriverOptions::Command::Cancel:
-        return cancelCommand(options);
-      case DriverOptions::Command::Metrics:
-        return metricsCommand(options);
       case DriverOptions::Command::Run:
         break;
     }

@@ -40,11 +40,6 @@ struct DriverOptions
         List,
         Run,
         Status,
-        Serve,   ///< `padc serve <state-dir>`: run the sweep daemon
-        Submit,  ///< `padc submit <state-dir> <selector>...`
-        Jobs,    ///< `padc jobs <state-dir>`
-        Cancel,  ///< `padc cancel <state-dir> <job-id>`
-        Metrics, ///< `padc metrics <state-dir>`
     };
 
     enum class Format
@@ -67,13 +62,7 @@ struct DriverOptions
 
     bool progress = false;       ///< --progress live sweep status
     std::string status_dir;      ///< `padc status <dir>` argument
-    bool json = false;           ///< --json machine-readable output
-
-    std::string state_dir;       ///< serve/submit/jobs/cancel/metrics dir
-    std::size_t queue_cap = 0;   ///< serve --queue-cap (0 = env/default)
-    bool wait = false;           ///< submit --wait: block until terminal
-    std::uint64_t job_id = 0;    ///< cancel <job-id>
-    bool job_id_set = false;
+    bool json = false;           ///< status --json: the raw snapshot
 
     bool timeseries = false;     ///< --timeseries[=PATH]
     bool trace = false;          ///< --trace[=PATH]
@@ -97,17 +86,6 @@ bool parseDriverArgs(int argc, const char *const *argv,
  */
 std::string resultJson(const ExperimentInfo &info,
                        const ExperimentResult &result);
-
-/**
- * Snapshot the process-wide WallProfiler into @p result's profile block
- * (build/simulate/collect seconds, scheduler estimate, event-loop
- * figures). The driver calls it after every run; the serve daemon
- * reuses it so daemon-produced BENCH documents carry the same profile.
- */
-void recordRunProfile(ExperimentResult &result);
-
-/** Drain @p pool's per-experiment profile window into @p result. */
-void recordPoolProfile(sim::ProcessPool &pool, ExperimentResult &result);
 
 /** The driver's usage text. */
 std::string driverUsage();

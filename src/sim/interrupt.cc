@@ -14,10 +14,10 @@ namespace
 
 /**
  * The stop flag. std::atomic<int> rather than volatile sig_atomic_t:
- * lock-free atomics are async-signal-safe, and the serve daemon reads
- * the flag from its executor thread while the socket thread's signal
- * handler (or a cancel request) writes it, so plain volatile would be
- * a cross-thread data race.
+ * lock-free atomics are async-signal-safe, and the sweep runner's
+ * threads poll the flag in runPoint while another runner thread's
+ * notePointCompleted() (or the signal handler) writes it, so plain
+ * volatile would be a cross-thread data race.
  */
 std::atomic<int> g_interrupt{0};
 static_assert(std::atomic<int>::is_always_lock_free,

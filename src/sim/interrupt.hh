@@ -31,9 +31,9 @@ bool interruptRequested();
 /**
  * Request a graceful stop. Async-signal-safe: only writes a lock-free
  * atomic flag, so SIGINT/SIGTERM handlers may call it directly; the
- * atomic (not plain sig_atomic_t) also makes it safe for another
- * thread -- the serve daemon's executor -- to poll interruptRequested()
- * while a handler fires.
+ * atomic (not plain sig_atomic_t) also makes it safe for one sweep
+ * runner thread to raise the flag (via notePointCompleted) while the
+ * others poll interruptRequested().
  */
 void requestInterrupt();
 

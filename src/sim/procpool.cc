@@ -402,29 +402,6 @@ ProcessPool::available()
     return usable_;
 }
 
-bool
-ProcessPool::refresh()
-{
-    if (!spawned_)
-        return available();
-    if (!usable_)
-        return false;
-    for (Worker &worker : workers_) {
-        if (worker.alive() || worker.retired)
-            continue;
-        if (spawnWorker(&worker)) {
-            ++stats_.respawns;
-            ++profile_.respawns;
-        } else {
-            worker.retired = true;
-        }
-    }
-    // A freshly spawned worker completes its hello handshake inside the
-    // next sweep's event loop (bounded by its handshake deadline), so
-    // there is nothing to block on here.
-    return true;
-}
-
 template <typename T>
 std::vector<Result<T>>
 ProcessPool::execute(const std::vector<SweepPoint> &points,

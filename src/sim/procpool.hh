@@ -162,16 +162,6 @@ class ProcessPool
     bool available();
 
     /**
-     * Respawn workers that died during a previous sweep, so a pool
-     * reused across many jobs (the `padc serve` daemon keeps one pool
-     * for its whole lifetime) recovers its full width between jobs
-     * instead of lazily mid-sweep. Retired slots (exec/handshake
-     * failures) stay retired. Spawns the pool on first call.
-     * @return available(): true while at least one worker is usable.
-     */
-    bool refresh();
-
-    /**
      * Pool equivalent of sim::runSweep: results ordered like @p points,
      * every point carries its own outcome, journaled points replay.
      */

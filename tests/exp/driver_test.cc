@@ -139,6 +139,23 @@ TEST(ParseDriverArgs, Rejections)
     EXPECT_TRUE(fails({"run", "smoke", "--trace-limit=1x"}));
     EXPECT_TRUE(fails({"run", "smoke", "--trace="}));
     EXPECT_TRUE(fails({"run", "smoke", "--timeseries="}));
+
+    const auto failsWith = [&](std::vector<const char *> argv,
+                               const std::string &diagnostic) {
+        return fails(argv) &&
+               error.find(diagnostic) != std::string::npos;
+    };
+    // --json belongs to `status`; everywhere else --format json does
+    // that job, and the diagnostic says so instead of ignoring it.
+    EXPECT_TRUE(failsWith({"run", "smoke", "--json"}, "--format json"));
+    for (const char *command :
+         {"serve", "submit", "jobs", "cancel", "metrics"}) {
+        EXPECT_TRUE(failsWith({command, "/tmp/x"}, "unknown command"))
+            << command;
+    }
+    EXPECT_TRUE(failsWith({"run", "smoke", "--wait"}, "unknown option"));
+    EXPECT_TRUE(
+        failsWith({"run", "smoke", "--queue-cap", "4"}, "unknown option"));
 }
 
 TEST(DriverList, EnumeratesEveryExperimentExactlyOnce)

@@ -274,6 +274,22 @@ TEST(ObsDriver, StatusSubcommandRendersFinishedSweep)
     EXPECT_NE(report.find("sweep 'smoke_grid'"), std::string::npos);
     EXPECT_NE(report.find("finished"), std::string::npos);
     EXPECT_NE(report.find("9/9"), std::string::npos);
+
+    // --json prints the snapshot itself, one parseable document.
+    ASSERT_EQ(runDriver({"status", dir.string(), "--json"}, {},
+                        (dir / "status_json.log").string(),
+                        (dir / "status_json_err.log").string()),
+              0);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(slurp(dir / "status_json.log"), &doc, &error))
+        << error;
+    ASSERT_NE(doc.find("schema"), nullptr);
+    EXPECT_EQ(doc.find("schema")->string, "padc-sweep-status-v1");
+    ASSERT_NE(doc.find("state"), nullptr);
+    EXPECT_EQ(doc.find("state")->string, "finished");
+    ASSERT_NE(doc.find("done"), nullptr);
+    EXPECT_EQ(doc.find("done")->number, 9.0);
     std::filesystem::remove_all(dir);
 }
 
@@ -284,7 +300,15 @@ TEST(ObsDriver, StatusSubcommandFailsCleanlyWithoutStatusFile)
                         (dir / "out.log").string(),
                         (dir / "err.log").string()),
               1);
-    EXPECT_FALSE(slurp(dir / "err.log").empty());
+    // A dir nothing ever ran in explains itself instead of dumping a
+    // raw open(2) failure.
+    EXPECT_NE(slurp(dir / "err.log").find("no sweep has run here"),
+              std::string::npos);
+    EXPECT_EQ(runDriver({"status", dir.string(), "--json"}, {},
+                        (dir / "json_out.log").string(),
+                        (dir / "json_err.log").string()),
+              1);
+    EXPECT_TRUE(slurp(dir / "json_out.log").empty());
     std::filesystem::remove_all(dir);
 }
 

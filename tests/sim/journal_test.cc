@@ -2,7 +2,8 @@
  * @file
  * Tests for the sweep checkpoint/resume journal: key coverage,
  * bit-identical replay, kill-safety (partial trailing lines, corrupt
- * lines), and the killed-then-resumed sweep acceptance criterion.
+ * lines), the killed-then-resumed sweep acceptance criterion, and a
+ * graceful stop raised mid-sweep by one runner thread.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -17,6 +19,7 @@
 
 #include "field_walk.hh"
 #include "sim/experiment.hh"
+#include "sim/interrupt.hh"
 #include "sim/journal.hh"
 #include "sim/parallel.hh"
 
@@ -382,6 +385,63 @@ TEST_F(JournalTest, KilledThenResumedSweepIsBitIdenticalToStraightRun)
     for (std::size_t i = 0; i < results.size(); ++i) {
         SCOPED_TRACE("point " + std::to_string(i));
         expectBitIdentical(reference[i], results[i]);
+    }
+}
+
+TEST_F(JournalTest, StopRaisedOnOneRunnerThreadStopsTheOthersAndResumes)
+{
+    // Twelve distinct points on four threads. The test hook raises the
+    // stop flag from whichever runner thread completes the second point
+    // while the other threads poll it in runPoint, so under the tsan
+    // preset this is the cross-thread check of the flag.
+    const workload::Mix mix = {"libquantum_06", "milc_06"};
+    std::vector<SweepPoint> points;
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+        RunOptions options = quickOptions();
+        options.mix_seed = seed;
+        points.push_back(
+            {applyPolicy(base2(), PolicySetup::Padc), mix, options});
+    }
+    ParallelExperimentRunner runner(4);
+
+    ::setenv("PADC_TEST_INTERRUPT_AFTER", "2", 1);
+    resetInterruptState();
+    std::vector<Result<RunMetrics>> first;
+    {
+        SweepJournal journal(path_);
+        first = runSweep(points, runner, &journal);
+    }
+    ::unsetenv("PADC_TEST_INTERRUPT_AFTER");
+    resetInterruptState();
+
+    std::size_t ok = 0;
+    for (const auto &result : first) {
+        if (result.outcome.status == PointStatus::Ok) {
+            ++ok;
+            EXPECT_EQ(result.outcome.attempts, 1u);
+        } else {
+            EXPECT_EQ(result.outcome.status, PointStatus::Failed);
+            EXPECT_EQ(result.outcome.detail, kInterruptedDetail);
+            EXPECT_EQ(result.outcome.attempts, 0u);
+        }
+    }
+    // The two points that spent the budget, plus at most the three the
+    // other threads had already started when the flag rose.
+    EXPECT_GE(ok, 2u);
+    EXPECT_LE(ok, 5u);
+
+    // Only the finished points were journaled; a resume replays exactly
+    // those and runs the rest.
+    SweepJournal resumed(path_);
+    EXPECT_EQ(resumed.loadedEntries(), ok);
+    const auto second = runSweep(points, runner, &resumed);
+    EXPECT_EQ(resumed.hits(), ok);
+    ASSERT_EQ(second.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        SCOPED_TRACE("point " + std::to_string(i));
+        EXPECT_EQ(second[i].outcome.status, PointStatus::Ok);
+        EXPECT_EQ(second[i].outcome.attempts,
+                  first[i].outcome.status == PointStatus::Ok ? 0u : 1u);
     }
 }
 
