@@ -42,28 +42,30 @@ CacheConfig::validate(ConfigErrors &errors, const std::string &prefix) const
 
 SetAssocCache::SetAssocCache(const CacheConfig &config, std::string name)
     : config_(config), name_(std::move(name)),
+      set_mask_(config.sets() - 1),
       lines_(static_cast<std::size_t>(config.sets()) * config.ways),
-      repl_(config.repl)
+      tags_(lines_.size(), kInvalidAddr), repl_(config.repl)
 {
     assert(config_.valid());
 }
 
-std::uint32_t
-SetAssocCache::setIndex(Addr line_addr) const
+std::size_t
+SetAssocCache::setBase(Addr line_addr) const
 {
-    return static_cast<std::uint32_t>(lineIndex(line_addr) &
-                                      (config_.sets() - 1));
+    return static_cast<std::size_t>(lineIndex(line_addr) & set_mask_) *
+           config_.ways;
 }
 
 Line *
 SetAssocCache::lookup(Addr addr)
 {
+    // Line addresses have their offset bits clear, so an invalid way's
+    // kInvalidAddr never matches and the scan reads only the tags.
     const Addr line_addr = lineAlign(addr);
-    const std::uint32_t set = setIndex(line_addr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * config_.ways];
+    const std::size_t base = setBase(line_addr);
     for (std::uint32_t way = 0; way < config_.ways; ++way) {
-        if (base[way].valid && base[way].line_addr == line_addr)
-            return &base[way];
+        if (tags_[base + way] == line_addr)
+            return &lines_[base + way];
     }
     return nullptr;
 }
@@ -106,26 +108,19 @@ SetAssocCache::fill(Addr addr, CoreId owner, Addr pc, bool prefetched,
     const Addr line_addr = lineAlign(addr);
     assert(lookup(line_addr) == nullptr && "fill of already-present line");
 
-    const std::uint32_t set = setIndex(line_addr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * config_.ways];
-
-    Line *slot = nullptr;
-    for (std::uint32_t way = 0; way < config_.ways; ++way) {
-        if (!base[way].valid) {
-            slot = &base[way];
-            break;
-        }
-    }
+    const std::size_t base = setBase(line_addr);
+    std::uint32_t way = 0;
+    while (way < config_.ways && tags_[base + way] != kInvalidAddr)
+        ++way;
 
     EvictResult evicted;
-    if (slot == nullptr) {
-        std::vector<std::uint64_t> stamps(config_.ways);
-        for (std::uint32_t way = 0; way < config_.ways; ++way)
-            stamps[way] = base[way].stamp;
-        Line &victim = base[repl_.victim(stamps)];
-
+    if (way == config_.ways) {
+        way = repl_.victim(config_.ways, [&](std::uint32_t w) {
+            return lines_[base + w].stamp;
+        });
+        const Line &victim = lines_[base + way];
         evicted.valid = true;
-        evicted.line_addr = victim.line_addr;
+        evicted.line_addr = tags_[base + way];
         evicted.dirty = victim.dirty;
         evicted.prefetched_unused = victim.prefetched;
         evicted.owner = victim.owner;
@@ -137,18 +132,17 @@ SetAssocCache::fill(Addr addr, CoreId owner, Addr pc, bool prefetched,
             ++stats_.dirty_evictions;
         if (victim.prefetched)
             ++stats_.useless_evictions;
-        slot = &victim;
     }
 
-    slot->line_addr = line_addr;
-    slot->valid = true;
-    slot->dirty = false;
-    slot->prefetched = prefetched;
-    slot->owner = owner;
-    slot->pc = pc;
-    slot->fill_row_hit = fill_row_hit;
-    slot->service_time = service_time;
-    slot->stamp = next_stamp_++;
+    tags_[base + way] = line_addr;
+    Line &slot = lines_[base + way];
+    slot.dirty = false;
+    slot.prefetched = prefetched;
+    slot.owner = owner;
+    slot.pc = pc;
+    slot.fill_row_hit = fill_row_hit;
+    slot.service_time = service_time;
+    slot.stamp = next_stamp_++;
     ++stats_.fills;
     return evicted;
 }
@@ -160,11 +154,8 @@ SetAssocCache::invalidate(Addr addr)
     if (line == nullptr)
         return false;
     const bool was_dirty = line->dirty;
-    line->valid = false;
-    line->dirty = false;
-    line->prefetched = false;
-    line->line_addr = kInvalidAddr;
-    line->stamp = 0;
+    tags_[static_cast<std::size_t>(line - lines_.data())] = kInvalidAddr;
+    *line = Line{};
     return was_dirty;
 }
 

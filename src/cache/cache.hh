@@ -66,11 +66,12 @@ forEachField(S &s, V &&v)
 }
 static_assert(fields::complete<CacheConfig>());
 
-/** Per-line metadata. */
+/**
+ * Per-line metadata. The line's address and validity are not here: the
+ * cache keeps them in its tag column, so a lookup scans packed tags.
+ */
 struct Line
 {
-    Addr line_addr = kInvalidAddr; ///< line-aligned address (tag+index)
-    bool valid = false;
     bool dirty = false;
 
     /** P bit: filled by a prefetch and not yet referenced by a demand. */
@@ -86,6 +87,8 @@ struct Line
 
     std::uint64_t stamp = 0; ///< recency (larger = newer)
 };
+static_assert(sizeof(Line) <= 32, "a line's address lives in the tag "
+                                  "column, not in Line");
 
 /** Result of inserting a line: describes the evicted victim, if any. */
 struct EvictResult
@@ -154,6 +157,12 @@ class SetAssocCache
      */
     bool invalidate(Addr addr);
 
+    /**
+     * Count @p n demand misses without a lookup: the replay of accesses
+     * that provably miss (a core's skipped retries of a bounced access).
+     */
+    void addMisses(std::uint64_t n) { stats_.misses += n; }
+
     const CacheStats &stats() const { return stats_; }
 
     const CacheConfig &config() const { return config_; }
@@ -168,19 +177,23 @@ class SetAssocCache
     void
     forEachLine(Fn &&fn) const
     {
-        for (const auto &line : lines_) {
-            if (line.valid)
-                fn(line);
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
+            if (tags_[i] != kInvalidAddr)
+                fn(lines_[i]);
         }
     }
 
   private:
-    std::uint32_t setIndex(Addr line_addr) const;
+    /** Index of @p line_addr's first way in tags_ and lines_. */
+    std::size_t setBase(Addr line_addr) const;
     Line *lookup(Addr addr);
 
     CacheConfig config_;
     std::string name_;
-    std::vector<Line> lines_; ///< sets_ * ways_, set-major
+    std::uint64_t set_mask_; ///< sets - 1 (the set count is a power of 2)
+    std::vector<Line> lines_; ///< metadata, sets x ways, set-major
+    /** Line address per way of lines_ (kInvalidAddr = invalid). */
+    std::vector<Addr> tags_;
     ReplacementPolicy repl_;
     std::uint64_t next_stamp_ = 1;
     CacheStats stats_;

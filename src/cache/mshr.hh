@@ -17,10 +17,10 @@
 #define PADC_CACHE_MSHR_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/line_index.hh"
 #include "common/types.hh"
 
 namespace padc::cache
@@ -63,22 +63,35 @@ struct MshrEntry
 };
 
 /**
- * Fixed-capacity MSHR file, indexed by line address.
+ * Fixed-capacity MSHR file, indexed by line address: entries live in a
+ * slot array found through a LineIndex, so lookups probe a small flat
+ * table and nothing is allocated once every slot's waiter list has
+ * grown to its working size.
  */
 class MshrFile
 {
   public:
     explicit MshrFile(std::uint32_t capacity);
 
-    bool full() const { return entries_.size() >= capacity_; }
+    bool full() const { return free_.empty(); }
 
-    std::size_t size() const { return entries_.size(); }
+    std::size_t size() const { return slots_.size() - free_.size(); }
 
-    std::uint32_t capacity() const { return capacity_; }
+    std::uint32_t capacity() const
+    {
+        return static_cast<std::uint32_t>(slots_.size());
+    }
 
     /** Find the entry for @p line_addr, or nullptr. */
-    MshrEntry *find(Addr line_addr);
-    const MshrEntry *find(Addr line_addr) const;
+    MshrEntry *find(Addr line_addr)
+    {
+        const std::uint32_t slot = index_.find(line_addr);
+        return slot == LineIndex::kNone ? nullptr : &slots_[slot];
+    }
+    const MshrEntry *find(Addr line_addr) const
+    {
+        return const_cast<MshrFile *>(this)->find(line_addr);
+    }
 
     /**
      * Allocate an entry. @pre !full() && find(line_addr) == nullptr.
@@ -93,8 +106,9 @@ class MshrFile
     std::size_t peak() const { return peak_; }
 
   private:
-    std::uint32_t capacity_;
-    std::unordered_map<Addr, MshrEntry> entries_;
+    std::vector<MshrEntry> slots_;
+    std::vector<std::uint32_t> free_; ///< free slot numbers
+    LineIndex index_;                 ///< line address -> slot
     std::size_t peak_ = 0;
 };
 

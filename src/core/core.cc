@@ -157,6 +157,7 @@ Core::fetch(Cycle now)
 void
 Core::issue(Cycle now)
 {
+    issue_parked_ = false;
     std::uint32_t issued = 0;
     while (!issue_q_.empty() && issued < config_.mem_issue_width &&
            mem_ops_in_flight_ < config_.lsq_size) {
@@ -170,6 +171,7 @@ Core::issue(Cycle now)
             /*runahead=*/false, now);
         if (reply.status == AccessStatus::Retry) {
             ++stats_.issue_retries;
+            issue_parked_ = reply.park;
             break; // resources full; keep in-order issue attempts
         }
         entry->issued = true;
@@ -271,6 +273,7 @@ Core::completeLoad(std::uint64_t tag, Cycle now)
 
     if (runahead_active_ && tag == runahead_blocking_tag_)
         runahead_active_ = false;
+    issue_parked_ = false;
 }
 
 void
@@ -306,13 +309,16 @@ Core::nextEventCycle(Cycle from) const
     if (instrs_in_window_ < config_.window_size)
         return from; // fetch makes progress (trace sources never run dry)
 
-    if (!issue_q_.empty()) {
+    // An issue attempt has observable side effects (port access, retry
+    // accounting) even when it bounces, so a cycle with one cannot be
+    // skipped -- unless it is parked: then it bounces identically every
+    // cycle until the memory port unparks the core, and skipped cycles
+    // replay its counters (accountIdleCycles here, the port's own in the
+    // System) instead.
+    if (!issue_q_.empty() && !issue_parked_) {
         const RobEntry *front = issue_q_.front();
         if (!(front->dependent && mem_ops_in_flight_ > 0) &&
             mem_ops_in_flight_ < config_.lsq_size) {
-            // An issue attempt has observable side effects (port access,
-            // retry accounting) even when it bounces, so any cycle with
-            // one cannot be skipped.
             return from;
         }
     }
@@ -336,10 +342,12 @@ Core::accountIdleCycles(std::uint64_t cycles)
 {
     // The gap invariant guarantees the retire stage saw the same
     // not-yet-done load head in every skipped cycle (any state change
-    // would have been an event); only that case increments a per-cycle
-    // counter in tick().
+    // would have been an event), and a parked issue stage the same
+    // bounce; only those cases increment a per-cycle counter in tick().
     if (!rob_.empty() && rob_.front().is_mem && rob_.front().is_load)
         stats_.load_stall_cycles += cycles;
+    if (issue_parked_)
+        stats_.issue_retries += cycles;
 }
 
 } // namespace padc::core

@@ -77,6 +77,13 @@ struct AccessReply
 {
     AccessStatus status = AccessStatus::Complete;
     Cycle ready = 0; ///< valid when status == Complete
+
+    /**
+     * Retry only: the access bounced off a full L2 MSHR file, so every
+     * retry bounces the same way until that file releases an entry,
+     * and the memory port wakes the core (Core::unpark) when it does.
+     */
+    bool park = false;
 };
 
 /**
@@ -131,25 +138,37 @@ class Core
     /**
      * Earliest cycle >= @p from at which a tick() of this core could
      * make progress or have any side effect beyond the head-load stall
-     * counter (which accountIdleCycles() reproduces for skipped
+     * counter and a parked issue stage's bounce (which
+     * accountIdleCycles() and the memory port reproduce for skipped
      * cycles): @p from itself when any pipeline stage can act this
      * cycle, the head load's known completion time when the core is
      * fully stalled on it, or kNeverCycle when the core can only be
-     * woken by a completeLoad() from the memory system (whose timing
-     * the controller's own next-event computation bounds).
+     * woken by a completeLoad() or an unpark() from the memory system
+     * (whose timing the controller's own next-event computation
+     * bounds).
      */
     Cycle nextEventCycle(Cycle from) const;
 
     /**
      * Account for skipped cycles during which this core was provably
-     * stalled: reproduces the per-cycle head-load stall increment the
-     * legacy loop would have made. @pre nextEventCycle(from) covered
-     * every skipped cycle, so the stall condition held throughout.
+     * stalled: reproduces the per-cycle head-load stall increment and,
+     * while the issue stage is parked, the retry count of the bounce
+     * each skipped tick would have made. @pre nextEventCycle(from)
+     * covered every skipped cycle, so the stall held throughout.
      */
     void accountIdleCycles(std::uint64_t cycles);
 
     /** Completion callback for Pending accesses. */
     void completeLoad(std::uint64_t tag, Cycle now);
+
+    /**
+     * True while the issue stage's last attempt bounced with a parked
+     * reply (AccessReply::park) and nothing has woken it since.
+     */
+    bool issueParked() const { return issue_parked_; }
+
+    /** The bounce behind a park can now resolve: retry for real. */
+    void unpark() { issue_parked_ = false; }
 
     CoreId id() const { return id_; }
 
@@ -196,6 +215,10 @@ class Core
 
     /** Mem entries fetched but not yet successfully issued. */
     std::deque<RobEntry *> issue_q_;
+
+    /** The front of issue_q_ bounced with a parked reply; see
+        issueParked(). */
+    bool issue_parked_ = false;
 
     /**
      * Pending-miss lookup for completeLoad(), keyed by tag. At most

@@ -34,6 +34,8 @@ MemoryController::trackEnqueued(std::uint32_t slot)
     Request &req = pool_.at(slot);
     assert(req.core < num_cores_);
     BankShard &shard = shards_[req.coord.bank];
+    const bool had_preferred =
+        shard.memo_valid && shardHasPreferred(shard, memo_mask_);
     req.bank_slot = static_cast<std::uint32_t>(shard.queued.size());
     shard.queued.push_back(slot);
     switch (req.cls) {
@@ -55,8 +57,9 @@ MemoryController::trackEnqueued(std::uint32_t slot)
         break;
     }
     trackPendingRow(req.coord, +1);
-    shard.wake = 0; // new arrival: rescan this bank
-    shard.memo_valid = false;
+    shard.wake = 0; // new arrival: reconsider this bank
+    if (shard.memo_valid)
+        foldEnqueued(slot, had_preferred);
     occupied_banks_ |= 1ULL << req.coord.bank;
 }
 
@@ -86,7 +89,12 @@ MemoryController::untrackQueued(Request &req)
         break;
     }
     trackPendingRow(req.coord, -1);
-    shard.memo_valid = false;
+    // Only a candidate's departure changes the memo. The last preferred
+    // request of a bank is always a candidate, so this also catches the
+    // departure that unblocks the bank's level-0 requests.
+    const std::uint32_t slot = pool_.slotOf(req);
+    if (slot == shard.memo.hit_slot || slot == shard.memo.miss_slot)
+        shard.memo_valid = false;
 }
 
 void
@@ -169,7 +177,7 @@ MemoryController::enqueueRead(const dram::DramCoord &coord, Addr line_addr,
     // in NDEBUG builds). A demand duplicate promotes the in-flight
     // prefetch, mirroring what the L2 does on a demand match.
     const std::uint32_t existing_slot = read_index_.find(line_addr);
-    if (existing_slot != RequestPool::kNone) {
+    if (existing_slot != LineIndex::kNone) {
         const Request &existing = pool_.at(existing_slot);
         ++stats_.duplicate_reads;
         traceRequest(telemetry::EventKind::Coalesce, existing, now);
@@ -266,7 +274,7 @@ bool
 MemoryController::promote(Addr line_addr, Cycle now)
 {
     const std::uint32_t slot = read_index_.find(line_addr);
-    if (slot == RequestPool::kNone)
+    if (slot == LineIndex::kNone)
         return false;
     Request &req = pool_.at(slot);
     if (!req.isPrefetch())
@@ -348,6 +356,7 @@ MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
                                req.isWrite(), req.coord.bank, req.coord.row,
                                req.seq});
     }
+    bool auto_pre = false;
     switch (cmd) {
       case NextCmd::Precharge:
         channel_.precharge(req.coord.bank, now);
@@ -359,8 +368,8 @@ MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
             req.row_outcome = Request::RowOutcome::Closed;
         break;
       case NextCmd::Column: {
-        const bool auto_pre = config_.row_policy == RowPolicy::Closed &&
-                              !pendingSameRow(req);
+        auto_pre = config_.row_policy == RowPolicy::Closed &&
+                   !pendingSameRow(req);
         req.data_ready =
             channel_.column(req.coord.bank, req.isWrite(), auto_pre, now);
         if (req.row_outcome == Request::RowOutcome::Unknown) {
@@ -388,27 +397,26 @@ MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
         break;
     }
     if (trace_ != nullptr && cmd != NextCmd::None) {
-        telemetry::EventKind kind;
-        switch (cmd) {
-          case NextCmd::Precharge:
+        telemetry::EventKind kind = req.isWrite()
+                                        ? telemetry::EventKind::CmdWrite
+                                        : telemetry::EventKind::CmdRead;
+        if (cmd == NextCmd::Precharge)
             kind = telemetry::EventKind::CmdPrecharge;
-            break;
-          case NextCmd::Activate:
+        else if (cmd == NextCmd::Activate)
             kind = telemetry::EventKind::CmdActivate;
-            break;
-          case NextCmd::Column:
-          case NextCmd::None:
-            kind = req.isWrite() ? telemetry::EventKind::CmdWrite
-                                 : telemetry::EventKind::CmdRead;
-            break;
-        }
         traceRequest(kind, req, now);
     }
-    // The command changed this bank's state (open row and/or readiness),
-    // so its cached wake-up hint and its scan memo are stale.
+    // The command changed this bank's readiness, so its cached wake-up
+    // hint is stale. Its scan memo folds a precharge and survives a
+    // column that leaves the row open (a read's own departure is
+    // untrackQueued's business); an activate or an auto-precharge
+    // changes the open row: rescan.
     BankShard &shard = shards_[req.coord.bank];
     shard.wake = 0;
-    shard.memo_valid = false;
+    if (cmd == NextCmd::Precharge)
+        foldPrecharge(req.coord.bank);
+    else if (cmd != NextCmd::Column || auto_pre)
+        shard.memo_valid = false;
 }
 
 void
@@ -543,18 +551,21 @@ MemoryController::updateCellKeys()
     }
 }
 
-void
-MemoryController::rebuildMemo(std::uint32_t bank)
+MemoryController::ScanMemo
+MemoryController::scanBank(std::uint32_t bank) const
 {
-    BankShard &shard = shards_[bank];
+    const BankShard &shard = shards_[bank];
     const bool has_preferred = shardHasPreferred(shard, memo_mask_);
     // Every request to this bank needs one of at most two commands:
     // Column for the open row and Precharge for any other, or Activate
     // when the bank is closed. The scan reads only the pool's hot
-    // columns and the per-(core, class) key table.
+    // columns and the per-(core, class) key table, and is branch-free:
+    // a class-blocked request keys 0, which no real key equals (its
+    // inverted-arrival field is never 0), so it never wins.
     const std::uint64_t open = channel_.openRow(bank);
     const NextCmd miss_cmd =
         open == dram::kNoOpenRow ? NextCmd::Activate : NextCmd::Precharge;
+    const std::uint8_t wants[2] = {cmdBit(miss_cmd), cmdBit(NextCmd::Column)};
     std::uint8_t blocked_wants = 0;
     std::uint32_t best_slot[2] = {RequestPool::kNone, RequestPool::kNone};
     std::uint64_t best_key[2] = {0, 0}; // [0] row miss, [1] row hit
@@ -563,45 +574,105 @@ MemoryController::rebuildMemo(std::uint32_t bank)
             cell_keys_[pool_.coreOf(slot) * kRequestClassCount +
                        static_cast<std::size_t>(pool_.classOf(slot))];
         const bool row_hit = pool_.rowOf(slot) == open;
-        if (has_preferred && !cell.preferred) {
-            blocked_wants |= cmdBit(row_hit ? NextCmd::Column : miss_cmd);
-            continue;
-        }
-        const std::uint64_t key = cell.high |
-                                  SchedContext::rowHitBits(row_hit) |
-                                  SchedContext::arrivalBits(pool_.seqOf(slot));
-        if (best_slot[row_hit] == RequestPool::kNone ||
-            key > best_key[row_hit]) {
-            best_slot[row_hit] = slot;
-            best_key[row_hit] = key;
-        }
+        const bool blocked = has_preferred && !cell.preferred;
+        blocked_wants |= blocked ? wants[row_hit] : 0;
+        const std::uint64_t key =
+            (cell.high | SchedContext::rowHitBits(row_hit) |
+             SchedContext::arrivalBits(pool_.seqOf(slot))) &
+            (std::uint64_t{blocked} - 1);
+        const bool better = key > best_key[row_hit];
+        best_key[row_hit] = better ? key : best_key[row_hit];
+        best_slot[row_hit] = better ? slot : best_slot[row_hit];
     }
-    shard.miss_cmd = miss_cmd;
-    shard.blocked_wants = blocked_wants;
-    shard.miss_slot = best_slot[0];
-    shard.miss_key = best_key[0];
-    shard.hit_slot = best_slot[1];
-    shard.hit_key = best_key[1];
+    ScanMemo memo;
+    memo.miss_cmd = miss_cmd;
+    memo.blocked_wants = blocked_wants;
+    memo.miss_slot = best_slot[0];
+    memo.miss_key = best_key[0];
+    memo.hit_slot = best_slot[1];
+    memo.hit_key = best_key[1];
+    return memo;
+}
+
+void
+MemoryController::rebuildMemo(std::uint32_t bank)
+{
+    BankShard &shard = shards_[bank];
+    shard.memo = scanBank(bank);
     shard.memo_valid = true;
+}
+
+void
+MemoryController::foldEnqueued(std::uint32_t slot, bool had_preferred)
+{
+    const std::uint32_t bank = pool_.at(slot).coord.bank;
+    BankShard &shard = shards_[bank];
+    ScanMemo &memo = shard.memo;
+    // An arrival that gives the bank its first preferred request blocks
+    // every level-0 request already queued there: rescan.
+    const bool has_preferred = shardHasPreferred(shard, memo_mask_);
+    if (has_preferred != had_preferred) {
+        shard.memo_valid = false;
+        return;
+    }
+    const CellKey &cell =
+        cell_keys_[pool_.coreOf(slot) * kRequestClassCount +
+                   static_cast<std::size_t>(pool_.classOf(slot))];
+    const bool row_hit = pool_.rowOf(slot) == channel_.openRow(bank);
+    if (has_preferred && !cell.preferred) {
+        memo.blocked_wants |=
+            cmdBit(row_hit ? NextCmd::Column : memo.miss_cmd);
+        return;
+    }
+    const std::uint64_t key = cell.high | SchedContext::rowHitBits(row_hit) |
+                              SchedContext::arrivalBits(pool_.seqOf(slot));
+    std::uint32_t &best_slot = row_hit ? memo.hit_slot : memo.miss_slot;
+    std::uint64_t &best_key = row_hit ? memo.hit_key : memo.miss_key;
+    if (key > best_key) {
+        best_slot = slot;
+        best_key = key;
+    }
+}
+
+void
+MemoryController::foldPrecharge(std::uint32_t bank)
+{
+    BankShard &shard = shards_[bank];
+    if (!shard.memo_valid)
+        return;
+    // The bank is closed now, so every queued request needs an Activate
+    // and keys without the row-hit bit. That bit is common to all
+    // former row hits, so the best of them stays their best; the
+    // better of it and the old row-miss candidate is the new one.
+    ScanMemo &memo = shard.memo;
+    const std::uint64_t hit_key =
+        memo.hit_key & ~SchedContext::rowHitBits(true);
+    if (hit_key > memo.miss_key) {
+        memo.miss_slot = memo.hit_slot;
+        memo.miss_key = hit_key;
+    }
+    memo.hit_slot = RequestPool::kNone;
+    memo.hit_key = 0;
+    memo.miss_cmd = NextCmd::Activate;
+    if (memo.blocked_wants != 0)
+        memo.blocked_wants = cmdBit(NextCmd::Activate);
 }
 
 void
 MemoryController::checkMemo(std::uint32_t bank) const
 {
 #ifndef NDEBUG
-    const BankShard &shard = shards_[bank];
-    const std::uint64_t open = channel_.openRow(bank);
-    assert((shard.miss_cmd == NextCmd::Activate) ==
-           (open == dram::kNoOpenRow));
-    for (const std::uint32_t slot : {shard.hit_slot, shard.miss_slot}) {
-        if (slot == RequestPool::kNone)
-            continue;
-        const Request &req = pool_.at(slot);
-        assert(req.state == RequestState::Queued);
-        assert(req.coord.bank == bank);
-        assert(shard.queued[req.bank_slot] == slot);
-        assert((slot == shard.hit_slot) == (req.coord.row == open));
-    }
+    // The folds must leave exactly what a rescan would find, apart from
+    // blocked_wants bits whose blocked requests have since left.
+    const ScanMemo &memo = shards_[bank].memo;
+    const ScanMemo fresh = scanBank(bank);
+    assert(memo.miss_cmd == fresh.miss_cmd);
+    assert(memo.hit_slot == fresh.hit_slot);
+    assert(memo.hit_key == fresh.hit_key);
+    assert(memo.miss_slot == fresh.miss_slot);
+    assert(memo.miss_key == fresh.miss_key);
+    assert((memo.blocked_wants & fresh.blocked_wants) ==
+           fresh.blocked_wants);
 #else
     (void)bank;
 #endif
@@ -653,7 +724,8 @@ MemoryController::scheduleRead(Cycle now)
         // request, so each memoized candidate costs one probe. Commands
         // nobody can issue this cycle feed the wake-up hint instead.
         bool issuable_here = false;
-        std::uint8_t wants = shard.blocked_wants;
+        const ScanMemo &memo = shard.memo;
+        std::uint8_t wants = memo.blocked_wants;
         const auto offer = [&](std::uint32_t slot, std::uint64_t key,
                                NextCmd cmd, bool legal) {
             if (!legal) {
@@ -667,13 +739,13 @@ MemoryController::scheduleRead(Cycle now)
                 best_cmd = cmd;
             }
         };
-        if (shard.hit_slot != RequestPool::kNone) {
-            offer(shard.hit_slot, shard.hit_key, NextCmd::Column,
+        if (memo.hit_slot != RequestPool::kNone) {
+            offer(memo.hit_slot, memo.hit_key, NextCmd::Column,
                   channel_.canColumn(b, false, now));
         }
-        if (shard.miss_slot != RequestPool::kNone) {
-            offer(shard.miss_slot, shard.miss_key, shard.miss_cmd,
-                  shard.miss_cmd == NextCmd::Activate
+        if (memo.miss_slot != RequestPool::kNone) {
+            offer(memo.miss_slot, memo.miss_key, memo.miss_cmd,
+                  memo.miss_cmd == NextCmd::Activate
                       ? channel_.canActivate(b, now)
                       : channel_.canPrecharge(b, now));
         }
@@ -702,9 +774,10 @@ MemoryController::scheduleRead(Cycle now)
     const std::uint32_t bank = pool_.at(best_slot).coord.bank;
     issueCommand(pool_.at(best_slot), best_cmd,
                  best_cmd == NextCmd::Column, now);
-    // The next round would rescan this bank anyway; doing it now lets
-    // the next-event bound read the memo instead of walking the bank.
-    if (!shards_[bank].queued.empty())
+    // A command the memo could not fold means the next round would
+    // rescan this bank anyway; doing it now lets the next-event bound
+    // read the memo instead of walking the bank.
+    if (!shards_[bank].queued.empty() && !shards_[bank].memo_valid)
         rebuildMemo(bank);
     return true;
 }
@@ -811,11 +884,17 @@ MemoryController::scheduleWrite(Cycle now)
 }
 
 void
-MemoryController::tick(Cycle now)
+MemoryController::tickEdge(Cycle now)
 {
-    const auto &timing = channel_.timing();
-    if (now % timing.cpu_per_dram_cycle != 0)
-        return;
+    const Cycle period = channel_.timing().cpu_per_dram_cycle;
+    if (now != next_edge_) {
+        // Time moved past the expected edge without skipTo() (a caller
+        // stepping in strides): realign.
+        next_edge_ = (now + period - 1) / period * period;
+        if (now != next_edge_)
+            return;
+    }
+    next_edge_ = now + period;
 
     ++stats_.dram_cycles;
     stats_.read_queue_occupancy_sum += pool_.size();
@@ -907,10 +986,11 @@ MemoryController::nextEventCycle(Cycle from) const
             bool want_col = false;
             bool want_pre = false;
             if (memos_current && shard.memo_valid) {
-                const bool want_miss = shard.miss_slot != RequestPool::kNone;
-                want_col = shard.hit_slot != RequestPool::kNone;
-                want_act = want_miss && shard.miss_cmd == NextCmd::Activate;
-                want_pre = want_miss && shard.miss_cmd == NextCmd::Precharge;
+                const ScanMemo &memo = shard.memo;
+                const bool want_miss = memo.miss_slot != RequestPool::kNone;
+                want_col = memo.hit_slot != RequestPool::kNone;
+                want_act = want_miss && memo.miss_cmd == NextCmd::Activate;
+                want_pre = want_miss && memo.miss_cmd == NextCmd::Precharge;
             } else {
                 // A shard can hold a class-blocked request only when it
                 // mixes the preferred and deprioritized lattice levels;
@@ -1071,6 +1151,7 @@ MemoryController::skipTo(Cycle from, Cycle to)
     if (first >= to)
         return; // the gap contains no DRAM cycle
     const std::uint64_t ticks = (to - 1 - first) / period + 1;
+    next_edge_ = first + ticks * period; // the first edge at or after to
     stats_.dram_cycles += ticks;
     stats_.read_queue_occupancy_sum +=
         ticks * static_cast<std::uint64_t>(pool_.size());

@@ -24,8 +24,9 @@
  *  - per-bank lists of *queued* reads, so a round never walks requests
  *    that are already in flight;
  *  - a per-bank memo of the best unblocked row-hit and row-miss
- *    candidates, so a round rescans only banks whose queue, open row or
- *    priority inputs changed and costs O(banks) otherwise;
+ *    candidates that folds enqueues and precharges in O(1), so a round
+ *    rescans only banks that lost a candidate, opened a row or had
+ *    their priority inputs change, and costs O(banks) otherwise;
  *  - a cached per-bank wake-up cycle (lower bound on the next cycle any
  *    command to that bank could be bank-locally legal), invalidated on
  *    enqueue and whenever a command changes the bank's state;
@@ -49,11 +50,13 @@
 #define PADC_MEMCTRL_CONTROLLER_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <list>
 #include <unordered_map>
 #include <vector>
 
+#include "common/line_index.hh"
 #include "common/types.hh"
 #include "dram/address_map.hh"
 #include "dram/channel.hh"
@@ -184,11 +187,23 @@ class MemoryController
     /** True if a read for @p line_addr is outstanding here. */
     bool hasRead(Addr line_addr) const
     {
-        return read_index_.find(line_addr) != RequestPool::kNone;
+        return read_index_.find(line_addr) != LineIndex::kNone;
     }
 
-    /** Advance the controller; call once per processor cycle. */
-    void tick(Cycle now);
+    /**
+     * Advance the controller; call once per processor cycle, never with
+     * a decreasing cycle. Only DRAM clock edges do work, so the common
+     * call is one compare against the next edge.
+     */
+    void tick(Cycle now)
+    {
+        // An edge before next_edge_ has passed already; this also
+        // rejects every call a `now % period` test would answer
+        // differently.
+        assert(now + channel_.timing().cpu_per_dram_cycle > next_edge_);
+        if (now >= next_edge_)
+            tickEdge(now);
+    }
 
     /**
      * Earliest cycle >= @p from at which a tick() of this controller
@@ -254,11 +269,31 @@ class MemoryController
     /** The next DRAM command a request needs, given current bank state. */
     enum class NextCmd : std::uint8_t { Precharge, Activate, Column, None };
 
-    /** Bit of @p cmd in a BankShard::blocked_wants set. */
+    /** Bit of @p cmd in a ScanMemo::blocked_wants set. */
     static constexpr std::uint8_t cmdBit(NextCmd cmd)
     {
         return static_cast<std::uint8_t>(1u << static_cast<unsigned>(cmd));
     }
+
+    /** What one walk of a bank's queued reads yields (DESIGN.md
+        section 6.1). Keys are exact for memo_mask_ and the ranks;
+        legality is never memoized. */
+    struct ScanMemo
+    {
+        /** Command the row-miss candidate needs: Activate when the bank
+            is closed, else Precharge. */
+        NextCmd miss_cmd = NextCmd::None;
+        /** cmdBit() set of the commands class-blocked requests need. May
+            keep a bit after its last blocked request left, which only
+            wakes the bank early. */
+        std::uint8_t blocked_wants = 0;
+        /** Best unblocked row-hit / row-miss request (RequestPool::kNone
+            when there is none) and its priority key (0 when none). */
+        std::uint32_t hit_slot = RequestPool::kNone;
+        std::uint32_t miss_slot = RequestPool::kNone;
+        std::uint64_t hit_key = 0;
+        std::uint64_t miss_key = 0;
+    };
 
     /** Scheduler shard for one DRAM bank. */
     struct BankShard
@@ -283,27 +318,19 @@ class MemoryController
         std::vector<std::uint32_t> pref_by_core;
         std::uint64_t pref_core_mask = 0;
 
-        /** Scan memo: the result of the last full walk of `queued`,
-            reusable while memo_valid (see DESIGN.md section 6.1 for
-            every event that clears it). Keys are exact for the memo's
-            accurate-core mask and ranks; legality is never memoized. */
+        /** Scan memo: equal to a fresh scanBank() while memo_valid.
+            Enqueues and precharges fold into it; DESIGN.md section 6.1
+            lists every event that folds, keeps or clears it. */
         bool memo_valid = false;
-        /** Command the row-miss candidate needs: Activate when the bank
-            was closed at the scan, else Precharge. */
-        NextCmd miss_cmd = NextCmd::None;
-        /** cmdBit() set of the commands class-blocked requests need. */
-        std::uint8_t blocked_wants = 0;
-        /** Best unblocked row-hit / row-miss request (RequestPool::kNone
-            when there is none) and its priority key. */
-        std::uint32_t hit_slot = RequestPool::kNone;
-        std::uint32_t miss_slot = RequestPool::kNone;
-        std::uint64_t hit_key = 0;
-        std::uint64_t miss_key = 0;
+        ScanMemo memo;
     };
 
     NextCmd nextCommand(const Request &req, bool *row_hit) const;
     bool commandIssuable(const Request &req, NextCmd cmd, Cycle now) const;
     void issueCommand(Request &req, NextCmd cmd, bool row_hit, Cycle now);
+
+    /** tick() at or past next_edge_. */
+    void tickEdge(Cycle now);
 
     void completeFinished(Cycle now);
     void runApd(Cycle now);
@@ -331,8 +358,19 @@ class MemoryController
     bool shardHasPreferred(const BankShard &shard,
                            std::uint64_t accurate_mask) const;
 
+    /** Walk bank @p bank's queued reads: a max-reduction of their keys
+        over the pool's hot columns. */
+    ScanMemo scanBank(std::uint32_t bank) const;
+
     /** Rescan bank @p bank's queued reads into its memo. */
     void rebuildMemo(std::uint32_t bank);
+
+    /** Fold newly queued @p slot into its bank's valid memo; the bank
+        held a preferred request before it iff @p had_preferred. */
+    void foldEnqueued(std::uint32_t slot, bool had_preferred);
+
+    /** Fold a precharge of bank @p bank into its valid memo. */
+    void foldPrecharge(std::uint32_t bank);
 
     /** Recompute cell_keys_ for memo_mask_ and the current ranks. */
     void updateCellKeys();
@@ -340,7 +378,8 @@ class MemoryController
     /** Clear every bank's memo (refresh, mask or rank change). */
     void invalidateMemos();
 
-    /** Debug check that bank @p bank's valid memo matches its state. */
+    /** Debug check that bank @p bank's valid memo matches a fresh
+        scanBank() (blocked_wants may hold stale extra bits). */
     void checkMemo(std::uint32_t bank) const;
 
     /** Bank-local lower bound for @p cmd on bank @p bank. */
@@ -429,6 +468,10 @@ class MemoryController
         repeat the division. */
     mutable Cycle nec_from_ = kNeverCycle;
     mutable Cycle nec_next_tick_ = 0;
+
+    /** First DRAM clock edge tick() has not reached yet: a tick before
+        it is not a DRAM cycle, so the per-cycle test is a compare. */
+    Cycle next_edge_ = 0;
 
     /** Pool slots of in-flight (Servicing) reads, kept sorted by seq so
         same-cycle completions fire in the same order as a full queue

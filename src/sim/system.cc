@@ -220,9 +220,8 @@ System::fillL1(CoreId core, Addr line_addr, bool dirty, Cycle now)
 }
 
 void
-System::resolveUseful(cache::Line &line, Cycle now)
+System::resolveUseful(cache::Line &line, Addr line_addr)
 {
-    (void)now;
     line.prefetched = false;
     tracker_->onPrefetchUsed(line.owner);
     CoreMemStats &ms = mem_[line.owner];
@@ -232,7 +231,7 @@ System::resolveUseful(cache::Line &line, Cycle now)
         ++ms.useful_req_row_hits;
     useful_hist_.sample(line.service_time);
     if (config_.ddpf_enabled)
-        ddpf_[line.owner]->update(line.line_addr, line.pc, true);
+        ddpf_[line.owner]->update(line_addr, line.pc, true);
     if (config_.fdp_enabled)
         ++fdp_[line.owner].counts.prefetches_used;
 }
@@ -310,7 +309,7 @@ System::access(CoreId core, Addr addr, Addr pc, bool is_load,
 
     if (!l2_miss) {
         if (l2_line->prefetched)
-            resolveUseful(*l2_line, now);
+            resolveUseful(*l2_line, lineAlign(addr));
         fillL1(core, lineAlign(addr), !is_load, now);
         reply = {core::AccessStatus::Complete,
                  now + config_.l1.hit_latency + config_.l2.hit_latency};
@@ -347,10 +346,16 @@ System::access(CoreId core, Addr addr, Addr pc, bool is_load,
             traceMshr(telemetry::EventKind::MshrCoalesce, core, line_addr,
                       entry->cls, now);
             reply = {core::AccessStatus::Pending, 0};
+        } else if (mshr.full()) {
+            // Nothing can fill this line or let the access coalesce
+            // while the file stays full, so every retry bounces exactly
+            // like this one until a release: park the issue stage
+            // (settleIdle() counts the skipped retries, wakeParked()
+            // ends the park).
+            reply = {core::AccessStatus::Retry, 0, /*park=*/true};
         } else {
             const dram::DramCoord coord = dram_->map(line_addr);
-            if (mshr.full() ||
-                !controllerFor(coord).enqueueRead(
+            if (!controllerFor(coord).enqueueRead(
                     coord, line_addr, core, pc, RequestClass::DemandRead,
                     now)) {
                 reply = {core::AccessStatus::Retry, 0};
@@ -451,12 +456,14 @@ System::dramReadComplete(const memctrl::Request &req, Cycle now)
     if (!still_prefetch)
         fillL1(core, line_addr, entry->store_waiting, now);
     for (const cache::LoadToken &waiter : entry->waiters) {
+        settleIdle(waiter.core, now); // before completeLoad() unparks
         cores_[waiter.core]->completeLoad(waiter.tag, now);
         core_next_[waiter.core] = 0; // woken: cached bound is stale
     }
     traceMshr(telemetry::EventKind::MshrRelease, core, line_addr,
               entry->cls, now);
     mshr.release(line_addr);
+    wakeParked(core, now);
 }
 
 void
@@ -470,9 +477,51 @@ System::dramPrefetchDropped(const memctrl::Request &req, Cycle now)
     traceMshr(telemetry::EventKind::MshrRelease, req.core, req.line_addr,
               RequestClass::Prefetch, now);
     mshr.release(req.line_addr);
-    // Freed MSHR capacity can unblock a retrying access; the retry loop
-    // keeps the core's own next-event at "now", but stay conservative.
-    core_next_[req.core] = 0;
+    wakeParked(req.core, now);
+}
+
+void
+System::wakeParked(CoreId core, Cycle now)
+{
+    const CoreId first = config_.shared_l2 ? 0 : core;
+    const CoreId last = config_.shared_l2 ? config_.num_cores : core + 1;
+    for (CoreId c = first; c < last; ++c) {
+        if (cores_[c]->issueParked()) {
+            settleIdle(c, now); // the skipped cycles bounced
+            cores_[c]->unpark();
+            core_next_[c] = 0; // retry for real this very cycle
+        }
+    }
+}
+
+void
+System::settleIdle(CoreId core, Cycle until)
+{
+    const Cycle from = idle_from_[core];
+    if (until <= from)
+        return;
+    idle_from_[core] = until;
+    const std::uint64_t cycles = until - from;
+    core::Core &model = *cores_[core];
+    model.accountIdleCycles(cycles);
+    if (!model.issueParked())
+        return;
+    // What access() counts for a bounce off a full MSHR file: an L1
+    // miss, then an L2 demand access that misses. It trains no
+    // prefetcher, and its FDP pollution probe cleared the line's bit on
+    // the real bounce (only a fill, which releases an entry, sets one).
+    l1s_[core]->addMisses(cycles);
+    l2For(core).addMisses(cycles);
+    mem_[core].l2_demand_accesses += cycles;
+    if (config_.fdp_enabled)
+        fdp_[core].counts.demand_accesses += cycles;
+}
+
+void
+System::settleAllIdle()
+{
+    for (CoreId i = 0; i < config_.num_cores; ++i)
+        settleIdle(i, now_);
 }
 
 std::array<std::uint64_t, kRequestClassCount>
@@ -682,10 +731,13 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
     std::uint64_t jump_cycles = 0;
     std::uint64_t jump_count = 0;
     core_next_.assign(config_.num_cores, 0);
+    idle_from_.assign(config_.num_cores, now_);
     while (now_ < end) {
         tracker_->tick(now_);
-        if (now_ >= next_interval_)
+        if (now_ >= next_interval_) {
+            settleAllIdle(); // FDP evaluates replayed demand accesses
             intervalTick(now_);
+        }
         for (auto &controller : controllers_)
             controller->tick(now_);
 
@@ -694,15 +746,17 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
             if (event_skip_ && core_next_[i] > now_) {
                 // Provably idle this cycle (nothing ticked the core and
                 // no completion touched it since its bound was taken):
-                // replay the exact 1-cycle idle accounting instead of a
-                // full no-op tick, just as the jump below does for gap
-                // cycles. A skipped core cannot have newly finished.
-                cores_[i]->accountIdleCycles(1);
+                // leave the cycle to settleIdle(), which replays the
+                // exact idle accounting of a no-op tick, just as it does
+                // for the gap cycles of a jump. A skipped core cannot
+                // have newly finished.
                 if (!results_[i].done)
                     all_done = false;
                 continue;
             }
+            settleIdle(i, now_);
             cores_[i]->tick(now_);
+            idle_from_[i] = now_ + 1;
             if (event_skip_)
                 core_next_[i] = cores_[i]->nextEventCycle(now_ + 1);
             if (!results_[i].done) {
@@ -774,8 +828,6 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
         const std::uint64_t skipped = next - now_;
         for (auto &controller : controllers_)
             controller->skipTo(now_, next);
-        for (CoreId i = 0; i < config_.num_cores; ++i)
-            cores_[i]->accountIdleCycles(skipped);
         jump_cycles += skipped;
         ++jump_count;
         now_ = next;
@@ -786,6 +838,8 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
     if (jump_count > 0)
         telemetry::WallProfiler::instance().addEventJumps(jump_cycles,
                                                           jump_count);
+
+    settleAllIdle();
 
     // Cycle cap reached: freeze whatever progress the remaining cores
     // made so metrics stay computable (done remains false), and report

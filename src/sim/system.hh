@@ -277,6 +277,10 @@ class System : public core::MemoryPort, public memctrl::ResponseHandler
         return static_cast<std::uint32_t>(controllers_.size());
     }
     const dram::DramSystem &dramSystem() const { return *dram_; }
+    const cache::SetAssocCache &l1(CoreId core) const
+    {
+        return *l1s_[core];
+    }
     const cache::SetAssocCache &l2(std::uint32_t idx) const
     {
         return *l2s_[idx];
@@ -336,14 +340,33 @@ class System : public core::MemoryPort, public memctrl::ResponseHandler
     /** Fill the core's L1 with @p line_addr, handling dirty evictions. */
     void fillL1(CoreId core, Addr line_addr, bool dirty, Cycle now);
 
-    /** A prefetched L2 line was referenced by a demand: resolve useful. */
-    void resolveUseful(cache::Line &line, Cycle now);
+    /** Prefetched L2 line @p line_addr was referenced by a demand:
+        resolve useful. */
+    void resolveUseful(cache::Line &line, Addr line_addr);
 
     /** A still-unused prefetched line left the L2: resolve useless. */
     void resolveUseless(const cache::EvictResult &victim, Addr pc);
 
     /** Try to issue one prefetch candidate into the memory system. */
     void issuePrefetch(CoreId core, Addr addr, Addr pc, Cycle now);
+
+    /**
+     * An entry of the MSHR file serving @p core was released at @p now:
+     * unpark every core that file parked (the owner for a private L2,
+     * any core for a shared one) and make each retry this cycle.
+     */
+    void wakeParked(CoreId core, Cycle now);
+
+    /**
+     * Replay the skipped ticks of @p core in [idle_from_, @p until): the
+     * core's own idle accounting and, while its issue stage is parked,
+     * the hierarchy's counters of each bounce. Call before anything
+     * reads those counters or changes the core's idle state.
+     */
+    void settleIdle(CoreId core, Cycle until);
+
+    /** settleIdle() every core up to now_. */
+    void settleAllIdle();
 
     /** FDP interval rollover and accuracy-timeline sampling. */
     void intervalTick(Cycle now);
@@ -379,11 +402,19 @@ class System : public core::MemoryPort, public memctrl::ResponseHandler
      * Per-core cached next-event lower bound for the event-skip loop.
      * While core_next_[i] > now_, core i's tick this cycle is provably
      * a no-op (the same frozen-state invariant the next-event jump
-     * rests on), so run() substitutes the exact 1-cycle idle-stat
-     * replay for the tick. Reset to 0 ("must tick") whenever a DRAM
-     * completion or drop touches the core from outside its own tick.
+     * rests on), so run() skips the tick and leaves its exact idle-stat
+     * replay to settleIdle(). Reset to 0 ("must tick") whenever a DRAM
+     * completion or drop touches the core from outside its own tick,
+     * or an MSHR release unparks it (wakeParked).
      */
     std::vector<Cycle> core_next_;
+
+    /**
+     * Per-core first cycle neither ticked nor yet replayed: skipped
+     * ticks are accounted lazily by settleIdle(), so a landed cycle
+     * costs an idle core one compare.
+     */
+    std::vector<Cycle> idle_from_;
 
     Histogram useful_hist_;
     Histogram useless_hist_;

@@ -51,7 +51,7 @@ TEST(CacheTest, MissThenHit)
     cache.fill(0x1000, 0, 0, false, false, 0);
     Line *line = cache.access(0x1008); // same line, different offset
     ASSERT_NE(line, nullptr);
-    EXPECT_EQ(line->line_addr, 0x1000u);
+    EXPECT_EQ(line, cache.peek(0x1000));
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
 }
@@ -205,8 +205,9 @@ TEST(CacheTest, RandomReplacementIsDeterministic)
         const EvictResult ea = a.fill(addr, 0, 0, false, false, 0);
         const EvictResult eb = b.fill(addr, 0, 0, false, false, 0);
         EXPECT_EQ(ea.valid, eb.valid);
-        if (ea.valid)
+        if (ea.valid) {
             EXPECT_EQ(ea.line_addr, eb.line_addr);
+        }
     }
 }
 

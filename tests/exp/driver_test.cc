@@ -256,15 +256,18 @@ void
 validateAgainst(const JsonValue &schema, const JsonValue &value,
                 const std::string &where)
 {
-    if (const JsonValue *type = schema.find("type"))
+    if (const JsonValue *type = schema.find("type")) {
         EXPECT_EQ(kindName(value.kind), type->string) << where;
-    if (const JsonValue *expected = schema.find("const"))
+    }
+    if (const JsonValue *expected = schema.find("const")) {
         EXPECT_EQ(value.string, expected->string) << where;
-    if (const JsonValue *pattern = schema.find("pattern"))
+    }
+    if (const JsonValue *pattern = schema.find("pattern")) {
         EXPECT_TRUE(std::regex_search(value.string,
                                       std::regex(pattern->string)))
             << where << ": '" << value.string << "' !~ "
             << pattern->string;
+    }
     if (const JsonValue *required = schema.find("required")) {
         for (const JsonValue &key : required->array)
             EXPECT_NE(value.find(key.string), nullptr)

@@ -37,8 +37,9 @@ TEST(Registry, AllExperimentsAreRegisteredAndSorted)
         EXPECT_NE(all[i]->run, nullptr);
         EXPECT_FALSE(all[i]->info.anchor.empty());
         names.insert(all[i]->info.name);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LT(all[i - 1]->info.name, all[i]->info.name);
+        }
     }
     EXPECT_EQ(names.size(), all.size()) << "duplicate names registered";
     for (const char *name :

@@ -172,8 +172,9 @@ TEST_P(DropMonotonicity, OlderNeverLessDroppable)
         r.cls = RequestClass::Prefetch;
         r.arrival = 0;
         const bool drop = apd.shouldDrop(r, age);
-        if (dropped_before)
+        if (dropped_before) {
             ASSERT_TRUE(drop) << "non-monotonic at age " << age;
+        }
         dropped_before = drop;
     }
     EXPECT_TRUE(dropped_before); // every band drops by 200K cycles

@@ -6,10 +6,11 @@
  *
  * Two complete controller stacks (separate Channel, AccuracyTracker and
  * handler) receive an identical randomized stimulus -- enqueues of
- * demands/prefetches/writebacks over a small bank/row space (high
- * conflict rate), promotions, accuracy-moving prefetch-used events and
- * interval ticks -- one configured with reference_scheduler=true, the
- * other with the optimized path. The test then compares the complete
+ * demands/prefetches/writebacks over a few rows of every bank (so
+ * requests to one bank keep conflicting: precharges, activates and
+ * row-hit/row-miss splits all occur), promotions, accuracy-moving
+ * prefetch-used events and interval ticks -- one configured with
+ * reference_scheduler=true, the other with the optimized path. The test then compares the complete
  * DRAM command streams (IssueRecord logs), the completion/drop event
  * sequences, and every statistic. A second instantiation turns periodic
  * refresh on, which closes every bank between scheduling rounds.
@@ -138,9 +139,16 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
     Stack opt(opt_config, kCores, timing);
 
     Rng rng(seed);
-    // Small line pool: 8 banks x few rows, so row conflicts, duplicate
-    // enqueues, promotions and write-queue hits all occur.
-    auto randomLine = [&] { return lineToAddr(rng.nextBelow(192)); };
+    // Small line pool: 4 rows x 6 columns in each of the 8 banks, so row
+    // conflicts, duplicate enqueues, promotions and write-queue hits all
+    // occur. The default line-interleaved map takes the bank from line
+    // bits 0-2, the column from bits 3-8 and the row from the rest.
+    auto randomLine = [&] {
+        const Addr row = rng.nextBelow(4);
+        const Addr col = rng.nextBelow(6);
+        const Addr bank = rng.nextBelow(8);
+        return lineToAddr((row << 9) | (col << 3) | bank);
+    };
 
     for (Cycle now = 0; now < kDriveCycles; ++now) {
         if (rng.chance(0.30 * load)) {
@@ -193,6 +201,8 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
     }
 
     EXPECT_GT(ref.issues.size(), 0u) << "stimulus issued no commands";
+    EXPECT_GT(ref.ctrl.stats().read_row_conflicts, 0u)
+        << "stimulus made no row conflict";
     ASSERT_EQ(ref.issues.size(), opt.issues.size());
     for (std::size_t i = 0; i < ref.issues.size(); ++i) {
         EXPECT_TRUE(ref.issues[i] == opt.issues[i])
@@ -305,8 +315,8 @@ TEST_P(SchedEquivalenceRefresh, DecisionIdentical)
     // per-bank scan result cached across it would name a row-hit
     // candidate for a closed bank. A short tREFI puts a refresh every
     // few hundred DRAM cycles of the run, and a light load leaves most
-    // banks without a new arrival during the refresh blackout (an
-    // arrival would rescan the bank and hide a stale cache).
+    // banks without a command during the refresh blackout (an activate
+    // would rescan the bank and hide a stale cache).
     const RefreshCombo &combo = GetParam();
     SchedulerConfig config;
     config.kind = combo.kind;

@@ -61,8 +61,9 @@ TEST(CdcTest, RepeatingDeltaPairPredicted)
     ASSERT_FALSE(out.empty());
     // After the earlier (1,2) occurrence came deltas 1 then 2.
     EXPECT_EQ(out[0], lineToAddr(line + 1));
-    if (out.size() > 1)
+    if (out.size() > 1) {
         EXPECT_EQ(out[1], lineToAddr(line + 1 + 2));
+    }
 }
 
 TEST(CdcTest, ConstantStrideIsCorrelated)

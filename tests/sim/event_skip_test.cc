@@ -2,10 +2,11 @@
  * @file
  * A/B equivalence of the event-driven main loop (DESIGN.md section 11):
  * the same seeded mix run with event skipping on and off must be
- * bit-identical -- every exported statistic, every interval time-series
- * row, every request-lifecycle trace event, and the RunStatus. This is
- * the contract that makes SystemConfig::event_skip an execution detail
- * rather than a simulated parameter.
+ * bit-identical -- every exported statistic, every core-model and cache
+ * counter (the ones a parked core's skipped bounces replay), every
+ * interval time-series row, every request-lifecycle trace event, and
+ * the RunStatus. This is the contract that makes SystemConfig::event_skip
+ * an execution detail rather than a simulated parameter.
  */
 
 #include <gtest/gtest.h>
@@ -35,7 +36,58 @@ struct RunArtifacts
     std::uint64_t rows_pushed = 0;
     std::vector<telemetry::TraceEvent> events;
     std::uint64_t events_seen = 0;
+    std::uint64_t issue_retries = 0; ///< summed over the cores
 };
+
+void
+addCacheStats(StatSet &stats, const std::string &prefix,
+              const cache::CacheStats &cs)
+{
+    stats.add(prefix + "hits", static_cast<double>(cs.hits));
+    stats.add(prefix + "misses", static_cast<double>(cs.misses));
+    stats.add(prefix + "fills", static_cast<double>(cs.fills));
+    stats.add(prefix + "evictions", static_cast<double>(cs.evictions));
+    stats.add(prefix + "dirty_evictions",
+              static_cast<double>(cs.dirty_evictions));
+    stats.add(prefix + "useless_evictions",
+              static_cast<double>(cs.useless_evictions));
+}
+
+/**
+ * The live counters exportStats() leaves out: every core model's stats
+ * (exportStats() reports the frozen per-core results) and every L1 and
+ * L2 cache's.
+ */
+void
+addModelStats(StatSet &stats, const System &system)
+{
+    const SystemConfig &cfg = system.config();
+    for (CoreId i = 0; i < cfg.num_cores; ++i) {
+        const std::string prefix = "model" + std::to_string(i) + ".";
+        const core::CoreStats &cs = system.coreModel(i).stats();
+        stats.add(prefix + "instructions",
+                  static_cast<double>(cs.instructions));
+        stats.add(prefix + "loads", static_cast<double>(cs.loads));
+        stats.add(prefix + "stores", static_cast<double>(cs.stores));
+        stats.add(prefix + "load_stall_cycles",
+                  static_cast<double>(cs.load_stall_cycles));
+        stats.add(prefix + "mem_ops_issued",
+                  static_cast<double>(cs.mem_ops_issued));
+        stats.add(prefix + "issue_retries",
+                  static_cast<double>(cs.issue_retries));
+        stats.add(prefix + "runahead_episodes",
+                  static_cast<double>(cs.runahead_episodes));
+        stats.add(prefix + "runahead_ops_issued",
+                  static_cast<double>(cs.runahead_ops_issued));
+        addCacheStats(stats, "l1cache" + std::to_string(i) + ".",
+                      system.l1(i).stats());
+    }
+    const std::uint32_t num_l2 = cfg.shared_l2 ? 1 : cfg.num_cores;
+    for (std::uint32_t i = 0; i < num_l2; ++i) {
+        addCacheStats(stats, "l2cache" + std::to_string(i) + ".",
+                      system.l2(i).stats());
+    }
+}
 
 /** Run @p mix under @p cfg with full telemetry and capture the output. */
 RunArtifacts
@@ -61,6 +113,9 @@ runOnce(SystemConfig cfg, const workload::Mix &mix, bool event_skip,
     RunArtifacts out;
     out.status = system.run(instructions, 30000000, warmup);
     out.stats = system.exportStats();
+    addModelStats(out.stats, system);
+    for (CoreId i = 0; i < cfg.num_cores; ++i)
+        out.issue_retries += system.coreModel(i).stats().issue_retries;
     out.rows = collector.sampler()->rows();
     out.rows_pushed = collector.sampler()->pushed();
     out.events = collector.trace()->events();
@@ -111,16 +166,10 @@ expectSameEvents(const std::vector<telemetry::TraceEvent> &a,
     }
 }
 
-/** Run skip-on vs. skip-off and assert every artifact is identical. */
+/** Assert every artifact of a skip-on and a skip-off run is identical. */
 void
-expectEquivalent(const SystemConfig &cfg, const workload::Mix &mix,
-                 std::uint64_t instructions = 8000,
-                 std::uint64_t warmup = 1000)
+expectSameArtifacts(const RunArtifacts &on, const RunArtifacts &off)
 {
-    const RunArtifacts on = runOnce(cfg, mix, true, instructions, warmup);
-    const RunArtifacts off =
-        runOnce(cfg, mix, false, instructions, warmup);
-
     EXPECT_EQ(on.status.truncated_mask, off.status.truncated_mask);
     EXPECT_EQ(on.status.cores_completed, off.status.cores_completed);
     EXPECT_EQ(on.status.cores_truncated, off.status.cores_truncated);
@@ -138,6 +187,24 @@ expectEquivalent(const SystemConfig &cfg, const workload::Mix &mix,
     expectSameRows(on.rows, off.rows);
     EXPECT_EQ(on.events_seen, off.events_seen);
     expectSameEvents(on.events, off.events);
+}
+
+/**
+ * Run skip-on vs. skip-off and assert every artifact is identical.
+ * @return the skip-on run's issue retries (equal to the skip-off run's
+ *         when the artifacts match), so a case can check it exercised
+ *         parked cores
+ */
+std::uint64_t
+expectEquivalent(const SystemConfig &cfg, const workload::Mix &mix,
+                 std::uint64_t instructions = 8000,
+                 std::uint64_t warmup = 1000)
+{
+    const RunArtifacts on = runOnce(cfg, mix, true, instructions, warmup);
+    const RunArtifacts off =
+        runOnce(cfg, mix, false, instructions, warmup);
+    expectSameArtifacts(on, off);
+    return on.issue_retries;
 }
 
 SystemConfig
@@ -191,6 +258,38 @@ TEST(EventSkipTest, PadcFourCoreMidDramCycleAccuracyFlips)
               0u);
     expectEquivalent(cfg, {"libquantum_06", "omnetpp_06", "swim_00",
                            "milc_06"});
+}
+
+TEST(EventSkipTest, SharedL2WakesEveryParkedCore)
+{
+    // One MSHR file serves all four cores, so a release must unpark
+    // every core it bounced, not just the core whose miss completed.
+    SystemConfig cfg = padcConfig(4);
+    cfg.shared_l2 = true;
+    cfg.l2.size_bytes = 2 * 1024 * 1024;
+    cfg.l2.ways = 16;
+    EXPECT_GT(expectEquivalent(cfg, {"libquantum_06", "swim_00", "milc_06",
+                                     "lbm_06"}),
+              0u);
+}
+
+TEST(EventSkipTest, FdpCountsReplayedDemandAccesses)
+{
+    // FDP's interval evaluation reads the demand-access count a parked
+    // core's skipped bounces replay, and its decisions feed back into
+    // the prefetcher, so a miscounted replay changes later traffic.
+    SystemConfig cfg = applyPolicy(SystemConfig::baseline(2),
+                                   PolicySetup::ApsOnly);
+    cfg.fdp_enabled = true;
+    EXPECT_GT(expectEquivalent(cfg, {"libquantum_06", "swim_00"}), 0u);
+}
+
+TEST(EventSkipTest, TinyMshrFileParksOften)
+{
+    // Four MSHR entries per L2 keep the file full most of the time.
+    SystemConfig cfg = padcConfig(2);
+    cfg.mshr_per_l2 = 4;
+    EXPECT_GT(expectEquivalent(cfg, {"mcf_06", "libquantum_06"}), 0u);
 }
 
 TEST(EventSkipTest, JumpsActuallyTaken)

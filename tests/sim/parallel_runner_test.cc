@@ -38,7 +38,7 @@ TEST(ParallelRunner, MapOrdersResultsByIndexNotCompletion)
             // Unequal work so completion order differs from index order.
             volatile std::uint64_t acc = 0;
             for (std::size_t k = 0; k < (i % 7) * 1000; ++k)
-                acc += k;
+                acc = acc + k;
             return static_cast<std::uint64_t>(i * i);
         });
     ASSERT_EQ(out.size(), 100u);
