@@ -22,8 +22,11 @@ MemoryController::MemoryController(const SchedulerConfig &config,
     shards_.resize(channel_.numBanks());
     for (auto &shard : shards_)
         shard.pref_by_core.assign(num_cores_, 0);
+    candidates_.resize(2 * shards_.size());
+    drop_delay_.resize(num_cores_);
     cell_keys_.resize(num_cores_ * kRequestClassCount);
     updateCellKeys();
+    syncInterval();
 }
 
 // --- incremental bookkeeping ------------------------------------------
@@ -35,7 +38,7 @@ MemoryController::trackEnqueued(std::uint32_t slot)
     assert(req.core < num_cores_);
     BankShard &shard = shards_[req.coord.bank];
     const bool had_preferred =
-        shard.memo_valid && shardHasPreferred(shard, memo_mask_);
+        shard.memo_valid && shardHasPreferred(shard, accurate_mask_);
     req.bank_slot = static_cast<std::uint32_t>(shard.queued.size());
     shard.queued.push_back(slot);
     switch (req.cls) {
@@ -43,6 +46,10 @@ MemoryController::trackEnqueued(std::uint32_t slot)
         if (shard.pref_by_core[req.core]++ == 0)
             shard.pref_core_mask |= 1ULL << req.core;
         ++prefs_per_core_[req.core];
+        // The arrival may be the next prefetch to fall due. A delay from
+        // before an unsynced interval rollover is harmless: syncing the
+        // rollover resets apd_due_ before any scan reads it.
+        apd_due_ = std::min(apd_due_, req.arrival + drop_delay_[req.core]);
         break;
       case RequestClass::DemandRead:
         ++shard.queued_demands;
@@ -57,9 +64,10 @@ MemoryController::trackEnqueued(std::uint32_t slot)
         break;
     }
     trackPendingRow(req.coord, +1);
-    shard.wake = 0; // new arrival: reconsider this bank
     if (shard.memo_valid)
         foldEnqueued(slot, had_preferred);
+    else
+        stale_banks_ |= 1ULL << req.coord.bank;
     occupied_banks_ |= 1ULL << req.coord.bank;
 }
 
@@ -94,7 +102,10 @@ MemoryController::untrackQueued(Request &req)
     // departure that unblocks the bank's level-0 requests.
     const std::uint32_t slot = pool_.slotOf(req);
     if (slot == shard.memo.hit_slot || slot == shard.memo.miss_slot)
-        shard.memo_valid = false;
+        clearMemo(req.coord.bank);
+    // So an emptied bank is always stale: its publish clears its
+    // candidates.
+    assert(!shard.queued.empty() || !shard.memo_valid);
 }
 
 void
@@ -108,7 +119,7 @@ MemoryController::trackPromoted(Request &req)
         if (--shard.pref_by_core[req.core] == 0)
             shard.pref_core_mask &= ~(1ULL << req.core);
         ++shard.queued_demands;
-        shard.memo_valid = false; // new class: new key, maybe unblocked
+        clearMemo(req.coord.bank); // new class: new key, maybe unblocked
     }
 }
 
@@ -127,15 +138,28 @@ MemoryController::trackPendingRow(const dram::DramCoord &coord, int delta)
         pending_rows_.erase(it);
 }
 
-std::uint64_t
-MemoryController::accurateCoreMask() const
+void
+MemoryController::syncInterval()
 {
+    const Cycle boundary = tracker_.nextBoundary();
+    if (boundary == interval_boundary_)
+        return;
+    interval_boundary_ = boundary;
+    const bool masked =
+        context_.latticeAccuracyDependent() || config_.ranking_enabled;
     std::uint64_t mask = 0;
     for (std::uint32_t c = 0; c < num_cores_; ++c) {
-        if (context_.coreAccurate(c))
+        if (masked && context_.coreAccurate(c))
             mask |= 1ULL << c;
+        drop_delay_[c] = apd_.dropDelay(c);
     }
-    return mask;
+    apd_due_ = 0; // thresholds may have fallen
+    // Memo keys and class blocking embed the mask.
+    if (mask != accurate_mask_) {
+        accurate_mask_ = mask;
+        updateCellKeys();
+        invalidateMemos();
+    }
 }
 
 bool
@@ -144,22 +168,6 @@ MemoryController::shardHasPreferred(const BankShard &shard,
 {
     return context_.shardHasPreferred(shard.queued_demands,
                                       shard.pref_core_mask, accurate_mask);
-}
-
-Cycle
-MemoryController::bankLocalReady(std::uint32_t bank, NextCmd cmd) const
-{
-    switch (cmd) {
-      case NextCmd::Precharge:
-        return channel_.bankReadyPrecharge(bank);
-      case NextCmd::Activate:
-        return channel_.bankReadyActivate(bank);
-      case NextCmd::Column:
-        return channel_.bankReadyColumn(bank);
-      case NextCmd::None:
-        break;
-    }
-    return kNeverCycle;
 }
 
 // --- queue admission --------------------------------------------------
@@ -406,17 +414,16 @@ MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
             kind = telemetry::EventKind::CmdActivate;
         traceRequest(kind, req, now);
     }
-    // The command changed this bank's readiness, so its cached wake-up
-    // hint is stale. Its scan memo folds a precharge and survives a
-    // column that leaves the row open (a read's own departure is
+    // The command moved this bank's ready cycles: republish its
+    // candidates. Its scan memo folds a precharge and survives a column
+    // that leaves the row open (a read's own departure is
     // untrackQueued's business); an activate or an auto-precharge
     // changes the open row: rescan.
-    BankShard &shard = shards_[req.coord.bank];
-    shard.wake = 0;
+    stale_banks_ |= 1ULL << req.coord.bank;
     if (cmd == NextCmd::Precharge)
         foldPrecharge(req.coord.bank);
     else if (cmd != NextCmd::Column || auto_pre)
-        shard.memo_valid = false;
+        shards_[req.coord.bank].memo_valid = false;
 }
 
 void
@@ -510,11 +517,24 @@ MemoryController::completeFinished(Cycle now)
 void
 MemoryController::runApd(Cycle now)
 {
+    if (now < apd_due_)
+        return; // no queued prefetch is due yet
+    // The walk recomputes apd_due_ over the prefetches it keeps.
+    apd_due_ = kNeverCycle;
     for (std::uint32_t slot = pool_.head(); slot != RequestPool::kNone;) {
         const std::uint32_t next = pool_.next(slot);
         Request &req = pool_.at(slot);
-        if (apd_.shouldDrop(req, now)) {
-            untrackQueued(req); // only Queued prefetches are droppable
+        // ApdUnit::shouldDrop with this interval's cached drop delay.
+        if (pool_.classOf(slot) != RequestClass::Prefetch ||
+            req.state != RequestState::Queued) {
+            slot = next;
+            continue;
+        }
+        const Cycle delay = drop_delay_[req.core];
+        if (req.ageCycles(now) < delay) {
+            apd_due_ = std::min(apd_due_, req.arrival + delay);
+        } else {
+            untrackQueued(req);
             --prefs_per_core_[req.core];
             req.state = RequestState::Dropped;
             ++stats_.prefetches_dropped;
@@ -535,13 +555,15 @@ MemoryController::invalidateMemos()
 {
     for (BankShard &shard : shards_)
         shard.memo_valid = false;
+    // An empty bank already published no candidates.
+    stale_banks_ |= occupied_banks_;
 }
 
 void
 MemoryController::updateCellKeys()
 {
     for (CoreId core = 0; core < num_cores_; ++core) {
-        const bool accurate = ((memo_mask_ >> core) & 1) != 0;
+        const bool accurate = ((accurate_mask_ >> core) & 1) != 0;
         for (std::size_t c = 0; c < kRequestClassCount; ++c) {
             const LatticeSlot cell =
                 context_.latticeSlot(static_cast<RequestClass>(c), accurate);
@@ -555,7 +577,7 @@ MemoryController::ScanMemo
 MemoryController::scanBank(std::uint32_t bank) const
 {
     const BankShard &shard = shards_[bank];
-    const bool has_preferred = shardHasPreferred(shard, memo_mask_);
+    const bool has_preferred = shardHasPreferred(shard, accurate_mask_);
     // Every request to this bank needs one of at most two commands:
     // Column for the open row and Precharge for any other, or Activate
     // when the bank is closed. The scan reads only the pool's hot
@@ -565,8 +587,6 @@ MemoryController::scanBank(std::uint32_t bank) const
     const std::uint64_t open = channel_.openRow(bank);
     const NextCmd miss_cmd =
         open == dram::kNoOpenRow ? NextCmd::Activate : NextCmd::Precharge;
-    const std::uint8_t wants[2] = {cmdBit(miss_cmd), cmdBit(NextCmd::Column)};
-    std::uint8_t blocked_wants = 0;
     std::uint32_t best_slot[2] = {RequestPool::kNone, RequestPool::kNone};
     std::uint64_t best_key[2] = {0, 0}; // [0] row miss, [1] row hit
     for (const std::uint32_t slot : shard.queued) {
@@ -575,7 +595,6 @@ MemoryController::scanBank(std::uint32_t bank) const
                        static_cast<std::size_t>(pool_.classOf(slot))];
         const bool row_hit = pool_.rowOf(slot) == open;
         const bool blocked = has_preferred && !cell.preferred;
-        blocked_wants |= blocked ? wants[row_hit] : 0;
         const std::uint64_t key =
             (cell.high | SchedContext::rowHitBits(row_hit) |
              SchedContext::arrivalBits(pool_.seqOf(slot))) &
@@ -586,7 +605,6 @@ MemoryController::scanBank(std::uint32_t bank) const
     }
     ScanMemo memo;
     memo.miss_cmd = miss_cmd;
-    memo.blocked_wants = blocked_wants;
     memo.miss_slot = best_slot[0];
     memo.miss_key = best_key[0];
     memo.hit_slot = best_slot[1];
@@ -610,20 +628,17 @@ MemoryController::foldEnqueued(std::uint32_t slot, bool had_preferred)
     ScanMemo &memo = shard.memo;
     // An arrival that gives the bank its first preferred request blocks
     // every level-0 request already queued there: rescan.
-    const bool has_preferred = shardHasPreferred(shard, memo_mask_);
+    const bool has_preferred = shardHasPreferred(shard, accurate_mask_);
     if (has_preferred != had_preferred) {
-        shard.memo_valid = false;
+        clearMemo(bank);
         return;
     }
     const CellKey &cell =
         cell_keys_[pool_.coreOf(slot) * kRequestClassCount +
                    static_cast<std::size_t>(pool_.classOf(slot))];
+    if (has_preferred && !cell.preferred)
+        return; // class-blocked: never a candidate
     const bool row_hit = pool_.rowOf(slot) == channel_.openRow(bank);
-    if (has_preferred && !cell.preferred) {
-        memo.blocked_wants |=
-            cmdBit(row_hit ? NextCmd::Column : memo.miss_cmd);
-        return;
-    }
     const std::uint64_t key = cell.high | SchedContext::rowHitBits(row_hit) |
                               SchedContext::arrivalBits(pool_.seqOf(slot));
     std::uint32_t &best_slot = row_hit ? memo.hit_slot : memo.miss_slot;
@@ -631,6 +646,7 @@ MemoryController::foldEnqueued(std::uint32_t slot, bool had_preferred)
     if (key > best_key) {
         best_slot = slot;
         best_key = key;
+        stale_banks_ |= 1ULL << bank;
     }
 }
 
@@ -654,16 +670,49 @@ MemoryController::foldPrecharge(std::uint32_t bank)
     memo.hit_slot = RequestPool::kNone;
     memo.hit_key = 0;
     memo.miss_cmd = NextCmd::Activate;
-    if (memo.blocked_wants != 0)
-        memo.blocked_wants = cmdBit(NextCmd::Activate);
+}
+
+void
+MemoryController::publishStale()
+{
+    if (stale_banks_ == 0)
+        return;
+    for (std::uint64_t mask = stale_banks_; mask != 0; mask &= mask - 1) {
+        const auto b = static_cast<std::uint32_t>(__builtin_ctzll(mask));
+        BankShard &shard = shards_[b];
+        Candidate &miss = candidates_[2 * b];
+        Candidate &hit = candidates_[2 * b + 1];
+        if (shard.queued.empty()) {
+            miss = {};
+            hit = {};
+            continue;
+        }
+        if (!shard.memo_valid)
+            rebuildMemo(b);
+        const ScanMemo &memo = shard.memo;
+        const ReadyCycles local = localReady(b);
+        miss = {memo.miss_key,
+                memo.miss_key != 0 ? local[idx(memo.miss_cmd)] : kNeverCycle,
+                memo.miss_slot, memo.miss_cmd};
+        hit = {memo.hit_key,
+               memo.hit_key != 0 ? local[idx(NextCmd::Column)] : kNeverCycle,
+               memo.hit_slot, NextCmd::Column};
+    }
+    stale_banks_ = 0;
+    min_ready_.fill(kNeverCycle);
+    for (const Candidate &cand : candidates_) {
+        Cycle &min = min_ready_[idx(cand.cmd)];
+        min = std::min(min, cand.ready);
+    }
 }
 
 void
 MemoryController::checkMemo(std::uint32_t bank) const
 {
 #ifndef NDEBUG
-    // The folds must leave exactly what a rescan would find, apart from
-    // blocked_wants bits whose blocked requests have since left.
+    // The folds must leave exactly what a rescan would find, and the
+    // published candidates must be the memo's, with their commands'
+    // current bank-local ready cycles.
     const ScanMemo &memo = shards_[bank].memo;
     const ScanMemo fresh = scanBank(bank);
     assert(memo.miss_cmd == fresh.miss_cmd);
@@ -671,8 +720,14 @@ MemoryController::checkMemo(std::uint32_t bank) const
     assert(memo.hit_key == fresh.hit_key);
     assert(memo.miss_slot == fresh.miss_slot);
     assert(memo.miss_key == fresh.miss_key);
-    assert((memo.blocked_wants & fresh.blocked_wants) ==
-           fresh.blocked_wants);
+    const Candidate &miss = candidates_[2 * bank];
+    const Candidate &hit = candidates_[2 * bank + 1];
+    const ReadyCycles local = localReady(bank);
+    assert(miss.key == memo.miss_key && miss.slot == memo.miss_slot);
+    assert(hit.key == memo.hit_key && hit.slot == memo.hit_slot);
+    assert(miss.key == 0 || (miss.cmd == memo.miss_cmd &&
+                             miss.ready == local[idx(memo.miss_cmd)]));
+    assert(hit.key == 0 || hit.ready == local[idx(NextCmd::Column)]);
 #else
     (void)bank;
 #endif
@@ -684,101 +739,49 @@ MemoryController::scheduleRead(Cycle now)
     if (config_.reference_scheduler)
         return scheduleReadReference(now);
 
-    const std::uint64_t accurate_mask =
-        (context_.latticeAccuracyDependent() || config_.ranking_enabled)
-            ? accurateCoreMask()
-            : 0;
-    // Memo keys and class blocking embed the mask and the ranks.
-    bool keys_stale = accurate_mask != memo_mask_;
-    memo_mask_ = accurate_mask;
+    // Memo keys embed the ranks (and the mask, kept by syncInterval).
     if (config_.ranking_enabled) {
         std::array<std::uint32_t, kMaxCores> counts{};
         for (std::uint32_t c = 0; c < num_cores_; ++c) {
             counts[c] = demands_per_core_[c];
-            if ((accurate_mask >> c) & 1)
+            if ((accurate_mask_ >> c) & 1)
                 counts[c] += prefs_per_core_[c];
         }
-        keys_stale |= context_.updateRanks(counts, num_cores_);
+        if (context_.updateRanks(counts, num_cores_)) {
+            updateCellKeys();
+            invalidateMemos();
+        }
     }
-    if (keys_stale) {
-        updateCellKeys();
-        invalidateMemos();
-    }
+    publishStale();
+#ifndef NDEBUG
+    for (std::uint64_t mask = occupied_banks_; mask != 0; mask &= mask - 1)
+        checkMemo(static_cast<std::uint32_t>(__builtin_ctzll(mask)));
+#endif
 
-    std::uint32_t best_slot = RequestPool::kNone;
-    std::uint64_t best_key = 0;
-    NextCmd best_cmd = NextCmd::None;
-
-    const Cycle retry = now + channel_.timing().cpu_per_dram_cycle;
-    for (std::uint64_t mask = occupied_banks_; mask != 0; mask &= mask - 1) {
-        const auto b = static_cast<std::uint32_t>(__builtin_ctzll(mask));
-        BankShard &shard = shards_[b];
-        if (now < shard.wake)
-            continue;
-        if (shard.memo_valid)
-            checkMemo(b);
-        else
-            rebuildMemo(b);
-
-        // Legality depends on the bank and the command, never on the
-        // request, so each memoized candidate costs one probe. Commands
-        // nobody can issue this cycle feed the wake-up hint instead.
-        bool issuable_here = false;
-        const ScanMemo &memo = shard.memo;
-        std::uint8_t wants = memo.blocked_wants;
-        const auto offer = [&](std::uint32_t slot, std::uint64_t key,
-                               NextCmd cmd, bool legal) {
-            if (!legal) {
-                wants |= cmdBit(cmd);
-                return;
-            }
-            issuable_here = true;
-            if (best_slot == RequestPool::kNone || key > best_key) {
-                best_slot = slot;
-                best_key = key;
-                best_cmd = cmd;
-            }
-        };
-        if (memo.hit_slot != RequestPool::kNone) {
-            offer(memo.hit_slot, memo.hit_key, NextCmd::Column,
-                  channel_.canColumn(b, false, now));
-        }
-        if (memo.miss_slot != RequestPool::kNone) {
-            offer(memo.miss_slot, memo.miss_key, memo.miss_cmd,
-                  memo.miss_cmd == NextCmd::Activate
-                      ? channel_.canActivate(b, now)
-                      : channel_.canPrecharge(b, now));
-        }
-        // An issuable-but-not-chosen request must be reconsidered next
-        // cycle. Otherwise sleep until the earliest bank-local readiness
-        // of any wanted command; a command that is bank-ready but held
-        // back (class blocking or a channel-global constraint) forces a
-        // retry next DRAM cycle, since that blocking state can change
-        // with any issued command.
-        if (issuable_here) {
-            shard.wake = now;
-            continue;
-        }
-        Cycle wake = kNeverCycle;
-        for (const NextCmd cmd :
-             {NextCmd::Precharge, NextCmd::Activate, NextCmd::Column}) {
-            if ((wants & cmdBit(cmd)) != 0) {
-                const Cycle local = bankLocalReady(b, cmd);
-                wake = std::min(wake, local <= now ? retry : local);
-            }
-        }
-        shard.wake = wake;
-    }
-    if (best_slot == RequestPool::kNone)
+    // A candidate's command is legal iff now has reached both its
+    // bank-local ready cycle (in the table) and the channel-global one.
+    const ReadyCycles global = globalReady(false);
+    bool any_legal = false;
+    for (std::size_t c = 0; c < global.size(); ++c)
+        any_legal |= std::max(min_ready_[c], global[c]) <= now;
+    if (!any_legal)
         return false;
-    const std::uint32_t bank = pool_.at(best_slot).coord.bank;
-    issueCommand(pool_.at(best_slot), best_cmd,
-                 best_cmd == NextCmd::Column, now);
-    // A command the memo could not fold means the next round would
-    // rescan this bank anyway; doing it now lets the next-event bound
-    // read the memo instead of walking the bank.
-    if (!shards_[bank].queued.empty() && !shards_[bank].memo_valid)
-        rebuildMemo(bank);
+    // Illegal and empty entries key 0 and keys are unique, so the max
+    // is the best legal candidate.
+    std::size_t best = 0;
+    std::uint64_t best_key = 0;
+    for (std::size_t i = 0; i < candidates_.size(); ++i) {
+        const Candidate &cand = candidates_[i];
+        const std::uint64_t key =
+            std::max(cand.ready, global[idx(cand.cmd)]) <= now ? cand.key
+                                                                : 0;
+        best = key > best_key ? i : best;
+        best_key = std::max(best_key, key);
+    }
+    assert(best_key != 0);
+    const Candidate chosen = candidates_[best];
+    issueCommand(pool_.at(chosen.slot), chosen.cmd,
+                 chosen.cmd == NextCmd::Column, now);
     return true;
 }
 
@@ -852,10 +855,12 @@ MemoryController::scheduleWrite(Cycle now)
     std::uint64_t best_key = 0;
     NextCmd best_cmd = NextCmd::None;
 
+    const ReadyCycles global = globalReady(true);
     for (auto it = write_q_.begin(); it != write_q_.end(); ++it) {
         bool row_hit = false;
         const NextCmd cmd = nextCommand(*it, &row_hit);
-        if (!commandIssuable(*it, cmd, now))
+        if (std::max(localReady(it->coord.bank)[idx(cmd)],
+                     global[idx(cmd)]) > now)
             continue;
         const std::uint64_t key =
             ((row_hit ? 1ULL : 0ULL) << 63) | (~it->seq & 0x7FFFFFFFFFFFFFFF);
@@ -900,6 +905,7 @@ MemoryController::tickEdge(Cycle now)
     stats_.read_queue_occupancy_sum += pool_.size();
 
     completeFinished(now);
+    syncInterval();
 
     if (config_.apd_enabled && now >= next_apd_scan_) {
         runApd(now);
@@ -931,7 +937,7 @@ MemoryController::tickEdge(Cycle now)
 // --- event-driven skipping --------------------------------------------
 
 Cycle
-MemoryController::nextEventCycle(Cycle from) const
+MemoryController::nextEventCycle(Cycle from)
 {
     const Cycle period = channel_.timing().cpu_per_dram_cycle;
     const Cycle next_tick = (from + period - 1) / period * period;
@@ -957,84 +963,23 @@ MemoryController::nextEventCycle(Cycle from) const
         return next_tick;
 
     // (a) Queued reads: with the channel frozen inside a gap, the first
-    // cycle a queued read can issue is exactly max(bank-local ready,
-    // channel-global ready) for the one command class its bank's open-row
-    // state dictates. The scheduler's cached wake hints are deliberately
-    // conservative (they assume an issued command can unblock a bank one
-    // DRAM cycle later) and would fragment a gap where nothing issues.
-    // Class-blocked requests are excluded: accuracy estimates and ranks
-    // only move on controller or core events, so a request blocked at
-    // `from` stays blocked for the whole gap. A valid scan memo already
-    // names the commands unblocked requests want, but only if it was
-    // built under the current mask: the tracker can flip accuracy on a
-    // cycle whose tick() returned before scheduling.
+    // cycle a candidate can issue is exactly max(bank-local ready,
+    // channel-global ready) of its command, so the first for any
+    // candidate is the min over commands of max(min_ready_, global).
+    // Class-blocked requests are never candidates: accuracy estimates
+    // and ranks only move on controller or core events, so a request
+    // blocked at `from` stays blocked for the whole gap. The tracker
+    // can roll an interval on a cycle whose tick() returned before
+    // scheduling, so the mask is synced before the table is brought
+    // current.
+    syncInterval();
     if (occupied_banks_ != 0) {
-        const std::uint64_t accurate_mask =
-            (context_.latticeAccuracyDependent() || config_.ranking_enabled)
-                ? accurateCoreMask()
-                : 0;
-        const bool memos_current = accurate_mask == memo_mask_;
-        const Cycle col_global = channel_.readColumnGlobalReadyAt();
-        const Cycle act_global = channel_.activateGlobalReadyAt();
-        const Cycle pre_global = channel_.commandBusFreeAt();
-        for (std::uint64_t mask = occupied_banks_; mask != 0;
-             mask &= mask - 1) {
-            const auto b = static_cast<std::uint32_t>(__builtin_ctzll(mask));
-            const BankShard &shard = shards_[b];
-            // Which command classes does some unblocked request want?
-            bool want_act = false;
-            bool want_col = false;
-            bool want_pre = false;
-            if (memos_current && shard.memo_valid) {
-                const ScanMemo &memo = shard.memo;
-                const bool want_miss = memo.miss_slot != RequestPool::kNone;
-                want_col = memo.hit_slot != RequestPool::kNone;
-                want_act = want_miss && memo.miss_cmd == NextCmd::Activate;
-                want_pre = want_miss && memo.miss_cmd == NextCmd::Precharge;
-            } else {
-                // A shard can hold a class-blocked request only when it
-                // mixes the preferred and deprioritized lattice levels;
-                // the common pure shard skips the per-slot class checks.
-                const bool maybe_blocked =
-                    context_.shardHasLevelZero(shard.queued_demands,
-                                               shard.pref_core_mask,
-                                               accurate_mask) &&
-                    context_.shardHasPreferred(shard.queued_demands,
-                                               shard.pref_core_mask,
-                                               accurate_mask);
-                const std::uint64_t open = channel_.openRow(b);
-                const bool bank_open = open != dram::kNoOpenRow;
-                for (const std::uint32_t slot : shard.queued) {
-                    const bool accurate =
-                        ((accurate_mask >> pool_.coreOf(slot)) & 1) != 0;
-                    if (maybe_blocked &&
-                        context_.latticeSlot(pool_.classOf(slot), accurate)
-                                .level == 0)
-                        continue;
-                    if (!bank_open) {
-                        want_act = true;
-                        break;
-                    }
-                    if (pool_.rowOf(slot) == open) {
-                        want_col = true;
-                        if (want_pre)
-                            break;
-                    } else {
-                        want_pre = true;
-                        if (want_col)
-                            break;
-                    }
-                }
-            }
-            if (want_act)
-                fold(std::max(channel_.bankReadyActivate(b), act_global));
-            if (want_col)
-                fold(std::max(channel_.bankReadyColumn(b), col_global));
-            if (want_pre)
-                fold(std::max(channel_.bankReadyPrecharge(b), pre_global));
-            if (raw <= next_tick)
-                return next_tick;
-        }
+        publishStale();
+        const ReadyCycles global = globalReady(false);
+        for (std::size_t c = 0; c < global.size(); ++c)
+            fold(std::max(min_ready_[c], global[c]));
+        if (raw <= next_tick)
+            return next_tick;
     }
 
     // (b) Writes: a tick attempts the write path iff drain mode is on
@@ -1051,31 +996,12 @@ MemoryController::nextEventCycle(Cycle from) const
         else if (write_q_.size() <= config_.write_drain_low)
             drain = false;
         if (drain || pool_.empty()) {
-            const Cycle col_global = channel_.writeColumnGlobalReadyAt();
-            const Cycle act_global = channel_.activateGlobalReadyAt();
-            const Cycle pre_global = channel_.commandBusFreeAt();
+            const ReadyCycles global = globalReady(true);
             for (const Request &w : write_q_) {
                 bool row_hit = false;
                 const NextCmd cmd = nextCommand(w, &row_hit);
-                const std::uint32_t b = w.coord.bank;
-                Cycle ready = kNeverCycle;
-                switch (cmd) {
-                case NextCmd::Column:
-                    ready = std::max(channel_.bankReadyColumn(b),
-                                     col_global);
-                    break;
-                case NextCmd::Activate:
-                    ready = std::max(channel_.bankReadyActivate(b),
-                                     act_global);
-                    break;
-                case NextCmd::Precharge:
-                    ready = std::max(channel_.bankReadyPrecharge(b),
-                                     pre_global);
-                    break;
-                case NextCmd::None:
-                    break;
-                }
-                fold(ready);
+                fold(std::max(localReady(w.coord.bank)[idx(cmd)],
+                              global[idx(cmd)]));
                 if (raw <= next_tick)
                     return next_tick;
             }
@@ -1098,7 +1024,8 @@ MemoryController::nextEventCycle(Cycle from) const
     // alignUp(max(next_apd_scan_, min_deadline)) is earlier than the
     // minimum deadline, so no drop can precede the folded cycle. The
     // O(queue) deadline refinement only runs when the bare scan
-    // schedule would otherwise bound the jump.
+    // schedule would otherwise bound the jump and apd_due_, a lower
+    // bound on min_deadline, does not already rule the fold out.
     if (config_.apd_enabled) {
         std::uint64_t pref_cores = 0; // cores with a queued prefetch
         for (std::uint64_t mask = occupied_banks_; mask != 0;
@@ -1110,7 +1037,8 @@ MemoryController::nextEventCycle(Cycle from) const
             const Cycle scan_base = std::max(next_apd_scan_, from);
             const Cycle bare_scan =
                 (scan_base + period - 1) / period * period;
-            if (bare_scan < raw) {
+            if (bare_scan < raw &&
+                std::max(next_apd_scan_, apd_due_) < raw) {
                 // All of a core's requests share its drop threshold and
                 // the pool chain is in arrival order, so a core's first
                 // queued prefetch holds its earliest deadline: the walk
@@ -1123,8 +1051,8 @@ MemoryController::nextEventCycle(Cycle from) const
                     const std::uint64_t bit = 1ULL << req.core;
                     if ((pref_cores & bit) != 0 && req.isPrefetch() &&
                         req.state == RequestState::Queued) {
-                        min_deadline =
-                            std::min(min_deadline, apd_.dropDeadline(req));
+                        min_deadline = std::min(
+                            min_deadline, req.arrival + drop_delay_[req.core]);
                         pref_cores &= ~bit;
                     }
                 }

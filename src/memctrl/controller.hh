@@ -18,22 +18,28 @@
  * exceeds a high watermark or when no reads are pending.
  *
  * Scheduler implementation: the request buffer is sharded per bank with
- * incremental bookkeeping so that a scheduling round touches only banks
- * that may actually have an issuable command (see DESIGN.md,
- * "Performance architecture"):
+ * incremental bookkeeping so that a scheduling round costs O(banks) (see
+ * DESIGN.md, "Performance architecture"):
  *  - per-bank lists of *queued* reads, so a round never walks requests
  *    that are already in flight;
  *  - a per-bank memo of the best unblocked row-hit and row-miss
- *    candidates that folds enqueues and precharges in O(1), so a round
- *    rescans only banks that lost a candidate, opened a row or had
- *    their priority inputs change, and costs O(banks) otherwise;
- *  - a cached per-bank wake-up cycle (lower bound on the next cycle any
- *    command to that bank could be bank-locally legal), invalidated on
- *    enqueue and whenever a command changes the bank's state;
+ *    candidates that folds enqueues and precharges in O(1), so only banks
+ *    that lost a candidate, opened a row or had their priority inputs
+ *    change are rescanned;
+ *  - a candidate table that publishes each memo's two candidates with
+ *    the bank-local ready cycle of their commands. A command is legal iff
+ *    now has reached both that cycle and the channel-global ready cycle
+ *    of the command, so a round needs no legality probe: it returns at
+ *    once when no command can be legal and is otherwise a branch-free
+ *    max over the table, and the next-event bound is O(1);
  *  - per-(bank,row) pending counters replacing the O(queue) same-row
  *    scan of the closed-row policy (kept only under that policy);
  *  - per-bank demand/prefetch occupancy counters and per-core criticality
- *    counters replacing the per-cycle class-mask and ranking rescans.
+ *    counters replacing the per-cycle class-mask and ranking rescans;
+ *  - the accurate-core mask and the APD drop delays, recomputed only when
+ *    the accuracy tracker rolls an interval (the only time PAR moves),
+ *    and a lower bound on the earliest APD drop deadline, so the drop
+ *    scan walks the buffer only when a drop can be due.
  * The naive O(queue) scheduler is retained behind
  * SchedulerConfig::reference_scheduler as the golden model; both paths
  * are decision-identical (same command each cycle, same stats).
@@ -211,9 +217,11 @@ class MemoryController
      * complete a read or forward, fire a refresh, or drop a prefetch.
      * Conservative (waking early is always safe; the returned cycle is
      * never later than the first such cycle). Returns kNeverCycle when
-     * the controller is completely idle.
+     * the controller is completely idle. Not const: it first brings the
+     * per-interval accuracy inputs and the candidate table current,
+     * which changes no decision.
      */
-    Cycle nextEventCycle(Cycle from) const;
+    Cycle nextEventCycle(Cycle from);
 
     /**
      * Account for the skipped cycles [@p from, @p to) as if tick() had
@@ -269,24 +277,23 @@ class MemoryController
     /** The next DRAM command a request needs, given current bank state. */
     enum class NextCmd : std::uint8_t { Precharge, Activate, Column, None };
 
-    /** Bit of @p cmd in a ScanMemo::blocked_wants set. */
-    static constexpr std::uint8_t cmdBit(NextCmd cmd)
+    /** Ready cycles of the three real commands, indexed by NextCmd. */
+    using ReadyCycles = std::array<Cycle, 3>;
+
+    /** Index of @p cmd in a ReadyCycles. */
+    static std::size_t idx(NextCmd cmd)
     {
-        return static_cast<std::uint8_t>(1u << static_cast<unsigned>(cmd));
+        return static_cast<std::size_t>(cmd);
     }
 
     /** What one walk of a bank's queued reads yields (DESIGN.md
-        section 6.1). Keys are exact for memo_mask_ and the ranks;
+        section 6.1). Keys are exact for accurate_mask_ and the ranks;
         legality is never memoized. */
     struct ScanMemo
     {
         /** Command the row-miss candidate needs: Activate when the bank
             is closed, else Precharge. */
         NextCmd miss_cmd = NextCmd::None;
-        /** cmdBit() set of the commands class-blocked requests need. May
-            keep a bit after its last blocked request left, which only
-            wakes the bank early. */
-        std::uint8_t blocked_wants = 0;
         /** Best unblocked row-hit / row-miss request (RequestPool::kNone
             when there is none) and its priority key (0 when none). */
         std::uint32_t hit_slot = RequestPool::kNone;
@@ -303,11 +310,6 @@ class MemoryController
             O(1) swap-remove. Order carries no meaning: priority keys
             are a total order. */
         std::vector<std::uint32_t> queued;
-
-        /** Lower bound on the next cycle any command to this bank could
-            be bank-locally legal; the bank is skipped while now < wake.
-            0 means "unknown, rescan". */
-        Cycle wake = 0;
 
         std::uint32_t queued_demands = 0; ///< queued demand reads
 
@@ -326,6 +328,7 @@ class MemoryController
     };
 
     NextCmd nextCommand(const Request &req, bool *row_hit) const;
+    /** The reference scheduler's legality probe (Channel::can*()). */
     bool commandIssuable(const Request &req, NextCmd cmd, Cycle now) const;
     void issueCommand(Request &req, NextCmd cmd, bool row_hit, Cycle now);
 
@@ -351,8 +354,10 @@ class MemoryController
         return (static_cast<std::uint64_t>(coord.bank) << 48) | coord.row;
     }
 
-    /** Bitmask of cores whose prefetches are currently critical. */
-    std::uint64_t accurateCoreMask() const;
+    /** Recompute the accurate-core mask and the APD drop delays if the
+        tracker rolled an interval since they were computed: PAR moves
+        only then. A new mask clears every memo. */
+    void syncInterval();
 
     /** True when @p shard holds a queued preferred-class request. */
     bool shardHasPreferred(const BankShard &shard,
@@ -365,6 +370,13 @@ class MemoryController
     /** Rescan bank @p bank's queued reads into its memo. */
     void rebuildMemo(std::uint32_t bank);
 
+    /** Mark bank @p bank's memo for a rescan at its next publish. */
+    void clearMemo(std::uint32_t bank)
+    {
+        shards_[bank].memo_valid = false;
+        stale_banks_ |= 1ULL << bank;
+    }
+
     /** Fold newly queued @p slot into its bank's valid memo; the bank
         held a preferred request before it iff @p had_preferred. */
     void foldEnqueued(std::uint32_t slot, bool had_preferred);
@@ -372,18 +384,38 @@ class MemoryController
     /** Fold a precharge of bank @p bank into its valid memo. */
     void foldPrecharge(std::uint32_t bank);
 
-    /** Recompute cell_keys_ for memo_mask_ and the current ranks. */
+    /** Recompute cell_keys_ for accurate_mask_ and the current ranks. */
     void updateCellKeys();
 
     /** Clear every bank's memo (refresh, mask or rank change). */
     void invalidateMemos();
 
+    /** Republish the candidates of every stale bank, rebuilding invalid
+        memos, and recompute min_ready_. */
+    void publishStale();
+
     /** Debug check that bank @p bank's valid memo matches a fresh
-        scanBank() (blocked_wants may hold stale extra bits). */
+        scanBank() and its published candidates match the memo. */
     void checkMemo(std::uint32_t bank) const;
 
-    /** Bank-local lower bound for @p cmd on bank @p bank. */
-    Cycle bankLocalReady(std::uint32_t bank, NextCmd cmd) const;
+    /** Bank-local ready cycles of bank @p bank. */
+    ReadyCycles localReady(std::uint32_t bank) const
+    {
+        return {channel_.bankReadyPrecharge(bank),
+                channel_.bankReadyActivate(bank),
+                channel_.bankReadyColumn(bank)};
+    }
+
+    /** Channel-global ready cycles; the column entry is for writes or
+        reads as @p writes says. Together with localReady() they are
+        exact: a command is legal iff now reaches both. */
+    ReadyCycles globalReady(bool writes) const
+    {
+        return {channel_.commandBusFreeAt(),
+                channel_.activateGlobalReadyAt(),
+                writes ? channel_.writeColumnGlobalReadyAt()
+                       : channel_.readColumnGlobalReadyAt()};
+    }
 
     /** Register a newly queued read with all incremental structures. */
     void trackEnqueued(std::uint32_t slot);
@@ -447,12 +479,44 @@ class MemoryController
         (banks per channel never exceed 64). */
     std::uint64_t occupied_banks_ = 0;
 
-    /** Accurate-core mask every valid shard memo was built under; a
-        round that computes a different mask clears all memos first. */
-    std::uint64_t memo_mask_ = 0;
+    /** Bank b's published candidates: [2b] its memo's row-miss
+        candidate, [2b + 1] its row-hit candidate. */
+    struct Candidate
+    {
+        std::uint64_t key = 0;      ///< priority key; 0 = no candidate
+        Cycle ready = kNeverCycle;  ///< bank-local ready cycle of cmd
+        std::uint32_t slot = RequestPool::kNone;
+        NextCmd cmd = NextCmd::Precharge; ///< meaningless when key is 0
+    };
+    std::vector<Candidate> candidates_;
+
+    /** Minimum Candidate::ready per command over candidates_. */
+    ReadyCycles min_ready_{kNeverCycle, kNeverCycle, kNeverCycle};
+
+    /** Banks whose candidates must be republished: a memo fold or
+        clear, a command to the bank, a refresh, a mask or rank change. */
+    std::uint64_t stale_banks_ = 0;
+
+    /** tracker_.nextBoundary() when the accuracy inputs below were
+        computed (0: never; a boundary is always >= 1). */
+    Cycle interval_boundary_ = 0;
+
+    /** Cores whose prefetches are critical this interval (0 when no key
+        depends on accuracy); every valid memo was built under it. */
+    std::uint64_t accurate_mask_ = 0;
+
+    /** Per core: ApdUnit::dropDelay(), the age at which APD drops a
+        queued prefetch this interval. */
+    std::vector<Cycle> drop_delay_;
+
+    /** Lower bound on the earliest drop deadline (arrival + drop delay)
+        of any queued prefetch: exact after each APD walk, lowered by
+        each prefetch enqueue, 0 after an interval rollover. A scan
+        before it cannot drop. */
+    Cycle apd_due_ = 0;
 
     /** Memo-scan inputs of one (core, request class) pair under
-        memo_mask_ and the current ranks: the priority-key fields the
+        accurate_mask_ and the current ranks: the priority-key fields the
         pair fixes, and whether it is the preferred lattice level. */
     struct CellKey
     {
@@ -466,8 +530,8 @@ class MemoryController
     /** alignUp(from) memo from the last nextEventCycle() call, so the
         skipTo() that immediately follows it in the jump path does not
         repeat the division. */
-    mutable Cycle nec_from_ = kNeverCycle;
-    mutable Cycle nec_next_tick_ = 0;
+    Cycle nec_from_ = kNeverCycle;
+    Cycle nec_next_tick_ = 0;
 
     /** First DRAM clock edge tick() has not reached yet: a tick before
         it is not a DRAM cycle, so the per-cycle test is a compare. */

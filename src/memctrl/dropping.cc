@@ -31,20 +31,17 @@ ApdUnit::shouldDrop(const Request &req, Cycle now) const
         return false;
     if (req.state != RequestState::Queued)
         return false;
-    // AGE is kept at age_quantum granularity in hardware; quantize the
-    // comparison the same way so behaviour matches the 8/10-bit counter.
-    const Cycle age = req.ageCycles(now) / config_.age_quantum *
-                      config_.age_quantum;
-    return age > dropThreshold(req.core);
+    return req.ageCycles(now) >= dropDelay(req.core);
 }
 
 Cycle
-ApdUnit::dropDeadline(const Request &req) const
+ApdUnit::dropDelay(CoreId core) const
 {
-    // Quantized age first exceeds threshold T at age (T/q + 1)*q: the
+    // AGE is kept at age_quantum granularity in hardware, so the
+    // quantized age first exceeds threshold T at age (T/q + 1)*q: the
     // smallest multiple of the quantum that is strictly greater than T.
     const Cycle q = config_.age_quantum;
-    return req.arrival + (dropThreshold(req.core) / q + 1) * q;
+    return (dropThreshold(core) / q + 1) * q;
 }
 
 } // namespace padc::memctrl

@@ -47,13 +47,14 @@ class ApdUnit
     bool shouldDrop(const Request &req, Cycle now) const;
 
     /**
-     * Earliest cycle at which shouldDrop(@p req, cycle) can turn true
-     * under the core's *current* threshold: the first cycle whose
-     * quantized age exceeds it. Exact, not a bound: shouldDrop is false
-     * strictly before the returned cycle and true at it (threshold and
-     * promotion state permitting). Feeds the next-event computation.
+     * Age at which a queued prefetch of @p core becomes droppable under
+     * the core's *current* threshold: the first multiple of the age
+     * quantum above it, since AGE is quantized. Exact, not a bound:
+     * shouldDrop is false while the age is below it and true once it
+     * is reached (promotion state permitting). The controller caches it
+     * per accuracy interval for its drop scan and next-event bound.
      */
-    Cycle dropDeadline(const Request &req) const;
+    Cycle dropDelay(CoreId core) const;
 
   private:
     const SchedulerConfig &config_;

@@ -86,11 +86,11 @@ static_assert(static_cast<std::size_t>(RequestClass::DemandRead) == 0 &&
               "lattice rows are indexed by RequestClass value");
 
 /**
- * The shard aggregate checks (shardHasPreferred/shardHasLevelZero)
- * summarize demands with a single count, so a demand's lattice level
- * must not depend on per-core accuracy. Every current policy satisfies
- * this; a policy that wants accuracy-dependent demand levels must add
- * a per-core demand mask to BankShard first.
+ * The shard aggregate check (shardHasPreferred) summarizes demands with
+ * a single count, so a demand's lattice level must not depend on
+ * per-core accuracy. Every current policy satisfies this; a policy that
+ * wants accuracy-dependent demand levels must add a per-core demand
+ * mask to BankShard first.
  */
 constexpr bool
 demandLevelsAccuracyIndependent()
@@ -229,26 +229,6 @@ SchedContext::shardHasPreferred(std::uint32_t queued_demands,
     if (pref_acc)
         return (pref_core_mask & accurate_mask) != 0;
     if (pref_inacc)
-        return (pref_core_mask & ~accurate_mask) != 0;
-    return false;
-}
-
-bool
-SchedContext::shardHasLevelZero(std::uint32_t queued_demands,
-                                std::uint64_t pref_core_mask,
-                                std::uint64_t accurate_mask) const
-{
-    const auto &demand = lattice_.of(RequestClass::DemandRead);
-    const auto &pref = lattice_.of(RequestClass::Prefetch);
-    if (queued_demands > 0 && demand[0].level == 0)
-        return true;
-    const bool pref_inacc = pref[0].level > 0;
-    const bool pref_acc = pref[1].level > 0;
-    if (!pref_acc && !pref_inacc)
-        return pref_core_mask != 0;
-    if (!pref_acc)
-        return (pref_core_mask & accurate_mask) != 0;
-    if (!pref_inacc)
         return (pref_core_mask & ~accurate_mask) != 0;
     return false;
 }

@@ -263,11 +263,6 @@ class SchedContext
                            std::uint64_t pref_core_mask,
                            std::uint64_t accurate_mask) const;
 
-    /** Companion of shardHasPreferred(): any level-0 request queued? */
-    bool shardHasLevelZero(std::uint32_t queued_demands,
-                           std::uint64_t pref_core_mask,
-                           std::uint64_t accurate_mask) const;
-
     /**
      * Priority key for @p req given current @p row_hit status; larger is
      * higher priority. Deterministic total order (ties broken by

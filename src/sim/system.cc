@@ -732,8 +732,12 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
     std::uint64_t jump_count = 0;
     core_next_.assign(config_.num_cores, 0);
     idle_from_.assign(config_.num_cores, now_);
+    std::uint32_t cores_done = 0;
+    for (const CoreResult &res : results_)
+        cores_done += res.done ? 1 : 0;
     while (now_ < end) {
-        tracker_->tick(now_);
+        if (now_ >= tracker_->nextBoundary())
+            tracker_->tick(now_);
         if (now_ >= next_interval_) {
             settleAllIdle(); // FDP evaluates replayed demand accesses
             intervalTick(now_);
@@ -741,7 +745,6 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
         for (auto &controller : controllers_)
             controller->tick(now_);
 
-        bool all_done = true;
         for (CoreId i = 0; i < config_.num_cores; ++i) {
             if (event_skip_ && core_next_[i] > now_) {
                 // Provably idle this cycle (nothing ticked the core and
@@ -750,8 +753,6 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
                 // exact idle accounting of a no-op tick, just as it does
                 // for the gap cycles of a jump. A skipped core cannot
                 // have newly finished.
-                if (!results_[i].done)
-                    all_done = false;
                 continue;
             }
             settleIdle(i, now_);
@@ -779,13 +780,12 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
                     res.mem_stats = mem_[i];
                     res.pref_sent = tracker_->totalSent(i);
                     res.pref_used = tracker_->totalUsed(i);
-                } else {
-                    all_done = false;
+                    ++cores_done;
                 }
             }
         }
         ++now_;
-        if (all_done)
+        if (cores_done == config_.num_cores)
             break;
 
         if (!event_skip_)

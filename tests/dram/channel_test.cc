@@ -1,11 +1,15 @@
 /**
  * @file
  * Unit tests for channel-level DRAM constraints: command bus, data bus,
- * tCCD, tRRD, the tFAW window, write/read turnaround, and refresh.
+ * tCCD, tRRD, the tFAW window, write/read turnaround, and refresh; and
+ * the property that the channel's ready cycles are exactly its legality.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/random.hh"
 #include "dram/channel.hh"
 
 namespace padc::dram
@@ -194,6 +198,131 @@ TEST_F(ChannelTest, RowHitStreamingRate)
     const Cycle gap = cpu(std::max(timing_.tCCD, timing_.tBURST));
     for (std::size_t i = 2; i < issues.size(); ++i)
         EXPECT_EQ(issues[i] - issues[i - 1], gap);
+}
+
+/**
+ * Property: readiness equals legality. The memory controller schedules
+ * from the ready cycles alone and never calls can*(), so after every
+ * command of a random legal sequence, for every bank and every cycle of
+ * a window, canX(b, t) must hold iff X's open/closed precondition does
+ * and t has reached both bankReadyX(b) and X's channel-global ready
+ * cycle. The sequence alternates activate bursts (tFAW windows), column
+ * phases (read<->write turnarounds) and mixed phases, with refreshes. A
+ * burst longer than tCCD lets the data bus, not tCCD, gate columns.
+ */
+TEST(ChannelReadiness, ReadyCyclesEqualLegality)
+{
+    TimingParams timing;
+    timing.tBURST = 4;
+    timing.refresh_enabled = true;
+    timing.tREFI = 200;
+    Channel channel(timing, 8);
+    const Cycle step = timing.cpu_per_dram_cycle;
+    // Longer than every gate a command or refresh can set.
+    const Cycle window = timing.toCpu(timing.tRFC + timing.tRC);
+
+    const auto check = [&](Cycle from) {
+        for (std::uint32_t b = 0; b < channel.numBanks(); ++b) {
+            const bool open = channel.openRow(b) != kNoOpenRow;
+            const Cycle act = std::max(channel.bankReadyActivate(b),
+                                       channel.activateGlobalReadyAt());
+            const Cycle pre = std::max(channel.bankReadyPrecharge(b),
+                                       channel.commandBusFreeAt());
+            const Cycle rd = std::max(channel.bankReadyColumn(b),
+                                      channel.readColumnGlobalReadyAt());
+            const Cycle wr = std::max(channel.bankReadyColumn(b),
+                                      channel.writeColumnGlobalReadyAt());
+            for (Cycle t = from; t < from + window; ++t) {
+                ASSERT_EQ(channel.canActivate(b, t), !open && t >= act)
+                    << "activate, bank " << b << ", cycle " << t;
+                ASSERT_EQ(channel.canPrecharge(b, t), open && t >= pre)
+                    << "precharge, bank " << b << ", cycle " << t;
+                ASSERT_EQ(channel.canColumn(b, false, t), open && t >= rd)
+                    << "read, bank " << b << ", cycle " << t;
+                ASSERT_EQ(channel.canColumn(b, true, t), open && t >= wr)
+                    << "write, bank " << b << ", cycle " << t;
+            }
+        }
+    };
+
+    enum Kind { Act, Pre, Read, Write };
+    struct Command
+    {
+        Kind kind;
+        std::uint32_t bank;
+    };
+    Rng rng(0x5EAD1);
+    std::vector<Cycle> acts;
+    std::size_t faw_bound = 0;   // activates tFAW (not tRRD) held back
+    std::size_t turnarounds = 0; // read after write or write after read
+    std::size_t refreshes = 0;
+    Kind last_column = Read;
+    std::size_t commands = 0;
+    for (Cycle now = 0; commands < 800; now += step) {
+        if (channel.refreshDue(now)) {
+            if (channel.commandBusFree(now)) {
+                channel.refresh(now);
+                ++refreshes;
+                check(now);
+            }
+            continue;
+        }
+        std::vector<Command> legal;
+        for (std::uint32_t b = 0; b < channel.numBanks(); ++b) {
+            if (channel.canActivate(b, now))
+                legal.push_back({Act, b});
+            if (channel.canPrecharge(b, now))
+                legal.push_back({Pre, b});
+            if (channel.canColumn(b, false, now))
+                legal.push_back({Read, b});
+            if (channel.canColumn(b, true, now))
+                legal.push_back({Write, b});
+        }
+        // Phases of 60 DRAM cycles: activate bursts open every bank they
+        // can (precharging to make room); column phases stream reads,
+        // then writes (or the reverse), waiting out the turnaround;
+        // mixed phases pick anything or idle.
+        const std::uint64_t phase = now / timing.toCpu(60) % 3;
+        const Kind direction =
+            now / timing.toCpu(30) % 2 != 0 ? Write : Read;
+        std::vector<Command> wanted;
+        for (const Command &cmd : legal) {
+            const bool column = cmd.kind == Read || cmd.kind == Write;
+            if (phase == 0 ? !column : phase == 2 || cmd.kind == direction)
+                wanted.push_back(cmd);
+        }
+        if (wanted.empty() || (phase == 2 && rng.chance(0.3)))
+            continue;
+        const Command cmd = wanted[rng.nextBelow(wanted.size())];
+        switch (cmd.kind) {
+          case Act:
+            if (acts.size() >= 4 &&
+                now == acts[acts.size() - 4] + timing.toCpu(timing.tFAW) &&
+                now > acts.back() + timing.toCpu(timing.tRRD)) {
+                ++faw_bound;
+            }
+            acts.push_back(now);
+            channel.activate(cmd.bank, rng.nextBelow(16), now);
+            break;
+          case Pre:
+            channel.precharge(cmd.bank, now);
+            break;
+          case Read:
+          case Write:
+            turnarounds += cmd.kind != last_column ? 1 : 0;
+            last_column = cmd.kind;
+            channel.column(cmd.bank, cmd.kind == Write, rng.chance(0.2),
+                           now);
+            break;
+        }
+        ++commands;
+        check(now);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(faw_bound, 0u) << "no activate waited on tFAW";
+    EXPECT_GT(turnarounds, 0u);
+    EXPECT_GT(refreshes, 0u);
 }
 
 } // namespace

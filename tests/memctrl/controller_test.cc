@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/random.hh"
 #include "dram/address_map.hh"
 #include "dram/channel.hh"
 #include "memctrl/controller.hh"
@@ -279,6 +281,107 @@ TEST_F(ControllerTest, ApdDropsStalePrefetch)
     ASSERT_EQ(handler_.drops.size(), 1u);
     EXPECT_EQ(handler_.drops[0].line, lineAlign(pf));
     EXPECT_EQ(ctrl2.stats().prefetches_dropped, 1u);
+}
+
+TEST_F(ControllerTest, ApdDropsEachPrefetchAtItsFirstDueScan)
+{
+    // APD oracle at the controller level. With all four drop thresholds
+    // equal, every prefetch's drop deadline is arrival + (T/q + 1)*q,
+    // whatever its core's accuracy. A prefetch is never dropped before
+    // its deadline, and has left the queue -- column issued, promoted or
+    // dropped -- by the first APD scan at or after it. Prefetches arrive
+    // only in odd windows of kWindow cycles, far longer than a deadline,
+    // so each window's first prefetch arrives after scans that found no
+    // prefetch queued.
+    SchedulerConfig cfg;
+    cfg.kind = SchedPolicyKind::DemandFirst; // demands hold prefetches
+    cfg.apd_enabled = true;
+    cfg.drop_thresholds = {250, 250, 250, 250};
+    auto ctrl = makeController(cfg);
+
+    const Cycle q = cfg.age_quantum;
+    const Cycle delay = (250 / q + 1) * q;
+    const Cycle period = timing_.cpu_per_dram_cycle;
+    // A read's data arrives this long after its column command.
+    const Cycle read_latency = timing_.toCpu(timing_.tCL + timing_.tBURST);
+
+    struct Prefetch
+    {
+        Addr line;
+        Cycle deadline;
+        Cycle promoted = kNeverCycle;
+    };
+    std::vector<Prefetch> prefetches;
+    // APD scans at the first DRAM edge at or after each age quantum.
+    std::vector<Cycle> scans;
+    Cycle next_scan = 0;
+    Rng rng(11);
+    const auto pick = [&](std::uint64_t n) {
+        return static_cast<std::uint32_t>(rng.nextBelow(n));
+    };
+    constexpr Cycle kWindow = 2000;
+    constexpr Cycle kEnd = 13 * kWindow; // the last window drains
+    for (Cycle now = 0; now < kEnd; ++now) {
+        // Core 1's demands keep banks 0-3 busy on rows 0-3; every
+        // prefetch has a row of its own.
+        if (rng.chance(0.04)) {
+            const Addr a = addrFor(pick(4), pick(4), pick(8));
+            if (!ctrl.hasRead(lineAlign(a)))
+                enqueue(ctrl, a, false, now, 1);
+        }
+        if ((now / kWindow) % 2 == 1 && rng.chance(0.02)) {
+            const Addr a = addrFor(pick(8), 100 + prefetches.size());
+            if (enqueue(ctrl, a, true, now))
+                prefetches.push_back({lineAlign(a), now + delay});
+        }
+        if (!prefetches.empty() && rng.chance(0.01)) {
+            Prefetch &p = prefetches[pick(prefetches.size())];
+            if (ctrl.promote(p.line, now))
+                p.promoted = now;
+        }
+        ctrl.tick(now);
+        if (now % period == 0 && now >= next_scan) {
+            scans.push_back(now);
+            next_scan = now + q;
+        }
+    }
+
+    std::size_t dropped = 0;
+    std::size_t promoted = 0;
+    std::size_t serviced = 0;
+    for (const Prefetch &p : prefetches) {
+        const auto due = std::lower_bound(scans.begin(), scans.end(),
+                                          p.deadline);
+        ASSERT_NE(due, scans.end());
+        const auto line_is = [&](const RecordingHandler::Event &e) {
+            return e.line == p.line;
+        };
+        const auto drop = std::find_if(handler_.drops.begin(),
+                                       handler_.drops.end(), line_is);
+        if (drop != handler_.drops.end()) {
+            EXPECT_GE(drop->at, p.deadline)
+                << "prefetch dropped before its deadline";
+            EXPECT_EQ(drop->at, *due)
+                << "prefetch not dropped at its first due scan";
+            ++dropped;
+            continue;
+        }
+        if (p.promoted <= *due) {
+            ++promoted;
+            continue;
+        }
+        const auto done =
+            std::find_if(handler_.completions.begin(),
+                         handler_.completions.end(), line_is);
+        ASSERT_NE(done, handler_.completions.end())
+            << "prefetch neither serviced, promoted nor dropped";
+        EXPECT_LT(done->at - read_latency, *due)
+            << "prefetch still queued at its first due scan";
+        ++serviced;
+    }
+    EXPECT_GT(dropped, 0u);
+    EXPECT_GT(promoted, 0u);
+    EXPECT_GT(serviced, 0u);
 }
 
 TEST_F(ControllerTest, BufferFullRejectsAndCounts)

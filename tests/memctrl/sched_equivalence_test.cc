@@ -8,12 +8,14 @@
  * handler) receive an identical randomized stimulus -- enqueues of
  * demands/prefetches/writebacks over a few rows of every bank (so
  * requests to one bank keep conflicting: precharges, activates and
- * row-hit/row-miss splits all occur), promotions, accuracy-moving
- * prefetch-used events and interval ticks -- one configured with
- * reference_scheduler=true, the other with the optimized path. The test then compares the complete
- * DRAM command streams (IssueRecord logs), the completion/drop event
- * sequences, and every statistic. A second instantiation turns periodic
- * refresh on, which closes every bank between scheduling rounds.
+ * row-hit/row-miss splits all occur), promotions, prefetch-used events
+ * that push cores below and back above the promotion threshold across
+ * accuracy intervals, and interval ticks -- one configured with
+ * reference_scheduler=true, the other with the optimized path. The test
+ * then compares the complete DRAM command streams (IssueRecord logs),
+ * the completion/drop event sequences, and every statistic. A second
+ * instantiation turns periodic refresh on, which closes every bank
+ * between scheduling rounds.
  */
 
 #include <gtest/gtest.h>
@@ -110,14 +112,23 @@ expectStatsEqual(const ControllerStats &a, const ControllerStats &b)
             << toString(static_cast<RequestClass>(c));
 }
 
+/** Accuracy states a run visited, as bitmasks over cores. */
+struct AccuracyStates
+{
+    std::uint64_t ever_inaccurate = 0; ///< fell below the threshold
+    std::uint64_t recovered = 0;       ///< then climbed back above it
+};
+
 /**
  * Drive reference and optimized stacks through an identical randomized
  * stimulus and require identical observable behaviour. @p load scales
- * the read and write arrival rates.
+ * the read and write arrival rates. Merges the accuracy states the
+ * cores visited into @p states, for the caller to require both.
  */
 void
 runEquivalence(SchedulerConfig config, std::uint64_t seed,
-               const dram::TimingParams &timing = {}, double load = 1.0)
+               AccuracyStates &states, const dram::TimingParams &timing = {},
+               double load = 1.0)
 {
     constexpr std::uint32_t kCores = 4;
     constexpr Cycle kDriveCycles = 12000;
@@ -150,6 +161,22 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
         return lineToAddr((row << 9) | (col << 3) | bank);
     };
 
+    // Bit c of `accurate` is set while core c's prefetches are
+    // critical on the reference stack. Every core starts accurate
+    // (initial_accuracy is 1).
+    const std::uint64_t all_cores = (1ULL << kCores) - 1;
+    std::uint64_t accurate = all_cores;
+    const auto trackAccuracy = [&] {
+        std::uint64_t now_accurate = 0;
+        for (CoreId c = 0; c < kCores; ++c) {
+            if (ref.tracker.accuracy(c) >= config.promotion_threshold)
+                now_accurate |= 1ULL << c;
+        }
+        states.recovered |= now_accurate & ~accurate;
+        states.ever_inaccurate |= ~now_accurate & all_cores;
+        accurate = now_accurate;
+    };
+
     for (Cycle now = 0; now < kDriveCycles; ++now) {
         if (rng.chance(0.30 * load)) {
             const Addr addr = randomLine();
@@ -180,13 +207,21 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
             ASSERT_EQ(a, b) << "promotion disagreement at cycle " << now;
         }
         if (rng.chance(0.10)) {
-            // Move the accuracy estimate (flips criticality/urgency).
-            const auto core = static_cast<CoreId>(rng.nextBelow(kCores));
+            // Used events go only to the cores whose prefetches are
+            // useful this accuracy interval: core 0 always, cores 1 and
+            // 2 in alternate intervals, core 3 never. So cores fall
+            // below the promotion threshold and climb back across
+            // intervals, flipping criticality and urgency
+            // (expectBothAccuracyStates checks that they do).
+            const Cycle phase = now / config.accuracy.interval;
+            const auto core = static_cast<CoreId>(
+                rng.chance(0.5) ? 0 : 1 + phase % 2);
             ref.tracker.onPrefetchUsed(core);
             opt.tracker.onPrefetchUsed(core);
         }
         ref.tracker.tick(now);
         opt.tracker.tick(now);
+        trackAccuracy();
         ref.ctrl.tick(now);
         opt.ctrl.tick(now);
         ASSERT_EQ(ref.issues.size(), opt.issues.size())
@@ -219,6 +254,16 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
         EXPECT_TRUE(ref.handler.events[i] == opt.handler.events[i])
             << "completion/drop event " << i << " differs";
     expectStatsEqual(ref.ctrl.stats(), opt.ctrl.stats());
+}
+
+/** Require that both accuracy states, and a flip back, occurred. */
+void
+expectBothAccuracyStates(const AccuracyStates &states)
+{
+    EXPECT_NE(states.ever_inaccurate, 0u)
+        << "no core fell below the promotion threshold";
+    EXPECT_NE(states.recovered, 0u)
+        << "no core climbed back above the promotion threshold";
 }
 
 struct Combo
@@ -264,10 +309,13 @@ TEST_P(SchedEquivalence, DecisionIdentical)
     // cores between accurate and inaccurate during the run.
     config.promotion_threshold = 0.60;
 
-    runEquivalence(config, 0xC0FFEE ^ static_cast<std::uint64_t>(
-                                          combo.kind == SchedPolicyKind::Aps
-                                              ? 17
-                                              : 3));
+    AccuracyStates states;
+    runEquivalence(config,
+                   0xC0FFEE ^ static_cast<std::uint64_t>(
+                                  combo.kind == SchedPolicyKind::Aps ? 17
+                                                                     : 3),
+                   states);
+    expectBothAccuracyStates(states);
 }
 
 std::vector<Combo>
@@ -328,12 +376,14 @@ TEST_P(SchedEquivalenceRefresh, DecisionIdentical)
     // Several short seeded runs: each refresh only exposes a stale
     // cache when some bank had a queued read at the refresh and nothing
     // else rescanned it before the reference scheduler would serve it.
+    AccuracyStates states;
     for (std::uint64_t run = 0; run < 12 && !HasFailure(); ++run) {
         runEquivalence(config,
                        0x5EF4E5 ^ (run << 8) ^
                            static_cast<std::uint64_t>(combo.kind),
-                       timing, /*load=*/0.1);
+                       states, timing, /*load=*/0.1);
     }
+    expectBothAccuracyStates(states);
 }
 
 std::vector<RefreshCombo>
