@@ -3,9 +3,9 @@
  * Simulator micro-benchmarks (google-benchmark): throughput of the hot
  * components -- the DRAM channel command loop, the cache lookup path,
  * the stream prefetcher, the synthetic generator, the memory-controller
- * scheduling loop (sharded vs. reference, at several queue depths), the
- * parallel sweep runner, a full single-core simulation step, and
- * end-to-end System::run throughput on one and four cores.
+ * scheduling loop (at several queue depths), the parallel sweep runner,
+ * a full single-core simulation step, and end-to-end System::run
+ * throughput on one and four cores.
  *
  * Unless the caller passes its own --benchmark_out, results are also
  * written to BENCH_simspeed.json in the working directory.
@@ -203,19 +203,18 @@ struct SchedulerLoad
     }
 
     static memctrl::SchedulerConfig
-    schedConfig(bool reference)
+    schedConfig()
     {
         memctrl::SchedulerConfig cfg;
         cfg.kind = SchedPolicyKind::Aps;
         cfg.apd_enabled = false;
         cfg.request_buffer_size = 256;
-        cfg.reference_scheduler = reference;
         return cfg;
     }
 
-    SchedulerLoad(std::size_t queue_depth, bool reference)
+    explicit SchedulerLoad(std::size_t queue_depth)
         : tracker(kCores, accuracyConfig()),
-          ctrl(schedConfig(reference), channel, tracker, handler, kCores),
+          ctrl(schedConfig(), channel, tracker, handler, kCores),
           depth(queue_depth)
     {
         topUp();
@@ -252,29 +251,14 @@ struct SchedulerLoad
  * state.range(0) outstanding requests.
  */
 void
-scheduleReadAtDepth(benchmark::State &state, bool reference)
+BM_ScheduleRead(benchmark::State &state)
 {
-    SchedulerLoad load(static_cast<std::size_t>(state.range(0)),
-                       reference);
+    SchedulerLoad load(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state)
         load.tick();
     benchmark::DoNotOptimize(load.ctrl.stats().demand_reads);
 }
-
-void
-BM_ScheduleRead(benchmark::State &state)
-{
-    scheduleReadAtDepth(state, false);
-}
 BENCHMARK(BM_ScheduleRead)->Arg(4)->Arg(32)->Arg(128);
-
-/** Seed implementation baseline: the naive O(queue) scan scheduler. */
-void
-BM_ScheduleReadReference(benchmark::State &state)
-{
-    scheduleReadAtDepth(state, true);
-}
-BENCHMARK(BM_ScheduleReadReference)->Arg(4)->Arg(32)->Arg(128);
 
 /**
  * Same scheduling loop with a request trace attached in count-only mode
@@ -286,7 +270,7 @@ BENCHMARK(BM_ScheduleReadReference)->Arg(4)->Arg(32)->Arg(128);
 void
 BM_ScheduleReadTelemetry(benchmark::State &state)
 {
-    SchedulerLoad load(static_cast<std::size_t>(state.range(0)), false);
+    SchedulerLoad load(static_cast<std::size_t>(state.range(0)));
     telemetry::TraceBuffer trace(0);
     load.ctrl.setTrace(&trace, 0);
     for (auto _ : state)
@@ -450,7 +434,7 @@ BENCHMARK(BM_EndToEndEventDriven)
 double
 timedRounds(std::uint64_t ticks, telemetry::TraceBuffer *trace)
 {
-    SchedulerLoad load(32, false);
+    SchedulerLoad load(32);
     if (trace != nullptr)
         load.ctrl.setTrace(trace, 0);
     const auto begin = std::chrono::steady_clock::now();
@@ -541,7 +525,7 @@ double
 timedObsRounds(std::uint64_t ticks, obs::Counter *counter,
                obs::AtomicHistogram *histogram)
 {
-    SchedulerLoad load(32, false);
+    SchedulerLoad load(32);
     const auto begin = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < ticks; ++i) {
         load.tick();

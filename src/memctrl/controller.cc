@@ -310,44 +310,8 @@ MemoryController::nextCommand(const Request &req, bool *row_hit) const
 }
 
 bool
-MemoryController::commandIssuable(const Request &req, NextCmd cmd,
-                                  Cycle now) const
-{
-    switch (cmd) {
-      case NextCmd::Precharge:
-        return channel_.canPrecharge(req.coord.bank, now);
-      case NextCmd::Activate:
-        return channel_.canActivate(req.coord.bank, now);
-      case NextCmd::Column:
-        return channel_.canColumn(req.coord.bank, req.isWrite(), now);
-      case NextCmd::None:
-        break;
-    }
-    return false;
-}
-
-bool
 MemoryController::pendingSameRow(const Request &req) const
 {
-    if (config_.reference_scheduler) {
-        // Golden model: the naive scans, independent of the counters.
-        for (std::uint32_t slot = pool_.head(); slot != RequestPool::kNone;
-             slot = pool_.next(slot)) {
-            const Request &other = pool_.at(slot);
-            if (&other != &req && other.state == RequestState::Queued &&
-                other.coord.bank == req.coord.bank &&
-                other.coord.row == req.coord.row) {
-                return true;
-            }
-        }
-        for (const auto &other : write_q_) {
-            if (&other != &req && other.coord.bank == req.coord.bank &&
-                other.coord.row == req.coord.row) {
-                return true;
-            }
-        }
-        return false;
-    }
     // req itself is counted (a queued read or a pending write), so
     // another request targets the same (bank,row) iff the counter
     // exceeds one.
@@ -360,9 +324,8 @@ MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
                                Cycle now)
 {
     if (issue_log_ != nullptr) {
-        issue_log_->push_back({now, static_cast<std::uint8_t>(cmd),
-                               req.isWrite(), req.coord.bank, req.coord.row,
-                               req.seq});
+        issue_log_->push_back({now, cmd, req.isWrite(), req.coord.bank,
+                               req.coord.row, req.seq});
     }
     bool auto_pre = false;
     switch (cmd) {
@@ -465,24 +428,9 @@ void
 MemoryController::completeFinished(Cycle now)
 {
     bool removed = false;
-    if (config_.reference_scheduler) {
-        // Golden model: front-to-back (enqueue-order) walk.
-        for (std::uint32_t slot = pool_.head();
-             slot != RequestPool::kNone;) {
-            const std::uint32_t next = pool_.next(slot);
-            const Request &req = pool_.at(slot);
-            if (req.state == RequestState::Servicing &&
-                req.data_ready <= now) {
-                servicing_.erase(std::find(servicing_.begin(),
-                                           servicing_.end(), slot));
-                finishRead(slot, now);
-                removed = true;
-            }
-            slot = next;
-        }
-    } else if (servicing_min_ready_ <= now) {
+    if (servicing_min_ready_ <= now) {
         // servicing_ is seq-sorted, so same-cycle completions are
-        // reported in queue (seq) order, exactly like the queue walk.
+        // reported in arrival (seq) order.
         for (std::size_t i = 0; i < servicing_.size();) {
             const std::uint32_t slot = servicing_[i];
             if (pool_.at(slot).data_ready <= now) {
@@ -736,9 +684,6 @@ MemoryController::checkMemo(std::uint32_t bank) const
 bool
 MemoryController::scheduleRead(Cycle now)
 {
-    if (config_.reference_scheduler)
-        return scheduleReadReference(now);
-
     // Memo keys embed the ranks (and the mask, kept by syncInterval).
     if (config_.ranking_enabled) {
         std::array<std::uint32_t, kMaxCores> counts{};
@@ -782,67 +727,6 @@ MemoryController::scheduleRead(Cycle now)
     const Candidate chosen = candidates_[best];
     issueCommand(pool_.at(chosen.slot), chosen.cmd,
                  chosen.cmd == NextCmd::Column, now);
-    return true;
-}
-
-bool
-MemoryController::scheduleReadReference(Cycle now)
-{
-    if (config_.ranking_enabled) {
-        std::array<std::uint32_t, kMaxCores> counts{};
-        for (std::uint32_t slot = pool_.head(); slot != RequestPool::kNone;
-             slot = pool_.next(slot)) {
-            const Request &req = pool_.at(slot);
-            if (req.core < kMaxCores && context_.isCritical(req))
-                ++counts[req.core];
-        }
-        context_.updateRanks(counts, num_cores_);
-    }
-
-    // Strict per-bank class blocking (paper Section 1): a deprioritized
-    // request (e.g. a prefetch under demand-first, or a non-critical
-    // prefetch under APS) may not be scheduled to a bank while a
-    // preferred-class request to the same bank is outstanding -- even if
-    // the preferred request is not timing-ready this cycle.
-    std::vector<std::uint8_t> bank_has_preferred(channel_.numBanks(), 0);
-    for (std::uint32_t slot = pool_.head(); slot != RequestPool::kNone;
-         slot = pool_.next(slot)) {
-        const Request &req = pool_.at(slot);
-        if (req.state == RequestState::Queued &&
-            context_.latticeLevel(req.cls, req.core) != 0) {
-            bank_has_preferred[req.coord.bank] = 1;
-        }
-    }
-
-    Request *best = nullptr;
-    std::uint64_t best_key = 0;
-    NextCmd best_cmd = NextCmd::None;
-    bool best_hit = false;
-
-    for (std::uint32_t slot = pool_.head(); slot != RequestPool::kNone;
-         slot = pool_.next(slot)) {
-        Request &req = pool_.at(slot);
-        if (req.state != RequestState::Queued)
-            continue;
-        if (context_.latticeLevel(req.cls, req.core) == 0 &&
-            bank_has_preferred[req.coord.bank]) {
-            continue;
-        }
-        bool row_hit = false;
-        const NextCmd cmd = nextCommand(req, &row_hit);
-        if (!commandIssuable(req, cmd, now))
-            continue;
-        const std::uint64_t key = context_.priorityKey(req, row_hit);
-        if (best == nullptr || key > best_key) {
-            best = &req;
-            best_key = key;
-            best_cmd = cmd;
-            best_hit = row_hit;
-        }
-    }
-    if (best == nullptr)
-        return false;
-    issueCommand(*best, best_cmd, best_hit, now);
     return true;
 }
 

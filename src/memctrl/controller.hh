@@ -40,9 +40,13 @@
  *    the accuracy tracker rolls an interval (the only time PAR moves),
  *    and a lower bound on the earliest APD drop deadline, so the drop
  *    scan walks the buffer only when a drop can be due.
- * The naive O(queue) scheduler is retained behind
- * SchedulerConfig::reference_scheduler as the golden model; both paths
- * are decision-identical (same command each cycle, same stats).
+ * This is the only scheduler. Its oracle lives in the tests:
+ * tests/memctrl/reference_controller.hh holds a naive controller that
+ * recomputes every decision by walking two arrival-ordered lists and
+ * shares only the policy (SchedContext, ApdUnit::shouldDrop) and the
+ * channel with this one. SchedEquivalence drives both in lockstep and
+ * requires the same command each cycle, the same callbacks and the
+ * same stats.
  *
  * Storage: request buffer entries live in an arena (RequestPool) with
  * structure-of-arrays hot columns, so the scheduler scan reads dense
@@ -238,11 +242,14 @@ class MemoryController
     std::size_t readQueueSize() const { return pool_.size(); }
     std::size_t writeQueueSize() const { return write_q_.size(); }
 
+    /** The next DRAM command a request needs, given current bank state. */
+    enum class NextCmd : std::uint8_t { Precharge, Activate, Column, None };
+
     /** One DRAM command issued by the scheduler (for equivalence tests). */
     struct IssueRecord
     {
         Cycle cycle;
-        std::uint8_t cmd; ///< NextCmd value
+        NextCmd cmd;
         bool is_write;
         std::uint32_t bank;
         std::uint64_t row;
@@ -254,7 +261,8 @@ class MemoryController
     /**
      * Record every issued command into @p log (nullptr disables logging).
      * The log captures the complete scheduling decision sequence, which
-     * is what the reference/optimized equivalence test compares.
+     * is what the equivalence test compares with its reference
+     * controller's.
      */
     void setIssueLog(std::vector<IssueRecord> *log) { issue_log_ = log; }
 
@@ -274,9 +282,6 @@ class MemoryController
     const ApdUnit &apd() const { return apd_; }
 
   private:
-    /** The next DRAM command a request needs, given current bank state. */
-    enum class NextCmd : std::uint8_t { Precharge, Activate, Column, None };
-
     /** Ready cycles of the three real commands, indexed by NextCmd. */
     using ReadyCycles = std::array<Cycle, 3>;
 
@@ -328,8 +333,6 @@ class MemoryController
     };
 
     NextCmd nextCommand(const Request &req, bool *row_hit) const;
-    /** The reference scheduler's legality probe (Channel::can*()). */
-    bool commandIssuable(const Request &req, NextCmd cmd, Cycle now) const;
     void issueCommand(Request &req, NextCmd cmd, bool row_hit, Cycle now);
 
     /** tick() at or past next_edge_. */
@@ -338,7 +341,6 @@ class MemoryController
     void completeFinished(Cycle now);
     void runApd(Cycle now);
     bool scheduleRead(Cycle now);
-    bool scheduleReadReference(Cycle now);
     bool scheduleWrite(Cycle now);
     void finishRead(std::uint32_t slot, Cycle now);
 
@@ -538,8 +540,8 @@ class MemoryController
     Cycle next_edge_ = 0;
 
     /** Pool slots of in-flight (Servicing) reads, kept sorted by seq so
-        same-cycle completions fire in the same order as a full queue
-        walk. */
+        same-cycle completions fire in arrival order: the cache sees that
+        order, so it can change results. */
     std::vector<std::uint32_t> servicing_;
 
     /** Earliest data_ready among servicing_ (kNeverCycle when empty);

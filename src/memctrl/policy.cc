@@ -133,8 +133,6 @@ SchedulerConfig::validate(ConfigErrors &errors,
 {
     if (request_buffer_size == 0)
         errors.add(prefix + ".request_buffer_size", "must be >= 1");
-    if (write_buffer_size == 0)
-        errors.add(prefix + ".write_buffer_size", "must be >= 1");
     if (write_drain_low >= write_drain_high) {
         errors.add(prefix + ".write_drain_low",
                    "must be < write_drain_high (" +

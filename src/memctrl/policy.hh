@@ -104,9 +104,6 @@ struct SchedulerConfig
     /** Memory request buffer capacity (reads; matches L2 MSHR count). */
     std::uint32_t request_buffer_size = 128;
 
-    /** Writeback queue capacity. */
-    std::uint32_t write_buffer_size = 64;
-
     /** Start draining writes above this occupancy. */
     std::uint32_t write_drain_high = 48;
 
@@ -115,15 +112,6 @@ struct SchedulerConfig
 
     /** Row-buffer management (Section 6.8). */
     RowPolicy row_policy = RowPolicy::Open;
-
-    /**
-     * Use the naive O(queue) reference scheduler instead of the
-     * bank-sharded incremental one. The two are decision-identical by
-     * contract (same command stream, same stats); the reference exists as
-     * the golden model for the equivalence test suite and as the seed
-     * implementation baseline for the scheduler micro-benchmarks.
-     */
-    bool reference_scheduler = false;
 
     /** APD age quantum: AGE advances once per this many cycles. */
     Cycle age_quantum = 100;
@@ -152,11 +140,9 @@ forEachField(S &s, V &&v)
     v("ranking_enabled", s.ranking_enabled);
     v("promotion_threshold", s.promotion_threshold);
     v("request_buffer_size", s.request_buffer_size);
-    v("write_buffer_size", s.write_buffer_size);
     v("write_drain_high", s.write_drain_high);
     v("write_drain_low", s.write_drain_low);
     v("row_policy", s.row_policy);
-    v("reference_scheduler", s.reference_scheduler);
     v("age_quantum", s.age_quantum);
     v("drop_thresholds", s.drop_thresholds);
     v("drop_accuracy_bounds", s.drop_accuracy_bounds);
@@ -194,12 +180,6 @@ class SchedContext
     bool isCritical(const Request &req) const
     {
         return req.isDemand() || coreAccurate(req.core);
-    }
-
-    /** Urgent = demand from a core with low prefetch accuracy. */
-    bool isUrgent(const Request &req) const
-    {
-        return req.isDemand() && !coreAccurate(req.core);
     }
 
     /**

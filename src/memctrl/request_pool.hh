@@ -9,8 +9,8 @@
  * live in stable arena slots (slot indices never move, so bank shards
  * and the address index hold plain uint32 slot numbers instead of list
  * iterators). An intrusive prev/next chain preserves enqueue order for
- * the walks that depend on it: the reference scheduler, APD's drop
- * scan, and the reference completion walk.
+ * the two walks that depend on it: APD's drop scan and the next-event
+ * APD bound.
  *
  * Slot identity is never a scheduling input -- every priority decision
  * keys off the stored seq -- so LIFO slot reuse cannot perturb

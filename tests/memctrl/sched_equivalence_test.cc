@@ -1,8 +1,8 @@
 /**
  * @file
- * Golden equivalence tests: the bank-sharded incremental scheduler must
- * make exactly the same decision as the naive reference scheduler every
- * cycle, for every policy configuration.
+ * Golden equivalence tests: the production MemoryController must make
+ * exactly the same decision as the naive ReferenceController
+ * (reference_controller.hh) every cycle, for every policy configuration.
  *
  * Two complete controller stacks (separate Channel, AccuracyTracker and
  * handler) receive an identical randomized stimulus -- enqueues of
@@ -10,12 +10,12 @@
  * requests to one bank keep conflicting: precharges, activates and
  * row-hit/row-miss splits all occur), promotions, prefetch-used events
  * that push cores below and back above the promotion threshold across
- * accuracy intervals, and interval ticks -- one configured with
- * reference_scheduler=true, the other with the optimized path. The test
- * then compares the complete DRAM command streams (IssueRecord logs),
- * the completion/drop event sequences, and every statistic. A second
- * instantiation turns periodic refresh on, which closes every bank
- * between scheduling rounds.
+ * accuracy intervals, and interval ticks -- one stack around each
+ * controller. The test then compares the complete DRAM command streams
+ * (IssueRecord logs), the completion/drop event sequences, and every
+ * statistic. A second instantiation turns periodic refresh on, which
+ * closes every bank between scheduling rounds; a third lengthens the
+ * data burst past tCCD, so the data bus binds column commands.
  */
 
 #include <gtest/gtest.h>
@@ -27,11 +27,14 @@
 #include "dram/address_map.hh"
 #include "dram/channel.hh"
 #include "memctrl/controller.hh"
+#include "reference_controller.hh"
 
 namespace padc::memctrl
 {
 namespace
 {
+
+using test::ReferenceController;
 
 /** Records completions and drops in arrival order, comparably. */
 class LoggingHandler : public ResponseHandler
@@ -66,6 +69,7 @@ class LoggingHandler : public ResponseHandler
 };
 
 /** One controller plus everything it owns, for lockstep driving. */
+template <typename Controller>
 struct Stack
 {
     Stack(const SchedulerConfig &config, std::uint32_t num_cores,
@@ -83,7 +87,7 @@ struct Stack
     dram::AddressMap map;
     AccuracyTracker tracker;
     LoggingHandler handler;
-    MemoryController ctrl;
+    Controller ctrl;
     std::vector<MemoryController::IssueRecord> issues;
 };
 
@@ -120,7 +124,7 @@ struct AccuracyStates
 };
 
 /**
- * Drive reference and optimized stacks through an identical randomized
+ * Drive reference and production stacks through an identical randomized
  * stimulus and require identical observable behaviour. @p load scales
  * the read and write arrival rates. Merges the accuracy states the
  * cores visited into @p states, for the caller to require both.
@@ -135,19 +139,13 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
     constexpr Cycle kDrainCycles = 8000;
 
     config.request_buffer_size = 24; // small: exercise rejected-full
-    config.write_buffer_size = 16;
     config.write_drain_high = 10;
     config.write_drain_low = 3;
     config.accuracy.interval = 1500; // several interval boundaries
     config.accuracy.min_samples = 4;
 
-    SchedulerConfig ref_config = config;
-    ref_config.reference_scheduler = true;
-    SchedulerConfig opt_config = config;
-    opt_config.reference_scheduler = false;
-
-    Stack ref(ref_config, kCores, timing);
-    Stack opt(opt_config, kCores, timing);
+    Stack<ReferenceController> ref(config, kCores, timing);
+    Stack<MemoryController> opt(config, kCores, timing);
 
     Rng rng(seed);
     // Small line pool: 4 rows x 6 columns in each of the 8 banks, so row
@@ -345,15 +343,47 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SchedEquivalence,
                              return comboName(info.param);
                          });
 
-/** One refresh-enabled case: a policy under one row policy. */
-struct RefreshCombo
+/** One case of the refresh and long-burst arms: a policy under one row
+    policy, with the default urgency (on), ranking (off) and APD (on). */
+struct PolicyRow
 {
     SchedPolicyKind kind;
     RowPolicy row;
 };
 
-class SchedEquivalenceRefresh
-    : public ::testing::TestWithParam<RefreshCombo>
+std::vector<PolicyRow>
+policyRows()
+{
+    std::vector<PolicyRow> combos;
+    for (const auto kind :
+         {SchedPolicyKind::FrFcfs, SchedPolicyKind::DemandFirst,
+          SchedPolicyKind::PrefetchFirst, SchedPolicyKind::Aps}) {
+        for (const auto row : {RowPolicy::Open, RowPolicy::Closed})
+            combos.push_back({kind, row});
+    }
+    return combos;
+}
+
+std::string
+policyRowName(const ::testing::TestParamInfo<PolicyRow> &info)
+{
+    return comboName({info.param.kind, true, false, true, info.param.row});
+}
+
+/** The default SchedulerConfig under @p combo's policy and row policy,
+    with the mid-scale promotion threshold the stimulus flips cores
+    across. */
+SchedulerConfig
+policyRowConfig(const PolicyRow &combo)
+{
+    SchedulerConfig config;
+    config.kind = combo.kind;
+    config.row_policy = combo.row;
+    config.promotion_threshold = 0.60;
+    return config;
+}
+
+class SchedEquivalenceRefresh : public ::testing::TestWithParam<PolicyRow>
 {
 };
 
@@ -365,17 +395,14 @@ TEST_P(SchedEquivalenceRefresh, DecisionIdentical)
     // few hundred DRAM cycles of the run, and a light load leaves most
     // banks without a command during the refresh blackout (an activate
     // would rescan the bank and hide a stale cache).
-    const RefreshCombo &combo = GetParam();
-    SchedulerConfig config;
-    config.kind = combo.kind;
-    config.row_policy = combo.row;
-    config.promotion_threshold = 0.60;
+    const PolicyRow &combo = GetParam();
+    const SchedulerConfig config = policyRowConfig(combo);
     dram::TimingParams timing;
     timing.refresh_enabled = true;
     timing.tREFI = 520;
     // Several short seeded runs: each refresh only exposes a stale
     // cache when some bank had a queued read at the refresh and nothing
-    // else rescanned it before the reference scheduler would serve it.
+    // else rescanned it before the reference controller would serve it.
     AccuracyStates states;
     for (std::uint64_t run = 0; run < 12 && !HasFailure(); ++run) {
         runEquivalence(config,
@@ -386,35 +413,40 @@ TEST_P(SchedEquivalenceRefresh, DecisionIdentical)
     expectBothAccuracyStates(states);
 }
 
-std::vector<RefreshCombo>
-refreshCombos()
-{
-    std::vector<RefreshCombo> combos;
-    for (const auto kind :
-         {SchedPolicyKind::FrFcfs, SchedPolicyKind::DemandFirst,
-          SchedPolicyKind::PrefetchFirst, SchedPolicyKind::Aps}) {
-        for (const auto row : {RowPolicy::Open, RowPolicy::Closed})
-            combos.push_back({kind, row});
-    }
-    return combos;
-}
-
-std::string
-refreshComboName(const ::testing::TestParamInfo<RefreshCombo> &info)
-{
-    return comboName({info.param.kind, true, false, true, info.param.row});
-}
-
 INSTANTIATE_TEST_SUITE_P(Refresh, SchedEquivalenceRefresh,
-                         ::testing::ValuesIn(refreshCombos()),
-                         refreshComboName);
+                         ::testing::ValuesIn(policyRows()), policyRowName);
+
+class SchedEquivalenceLongBurst
+    : public ::testing::TestWithParam<PolicyRow>
+{
+};
+
+TEST_P(SchedEquivalenceLongBurst, DecisionIdentical)
+{
+    // At the default timing tBURST == tCCD, so the tCCD gate always
+    // frees the data bus in time and the data-bus terms of the channel's
+    // column ready cycles never bind. A burst twice tCCD makes
+    // back-to-back columns wait for the bus, so production's ready
+    // cycles meet Channel::canColumn() in the comparison.
+    const PolicyRow &combo = GetParam();
+    dram::TimingParams timing;
+    timing.tBURST = 4;
+    AccuracyStates states;
+    runEquivalence(policyRowConfig(combo),
+                   0xB0B57 ^ static_cast<std::uint64_t>(combo.kind), states,
+                   timing);
+    expectBothAccuracyStates(states);
+}
+
+INSTANTIATE_TEST_SUITE_P(LongBurst, SchedEquivalenceLongBurst,
+                         ::testing::ValuesIn(policyRows()), policyRowName);
 
 /** Duplicate enqueues are coalesced, not asserted on (satellite fix). */
 TEST(DuplicateEnqueue, CoalescesInsteadOfCorrupting)
 {
     SchedulerConfig config;
     config.kind = SchedPolicyKind::Aps;
-    Stack stack(config, 2);
+    Stack<MemoryController> stack(config, 2);
 
     const Addr addr = lineToAddr(5);
     EXPECT_TRUE(stack.ctrl.enqueueRead(stack.map.map(addr),

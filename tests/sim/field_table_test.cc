@@ -3,8 +3,8 @@
  * Tests for the field tables (common/fields.hh) and everything derived
  * from them: every config and RunOptions leaf is keyed and survives the
  * worker wire, every metric leaf round-trips bit-exactly through the
- * wire and the journal, keys match the values pinned before the tables
- * existed, and strict decoding names the dotted path of a bad member.
+ * wire and the journal, three keys match their pinned values, and
+ * strict decoding names the dotted path of a bad member.
  * The leaf lists come from the tables themselves (field_walk.hh).
  */
 
@@ -80,9 +80,9 @@ TEST(FieldTable, EveryConfigLeafIsKeyedAndSurvivesTheWire)
     const std::uint64_t base_key = sweepPointKey(base);
     const std::vector<std::string> paths = leafPaths(base);
     const std::size_t leaves = paths.size();
-    // 86 config leaves (collector and event_skip are not rows), the mix
+    // 84 config leaves (collector and event_skip are not rows), the mix
     // and 4 RunOptions leaves, each under its own name.
-    ASSERT_EQ(leaves, 86u + base.mix.size() + 4u);
+    ASSERT_EQ(leaves, 84u + base.mix.size() + 4u);
     EXPECT_EQ(std::set<std::string>(paths.begin(), paths.end()).size(),
               leaves);
 
@@ -219,8 +219,10 @@ TEST_F(FieldTableJournal, EveryEvalLeafRoundTripsBitExactly)
 
 TEST(FieldTable, KeysMatchTheValuesPinnedBeforeTheTables)
 {
-    // Computed by the hand-written sweepPointKey the tables replaced;
-    // BENCH "key"/"config_hash" values and old journals depend on them.
+    // These values pin the key function: BENCH "key"/"config_hash"
+    // values and journal replay depend on it. A deliberate key change
+    // (a keyed field added or removed) updates them, and its change log
+    // entry says that old journals stop replaying.
     const SweepPoint one{SystemConfig::baseline(1), {"libquantum_06"},
                          RunOptions{}};
     RunOptions four_options;
@@ -229,9 +231,9 @@ TEST(FieldTable, KeysMatchTheValuesPinnedBeforeTheTables)
         applyPolicy(SystemConfig::baseline(4), PolicySetup::Padc),
         {"libquantum_06", "milc_06", "mcf_06", "lbm_06"},
         four_options};
-    EXPECT_EQ(sweepPointKey(one), 0x367411811951e0baULL);
-    EXPECT_EQ(sweepPointKey(four), 0x36e79b338ab0e70bULL);
-    EXPECT_EQ(sweepPointKey(fancyPoint()), 0x462b7e6bdc08b031ULL);
+    EXPECT_EQ(sweepPointKey(one), 0x1d22f735805b6afaULL);
+    EXPECT_EQ(sweepPointKey(four), 0x6ef2a91bce5670cbULL);
+    EXPECT_EQ(sweepPointKey(fancyPoint()), 0x005b146b2ee3b9f1ULL);
 }
 
 TEST(FieldTable, ExecutionDetailsAreNotKeyed)
