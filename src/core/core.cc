@@ -286,8 +286,50 @@ Core::tick(Cycle now)
     issue(now);
 }
 
+bool
+Core::issueCanAct() const
+{
+    if (issue_q_.empty() || issue_parked_)
+        return false;
+    const RobEntry *front = issue_q_.front();
+    return !(front->dependent && mem_ops_in_flight_ > 0) &&
+           mem_ops_in_flight_ < config_.lsq_size;
+}
+
+std::uint64_t
+Core::stretchCycles(std::uint64_t retire_goal) const
+{
+    // A stretch cycle must leave everything but four counters as it
+    // found it: retire takes exactly R from the head block without
+    // emptying it, fetch merges exactly R of the current op's compute
+    // into the back block (F == R refills what retire freed; with
+    // F > R only a full window holds fetch to R), and issue is idle.
+    // Nothing else can change the state inside the stretch: a
+    // completion or an unpark resets the System's cached bound.
+    const std::uint32_t r = config_.retire_width;
+    const RobEntry &head = rob_.front();
+    const bool one_block = rob_.size() == 1;
+    const bool steady =
+        config_.fetch_width == r ||
+        (config_.fetch_width > r &&
+         instrs_in_window_ == config_.window_size);
+    if (!have_current_op_ || compute_left_ < r || rob_.back().is_mem ||
+        !steady || issueCanAct() || (one_block && head.compute_left < r))
+        return 0;
+    // The stretch ends before the op's compute runs out, before the
+    // head block empties (a lone block is refilled as fast as it
+    // drains), and before the goal is reached; flooring by R commutes
+    // with min, so one division serves all three.
+    std::uint64_t room = compute_left_;
+    if (!one_block)
+        room = std::min<std::uint64_t>(room, head.compute_left - 1);
+    if (retire_goal > stats_.instructions)
+        room = std::min(room, retire_goal - stats_.instructions - 1);
+    return static_cast<std::uint32_t>(room) / r;
+}
+
 Cycle
-Core::nextEventCycle(Cycle from) const
+Core::nextEventCycle(Cycle from, std::uint64_t retire_goal) const
 {
     if (runahead_active_)
         return from; // pseudo-execution consumes trace every cycle
@@ -295,7 +337,7 @@ Core::nextEventCycle(Cycle from) const
     if (!rob_.empty()) {
         const RobEntry &head = rob_.front();
         if (!head.is_mem)
-            return from; // compute blocks retire every cycle
+            return from + stretchCycles(retire_goal);
         if (head.is_load) {
             if (head.issued && (head.complete || head.ready <= from))
                 return from; // head retires this cycle
@@ -315,13 +357,8 @@ Core::nextEventCycle(Cycle from) const
     // cycle until the memory port unparks the core, and skipped cycles
     // replay its counters (accountIdleCycles here, the port's own in the
     // System) instead.
-    if (!issue_q_.empty() && !issue_parked_) {
-        const RobEntry *front = issue_q_.front();
-        if (!(front->dependent && mem_ops_in_flight_ > 0) &&
-            mem_ops_in_flight_ < config_.lsq_size) {
-            return from;
-        }
-    }
+    if (issueCanAct())
+        return from;
 
     // Fully stalled. A head load with a known completion time wakes the
     // core at that cycle; everything else waits on a completeLoad()
@@ -340,12 +377,26 @@ Core::nextEventCycle(Cycle from) const
 void
 Core::accountIdleCycles(std::uint64_t cycles)
 {
-    // The gap invariant guarantees the retire stage saw the same
-    // not-yet-done load head in every skipped cycle (any state change
-    // would have been an event), and a parked issue stage the same
-    // bounce; only those cases increment a per-cycle counter in tick().
-    if (!rob_.empty() && rob_.front().is_mem && rob_.front().is_load)
-        stats_.load_stall_cycles += cycles;
+    // The gap invariant guarantees every skipped tick saw the state the
+    // bound was taken from: a compute head was in a stretch (moving R
+    // instructions per cycle from the op into the back block and from
+    // the head block out), a memory head was the same not-yet-done
+    // load or a store, and a parked issue stage made the same bounce.
+    if (!rob_.empty()) {
+        RobEntry &head = rob_.front();
+        if (!head.is_mem) {
+            const auto moved =
+                static_cast<std::uint32_t>(cycles * config_.retire_width);
+            if (rob_.size() > 1) {
+                head.compute_left -= moved;
+                rob_.back().compute_left += moved;
+            }
+            compute_left_ -= moved;
+            stats_.instructions += moved;
+        } else if (head.is_load) {
+            stats_.load_stall_cycles += cycles;
+        }
+    }
     if (issue_parked_)
         stats_.issue_retries += cycles;
 }

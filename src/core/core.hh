@@ -136,25 +136,34 @@ class Core
     void tick(Cycle now);
 
     /**
-     * Earliest cycle >= @p from at which a tick() of this core could
-     * make progress or have any side effect beyond the head-load stall
-     * counter and a parked issue stage's bounce (which
-     * accountIdleCycles() and the memory port reproduce for skipped
-     * cycles): @p from itself when any pipeline stage can act this
-     * cycle, the head load's known completion time when the core is
-     * fully stalled on it, or kNeverCycle when the core can only be
-     * woken by a completeLoad() or an unpark() from the memory system
-     * (whose timing the controller's own next-event computation
-     * bounds).
+     * Earliest cycle >= @p from at which a tick() of this core could do
+     * anything accountIdleCycles() and the memory port do not reproduce
+     * for skipped cycles: the head-load stall counter, a parked issue
+     * stage's bounce, and a steady compute stretch.
+     *
+     * A stretch cycle retires retire_width compute instructions from
+     * the head block and fetches as many of the current op's compute
+     * instructions into the back block, with the window occupancy
+     * unchanged and the issue stage idle; the stretch ends before the
+     * head block empties, the op's compute runs out, or the retired
+     * count reaches @p retire_goal (a goal at or below the count bounds
+     * nothing), so the tick that crosses the goal is a real one.
+     *
+     * Otherwise: @p from when any pipeline stage can act this cycle,
+     * the head load's known completion time when the core is fully
+     * stalled on it, or kNeverCycle when only a completeLoad() or an
+     * unpark() from the memory system can wake it (whose timing the
+     * controller's own next-event computation bounds).
      */
-    Cycle nextEventCycle(Cycle from) const;
+    Cycle nextEventCycle(Cycle from, std::uint64_t retire_goal) const;
 
     /**
-     * Account for skipped cycles during which this core was provably
-     * stalled: reproduces the per-cycle head-load stall increment and,
-     * while the issue stage is parked, the retry count of the bounce
-     * each skipped tick would have made. @pre nextEventCycle(from)
-     * covered every skipped cycle, so the stall held throughout.
+     * Replay @p cycles skipped cycles in closed form: the retirement
+     * and fetch of a compute stretch, or the per-cycle head-load stall
+     * increment; and, while the issue stage is parked, the retry count
+     * of the bounce each skipped tick would have made. @pre
+     * nextEventCycle() covered every skipped cycle, so the stretch or
+     * the stall held throughout; a span may be replayed in pieces.
      */
     void accountIdleCycles(std::uint64_t cycles);
 
@@ -201,6 +210,14 @@ class Core
     void fetch(Cycle now);
     void issue(Cycle now);
     void runaheadStep(Cycle now);
+
+    /** issue() would attempt an access this cycle (a parked bounce does
+        not count; see issueParked()). */
+    bool issueCanAct() const;
+
+    /** Stretch cycles nextEventCycle() may skip; see there. @pre the
+        head is a compute block and no runahead episode is active. */
+    std::uint64_t stretchCycles(std::uint64_t retire_goal) const;
 
     TraceOp nextOp();
 

@@ -565,6 +565,8 @@ recordRunProfile(ExperimentResult &result)
                        snap.seconds(telemetry::ProfilePhase::Simulate));
     result.profile.add("collect_seconds",
                        snap.seconds(telemetry::ProfilePhase::Collect));
+    result.profile.add("alone_seconds",
+                       snap.seconds(telemetry::ProfilePhase::Alone));
     // Event-driven main loop: how much simulated time was jumped over
     // rather than stepped. The caller sets wall_seconds before this
     // runs, so the throughput figure tracks the same run.
@@ -577,6 +579,9 @@ recordRunProfile(ExperimentResult &result)
                        static_cast<double>(snap.skipped_cycles));
     result.profile.add("event_jumps",
                        static_cast<double>(snap.event_jumps));
+    result.profile.add("landed_cycles",
+                       static_cast<double>(snap.landed_cycles));
+    result.profile.add("core_ticks", static_cast<double>(snap.core_ticks));
 }
 
 /**
@@ -973,7 +978,8 @@ driverMain(int argc, const char *const *argv)
         if (options.format == DriverOptions::Format::Text) {
             std::printf(
                 "[%s] %.3g sim-cycles in %.2fs (%.3g cycles/sec); "
-                "build %.2fs, simulate %.2fs, collect %.2fs\n",
+                "build %.2fs, simulate %.2fs, alone %.2fs, "
+                "collect %.2fs\n",
                 info.name.c_str(),
                 static_cast<double>(result.simCycles()),
                 result.wall_seconds,
@@ -983,6 +989,7 @@ driverMain(int argc, const char *const *argv)
                     : 0.0,
                 result.profile.get("build_seconds"),
                 result.profile.get("simulate_seconds"),
+                result.profile.get("alone_seconds"),
                 result.profile.get("collect_seconds"));
             for (const SinkSummary &sink : result.sinks) {
                 std::printf("[%s] wrote %s '%s' (%llu rows, %llu "

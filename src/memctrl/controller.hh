@@ -235,6 +235,14 @@ class MemoryController
      */
     void skipTo(Cycle from, Cycle to);
 
+    /**
+     * The first DRAM clock edge tick() has not reached yet. Between the
+     * ticks of consecutive cycles it is the first DRAM cycle at or after
+     * the current one, so nextEventCycle() never returns an earlier
+     * cycle, and skipTo() to it or before it changes nothing.
+     */
+    Cycle nextEdge() const { return next_edge_; }
+
     const ControllerStats &stats() const { return stats_; }
 
     const SchedulerConfig &config() const { return config_; }

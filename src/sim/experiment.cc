@@ -180,6 +180,7 @@ AloneIpcCache::computeAlone(const std::string &profile_name,
                             std::uint32_t core,
                             std::uint64_t mix_seed) const
 {
+    telemetry::WallProfiler::Scope scope(telemetry::ProfilePhase::Alone);
     // Alone methodology (Section 5.2): demand-first policy, application
     // on one core of the CMP, other cores idle. We emulate idle cores
     // with a compute-only spin trace confined to a single line.
@@ -211,8 +212,16 @@ AloneIpcCache::computeAlone(const std::string &profile_name,
     }
 
     System system(cfg, std::move(sources));
-    system.run(options_.instructions, options_.max_cycles,
-               options_.warmup);
+    const RunStatus status = system.run(
+        options_.instructions, options_.max_cycles, options_.warmup);
+    // A truncated alone run would normalise every point that needs it
+    // by a partial IPC; fail those points instead.
+    if (!status.converged()) {
+        throw std::runtime_error(
+            "alone run of " + profile_name + " on core " +
+            std::to_string(core) + ", seed " + std::to_string(mix_seed) +
+            ": " + status.detail());
+    }
     const RunMetrics metrics = collectMetrics(system);
     return metrics.cores[core % cfg.num_cores].ipc;
 }

@@ -106,7 +106,12 @@ class AloneIpcCache
      */
     AloneIpcCache(SystemConfig base, RunOptions options);
 
-    /** Alone IPC of @p profile_name running on core @p core of the CMP. */
+    /**
+     * Alone IPC of @p profile_name running on core @p core of the CMP.
+     * Throws std::runtime_error, naming the profile, core and seed, when
+     * the alone run hits the cycle cap, so the point that needs it fails
+     * rather than being normalised by a partial IPC.
+     */
     double ipcAlone(const std::string &profile_name, std::uint32_t core,
                     std::uint64_t mix_seed);
 

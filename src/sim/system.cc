@@ -730,12 +730,15 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
     const Cycle end = now_ + max_cycles;
     std::uint64_t jump_cycles = 0;
     std::uint64_t jump_count = 0;
+    std::uint64_t landed_cycles = 0;
+    std::uint64_t core_ticks = 0;
     core_next_.assign(config_.num_cores, 0);
     idle_from_.assign(config_.num_cores, now_);
     std::uint32_t cores_done = 0;
     for (const CoreResult &res : results_)
         cores_done += res.done ? 1 : 0;
     while (now_ < end) {
+        ++landed_cycles;
         if (now_ >= tracker_->nextBoundary())
             tracker_->tick(now_);
         if (now_ >= next_interval_) {
@@ -750,16 +753,17 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
                 // Provably idle this cycle (nothing ticked the core and
                 // no completion touched it since its bound was taken):
                 // leave the cycle to settleIdle(), which replays the
-                // exact idle accounting of a no-op tick, just as it does
-                // for the gap cycles of a jump. A skipped core cannot
-                // have newly finished.
+                // exact idle accounting of a skipped tick, just as it
+                // does for the gap cycles of a jump. A skipped core
+                // cannot have newly warmed or finished: its bound stops
+                // short of its retire goal.
                 continue;
             }
             settleIdle(i, now_);
             cores_[i]->tick(now_);
+            ++core_ticks;
             idle_from_[i] = now_ + 1;
-            if (event_skip_)
-                core_next_[i] = cores_[i]->nextEventCycle(now_ + 1);
+            std::uint64_t retire_goal = 0; // a finished core has none
             if (!results_[i].done) {
                 CoreResult &res = results_[i];
                 const std::uint64_t retired =
@@ -781,7 +785,16 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
                     res.pref_sent = tracker_->totalSent(i);
                     res.pref_used = tracker_->totalUsed(i);
                     ++cores_done;
+                } else {
+                    retire_goal = instructions_per_core;
+                    if (!res.warmed && warmup_instructions > 0)
+                        retire_goal =
+                            std::min(retire_goal, warmup_instructions);
                 }
+            }
+            if (event_skip_) {
+                core_next_[i] =
+                    cores_[i]->nextEventCycle(now_ + 1, retire_goal);
             }
         }
         ++now_;
@@ -818,26 +831,32 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
         }
         if (!can_skip || next <= now_)
             continue;
-        for (const auto &controller : controllers_) {
-            next = std::min(next, controller->nextEventCycle(now_));
+        // A jump that ends at or before every controller's next DRAM
+        // edge spans no DRAM cycle: no controller bound can be earlier
+        // than its next edge, and skipTo() would return at once.
+        Cycle edge = kNeverCycle;
+        for (const auto &controller : controllers_)
+            edge = std::min(edge, controller->nextEdge());
+        if (next > edge) {
+            for (const auto &controller : controllers_) {
+                next = std::min(next, controller->nextEventCycle(now_));
+                if (next <= now_)
+                    break;
+            }
             if (next <= now_)
-                break;
+                continue;
+            for (auto &controller : controllers_)
+                controller->skipTo(now_, next);
         }
-        if (next <= now_)
-            continue;
-        const std::uint64_t skipped = next - now_;
-        for (auto &controller : controllers_)
-            controller->skipTo(now_, next);
-        jump_cycles += skipped;
+        jump_cycles += next - now_;
         ++jump_count;
         now_ = next;
     }
-    // Per-jump profiler updates are two atomic RMWs each; batch them so
-    // the hot loop stays atomic-free (nothing observes the counters
-    // mid-run -- snapshots happen after run() returns).
-    if (jump_count > 0)
-        telemetry::WallProfiler::instance().addEventJumps(jump_cycles,
-                                                          jump_count);
+    // Per-event profiler updates would be atomic RMWs; batch them so the
+    // hot loop stays atomic-free (nothing observes the counters mid-run
+    // -- snapshots happen after run() returns).
+    telemetry::WallProfiler::instance().addLoopWork(
+        {jump_cycles, jump_count, landed_cycles, core_ticks});
 
     settleAllIdle();
 

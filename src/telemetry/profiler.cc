@@ -22,6 +22,8 @@ WallProfiler::snapshot() const
     }
     snap.skipped_cycles = skipped_cycles_.load(std::memory_order_relaxed);
     snap.event_jumps = event_jumps_.load(std::memory_order_relaxed);
+    snap.landed_cycles = landed_cycles_.load(std::memory_order_relaxed);
+    snap.core_ticks = core_ticks_.load(std::memory_order_relaxed);
     return snap;
 }
 
@@ -34,6 +36,8 @@ WallProfiler::reset()
     }
     skipped_cycles_.store(0, std::memory_order_relaxed);
     event_jumps_.store(0, std::memory_order_relaxed);
+    landed_cycles_.store(0, std::memory_order_relaxed);
+    core_ticks_.store(0, std::memory_order_relaxed);
 }
 
 } // namespace padc::telemetry

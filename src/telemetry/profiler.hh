@@ -12,6 +12,9 @@
  * can share the singleton; numbers therefore aggregate *across* worker
  * threads (CPU seconds, not elapsed seconds, when the pool fans out).
  *
+ * Alone wraps each alone-IPC run (AloneIpcCache::computeAlone) whole,
+ * which no runMix phase covers.
+ *
  * The driver snapshots-and-resets around each experiment and reports
  * the phases next to the sim-cycles/sec block and in the "profile"
  * member of BENCH_<name>.json.
@@ -35,9 +38,10 @@ enum class ProfilePhase : std::uint8_t
     Build,    ///< trace construction + System assembly
     Simulate, ///< System::run
     Collect,  ///< metrics collection
+    Alone,    ///< an alone-IPC run: build, run and collect
 };
 
-constexpr std::size_t kProfilePhases = 3;
+constexpr std::size_t kProfilePhases = 4;
 
 /**
  * Process-wide wall-clock accumulator; see file comment.
@@ -54,18 +58,24 @@ class WallProfiler
         cell.calls.fetch_add(1, std::memory_order_relaxed);
     }
 
-    /** One next-event jump of @p skipped cycles in System::run. */
-    void addEventJump(std::uint64_t skipped)
+    /** The cycle-loop work of one System::run. */
+    struct LoopWork
     {
-        skipped_cycles_.fetch_add(skipped, std::memory_order_relaxed);
-        event_jumps_.fetch_add(1, std::memory_order_relaxed);
-    }
+        std::uint64_t skipped_cycles = 0; ///< elided by next-event jumps
+        std::uint64_t event_jumps = 0;    ///< next-event jumps taken
+        std::uint64_t landed_cycles = 0;  ///< cycles the loop stepped on
+        std::uint64_t core_ticks = 0;     ///< Core::tick calls
+    };
 
-    /** Batched form: @p jumps jumps totalling @p skipped cycles. */
-    void addEventJumps(std::uint64_t skipped, std::uint64_t jumps)
+    /** Add one run's loop work; System::run calls it once per run. */
+    void addLoopWork(const LoopWork &work)
     {
-        skipped_cycles_.fetch_add(skipped, std::memory_order_relaxed);
-        event_jumps_.fetch_add(jumps, std::memory_order_relaxed);
+        skipped_cycles_.fetch_add(work.skipped_cycles,
+                                  std::memory_order_relaxed);
+        event_jumps_.fetch_add(work.event_jumps, std::memory_order_relaxed);
+        landed_cycles_.fetch_add(work.landed_cycles,
+                                 std::memory_order_relaxed);
+        core_ticks_.fetch_add(work.core_ticks, std::memory_order_relaxed);
     }
 
     /** Consistent-enough copy of the counters (relaxed reads). */
@@ -82,6 +92,10 @@ class WallProfiler
         std::uint64_t skipped_cycles = 0;
         /** Number of next-event jumps taken. */
         std::uint64_t event_jumps = 0;
+        /** Simulated cycles the loop stepped on rather than jumped. */
+        std::uint64_t landed_cycles = 0;
+        /** Core::tick calls. */
+        std::uint64_t core_ticks = 0;
 
         double seconds(ProfilePhase phase) const
         {
@@ -138,6 +152,8 @@ class WallProfiler
     std::array<Cell, kProfilePhases> cells_;
     std::atomic<std::uint64_t> skipped_cycles_{0};
     std::atomic<std::uint64_t> event_jumps_{0};
+    std::atomic<std::uint64_t> landed_cycles_{0};
+    std::atomic<std::uint64_t> core_ticks_{0};
 };
 
 } // namespace padc::telemetry

@@ -37,6 +37,7 @@ struct RunArtifacts
     std::vector<telemetry::TraceEvent> events;
     std::uint64_t events_seen = 0;
     std::uint64_t issue_retries = 0; ///< summed over the cores
+    telemetry::WallProfiler::Snapshot loop; ///< the run's loop work
 };
 
 void
@@ -89,10 +90,23 @@ addModelStats(StatSet &stats, const System &system)
     }
 }
 
+/**
+ * How a run lays its traces out: @p mix's synthetic profiles, one per
+ * core, or AloneIpcCache's alone layout -- mix[0] on core 0 and the
+ * spin op of its idle cores (one load to a private line every 1000
+ * compute instructions) on the others.
+ */
+enum class Layout
+{
+    Mix,
+    Alone,
+};
+
 /** Run @p mix under @p cfg with full telemetry and capture the output. */
 RunArtifacts
 runOnce(SystemConfig cfg, const workload::Mix &mix, bool event_skip,
-        std::uint64_t instructions, std::uint64_t warmup)
+        std::uint64_t instructions, std::uint64_t warmup,
+        Layout layout = Layout::Mix, std::uint64_t seed = 0)
 {
     telemetry::TelemetryConfig tcfg;
     tcfg.timeseries = true;
@@ -101,17 +115,29 @@ runOnce(SystemConfig cfg, const workload::Mix &mix, bool event_skip,
     cfg.collector = &collector;
     cfg.event_skip = event_skip;
 
-    std::vector<std::unique_ptr<workload::SyntheticTrace>> traces;
+    std::vector<std::unique_ptr<core::TraceSource>> traces;
     std::vector<core::TraceSource *> sources;
     for (std::uint32_t c = 0; c < cfg.num_cores; ++c) {
-        traces.push_back(std::make_unique<workload::SyntheticTrace>(
-            workload::traceParamsFor(mix, c, 0)));
+        if (layout == Layout::Alone && c > 0) {
+            core::TraceOp spin;
+            spin.compute_gap = 1000;
+            spin.addr = (static_cast<Addr>(c) << 40) | 0x100;
+            spin.pc = 0x500000 + c * 16;
+            traces.push_back(std::make_unique<core::VectorTrace>(
+                std::vector<core::TraceOp>{spin}));
+        } else {
+            traces.push_back(std::make_unique<workload::SyntheticTrace>(
+                workload::traceParamsFor(mix, c, seed)));
+        }
         sources.push_back(traces.back().get());
     }
 
     System system(cfg, std::move(sources));
     RunArtifacts out;
+    auto &profiler = telemetry::WallProfiler::instance();
+    profiler.reset();
     out.status = system.run(instructions, 30000000, warmup);
+    out.loop = profiler.snapshot();
     out.stats = system.exportStats();
     addModelStats(out.stats, system);
     for (CoreId i = 0; i < cfg.num_cores; ++i)
@@ -191,20 +217,22 @@ expectSameArtifacts(const RunArtifacts &on, const RunArtifacts &off)
 
 /**
  * Run skip-on vs. skip-off and assert every artifact is identical.
- * @return the skip-on run's issue retries (equal to the skip-off run's
- *         when the artifacts match), so a case can check it exercised
- *         parked cores
+ * @return the skip-on run's artifacts, so a case can check what it
+ *         exercised: parked cores (issue retries, equal to the skip-off
+ *         run's when the artifacts match) or skipped cycles
  */
-std::uint64_t
+RunArtifacts
 expectEquivalent(const SystemConfig &cfg, const workload::Mix &mix,
                  std::uint64_t instructions = 8000,
-                 std::uint64_t warmup = 1000)
+                 std::uint64_t warmup = 1000, Layout layout = Layout::Mix,
+                 std::uint64_t seed = 0)
 {
-    const RunArtifacts on = runOnce(cfg, mix, true, instructions, warmup);
+    RunArtifacts on =
+        runOnce(cfg, mix, true, instructions, warmup, layout, seed);
     const RunArtifacts off =
-        runOnce(cfg, mix, false, instructions, warmup);
+        runOnce(cfg, mix, false, instructions, warmup, layout, seed);
     expectSameArtifacts(on, off);
-    return on.issue_retries;
+    return on;
 }
 
 SystemConfig
@@ -269,7 +297,8 @@ TEST(EventSkipTest, SharedL2WakesEveryParkedCore)
     cfg.l2.size_bytes = 2 * 1024 * 1024;
     cfg.l2.ways = 16;
     EXPECT_GT(expectEquivalent(cfg, {"libquantum_06", "swim_00", "milc_06",
-                                     "lbm_06"}),
+                                     "lbm_06"})
+                  .issue_retries,
               0u);
 }
 
@@ -281,7 +310,9 @@ TEST(EventSkipTest, FdpCountsReplayedDemandAccesses)
     SystemConfig cfg = applyPolicy(SystemConfig::baseline(2),
                                    PolicySetup::ApsOnly);
     cfg.fdp_enabled = true;
-    EXPECT_GT(expectEquivalent(cfg, {"libquantum_06", "swim_00"}), 0u);
+    EXPECT_GT(expectEquivalent(cfg, {"libquantum_06", "swim_00"})
+                  .issue_retries,
+              0u);
 }
 
 TEST(EventSkipTest, TinyMshrFileParksOften)
@@ -289,17 +320,44 @@ TEST(EventSkipTest, TinyMshrFileParksOften)
     // Four MSHR entries per L2 keep the file full most of the time.
     SystemConfig cfg = padcConfig(2);
     cfg.mshr_per_l2 = 4;
-    EXPECT_GT(expectEquivalent(cfg, {"mcf_06", "libquantum_06"}), 0u);
+    EXPECT_GT(expectEquivalent(cfg, {"mcf_06", "libquantum_06"})
+                  .issue_retries,
+              0u);
+}
+
+TEST(EventSkipTest, AloneLayoutGoalsInsideComputeStretches)
+{
+    // The alone-IPC layout: one application beside three spin cores
+    // whose compute stretches are leapt over. The warm-up and the
+    // target are not multiples of the retire width, so both fall inside
+    // a stretch, and each core's crossing tick must still be real.
+    const SystemConfig cfg = applyPolicy(SystemConfig::baseline(4),
+                                         PolicySetup::DemandFirst);
+    ASSERT_NE(1003 % cfg.core.retire_width, 0u);
+    const RunArtifacts on =
+        expectEquivalent(cfg, workload::Mix(4, "wrf_06"), 8001, 1003,
+                         Layout::Alone, 3);
+    // Not vacuous: the spin cores' stretches dominate the run.
+    EXPECT_GT(on.loop.skipped_cycles * 2, on.status.cycles);
+    EXPECT_EQ(on.loop.landed_cycles + on.loop.skipped_cycles,
+              on.status.cycles);
+}
+
+TEST(EventSkipTest, ComputeHeavyMixGoalsInsideComputeStretches)
+{
+    // Four compute-heavy applications under PADC: stretches end at
+    // memory ops, completions and unparks on every core, with goals
+    // off the retire-width grid.
+    expectEquivalent(padcConfig(4),
+                     {"ammp_00", "xalancbmk_06", "povray_06", "gamess_06"},
+                     8001, 1003);
 }
 
 TEST(EventSkipTest, JumpsActuallyTaken)
 {
     // Guard against the suite passing vacuously: on an idle-heavy
     // single-core mix the event loop must really take jumps.
-    auto &profiler = telemetry::WallProfiler::instance();
-    profiler.reset();
-    runOnce(padcConfig(1), {"mcf_06"}, true, 8000, 0);
-    const auto snap = profiler.snapshot();
+    const auto snap = runOnce(padcConfig(1), {"mcf_06"}, true, 8000, 0).loop;
     EXPECT_GT(snap.event_jumps, 0u);
     EXPECT_GT(snap.skipped_cycles, 0u);
     EXPECT_GE(snap.skipped_cycles, snap.event_jumps);
@@ -308,18 +366,19 @@ TEST(EventSkipTest, JumpsActuallyTaken)
 TEST(EventSkipTest, EnvEscapeHatchDisablesSkipping)
 {
     // PADC_NO_EVENT_SKIP=1 forces the legacy loop even when the config
-    // asks for skipping; 0 leaves skipping enabled.
-    auto &profiler = telemetry::WallProfiler::instance();
-
+    // asks for skipping, landing on every cycle and ticking every core
+    // there; 0 leaves skipping enabled.
     ::setenv("PADC_NO_EVENT_SKIP", "1", 1);
-    profiler.reset();
-    runOnce(padcConfig(1), {"mcf_06"}, true, 4000, 0);
-    EXPECT_EQ(profiler.snapshot().event_jumps, 0u);
+    const RunArtifacts legacy =
+        runOnce(padcConfig(2), {"mcf_06", "wrf_06"}, true, 4000, 0);
+    EXPECT_EQ(legacy.loop.event_jumps, 0u);
+    EXPECT_EQ(legacy.loop.landed_cycles, legacy.status.cycles);
+    EXPECT_EQ(legacy.loop.core_ticks, 2 * legacy.status.cycles);
 
     ::setenv("PADC_NO_EVENT_SKIP", "0", 1);
-    profiler.reset();
-    runOnce(padcConfig(1), {"mcf_06"}, true, 4000, 0);
-    EXPECT_GT(profiler.snapshot().event_jumps, 0u);
+    EXPECT_GT(runOnce(padcConfig(1), {"mcf_06"}, true, 4000, 0)
+                  .loop.event_jumps,
+              0u);
 
     ::unsetenv("PADC_NO_EVENT_SKIP");
 }

@@ -306,6 +306,41 @@ TEST(SweepFaults, TruncatedPointCarriesDiagnosticAndPartialValue)
               capped.instructions);
 }
 
+TEST(SweepFaults, TruncatedAloneRunFailsThePoint)
+{
+    // The point itself converges, but the alone runs that normalise it
+    // hit their cycle cap: the point must fail, naming the alone run,
+    // rather than divide by a partial alone IPC. The prewarm swallows
+    // the failure and the point's own lookup raises it again.
+    const SystemConfig base = SystemConfig::baseline(2);
+    RunOptions options;
+    options.instructions = 2000;
+    options.warmup = 0;
+    RunOptions capped = options;
+    capped.instructions = 100000;
+    capped.max_cycles = 300;
+    const std::vector<SweepPoint> points = {
+        {applyPolicy(base, PolicySetup::Padc), {"milc_06", "swim_00"},
+         options},
+    };
+
+    for (unsigned threads : {1u, 2u}) {
+        ParallelExperimentRunner runner(threads);
+        AloneIpcCache alone(base, capped);
+        const auto results = evaluateSweep(points, alone, runner);
+        ASSERT_EQ(results.size(), 1u);
+        const PointOutcome &outcome = results[0].outcome;
+        EXPECT_EQ(outcome.status, PointStatus::Failed);
+        EXPECT_NE(outcome.detail.find("alone run of milc_06 on core 0, "
+                                      "seed 0"),
+                  std::string::npos)
+            << "diagnostic: " << outcome.detail;
+        EXPECT_NE(outcome.detail.find("300-cycle cap"), std::string::npos)
+            << "diagnostic: " << outcome.detail;
+        EXPECT_TRUE(results[0].value.metrics.cores.empty());
+    }
+}
+
 TEST(SweepFaults, DescribePointNamesPolicyMixAndSeed)
 {
     const SystemConfig base = SystemConfig::baseline(2);

@@ -158,6 +158,35 @@ TEST(ProcPool, EvaluateSweepMatchesInThreadBitIdentically)
     }
 }
 
+TEST(ProcPool, TruncatedAloneRunFailsThePointInTheWorker)
+{
+    // The workers run the alone runs too: one that hits its cycle cap
+    // fails the point there, with the same diagnostic as in-thread, and
+    // is not retried as a crash would be.
+    auto points = fourPoints();
+    points.resize(2);
+    RunOptions capped = points[0].options;
+    capped.instructions = 100000;
+    capped.max_cycles = 300;
+    ParallelExperimentRunner runner(2);
+    AloneIpcCache alone_ref(points[0].config, capped);
+    const auto reference = evaluateSweep(points, alone_ref, runner);
+
+    ProcessPool pool(workerArgv(), quickConfig());
+    ASSERT_TRUE(pool.available());
+    AloneIpcCache alone(points[0].config, capped);
+    const auto pooled = pool.evaluateSweep(points, alone);
+    ASSERT_EQ(pooled.size(), reference.size());
+    for (std::size_t i = 0; i < pooled.size(); ++i) {
+        EXPECT_EQ(pooled[i].outcome.status, PointStatus::Failed);
+        EXPECT_EQ(pooled[i].outcome.detail, reference[i].outcome.detail);
+        EXPECT_NE(pooled[i].outcome.detail.find("alone run of mcf_06"),
+                  std::string::npos)
+            << "diagnostic: " << pooled[i].outcome.detail;
+        EXPECT_EQ(pooled[i].outcome.attempts, 1u);
+    }
+}
+
 TEST(ProcPool, CrashFaultsRetryAndStayBitIdentical)
 {
     const auto points = fourPoints();
