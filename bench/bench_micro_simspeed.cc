@@ -26,7 +26,6 @@
 #include "memctrl/controller.hh"
 #include "obs/metrics.hh"
 #include "prefetch/stream_prefetcher.hh"
-#include "core/trace_file.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel.hh"
 #include "telemetry/telemetry.hh"
@@ -97,22 +96,6 @@ BM_SyntheticTraceNext(benchmark::State &state)
 }
 BENCHMARK(BM_SyntheticTraceNext);
 
-/** Generated ops shared by the trace-decode benchmarks. */
-const std::vector<core::TraceOp> &
-benchTraceOps()
-{
-    static const std::vector<core::TraceOp> ops = [] {
-        workload::TraceParams params;
-        params.seed = 13;
-        workload::SyntheticTrace generator(params);
-        std::vector<core::TraceOp> v;
-        for (int i = 0; i < 100000; ++i)
-            v.push_back(generator.next());
-        return v;
-    }();
-    return ops;
-}
-
 /**
  * Decode throughput of the compressed PADCTRC2 format (delta + varint
  * blocks, full checksum verification) -- the replay-side cost a
@@ -121,9 +104,16 @@ benchTraceOps()
 void
 BM_TraceDecode(benchmark::State &state)
 {
+    workload::TraceParams params;
+    params.seed = 13;
+    workload::SyntheticTrace generator(params);
+    std::vector<core::TraceOp> written;
+    for (int i = 0; i < 100000; ++i)
+        written.push_back(generator.next());
+
     const std::string path = "/tmp/padc_bench_v2.trc";
     std::string error;
-    if (!trace::writeTraceFileV2(path, benchTraceOps(), &error)) {
+    if (!trace::writeTraceFileV2(path, written, &error)) {
         state.SkipWithError(error.c_str());
         return;
     }
@@ -134,32 +124,10 @@ BM_TraceDecode(benchmark::State &state)
         benchmark::DoNotOptimize(ops.size());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(benchTraceOps().size()));
+                            static_cast<std::int64_t>(written.size()));
     std::remove(path.c_str());
 }
 BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);
-
-/** Baseline: decode of the uncompressed fixed-record v1 format. */
-void
-BM_TraceDecodeV1(benchmark::State &state)
-{
-    const std::string path = "/tmp/padc_bench_v1.trc";
-    std::string error;
-    if (!core::writeTraceFile(path, benchTraceOps(), &error)) {
-        state.SkipWithError(error.c_str());
-        return;
-    }
-    for (auto _ : state) {
-        std::vector<core::TraceOp> ops;
-        if (!core::readTraceFile(path, &ops, &error))
-            state.SkipWithError(error.c_str());
-        benchmark::DoNotOptimize(ops.size());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(benchTraceOps().size()));
-    std::remove(path.c_str());
-}
-BENCHMARK(BM_TraceDecodeV1)->Unit(benchmark::kMillisecond);
 
 /** Discards completions; the scheduler benchmarks only need DRAM work. */
 class NullHandler : public memctrl::ResponseHandler

@@ -529,9 +529,10 @@ MemoryController::scanBank(std::uint32_t bank) const
     // Every request to this bank needs one of at most two commands:
     // Column for the open row and Precharge for any other, or Activate
     // when the bank is closed. The scan reads only the pool's hot
-    // columns and the per-(core, class) key table, and is branch-free:
-    // a class-blocked request keys 0, which no real key equals (its
-    // inverted-arrival field is never 0), so it never wins.
+    // columns and the per-(core, class) key table. A class-blocked
+    // request keys 0, which no real key equals (its inverted-arrival
+    // field is never 0), so it never wins; keys are unique, so the best
+    // key names the best slot.
     const std::uint64_t open = channel_.openRow(bank);
     const NextCmd miss_cmd =
         open == dram::kNoOpenRow ? NextCmd::Activate : NextCmd::Precharge;

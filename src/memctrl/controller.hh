@@ -30,8 +30,9 @@
  *    the bank-local ready cycle of their commands. A command is legal iff
  *    now has reached both that cycle and the channel-global ready cycle
  *    of the command, so a round needs no legality probe: it returns at
- *    once when no command can be legal and is otherwise a branch-free
- *    max over the table, and the next-event bound is O(1);
+ *    once when no command can be legal and is otherwise a max over the
+ *    table's legal keys (keys are unique, so the max is the argmax), and
+ *    the next-event bound is O(1);
  *  - per-(bank,row) pending counters replacing the O(queue) same-row
  *    scan of the closed-row policy (kept only under that policy);
  *  - per-bank demand/prefetch occupancy counters and per-core criticality

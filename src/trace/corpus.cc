@@ -89,6 +89,9 @@ fileExists(const std::string &path)
 
 const char *kSchema = "padc-trace-corpus-v1";
 
+/** The one trace format a manifest entry may record. */
+const char *kFormat = "padctrc2";
+
 /** Pull one string member; false + diagnostic when absent/mistyped. */
 bool
 getString(const exp::JsonValue &object, const std::string &key,
@@ -188,6 +191,15 @@ loadCorpus(const std::string &dir, Corpus *out, std::string *error)
             return fail(error, path + ": traces[" + std::to_string(i) +
                                    "]: " + entry_error);
         }
+        if (entry.format != kFormat) {
+            return fail(error,
+                        path + ": traces[" + std::to_string(i) +
+                            "]: unsupported format '" + entry.format +
+                            "' (want " + kFormat + ")" +
+                            (entry.format == "padctrc1"
+                                 ? "; PADCTRC1 is no longer supported"
+                                 : ""));
+        }
         if (!parseHex64(checksum_text, &entry.checksum)) {
             return fail(error, path + ": traces[" + std::to_string(i) +
                                    "]: bad checksum '" + checksum_text +
@@ -276,7 +288,7 @@ makeEntry(const std::string &dir, const std::string &file,
     out->name = name;
     out->file = file;
     out->source = source;
-    out->format = toString(info.format);
+    out->format = kFormat;
     out->ops = info.op_count;
     out->bytes = info.file_bytes;
     out->checksum = info.checksum;

@@ -50,7 +50,7 @@ struct CorpusEntry
     std::string name;   ///< workload profile name it registers under
     std::string file;   ///< trace file, relative to the corpus dir
     std::string source; ///< provenance ("capture:...", "import:csv:...")
-    std::string format; ///< "padctrc1" or "padctrc2"
+    std::string format; ///< always "padctrc2"
     std::uint64_t ops = 0;
     std::uint64_t bytes = 0;
     std::uint64_t checksum = 0;        ///< whole-file payload FNV-1a
@@ -74,7 +74,7 @@ std::string corpusFilePath(const Corpus &corpus, const CorpusEntry &entry);
  * Load `<dir>/corpus.json`.
  * @return false with a diagnostic when the manifest is missing,
  *         unparseable, has the wrong schema, or entries lack required
- *         fields.
+ *         fields or record a format other than "padctrc2".
  */
 bool loadCorpus(const std::string &dir, Corpus *out,
                 std::string *error = nullptr);

@@ -1,12 +1,10 @@
 #include "trace/format.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 
 #include "common/atomic_file.hh"
-#include "core/trace_file.hh"
 
 namespace padc::trace
 {
@@ -15,11 +13,10 @@ namespace
 {
 
 constexpr char kMagicV2[8] = {'P', 'A', 'D', 'C', 'T', 'R', 'C', '2'};
-constexpr char kMagicV1[8] = {'P', 'A', 'D', 'C', 'T', 'R', 'C', '1'};
+/** PADCTRC1, the retired fixed-record format: recognised to be refused. */
+constexpr char kRetiredMagic[8] = {'P', 'A', 'D', 'C', 'T', 'R', 'C', '1'};
 constexpr std::uint32_t kHeaderSize = 40;
 constexpr std::uint32_t kBlockHeaderSize = 16;
-constexpr std::size_t kV1RecordSize = 24;
-constexpr std::size_t kV1HeaderSize = 16;
 
 /** Flags-byte layout (see the format spec in format.hh). */
 constexpr std::uint8_t kFlagLoad = 1u << 0;
@@ -27,9 +24,11 @@ constexpr std::uint8_t kFlagDependent = 1u << 1;
 constexpr std::uint32_t kGapEscape = 63;
 
 /**
- * Upper bound on one encoded op (flags + two 10-byte varints + an
- * escaped 5-byte gap); used only for payload-size sanity checks.
+ * Bounds on one encoded op: flags + two one-byte varints at least;
+ * flags + two 10-byte varints + an escaped 5-byte gap at most. Used
+ * only for size sanity checks.
  */
+constexpr std::uint64_t kMinOpBytes = 1 + 1 + 1;
 constexpr std::uint64_t kMaxOpBytes = 1 + 10 + 10 + 5;
 
 struct FileCloser
@@ -85,12 +84,6 @@ fail(std::string *error, const std::string &message)
 }
 
 } // namespace
-
-const char *
-toString(TraceFormat format)
-{
-    return format == TraceFormat::V1 ? "padctrc1" : "padctrc2";
-}
 
 std::uint64_t
 fnv1a(const void *data, std::size_t size, std::uint64_t seed)
@@ -252,7 +245,17 @@ readV2Header(std::FILE *file, const std::string &path, V2Header *out,
              std::string *error)
 {
     unsigned char header[kHeaderSize];
-    if (std::fread(header, 1, sizeof(header), file) != sizeof(header)) {
+    const std::size_t got = std::fread(header, 1, sizeof(header), file);
+    if (got >= sizeof(kRetiredMagic) &&
+        std::memcmp(header, kRetiredMagic, sizeof(kRetiredMagic)) == 0) {
+        return fail(error,
+                    "'" + path +
+                        "' is a PADCTRC1 trace, a format no longer "
+                        "supported; convert it to PADCTRC2 with `padc "
+                        "trace convert --format trace` from an older "
+                        "build that still reads PADCTRC1");
+    }
+    if (got != sizeof(header)) {
         return fail(error, "'" + path + "' is shorter than the " +
                                std::to_string(kHeaderSize) +
                                "-byte PADCTRC2 header");
@@ -298,7 +301,8 @@ struct IndexEntry
 
 /**
  * Read and integrity-check the block index; on success the file size
- * is known to exactly cover header + blocks + index.
+ * is known to exactly cover header + blocks + index, and the header's
+ * op count to fit the blocks.
  */
 bool
 readV2Index(std::FILE *file, const std::string &path,
@@ -309,7 +313,7 @@ readV2Index(std::FILE *file, const std::string &path,
     if (size < 0)
         return fail(error, "cannot seek in '" + path + "'");
     const std::uint64_t usize = static_cast<std::uint64_t>(size);
-    if (header.index_offset + 16 > usize) {
+    if (usize < 16 || header.index_offset > usize - 16) {
         return fail(error, "'" + path +
                                "' is truncated before its block index");
     }
@@ -322,16 +326,38 @@ readV2Index(std::FILE *file, const std::string &path,
         return fail(error, "'" + path + "' has a truncated block index");
     const std::uint64_t num_blocks = getU64(count_buf);
 
-    const std::uint64_t expected_end =
-        header.index_offset + 8 + num_blocks * 16 + 8;
-    if (expected_end != usize) {
-        return fail(
-            error,
-            "'" + path + "' holds " + std::to_string(usize) +
-                " bytes but its index promises " +
-                std::to_string(num_blocks) + " blocks ending at byte " +
-                std::to_string(expected_end) +
-                ": truncated, corrupt, or trailing garbage");
+    // The 16-byte entries must fill the bytes between the count and the
+    // index checksum exactly. Dividing, not multiplying, keeps a corrupt
+    // count from wrapping the arithmetic.
+    const std::uint64_t entry_bytes = usize - header.index_offset - 16;
+    if (entry_bytes % 16 != 0 || num_blocks != entry_bytes / 16) {
+        return fail(error, "'" + path + "' holds " +
+                               std::to_string(usize) +
+                               " bytes but its index promises " +
+                               std::to_string(num_blocks) +
+                               " blocks: truncated, corrupt, or "
+                               "trailing garbage");
+    }
+
+    // No checksum covers the header, so bound its op count before any
+    // reader sizes a buffer from it: each block holds 1..block_ops ops,
+    // and each op takes at least kMinOpBytes of the bytes the blocks
+    // span.
+    const std::uint64_t block_bytes = header.index_offset - header.header_size;
+    std::uint64_t max_ops = 0;
+    if (block_bytes >= num_blocks * kBlockHeaderSize) {
+        max_ops = (block_bytes - num_blocks * kBlockHeaderSize) / kMinOpBytes;
+        if (num_blocks <= max_ops / header.block_ops)
+            max_ops = num_blocks * header.block_ops;
+    }
+    if (header.op_count < num_blocks || header.op_count > max_ops) {
+        return fail(error, "'" + path + "' header promises " +
+                               std::to_string(header.op_count) +
+                               " ops, outside the [" +
+                               std::to_string(num_blocks) + ", " +
+                               std::to_string(max_ops) + "] its " +
+                               std::to_string(num_blocks) +
+                               " blocks can hold: corrupt");
     }
 
     std::vector<unsigned char> raw(8 + num_blocks * 16);
@@ -546,16 +572,30 @@ walkV2(std::FILE *file, const std::string &path, const V2Header &header,
     return true;
 }
 
+/**
+ * Open @p path and read its validated header and block index, filling
+ * @p info's header facts: the common front of every reader, so each
+ * refuses a PADCTRC1 file or a corrupt header the same way.
+ */
 bool
-sniffMagic(const std::string &path, char *magic8, std::string *error)
+openV2(const std::string &path, FilePtr *file, V2Header *header,
+       std::vector<IndexEntry> *index, TraceFileInfo *info,
+       std::string *error)
 {
-    FilePtr file(std::fopen(path.c_str(), "rb"));
-    if (file == nullptr)
+    *info = TraceFileInfo{};
+    file->reset(std::fopen(path.c_str(), "rb"));
+    if (*file == nullptr)
         return fail(error, "cannot open '" + path + "' for reading");
-    if (std::fread(magic8, 1, 8, file.get()) != 8) {
-        return fail(error, "'" + path +
-                               "' is shorter than an 8-byte trace magic");
+    if (!readV2Header(file->get(), path, header, error) ||
+        !readV2Index(file->get(), path, *header, index, error)) {
+        return false;
     }
+    info->op_count = header->op_count;
+    info->block_ops = header->block_ops;
+    info->num_blocks = index->size();
+    info->checksum = header->file_checksum;
+    // readV2Index proved the file ends exactly after the index.
+    info->file_bytes = header->index_offset + 16 + index->size() * 16;
     return true;
 }
 
@@ -692,42 +732,20 @@ struct BlockReader::Impl
 {
     std::string path;
     FilePtr file;
-    V2Header header;               ///< valid for v2 only
-    std::vector<IndexEntry> index; ///< valid for v2 only
+    V2Header header;
+    std::vector<IndexEntry> index;
 };
 
 BlockReader::BlockReader(const std::string &path) : impl_(new Impl)
 {
     impl_->path = path;
-    if (!probeTraceFile(path, &info_, &error_))
-        return;
-    impl_->file.reset(std::fopen(path.c_str(), "rb"));
-    if (impl_->file == nullptr) {
-        error_ = "cannot open '" + path + "' for reading";
-        return;
-    }
-    if (info_.format == TraceFormat::V2) {
-        if (!readV2Header(impl_->file.get(), path, &impl_->header,
-                          &error_) ||
-            !readV2Index(impl_->file.get(), path, impl_->header,
-                         &impl_->index, &error_)) {
-            return;
-        }
-    }
-    ok_ = true;
+    ok_ = openV2(path, &impl_->file, &impl_->header, &impl_->index, &info_,
+                 &error_);
 }
 
 BlockReader::~BlockReader()
 {
     delete impl_;
-}
-
-std::uint64_t
-BlockReader::numBlocks() const
-{
-    if (info_.format == TraceFormat::V2)
-        return info_.num_blocks;
-    return (info_.op_count + kDefaultBlockOps - 1) / kDefaultBlockOps;
 }
 
 bool
@@ -741,43 +759,9 @@ BlockReader::readBlock(std::uint64_t block, std::vector<core::TraceOp> *ops,
         return fail(error, "block " + std::to_string(block) +
                                " out of range in '" + impl_->path + "'");
     }
-
-    if (info_.format == TraceFormat::V2) {
-        return readV2BlockAt(impl_->file.get(), impl_->path,
-                             impl_->header, impl_->index[block].offset,
-                             block, ops, nullptr, nullptr, nullptr,
-                             error);
-    }
-
-    // v1: a fixed window of 24-byte records.
-    const std::uint64_t first = block * kDefaultBlockOps;
-    const std::uint64_t count =
-        std::min<std::uint64_t>(kDefaultBlockOps, info_.op_count - first);
-    if (std::fseek(impl_->file.get(),
-                   static_cast<long>(kV1HeaderSize +
-                                     first * kV1RecordSize),
-                   SEEK_SET) != 0)
-        return fail(error, "cannot seek in '" + impl_->path + "'");
-    std::vector<unsigned char> raw(count * kV1RecordSize);
-    if (std::fread(raw.data(), 1, raw.size(), impl_->file.get()) !=
-        raw.size()) {
-        return fail(error, "'" + impl_->path +
-                               "' truncated inside record block " +
-                               std::to_string(block));
-    }
-    ops->reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const unsigned char *record = raw.data() + i * kV1RecordSize;
-        core::TraceOp op;
-        op.addr = getU64(record);
-        op.pc = getU64(record + 8);
-        op.compute_gap = getU32(record + 16);
-        const std::uint32_t flags = getU32(record + 20);
-        op.is_load = (flags & 1u) != 0;
-        op.dependent = (flags & 2u) != 0;
-        ops->push_back(op);
-    }
-    return true;
+    return readV2BlockAt(impl_->file.get(), impl_->path, impl_->header,
+                         impl_->index[block].offset, block, ops, nullptr,
+                         nullptr, nullptr, error);
 }
 
 // --- one-shot API -----------------------------------------------------
@@ -798,14 +782,11 @@ readTraceFileV2(const std::string &path, std::vector<core::TraceOp> *ops,
                 std::string *error)
 {
     ops->clear();
-    FilePtr file(std::fopen(path.c_str(), "rb"));
-    if (file == nullptr)
-        return fail(error, "cannot open '" + path + "' for reading");
+    FilePtr file;
     V2Header header;
-    if (!readV2Header(file.get(), path, &header, error))
-        return false;
     std::vector<IndexEntry> index;
-    if (!readV2Index(file.get(), path, header, &index, error))
+    TraceFileInfo info;
+    if (!openV2(path, &file, &header, &index, &info, error))
         return false;
     ops->reserve(header.op_count);
     if (!walkV2(file.get(), path, header, index, ops, nullptr, error)) {
@@ -816,127 +797,24 @@ readTraceFileV2(const std::string &path, std::vector<core::TraceOp> *ops,
 }
 
 bool
-readTraceFileAny(const std::string &path, std::vector<core::TraceOp> *ops,
-                 std::string *error)
-{
-    char magic[8];
-    if (!sniffMagic(path, magic, error))
-        return false;
-    if (std::memcmp(magic, kMagicV1, 8) == 0)
-        return core::readTraceFile(path, ops, error);
-    if (std::memcmp(magic, kMagicV2, 8) == 0)
-        return readTraceFileV2(path, ops, error);
-    return fail(error, "'" + path + "' is neither a PADCTRC1 nor a "
-                                    "PADCTRC2 trace (bad magic)");
-}
-
-bool
 probeTraceFile(const std::string &path, TraceFileInfo *info,
                std::string *error)
 {
-    *info = TraceFileInfo{};
-    char magic[8];
-    if (!sniffMagic(path, magic, error))
-        return false;
-
-    FilePtr file(std::fopen(path.c_str(), "rb"));
-    if (file == nullptr)
-        return fail(error, "cannot open '" + path + "' for reading");
-
-    if (std::memcmp(magic, kMagicV1, 8) == 0) {
-        unsigned char header[kV1HeaderSize];
-        if (std::fread(header, 1, sizeof(header), file.get()) !=
-            sizeof(header)) {
-            return fail(error, "'" + path + "' is shorter than the " +
-                                   std::to_string(kV1HeaderSize) +
-                                   "-byte PADCTRC1 header");
-        }
-        const std::uint64_t count = getU64(header + 8);
-        const long size = fileSize(file.get());
-        if (size < 0)
-            return fail(error, "cannot seek in '" + path + "'");
-        const std::uint64_t expected =
-            kV1HeaderSize + count * kV1RecordSize;
-        if (static_cast<std::uint64_t>(size) != expected) {
-            return fail(error,
-                        "'" + path + "' holds " + std::to_string(size) +
-                            " bytes but its header promises " +
-                            std::to_string(count) +
-                            " ops: truncated or corrupt");
-        }
-        info->format = TraceFormat::V1;
-        info->op_count = count;
-        info->file_bytes = static_cast<std::uint64_t>(size);
-        return true;
-    }
-
-    if (std::memcmp(magic, kMagicV2, 8) != 0) {
-        return fail(error, "'" + path + "' is neither a PADCTRC1 nor a "
-                                        "PADCTRC2 trace (bad magic)");
-    }
+    FilePtr file;
     V2Header header;
-    if (!readV2Header(file.get(), path, &header, error))
-        return false;
     std::vector<IndexEntry> index;
-    if (!readV2Index(file.get(), path, header, &index, error))
-        return false;
-    info->format = TraceFormat::V2;
-    info->op_count = header.op_count;
-    info->block_ops = header.block_ops;
-    info->num_blocks = index.size();
-    info->checksum = header.file_checksum;
-    const long size = fileSize(file.get());
-    info->file_bytes = size < 0 ? 0 : static_cast<std::uint64_t>(size);
-    return true;
+    return openV2(path, &file, &header, &index, info, error);
 }
 
 bool
 verifyTraceFile(const std::string &path, TraceFileInfo *info,
                 std::string *error)
 {
-    if (!probeTraceFile(path, info, error))
-        return false;
-
-    FilePtr file(std::fopen(path.c_str(), "rb"));
-    if (file == nullptr)
-        return fail(error, "cannot open '" + path + "' for reading");
-
-    if (info->format == TraceFormat::V1) {
-        // v1 stores no checksum; compute one over the record bytes so
-        // the corpus manifest can still pin the file's content.
-        std::vector<core::TraceOp> ops;
-        if (!core::readTraceFile(path, &ops, error))
-            return false;
-        std::uint64_t checksum = kFnvSeed;
-        std::vector<std::uint64_t> lines;
-        for (const core::TraceOp &op : ops) {
-            unsigned char record[kV1RecordSize];
-            putU64(record, op.addr);
-            putU64(record + 8, op.pc);
-            putU32(record + 16, op.compute_gap);
-            putU32(record + 20, (op.is_load ? 1u : 0u) |
-                                    (op.dependent ? 2u : 0u));
-            checksum = fnv1a(record, sizeof(record), checksum);
-            lines.push_back(op.addr / kLineBytes);
-            if (op.is_load)
-                ++info->loads;
-            else
-                ++info->stores;
-        }
-        std::sort(lines.begin(), lines.end());
-        info->distinct_lines = static_cast<std::uint64_t>(
-            std::unique(lines.begin(), lines.end()) - lines.begin());
-        info->checksum = checksum;
-        return true;
-    }
-
+    FilePtr file;
     V2Header header;
-    if (!readV2Header(file.get(), path, &header, error))
-        return false;
     std::vector<IndexEntry> index;
-    if (!readV2Index(file.get(), path, header, &index, error))
-        return false;
-    return walkV2(file.get(), path, header, index, nullptr, info, error);
+    return openV2(path, &file, &header, &index, info, error) &&
+           walkV2(file.get(), path, header, index, nullptr, info, error);
 }
 
 } // namespace padc::trace

@@ -3,12 +3,16 @@
  * PADCTRC2: the compact on-disk workload-trace format, plus format
  * probing/verification shared by the corpus tooling.
  *
- * The v1 format (core/trace_file.hh) spends a fixed 24 bytes per
- * operation. PADCTRC2 delta-encodes each operation against its
- * predecessor and varint-packs the result, cutting generated traces to
- * a few bytes per op (>= 2x smaller; typically 4-5x), while remaining
- * integrity-checked end to end and decodable block by block with
- * bounded memory.
+ * PADCTRC2 delta-encodes each operation against its predecessor and
+ * varint-packs the result, cutting generated traces to a few bytes per
+ * op, while remaining integrity-checked end to end and decodable block
+ * by block with bounded memory.
+ *
+ * It is the only format the toolchain reads. The older PADCTRC1
+ * (fixed 24-byte records) is recognised by its magic only to be
+ * refused with a message saying so: convert such a file with
+ * `padc trace convert --format trace` from an older build that still
+ * reads it.
  *
  * ## Byte-level layout (all integers little-endian)
  *
@@ -68,16 +72,6 @@
 namespace padc::trace
 {
 
-/** On-disk trace flavors the toolchain reads. */
-enum class TraceFormat : std::uint8_t
-{
-    V1, ///< PADCTRC1: fixed 24-byte records (core/trace_file.hh)
-    V2, ///< PADCTRC2: delta+varint blocks (this file)
-};
-
-/** "padctrc1" / "padctrc2" (the names the corpus manifest records). */
-const char *toString(TraceFormat format);
-
 /** Default operations per PADCTRC2 block. */
 constexpr std::uint32_t kDefaultBlockOps = 4096;
 
@@ -88,16 +82,11 @@ std::uint64_t fnv1a(const void *data, std::size_t size,
 /** Cheaply probed facts about a trace file (header + index only). */
 struct TraceFileInfo
 {
-    TraceFormat format = TraceFormat::V2;
     std::uint64_t op_count = 0;
     std::uint64_t file_bytes = 0;
-    std::uint32_t block_ops = 0;  ///< 0 for v1
-    std::uint64_t num_blocks = 0; ///< 0 for v1
-    /**
-     * v2: the header's payload checksum. v1 (which stores none):
-     * computed over the record bytes by verifyTraceFile; 0 from probe.
-     */
-    std::uint64_t checksum = 0;
+    std::uint32_t block_ops = 0;
+    std::uint64_t num_blocks = 0;
+    std::uint64_t checksum = 0; ///< the header's payload checksum
 
     // Filled by verifyTraceFile's full decode; 0 from probeTraceFile.
     std::uint64_t distinct_lines = 0; ///< footprint, in cache lines
@@ -159,24 +148,17 @@ bool writeTraceFileV2(const std::string &path,
 /**
  * Read a complete PADCTRC2 file into memory, validating every per-block
  * and whole-file checksum. Rejects, with a descriptive error: short or
- * bad-magic headers, size/count disagreements, checksum mismatches,
- * truncated or over-running varints, and trailing garbage.
+ * bad-magic headers (PADCTRC1 by name), size/count disagreements,
+ * checksum mismatches, truncated or over-running varints, and trailing
+ * garbage.
  */
 bool readTraceFileV2(const std::string &path,
                      std::vector<core::TraceOp> *ops,
                      std::string *error = nullptr);
 
 /**
- * Read a trace of either format, dispatching on the magic (v1 files
- * stay readable forever; see core/trace_file.hh).
- */
-bool readTraceFileAny(const std::string &path,
-                      std::vector<core::TraceOp> *ops,
-                      std::string *error = nullptr);
-
-/**
- * Identify a trace file from its header (and, for v2, its block index)
- * without decoding payloads. Cheap: O(header + index).
+ * Identify a trace file from its header and block index without
+ * decoding payloads. Cheap: O(header + index).
  */
 bool probeTraceFile(const std::string &path, TraceFileInfo *info,
                     std::string *error = nullptr);
@@ -190,14 +172,10 @@ bool verifyTraceFile(const std::string &path, TraceFileInfo *info,
                      std::string *error = nullptr);
 
 /**
- * Block-granular random-access reader over either trace format, the
+ * Block-granular random-access reader over a PADCTRC2 file, the
  * primitive under the streaming replay path: holds the file open,
  * keeps only the header and block index resident, and decodes one
  * block at a time (per-block checksums validated on every load).
- *
- * v1 files, which have no physical blocks, are served as fixed
- * chunks of kDefaultBlockOps records so the streaming contract (and
- * its bounded memory) holds for both formats.
  */
 class BlockReader
 {
@@ -219,7 +197,7 @@ class BlockReader
     const TraceFileInfo &info() const { return info_; }
 
     /** Number of decodable blocks (>= 1 for a non-empty trace). */
-    std::uint64_t numBlocks() const;
+    std::uint64_t numBlocks() const { return info_.num_blocks; }
 
     /**
      * Decode block @p block into @p ops (cleared first).

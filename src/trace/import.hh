@@ -2,7 +2,7 @@
  * @file
  * Importers for externally produced traces, normalizing foreign
  * formats into TraceOp streams that `padc trace convert` then writes
- * as PADCTRC2 (or PADCTRC1).
+ * as PADCTRC2.
  *
  * Two formats are supported:
  *

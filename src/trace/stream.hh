@@ -1,10 +1,10 @@
 /**
  * @file
- * Streaming trace replay: a core::TraceSource over an on-disk trace
- * file (PADCTRC1 or PADCTRC2) that decodes block by block with bounded
- * memory instead of loading the whole file, loops at end-of-trace to
- * preserve the infinite-stream contract, and replays the exact same
- * sequence again after reset().
+ * Streaming trace replay: a core::TraceSource over an on-disk PADCTRC2
+ * trace file that decodes block by block with bounded memory instead of
+ * loading the whole file, loops at end-of-trace to preserve the
+ * infinite-stream contract, and replays the exact same sequence again
+ * after reset().
  *
  * This is the corpus subsystem's run-time path: experiment sweeps
  * construct one StreamingFileTrace per trace-backed mix slot, so even
@@ -43,9 +43,6 @@ class StreamingFileTrace : public core::TraceSource
 
     /** Total recorded operations (one loop of the stream). */
     std::uint64_t size() const { return reader_.info().op_count; }
-
-    /** Format of the backing file. */
-    TraceFormat format() const { return reader_.info().format; }
 
     /**
      * Next operation; wraps to the first block after the last. On a

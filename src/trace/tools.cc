@@ -258,9 +258,8 @@ convertCommand(ArgCursor args)
         if (!importChampSim(in, &ops, &error, &stats))
             return operationError(in + ": " + error);
     } else if (format == "trace") {
-        // Transcode an existing PADCTRC1/2 file (v1 -> v2 shrinks it;
-        // v2 -> v2 re-blocks).
-        if (!readTraceFileAny(in, &ops, &error))
+        // Re-block an existing PADCTRC2 file.
+        if (!readTraceFileV2(in, &ops, &error))
             return operationError(in + ": " + error);
         stats.lines = ops.size();
         stats.ops = ops.size();
@@ -303,21 +302,18 @@ infoCommand(ArgCursor args)
             ++failures;
             continue;
         }
-        std::printf("%s: %s, %llu ops, %llu bytes (%.2f bytes/op)",
-                    file.c_str(), toString(info.format),
+        std::printf("%s: padctrc2, %llu ops, %llu bytes (%.2f bytes/op), "
+                    "%llu blocks of %u ops, checksum 0x%016llx\n",
+                    file.c_str(),
                     static_cast<unsigned long long>(info.op_count),
                     static_cast<unsigned long long>(info.file_bytes),
                     info.op_count > 0
                         ? static_cast<double>(info.file_bytes) /
                               static_cast<double>(info.op_count)
-                        : 0.0);
-        if (info.format == TraceFormat::V2) {
-            std::printf(", %llu blocks of %u ops, checksum 0x%016llx",
-                        static_cast<unsigned long long>(info.num_blocks),
-                        info.block_ops,
-                        static_cast<unsigned long long>(info.checksum));
-        }
-        std::printf("\n");
+                        : 0.0,
+                    static_cast<unsigned long long>(info.num_blocks),
+                    info.block_ops,
+                    static_cast<unsigned long long>(info.checksum));
     }
     return failures > 0 ? 1 : 0;
 }

@@ -15,8 +15,8 @@
  *   padc trace convert --in FILE --format csv|champsim|trace
  *                      --out DIR --name NAME [--block-ops N]
  *       Normalize an external trace (text/CSV memtrace, ChampSim-style
- *       records) or transcode an existing PADCTRC1/2 file to PADCTRC2
- *       in the corpus, upserting the manifest.
+ *       records) or re-block an existing PADCTRC2 file into the corpus,
+ *       upserting the manifest.
  *
  *   padc trace info FILE...
  *       Print header/index facts (format, ops, blocks, bytes/op,

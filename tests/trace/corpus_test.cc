@@ -154,6 +154,37 @@ TEST_F(CorpusTest, BadChecksumTextRejected)
     EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 }
 
+TEST_F(CorpusTest, UnsupportedFormatRejected)
+{
+    corpusWithOneTrace("toy");
+    std::string manifest;
+    {
+        std::ifstream in(corpusManifestPath(dir_));
+        manifest.assign(std::istreambuf_iterator<char>(in),
+                        std::istreambuf_iterator<char>());
+    }
+    const std::string recorded = "\"padctrc2\"";
+    const std::size_t at = manifest.find(recorded);
+    ASSERT_NE(at, std::string::npos) << manifest;
+    for (const std::string format : {"padctrc1", "not-a-format"}) {
+        std::string edited = manifest;
+        edited.replace(at, recorded.size(), "\"" + format + "\"");
+        {
+            std::ofstream out(corpusManifestPath(dir_), std::ios::trunc);
+            out << edited;
+        }
+        Corpus corpus;
+        std::string error;
+        EXPECT_FALSE(loadCorpus(dir_, &corpus, &error)) << format;
+        EXPECT_NE(error.find("traces[0]"), std::string::npos) << error;
+        EXPECT_NE(error.find(format), std::string::npos) << error;
+        if (format == "padctrc1") {
+            EXPECT_NE(error.find("no longer supported"), std::string::npos)
+                << error;
+        }
+    }
+}
+
 TEST_F(CorpusTest, UpsertReplacesByName)
 {
     Corpus corpus;

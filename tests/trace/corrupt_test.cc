@@ -4,6 +4,7 @@
  * can suffer must produce a descriptive error, never a crash, hang, or
  * silent partial decode. Exercised through both the whole-file reader
  * and the full verifier (and, where relevant, the streaming path).
+ * Files in the retired PADCTRC1 format are refused by name.
  */
 
 #include <gtest/gtest.h>
@@ -236,6 +237,90 @@ TEST_F(CorruptTest, AbsurdIndexOffsetRejected)
     std::string error;
     EXPECT_FALSE(readTraceFileV2(path_, &ops, &error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST_F(CorruptTest, HugeOpCountRejectedBeforeAllocation)
+{
+    // No checksum covers the header: a flipped high bit in the op count
+    // must be refused from the index, before any reader reserves room
+    // for that many ops.
+    const std::vector<core::TraceOp> fifty = sampleOps();
+    std::vector<core::TraceOp> hundred = fifty;
+    hundred.insert(hundred.end(), fifty.begin(), fifty.end());
+    std::string error;
+    ASSERT_TRUE(writeTraceFileV2(path_, hundred, &error)) << error;
+    const std::string valid = slurp();
+    ASSERT_EQ(getU64(valid, 16), 100u);
+    for (const int bit : {62, 44}) {
+        std::string bytes = valid;
+        const std::uint64_t count = 100 | (1ULL << bit);
+        putU64At(&bytes, 16, count);
+        rewrite(bytes);
+        const std::string named = std::to_string(count);
+
+        TraceFileInfo info;
+        error.clear();
+        EXPECT_FALSE(probeTraceFile(path_, &info, &error)) << "bit " << bit;
+        EXPECT_NE(error.find(named), std::string::npos) << error;
+
+        std::vector<core::TraceOp> ops;
+        error.clear();
+        EXPECT_FALSE(readTraceFileV2(path_, &ops, &error)) << "bit " << bit;
+        EXPECT_NE(error.find(named), std::string::npos) << error;
+        EXPECT_TRUE(ops.empty());
+    }
+}
+
+TEST_F(CorruptTest, Padctrc1RejectedByEveryReader)
+{
+    // A PADCTRC1 file as that format wrote it: "PADCTRC1", a u64 op
+    // count, then one 24-byte record (addr, pc, u32 gap, u32 flags).
+    std::string v1 = "PADCTRC1";
+    v1.append(8, '\0');
+    putU64At(&v1, 8, 1);
+    v1.append(24, '\0');
+    putU64At(&v1, 16, 0x1000);
+    putU64At(&v1, 24, 0x400);
+    v1[16 + 20] = 1; // load
+    ASSERT_EQ(v1.size(), 40u);
+    rewrite(v1);
+
+    TraceFileInfo info;
+    std::string error;
+    EXPECT_FALSE(probeTraceFile(path_, &info, &error));
+    EXPECT_NE(error.find("PADCTRC1"), std::string::npos) << error;
+
+    error.clear();
+    EXPECT_FALSE(verifyTraceFile(path_, &info, &error));
+    EXPECT_NE(error.find("PADCTRC1"), std::string::npos) << error;
+
+    std::vector<core::TraceOp> ops;
+    error.clear();
+    EXPECT_FALSE(readTraceFileV2(path_, &ops, &error));
+    EXPECT_NE(error.find("PADCTRC1"), std::string::npos) << error;
+    EXPECT_TRUE(ops.empty());
+
+    BlockReader reader(path_);
+    EXPECT_FALSE(reader.ok());
+    EXPECT_NE(reader.error().find("PADCTRC1"), std::string::npos)
+        << reader.error();
+    error.clear();
+    EXPECT_FALSE(reader.readBlock(0, &ops, &error));
+    EXPECT_NE(error.find("PADCTRC1"), std::string::npos) << error;
+
+    StreamingFileTrace trace(path_);
+    EXPECT_FALSE(trace.ok());
+    EXPECT_NE(trace.error().find("PADCTRC1"), std::string::npos)
+        << trace.error();
+
+    // An empty PADCTRC1 file is shorter than a PADCTRC2 header, and is
+    // still refused by name.
+    std::string empty = v1.substr(0, 16);
+    putU64At(&empty, 8, 0);
+    rewrite(empty);
+    error.clear();
+    EXPECT_FALSE(probeTraceFile(path_, &info, &error));
+    EXPECT_NE(error.find("PADCTRC1"), std::string::npos) << error;
 }
 
 TEST_F(CorruptTest, ZeroBlockOpsRejected)

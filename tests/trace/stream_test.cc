@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for StreamingFileTrace: block-by-block replay equals the
- * whole-file decode, looping, reset reproducibility, and both backing
- * formats.
+ * whole-file decode, looping, and reset reproducibility.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include <unistd.h>
 #include <cstdio>
 
-#include "core/trace_file.hh"
 #include "trace/format.hh"
 #include "trace/stream.hh"
 #include "workload/generator.hh"
@@ -71,7 +69,6 @@ TEST_F(StreamTest, StreamMatchesWholeFileDecode)
     StreamingFileTrace trace(path_);
     ASSERT_TRUE(trace.ok()) << trace.error();
     EXPECT_EQ(trace.size(), ops.size());
-    EXPECT_EQ(trace.format(), TraceFormat::V2);
     for (std::size_t i = 0; i < ops.size(); ++i)
         expectOpEq(trace.next(), ops[i], i);
 }
@@ -103,20 +100,6 @@ TEST_F(StreamTest, ResetReproducesExactly)
     trace.reset();
     for (std::size_t i = 0; i < first.size(); ++i)
         expectOpEq(trace.next(), first[i], i);
-}
-
-TEST_F(StreamTest, StreamsV1FilesToo)
-{
-    const auto ops = generatedOps(500);
-    std::string error;
-    ASSERT_TRUE(core::writeTraceFile(path_, ops, &error)) << error;
-
-    StreamingFileTrace trace(path_);
-    ASSERT_TRUE(trace.ok()) << trace.error();
-    EXPECT_EQ(trace.format(), TraceFormat::V1);
-    EXPECT_EQ(trace.size(), ops.size());
-    for (std::size_t i = 0; i < ops.size() + 10; ++i)
-        expectOpEq(trace.next(), ops[i % ops.size()], i);
 }
 
 TEST_F(StreamTest, MissingFileNotOk)

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/trace_file.hh"
 #include "exp/driver.hh"
 #include "trace/corpus.hh"
 #include "trace/format.hh"
@@ -139,27 +138,73 @@ TEST_F(ToolsTest, ConvertMalformedCsvFailsWithDiagnostic)
     EXPECT_FALSE(std::filesystem::exists(dir_ + "/bad.trc"));
 }
 
-TEST_F(ToolsTest, ConvertTranscodesV1)
+TEST_F(ToolsTest, ConvertReblocksTrace)
 {
-    // Build a v1 file, transcode it, verify the corpus entry shrank it.
     std::vector<core::TraceOp> ops;
     for (int i = 0; i < 1000; ++i) {
         ops.push_back({static_cast<std::uint32_t>(i % 16),
                        0x40000ULL + 64 * static_cast<std::uint64_t>(i),
                        0x400, true, false});
     }
-    const std::string v1 = dir_ + "/old.trc";
+    const std::string in = dir_ + "/in.trc";
     std::string error;
-    ASSERT_TRUE(core::writeTraceFile(v1, ops, &error)) << error;
-    ASSERT_EQ(run({"trace", "convert", "--in", v1, "--format", "trace",
-                   "--out", dir_, "--name", "old_v1"}),
+    ASSERT_TRUE(writeTraceFileV2(in, ops, &error)) << error;
+    ASSERT_EQ(run({"trace", "convert", "--in", in, "--format", "trace",
+                   "--out", dir_, "--name", "reblocked", "--block-ops",
+                   "100"}),
               0);
     Corpus corpus;
     ASSERT_TRUE(loadCorpus(dir_, &corpus, &error)) << error;
-    const CorpusEntry *entry = findEntry(corpus, "old_v1");
+    const CorpusEntry *entry = findEntry(corpus, "reblocked");
     ASSERT_NE(entry, nullptr);
     EXPECT_EQ(entry->ops, 1000u);
-    EXPECT_LT(entry->bytes, std::filesystem::file_size(v1));
+    EXPECT_EQ(entry->source, "import:trace:" + in);
+
+    TraceFileInfo info;
+    ASSERT_TRUE(probeTraceFile(corpusFilePath(corpus, *entry), &info,
+                               &error))
+        << error;
+    EXPECT_EQ(info.block_ops, 100u);
+    EXPECT_EQ(info.num_blocks, 10u);
+    std::vector<core::TraceOp> replayed;
+    ASSERT_TRUE(readTraceFileV2(corpusFilePath(corpus, *entry), &replayed,
+                                &error))
+        << error;
+    ASSERT_EQ(replayed.size(), ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        EXPECT_EQ(replayed[i].addr, ops[i].addr) << i;
+}
+
+TEST_F(ToolsTest, Padctrc1RejectedByInfoAndConvert)
+{
+    // Header ("PADCTRC1", u64 op count 1) and one zeroed 24-byte record.
+    const std::string v1 = dir_ + "/v1.trc";
+    {
+        std::ofstream out(v1, std::ios::binary);
+        std::string bytes = "PADCTRC1";
+        bytes += '\x01';
+        bytes.append(7 + 24, '\0');
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    testing::internal::CaptureStderr();
+    const int info = run({"trace", "info", v1});
+    const std::string info_err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(info, 1);
+    EXPECT_NE(info_err.find("PADCTRC1"), std::string::npos) << info_err;
+    EXPECT_NE(info_err.find("padc trace convert --format trace"),
+              std::string::npos)
+        << info_err;
+
+    testing::internal::CaptureStderr();
+    const int convert = run({"trace", "convert", "--in", v1, "--format",
+                             "trace", "--out", dir_, "--name",
+                             "converted"});
+    const std::string convert_err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(convert, 1);
+    EXPECT_NE(convert_err.find("PADCTRC1"), std::string::npos)
+        << convert_err;
+    EXPECT_FALSE(std::filesystem::exists(dir_ + "/converted.trc"));
+    EXPECT_FALSE(std::filesystem::exists(corpusManifestPath(dir_)));
 }
 
 TEST_F(ToolsTest, InfoAndVerifyReportOnFiles)
