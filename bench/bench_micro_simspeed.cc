@@ -13,9 +13,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,7 +27,7 @@
 #include "dram/address_map.hh"
 #include "dram/channel.hh"
 #include "memctrl/controller.hh"
-#include "obs/metrics.hh"
+#include "obs/monitor.hh"
 #include "prefetch/stream_prefetcher.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel.hh"
@@ -396,7 +399,69 @@ BENCHMARK(BM_EndToEndEventDriven)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-// --- telemetry overhead check ---------------------------------------
+// --- overhead checks ------------------------------------------------
+
+/**
+ * The interleaved-median protocol both overhead checks share. Each of 9
+ * rounds times @p off, @p on, then @p off again, so frequency drift
+ * hits every arm alike, and each arm takes the median of its rounds.
+ * The check fails when the two off arms differ by more than the noise
+ * bound (the machine is too noisy to measure) or when on exceeds off
+ * by more than it. One untimed call of each arm first warms page
+ * faults, branch predictors and the allocator.
+ *
+ * Off by default: only --telemetry-overhead-check and
+ * --obs-overhead-check run it, because a timing assertion has no place
+ * in a normal benchmark invocation (and is meaningless under asan).
+ *
+ * @return process exit code (0 = within noise)
+ */
+template <typename Off, typename On>
+int
+overheadCheck(const char *check, const char *off_arm, const char *on_arm,
+              Off &&off, On &&on)
+{
+    constexpr int kRounds = 9;
+    constexpr double kNoiseBound = 1.30;
+
+    off();
+    on();
+    std::vector<double> off_a, off_b, on_t;
+    for (int round = 0; round < kRounds; ++round) {
+        off_a.push_back(off());
+        on_t.push_back(on());
+        off_b.push_back(off());
+    }
+    const auto median = [](std::vector<double> &v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+    };
+    const double a = median(off_a);
+    const double b = median(off_b);
+    const double t = median(on_t);
+
+    const double aa_ratio = std::max(a, b) / std::min(a, b);
+    const double on_ratio = t / std::min(a, b);
+    std::printf("%s: %s %.4fs / %.4fs (A/A ratio %.3f), %s %.4fs "
+                "(ratio %.3f), bound %.2f\n",
+                check, off_arm, a, b, aa_ratio, on_arm, t, on_ratio,
+                kNoiseBound);
+
+    if (aa_ratio > kNoiseBound) {
+        std::fprintf(stderr,
+                     "%s: FAIL: %s A/A ratio %.3f exceeds %.2f -- the "
+                     "machine is too noisy to measure\n",
+                     check, off_arm, aa_ratio, kNoiseBound);
+        return 1;
+    }
+    if (on_ratio > kNoiseBound) {
+        std::fprintf(stderr, "%s: FAIL: %s ratio %.3f exceeds %.2f\n",
+                     check, on_arm, on_ratio, kNoiseBound);
+        return 1;
+    }
+    std::printf("%s: PASS\n", check);
+    return 0;
+}
 
 /** Wall seconds for @p ticks scheduler rounds, optionally traced. */
 double
@@ -417,162 +482,87 @@ timedRounds(std::uint64_t ticks, telemetry::TraceBuffer *trace)
  * Assert that telemetry compiled in but *disabled* (no sinks attached:
  * every hook is one untaken null test) stays within measurement noise
  * of itself, and that even count-only tracing -- every hook firing,
- * nothing stored -- stays within a generous noise bound of the
- * disabled path. The rounds are interleaved so frequency drift hits
- * all variants alike, and each variant takes the median of its rounds.
- *
- * Off by default: only runs under --telemetry-overhead-check, because
- * a timing assertion has no place in a normal benchmark invocation
- * (and is meaningless under sanitizers).
- *
- * @return process exit code (0 = within noise)
+ * nothing stored -- stays within the noise bound of the disabled path,
+ * on the hot scheduling loop.
  */
 int
 telemetryOverheadCheck()
 {
-    constexpr std::uint64_t kTicks = 200000;
-    constexpr int kRounds = 9;
-    constexpr double kNoiseBound = 1.30;
-
-    // Warm both paths (page faults, branch predictors, allocator).
-    telemetry::TraceBuffer warm(0);
-    timedRounds(kTicks / 4, nullptr);
-    timedRounds(kTicks / 4, &warm);
-
-    std::vector<double> disabled_a, disabled_b, counted;
-    for (int round = 0; round < kRounds; ++round) {
-        disabled_a.push_back(timedRounds(kTicks, nullptr));
-        telemetry::TraceBuffer trace(0);
-        counted.push_back(timedRounds(kTicks, &trace));
-        disabled_b.push_back(timedRounds(kTicks, nullptr));
-    }
-    const auto median = [](std::vector<double> &v) {
-        std::sort(v.begin(), v.end());
-        return v[v.size() / 2];
-    };
-    const double a = median(disabled_a);
-    const double b = median(disabled_b);
-    const double t = median(counted);
-
-    const double aa_ratio = std::max(a, b) / std::min(a, b);
-    const double traced_ratio = t / std::min(a, b);
-    std::printf("telemetry-overhead-check: disabled %.4fs / %.4fs "
-                "(A/A ratio %.3f), count-only traced %.4fs "
-                "(ratio %.3f), bound %.2f\n",
-                a, b, aa_ratio, t, traced_ratio, kNoiseBound);
-
-    if (aa_ratio > kNoiseBound) {
-        std::fprintf(stderr,
-                     "telemetry-overhead-check: FAIL: disabled-path A/A "
-                     "ratio %.3f exceeds %.2f -- the disabled hooks are "
-                     "not branch-cheap (or the machine is too noisy to "
-                     "measure)\n",
-                     aa_ratio, kNoiseBound);
-        return 1;
-    }
-    if (traced_ratio > kNoiseBound) {
-        std::fprintf(stderr,
-                     "telemetry-overhead-check: FAIL: count-only tracing "
-                     "ratio %.3f exceeds %.2f\n",
-                     traced_ratio, kNoiseBound);
-        return 1;
-    }
-    std::printf("telemetry-overhead-check: PASS\n");
-    return 0;
+    const std::uint64_t ticks = 200000;
+    return overheadCheck(
+        "telemetry-overhead-check", "disabled", "count-only traced",
+        [&] { return timedRounds(ticks, nullptr); },
+        [&] {
+            telemetry::TraceBuffer trace(0);
+            return timedRounds(ticks, &trace);
+        });
 }
 
-// --- metrics-registry overhead check ---------------------------------
-
 /**
- * Wall seconds for @p ticks scheduler rounds, optionally bumping a
- * MetricsRegistry counter and sampling an AtomicHistogram every tick --
- * a deliberately hotter loop than any real instrumentation site (the
- * pool samples per task, not per scheduler round).
+ * Wall seconds for one sim::runSweep of @p points on @p runner. With a
+ * non-empty @p out_dir the sweep runs the way `padc run --progress`
+ * runs it: a FleetMonitor writing into @p out_dir is built, installed,
+ * told sweepStarted and sweepFinished, and torn down inside the timed
+ * window, so every hook a point fires is paid for.
  */
 double
-timedObsRounds(std::uint64_t ticks, obs::Counter *counter,
-               obs::AtomicHistogram *histogram)
+timedSweep(const std::vector<sim::SweepPoint> &points,
+           sim::ParallelExperimentRunner &runner, const std::string &out_dir)
 {
-    SchedulerLoad load(32);
     const auto begin = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < ticks; ++i) {
-        load.tick();
-        if (counter != nullptr) {
-            counter->inc();
-            histogram->sample(i & 1023);
-        }
+    std::unique_ptr<obs::FleetMonitor> monitor;
+    if (!out_dir.empty()) {
+        monitor = std::make_unique<obs::FleetMonitor>(out_dir);
+        obs::setActiveMonitor(monitor.get());
+        monitor->sweepStarted("obs_overhead", points.size(), 0);
+    }
+    const auto results = sim::runSweep(points, runner);
+    if (monitor != nullptr) {
+        monitor->sweepFinished(false);
+        obs::setActiveMonitor(nullptr);
+        monitor.reset();
     }
     const auto end = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(load.ctrl.stats().demand_reads);
+    benchmark::DoNotOptimize(results.size());
     return std::chrono::duration<double>(end - begin).count();
 }
 
 /**
- * Assert that the obs::MetricsRegistry hot path (relaxed atomic
- * counter increment + histogram sample, resolved once to stable
- * references) stays within measurement noise of the uninstrumented
- * loop, the same interleaved-median protocol as
- * --telemetry-overhead-check. Off by default for the same reasons.
- *
- * @return process exit code (0 = within noise)
+ * Assert that the fleet monitor a `--progress` run installs
+ * (events.jsonl, status.json and the stderr progress line) stays within
+ * measurement noise of the same sweep unobserved. The sweep is 64 short
+ * one-core PADC points on one thread, so the per-point hooks weigh as
+ * much as they ever can; fewer points make each timed arm short enough
+ * for host noise to swing the A/A ratio past the bound. The monitor
+ * writes into a fresh temp directory, removed before returning.
  */
 int
 obsOverheadCheck()
 {
-    constexpr std::uint64_t kTicks = 200000;
-    constexpr int kRounds = 9;
-    constexpr double kNoiseBound = 1.30;
-
-    obs::MetricsRegistry &registry = obs::MetricsRegistry::instance();
-    obs::Counter &counter =
-        registry.counter("bench_obs_ticks_total", "overhead-check ticks");
-    obs::AtomicHistogram &histogram = registry.histogram(
-        "bench_obs_tick_value", 128, 8, "overhead-check samples");
-
-    // Warm both paths (page faults, branch predictors, allocator).
-    timedObsRounds(kTicks / 4, nullptr, nullptr);
-    timedObsRounds(kTicks / 4, &counter, &histogram);
-
-    std::vector<double> plain_a, plain_b, metered;
-    for (int round = 0; round < kRounds; ++round) {
-        plain_a.push_back(timedObsRounds(kTicks, nullptr, nullptr));
-        metered.push_back(timedObsRounds(kTicks, &counter, &histogram));
-        plain_b.push_back(timedObsRounds(kTicks, nullptr, nullptr));
+    const sim::SystemConfig config = sim::applyPolicy(
+        sim::SystemConfig::baseline(1), sim::PolicySetup::Padc);
+    const std::vector<std::string> profiles = {
+        "libquantum_06", "milc_06", "swim_00", "omnetpp_06"};
+    std::vector<sim::SweepPoint> points(64);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        points[i].config = config;
+        points[i].mix = {profiles[i % profiles.size()]};
+        points[i].options.instructions = 5000;
+        points[i].options.warmup = 0;
+        points[i].options.mix_seed = i;
     }
-    const auto median = [](std::vector<double> &v) {
-        std::sort(v.begin(), v.end());
-        return v[v.size() / 2];
-    };
-    const double a = median(plain_a);
-    const double b = median(plain_b);
-    const double t = median(metered);
+    sim::ParallelExperimentRunner runner(1);
 
-    const double aa_ratio = std::max(a, b) / std::min(a, b);
-    const double metered_ratio = t / std::min(a, b);
-    std::printf("obs-overhead-check: plain %.4fs / %.4fs "
-                "(A/A ratio %.3f), metered %.4fs (ratio %.3f), "
-                "bound %.2f, counter %llu\n",
-                a, b, aa_ratio, t, metered_ratio, kNoiseBound,
-                static_cast<unsigned long long>(counter.value()));
-
-    if (aa_ratio > kNoiseBound) {
-        std::fprintf(stderr,
-                     "obs-overhead-check: FAIL: plain-path A/A ratio "
-                     "%.3f exceeds %.2f -- the machine is too noisy to "
-                     "measure\n",
-                     aa_ratio, kNoiseBound);
-        return 1;
-    }
-    if (metered_ratio > kNoiseBound) {
-        std::fprintf(stderr,
-                     "obs-overhead-check: FAIL: metered ratio %.3f "
-                     "exceeds %.2f -- the registry hot path is not "
-                     "within noise\n",
-                     metered_ratio, kNoiseBound);
-        return 1;
-    }
-    std::printf("obs-overhead-check: PASS\n");
-    return 0;
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("padc_obs_overhead." + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const int code = overheadCheck(
+        "obs-overhead-check", "monitor off", "monitor on",
+        [&] { return timedSweep(points, runner, ""); },
+        [&] { return timedSweep(points, runner, dir.string()); });
+    std::filesystem::remove_all(dir);
+    return code;
 }
 
 } // namespace

@@ -11,24 +11,6 @@ Histogram::Histogram(std::uint64_t bucket_width, std::uint32_t buckets)
 {
 }
 
-Histogram
-Histogram::fromCounts(std::uint64_t bucket_width,
-                      const std::vector<std::uint64_t> &counts, double sum,
-                      std::uint64_t max)
-{
-    Histogram h(bucket_width, counts.empty()
-                                  ? 0
-                                  : static_cast<std::uint32_t>(
-                                        counts.size() - 1));
-    for (std::size_t i = 0; i < counts.size() && i < h.counts_.size(); ++i) {
-        h.counts_[i] = counts[i];
-        h.total_ += counts[i];
-    }
-    h.sum_ = sum;
-    h.max_ = max;
-    return h;
-}
-
 void
 Histogram::sample(std::uint64_t value)
 {

@@ -1,12 +1,8 @@
 /**
  * @file
- * Fixed-bucket histogram shared by the simulator statistics
- * (Fig. 4(a) prefetch service-time distribution), the telemetry
- * layer, and the fleet-observability registry (src/obs).
- *
- * Promoted out of common/stats.hh so obs::AtomicHistogram can snapshot
- * into the same implementation and inherit the nearest-rank percentile
- * and overflow-to-tracked-max semantics the tests pin down.
+ * Fixed-bucket histogram shared by the simulator statistics (Fig. 4(a)
+ * prefetch service-time distribution) and the process pool's
+ * task-latency profile (the BENCH `pool_task_ms.*` summary).
  */
 
 #ifndef PADC_COMMON_HISTOGRAM_HH
@@ -32,16 +28,6 @@ class Histogram
   public:
     /** @param bucket_width width of each bucket, @param buckets count. */
     Histogram(std::uint64_t bucket_width, std::uint32_t buckets);
-
-    /**
-     * Rebuild a histogram from externally accumulated state (the
-     * obs::AtomicHistogram snapshot path): @p counts holds one entry
-     * per regular bucket plus a trailing overflow entry, exactly the
-     * internal layout.
-     */
-    static Histogram fromCounts(std::uint64_t bucket_width,
-                                const std::vector<std::uint64_t> &counts,
-                                double sum, std::uint64_t max);
 
     /** Record one sample. */
     void sample(std::uint64_t value);

@@ -645,7 +645,8 @@ statusCommand(const DriverOptions &options)
 {
     const std::filesystem::path path =
         std::filesystem::is_directory(options.status_dir)
-            ? std::filesystem::path(options.status_dir) / "status.json"
+            ? std::filesystem::path(options.status_dir) /
+                  obs::kStatusFileName
             : std::filesystem::path(options.status_dir);
     obs::SweepStatus status;
     std::string error;
@@ -655,10 +656,10 @@ statusCommand(const DriverOptions &options)
             // The common case is simply "nothing ever ran here": say
             // that, not a raw open(2) failure.
             std::fprintf(stderr,
-                         "padc: no status.json in '%s' -- no sweep has "
-                         "run here yet. Start one with `padc run "
-                         "--progress --out <dir>`.\n",
-                         options.status_dir.c_str());
+                         "padc: no %s in '%s' -- no sweep has run here "
+                         "yet. Start one with `padc run --progress "
+                         "--out <dir>`.\n",
+                         obs::kStatusFileName, options.status_dir.c_str());
         } else {
             std::fprintf(stderr, "padc: %s\n", error.c_str());
         }
@@ -684,15 +685,7 @@ class MonitorGuard
     {
         if (!options.progress)
             return;
-        obs::MonitorConfig config;
-        config.events_path =
-            (std::filesystem::path(options.out_dir) / "events.jsonl")
-                .string();
-        config.status_path =
-            (std::filesystem::path(options.out_dir) / "status.json")
-                .string();
-        config.progress = true;
-        monitor_ = std::make_unique<obs::FleetMonitor>(config);
+        monitor_ = std::make_unique<obs::FleetMonitor>(options.out_dir);
         obs::setActiveMonitor(monitor_.get());
     }
 

@@ -35,12 +35,12 @@ formatEvent(const Event &event)
     return out;
 }
 
-EventLog::EventLog(const std::string &path) : path_(path)
+EventLog::EventLog(const std::string &path)
 {
     // Detect a torn trailing line left by a previous killed process:
     // a non-empty file whose last byte is not '\n'.
     bool torn_tail = false;
-    if (std::FILE *in = std::fopen(path_.c_str(), "rb")) {
+    if (std::FILE *in = std::fopen(path.c_str(), "rb")) {
         int c = 0;
         int last = '\n';
         while ((c = std::fgetc(in)) != EOF)
@@ -51,9 +51,9 @@ EventLog::EventLog(const std::string &path) : path_(path)
 
     // O_APPEND + one write(2) per record keeps concurrent writers
     // line-atomic (same contract as the sweep journal).
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (fd_ < 0) {
-        error_ = "EventLog: cannot open '" + path_ +
+        error_ = "EventLog: cannot open '" + path +
                  "' for appending: " + std::strerror(errno);
         return;
     }

@@ -28,6 +28,9 @@ namespace padc::obs
 /** Line schema tag each event record carries. */
 inline constexpr char kEventSchema[] = "padc-run-event-v1";
 
+/** The event log's file name inside a run's --out directory. */
+inline constexpr char kEventsFileName[] = "events.jsonl";
+
 /**
  * One run event. `point` and `worker` are -1 when not applicable
  * (e.g. worker lifecycle events have no point, sweep events have
@@ -66,8 +69,6 @@ class EventLog
 
     const std::string &error() const { return error_; }
 
-    const std::string &path() const { return path_; }
-
     /** Append one event; no-op (returns false) after an I/O error. */
     bool record(const Event &event);
 
@@ -80,7 +81,6 @@ class EventLog
                      std::string *error = nullptr);
 
   private:
-    std::string path_;
     int fd_ = -1;
     std::string error_;
     std::mutex mutex_;

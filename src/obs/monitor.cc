@@ -4,8 +4,7 @@
 
 #include <atomic>
 #include <cstdio>
-
-#include "obs/metrics.hh"
+#include <filesystem>
 
 namespace padc::obs
 {
@@ -14,6 +13,12 @@ namespace
 {
 
 std::atomic<FleetMonitor *> active_monitor{nullptr};
+
+/** status.json refresh throttle (5 Hz); bad news is forced through. */
+constexpr std::uint64_t kStatusIntervalMs = 200;
+
+/** stderr progress-line throttle (4 Hz). */
+constexpr std::uint64_t kProgressIntervalMs = 250;
 
 } // namespace
 
@@ -29,15 +34,15 @@ setActiveMonitor(FleetMonitor *monitor)
     active_monitor.store(monitor, std::memory_order_release);
 }
 
-FleetMonitor::FleetMonitor(MonitorConfig config)
-    : config_(std::move(config))
+FleetMonitor::FleetMonitor(const std::string &out_dir)
+    : status_path_((std::filesystem::path(out_dir) / kStatusFileName)
+                       .string()),
+      events_(std::make_unique<EventLog>(
+          (std::filesystem::path(out_dir) / kEventsFileName).string()))
 {
-    if (!config_.events_path.empty()) {
-        events_ = std::make_unique<EventLog>(config_.events_path);
-        if (!events_->ok()) {
-            std::fprintf(stderr, "padc: %s\n", events_->error().c_str());
-            events_.reset();
-        }
+    if (!events_->ok()) {
+        std::fprintf(stderr, "padc: %s\n", events_->error().c_str());
+        events_.reset();
     }
     stderr_tty_ = ::isatty(STDERR_FILENO) == 1;
     sweep_start_ms_ = steadyNowMs();
@@ -100,17 +105,14 @@ FleetMonitor::publish(bool force)
 {
     const std::uint64_t now_ms = steadyNowMs();
     const bool want_status =
-        !config_.status_path.empty() &&
-        (force || now_ms - last_status_ms_ >= config_.status_interval_ms);
+        force || now_ms - last_status_ms_ >= kStatusIntervalMs;
     const bool want_progress =
-        config_.progress &&
-        (force ||
-         now_ms - last_progress_ms_ >= config_.progress_interval_ms);
+        force || now_ms - last_progress_ms_ >= kProgressIntervalMs;
     if (!want_status && !want_progress)
         return;
     const SweepStatus status = buildStatus(now_ms);
     if (want_status) {
-        writeStatusFile(config_.status_path, status);
+        writeStatusFile(status_path_, status);
         last_status_ms_ = now_ms;
     }
     if (want_progress) {
@@ -144,9 +146,6 @@ FleetMonitor::sweepStarted(const std::string &experiment,
     live_.quarantined = 0;
     rate_ = RateEstimator();
     sweep_start_ms_ = steadyNowMs();
-    MetricsRegistry::instance()
-        .counter("padc_sweeps_started_total", "Sweeps begun")
-        .inc();
     emitEvent(journaled > 0 ? "sweep_resume" : "sweep_start", -1, -1,
               journaled, experiment);
     publish(true);
@@ -173,10 +172,6 @@ FleetMonitor::pointDispatched(std::uint64_t index, std::size_t slot,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     slotRef(slot).busy = true;
-    MetricsRegistry::instance()
-        .counter("padc_points_dispatched_total",
-                 "Points handed to pool workers")
-        .inc();
     emitEvent("point_dispatch", static_cast<std::int64_t>(index), pid, 0,
               "");
     publish(false);
@@ -189,26 +184,18 @@ FleetMonitor::pointFinished(std::uint64_t index, const std::string &status,
                             std::int64_t pid)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto &registry = MetricsRegistry::instance();
-    const std::uint64_t now_ms = steadyNowMs();
-    const bool interrupted = attempts == 0 && detail == "interrupted";
+    // By detail, not attempts: a pool point killed in flight by the
+    // drain has attempts >= 1 and still never produced a result.
+    const bool interrupted = detail == "interrupted";
     const bool replayed = attempts == 0 && !interrupted;
     ++live_.done;
     if (replayed) {
         ++live_.replayed;
-        registry
-            .counter("padc_points_replayed_total",
-                     "Points satisfied from the resume journal")
-            .inc();
     } else if (!interrupted) {
         ++live_.executed;
         // Only genuinely executed points feed the rate estimator:
         // journal replays are near-instant and would wreck the ETA.
-        rate_.notePoint(now_ms);
-        registry
-            .counter("padc_points_executed_total",
-                     "Points simulated to completion")
-            .inc();
+        rate_.notePoint(steadyNowMs());
     }
     if (status != "ok" && !interrupted)
         ++live_.failed;
@@ -227,15 +214,11 @@ FleetMonitor::pointFinished(std::uint64_t index, const std::string &status,
 
 void
 FleetMonitor::pointRetried(std::uint64_t index, std::uint32_t attempt,
-                           std::int64_t pid, const std::string &fate)
+                           const std::string &fate)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++live_.retries;
-    MetricsRegistry::instance()
-        .counter("padc_point_retries_total",
-                 "Point attempts restarted after a worker death")
-        .inc();
-    emitEvent("point_retry", static_cast<std::int64_t>(index), pid,
+    emitEvent("point_retry", static_cast<std::int64_t>(index), -1,
               attempt, fate);
     // Forced: a retry burst must be visible even inside the throttle
     // window (the crash:3 acceptance scenario).
@@ -243,18 +226,14 @@ FleetMonitor::pointRetried(std::uint64_t index, std::uint32_t attempt,
 }
 
 void
-FleetMonitor::pointQuarantined(std::uint64_t index, std::int64_t pid,
+FleetMonitor::pointQuarantined(std::uint64_t index,
                                const std::string &fate)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++live_.quarantined;
     ++live_.done;
     ++live_.failed;
-    MetricsRegistry::instance()
-        .counter("padc_points_quarantined_total",
-                 "Points that exhausted their worker attempts")
-        .inc();
-    emitEvent("point_quarantine", static_cast<std::int64_t>(index), pid,
+    emitEvent("point_quarantine", static_cast<std::int64_t>(index), -1,
               0, fate);
     publish(true);
 }
@@ -266,9 +245,6 @@ FleetMonitor::workerSpawned(std::size_t slot, std::int64_t pid)
     WorkerStatus &worker = slotRef(slot);
     worker.pid = pid;
     worker.busy = false;
-    MetricsRegistry::instance()
-        .counter("padc_worker_spawns_total", "Worker processes spawned")
-        .inc();
     emitEvent("worker_spawn", -1, pid, 0,
               "slot " + std::to_string(slot));
     publish(false);
@@ -282,9 +258,6 @@ FleetMonitor::workerExited(std::size_t slot, std::int64_t pid,
     WorkerStatus &worker = slotRef(slot);
     worker.pid = -1;
     worker.busy = false;
-    MetricsRegistry::instance()
-        .counter("padc_worker_exits_total", "Worker processes reaped")
-        .inc();
     emitEvent("worker_exit", -1, pid, 0, fate);
     publish(false);
 }
@@ -295,10 +268,6 @@ FleetMonitor::workerTimedOut(std::size_t slot, std::int64_t pid,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++slotRef(slot).kills;
-    MetricsRegistry::instance()
-        .counter("padc_worker_timeouts_total",
-                 "Workers SIGKILLed by the heartbeat watchdog")
-        .inc();
     emitEvent("worker_timeout", index, pid, 0, "heartbeat timeout");
     publish(true);
 }
@@ -307,19 +276,9 @@ void
 FleetMonitor::interruptDrain()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    MetricsRegistry::instance()
-        .counter("padc_interrupts_total", "SIGINT/SIGTERM drains")
-        .inc();
     emitEvent("interrupt_drain", -1, -1, 0,
               "draining in-flight points");
     publish(true);
-}
-
-SweepStatus
-FleetMonitor::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return buildStatus(steadyNowMs());
 }
 
 } // namespace padc::obs

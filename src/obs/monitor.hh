@@ -1,10 +1,11 @@
 /**
  * @file
  * FleetMonitor: the single observer the sweep executors notify
- * (DESIGN.md section 14). It fans each notification out to the three
- * observability surfaces — the process-wide MetricsRegistry, the
+ * (DESIGN.md section 14). It fans each notification out to the two
+ * observability surfaces in the run's --out directory — the
  * events.jsonl structured log, and the periodically atomic-renamed
- * status.json + stderr --progress line.
+ * status.json plus the stderr --progress line. The sweep counters
+ * live once, in the SweepStatus both surfaces render.
  *
  * Wiring follows the notePointCompleted() precedent (sim/interrupt.hh):
  * a process-global nullable pointer, installed by the driver when
@@ -32,19 +33,15 @@
 namespace padc::obs
 {
 
-struct MonitorConfig
-{
-    std::string events_path; ///< empty = no event log
-    std::string status_path; ///< empty = no status.json
-    bool progress = false;   ///< stderr progress line
-    std::uint64_t status_interval_ms = 200;
-    std::uint64_t progress_interval_ms = 250;
-};
-
 class FleetMonitor
 {
   public:
-    explicit FleetMonitor(MonitorConfig config);
+    /**
+     * Observe sweeps into @p out_dir: events.jsonl and status.json
+     * there, and the progress line on stderr. An event log that cannot
+     * be opened is reported on stderr and left off.
+     */
+    explicit FleetMonitor(const std::string &out_dir);
 
     FleetMonitor(const FleetMonitor &) = delete;
     FleetMonitor &operator=(const FleetMonitor &) = delete;
@@ -67,23 +64,24 @@ class FleetMonitor
                          std::int64_t pid);
 
     /**
-     * Point @p index reached a final outcome. @p attempts == 0 means it
-     * was satisfied from the resume journal (replayed) — or, when
-     * @p detail is "interrupted", never ran; both are excluded from the
-     * rate estimator so resumes do not inflate the ETA. @p slot >= 0
-     * credits the pool worker slot that produced the result.
+     * Point @p index reached a final outcome. @p detail "interrupted"
+     * means an interrupt cut it short, whether it never ran or was
+     * killed in flight: it counts toward `done` only. Otherwise
+     * @p attempts == 0 means it was satisfied from the resume journal
+     * (replayed). Neither feeds the rate estimator, so resumes and
+     * drains do not distort the ETA. @p slot >= 0 credits the pool
+     * worker slot that produced the result.
      */
     void pointFinished(std::uint64_t index, const std::string &status,
                        std::uint32_t attempts, const std::string &detail,
                        std::int64_t slot = -1, std::int64_t pid = -1);
 
-    /** Point @p index will be retried after a worker death. */
+    /** Point @p index will be retried after the worker death @p fate. */
     void pointRetried(std::uint64_t index, std::uint32_t attempt,
-                      std::int64_t pid, const std::string &fate);
+                      const std::string &fate);
 
     /** Point @p index exhausted its attempts and is quarantined. */
-    void pointQuarantined(std::uint64_t index, std::int64_t pid,
-                          const std::string &fate);
+    void pointQuarantined(std::uint64_t index, const std::string &fate);
 
     /** Worker lifecycle (pool path). */
     void workerSpawned(std::size_t slot, std::int64_t pid);
@@ -95,11 +93,6 @@ class FleetMonitor
     /** SIGINT/SIGTERM received; the pool is draining in-flight work. */
     void interruptDrain();
 
-    /** Current status snapshot (what status.json would contain). */
-    SweepStatus snapshot() const;
-
-    const MonitorConfig &config() const { return config_; }
-
   private:
     void emitEvent(const std::string &type, std::int64_t point,
                    std::int64_t worker, std::uint64_t attempt,
@@ -109,10 +102,10 @@ class FleetMonitor
     void publish(bool force);
     WorkerStatus &slotRef(std::size_t slot);
 
-    MonitorConfig config_;
+    std::string status_path_;
     std::unique_ptr<EventLog> events_;
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     SweepStatus live_; ///< counters; workers grows as slots appear
     RateEstimator rate_;
     std::uint64_t sweep_start_ms_ = 0;

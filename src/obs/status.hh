@@ -26,6 +26,9 @@ namespace padc::obs
 /** Schema tag carried by every status.json snapshot. */
 inline constexpr char kStatusSchema[] = "padc-sweep-status-v1";
 
+/** The snapshot's file name inside a run's --out directory. */
+inline constexpr char kStatusFileName[] = "status.json";
+
 /** Steady-clock now in milliseconds (the only clock obs code uses). */
 std::uint64_t steadyNowMs();
 

@@ -17,7 +17,6 @@
 #include <utility>
 
 #include "exp/json.hh"
-#include "obs/metrics.hh"
 #include "obs/monitor.hh"
 #include "sim/interrupt.hh"
 #include "sim/journal.hh"
@@ -436,7 +435,6 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
             results[i].outcome.attempts = 0; // never ran in this process
             state[i].state = PState::Done;
             ++done;
-            ++stats_.replayed;
             ++profile_.replayed;
             if (obs::FleetMonitor *monitor = obs::activeMonitor()) {
                 monitor->pointFinished(
@@ -446,7 +444,12 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         }
     }
 
-    auto finishFailed = [&](std::size_t i, const std::string &detail) {
+    // Every final outcome that is not a worker's result ends here and
+    // reaches the monitor exactly once, as in-thread: a quarantine (with
+    // the last worker's fate) through its own hook, the rest through
+    // pointFinished.
+    auto finishFailed = [&](std::size_t i, const std::string &detail,
+                            const std::string &quarantine_fate = "") {
         results[i].value = T{};
         results[i].outcome.status = PointStatus::Failed;
         results[i].outcome.detail = detail;
@@ -454,6 +457,12 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         results[i].outcome.last_error = state[i].last_error;
         state[i].state = PState::Done;
         ++done;
+        obs::FleetMonitor *monitor = obs::activeMonitor();
+        if (monitor != nullptr && !quarantine_fate.empty())
+            monitor->pointQuarantined(i, quarantine_fate);
+        else if (monitor != nullptr)
+            monitor->pointFinished(i, toString(PointStatus::Failed),
+                                   state[i].attempts, detail);
     };
 
     // A worker died (crash, exit, heartbeat kill, malformed frame). Its
@@ -467,13 +476,12 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         worker.task = -1;
         state[i].last_error = fate;
         if (state[i].attempts >= config_.max_attempts) {
-            ++stats_.quarantined;
             ++profile_.quarantined;
-            finishFailed(i, "quarantined after " +
-                                std::to_string(state[i].attempts) +
-                                " attempts; last worker " + fate);
-            if (obs::FleetMonitor *monitor = obs::activeMonitor())
-                monitor->pointQuarantined(i, -1, fate);
+            finishFailed(i,
+                         "quarantined after " +
+                             std::to_string(state[i].attempts) +
+                             " attempts; last worker " + fate,
+                         fate);
             return;
         }
         std::uint64_t delay = config_.backoff_initial_ms;
@@ -483,10 +491,9 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         delay = std::min(delay, config_.backoff_max_ms);
         state[i].state = PState::Pending;
         state[i].ready_ms = nowMs() + delay;
-        ++stats_.retries;
         ++profile_.retries;
         if (obs::FleetMonitor *monitor = obs::activeMonitor())
-            monitor->pointRetried(i, state[i].attempts, -1, fate);
+            monitor->pointRetried(i, state[i].attempts, fate);
     };
 
     // Protocol violations are handled like deaths: the worker cannot be
@@ -534,12 +541,6 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
             profile_.sim_cycles += result.worker->sim_cycles;
             profile_.exec_seconds += result.worker->exec_seconds;
         }
-        // Registry hot-path instrument (overhead proven within noise
-        // by bench_micro_simspeed --obs-overhead-check).
-        obs::MetricsRegistry::instance()
-            .histogram("padc_task_ms", 250, 10,
-                       "Pool task round-trip latency, ms")
-            .sample(latency_ms);
 
         Result<T> merged;
         if constexpr (std::is_same_v<T, RunMetrics>)
@@ -559,7 +560,6 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         results[i] = std::move(merged);
         state[i].state = PState::Done;
         ++done;
-        ++stats_.executed;
         notePointCompleted();
     };
 
@@ -569,7 +569,6 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         // "interrupted" without journaling them, and leave the idle
         // workers for shutdownWorkers().
         if (interruptRequested()) {
-            stats_.interrupted = true;
             if (obs::FleetMonitor *monitor = obs::activeMonitor())
                 monitor->interruptDrain();
             for (Worker &worker : workers_) {
@@ -595,7 +594,6 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
             if (worker.alive() || worker.retired)
                 continue;
             if (spawnWorker(&worker)) {
-                ++stats_.respawns;
                 ++profile_.respawns;
             } else {
                 worker.retired = true;

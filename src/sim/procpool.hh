@@ -94,17 +94,6 @@ struct ProcPoolConfig
 class ProcessPool
 {
   public:
-    /** Counters of one pool's lifetime, surfaced for tests and logs. */
-    struct Stats
-    {
-        std::uint64_t executed = 0;    ///< results computed by workers
-        std::uint64_t replayed = 0;    ///< points served from the journal
-        std::uint64_t retries = 0;     ///< re-dispatches after a death
-        std::uint64_t respawns = 0;    ///< workers respawned after a death
-        std::uint64_t quarantined = 0; ///< points that exhausted attempts
-        bool interrupted = false;      ///< a sweep was cut short
-    };
-
     /** Per-slot lifetime accounting inside a PoolProfile window. */
     struct WorkerSlotProfile
     {
@@ -117,21 +106,20 @@ class ProcessPool
     };
 
     /**
-     * Observability counters accumulated since the last drain — the
-     * additive per-worker members of the BENCH JSON `profile` block.
-     * Unlike Stats (pool lifetime, monotonic), a profile window is
-     * drained per experiment so each BENCH document describes only its
-     * own sweep. sim_cycles / exec_seconds come from the workers' wire
-     * self-reports (WireWorkerReport) and are zero against pre-
-     * extension workers.
+     * The pool's counters accumulated since the last drain — the
+     * additive per-worker members of the BENCH JSON `profile` block. A
+     * window is drained per experiment so each BENCH document describes
+     * only its own sweep. sim_cycles / exec_seconds come from the
+     * workers' wire self-reports (WireWorkerReport) and are zero
+     * against pre-extension workers.
      */
     struct PoolProfile
     {
-        std::uint64_t tasks = 0;
-        std::uint64_t replayed = 0;
-        std::uint64_t retries = 0;
-        std::uint64_t respawns = 0;
-        std::uint64_t quarantined = 0;
+        std::uint64_t tasks = 0;       ///< results computed by workers
+        std::uint64_t replayed = 0;    ///< points served from the journal
+        std::uint64_t retries = 0;     ///< re-dispatches after a death
+        std::uint64_t respawns = 0;    ///< workers respawned after a death
+        std::uint64_t quarantined = 0; ///< points that exhausted attempts
         std::uint64_t timeout_kills = 0;
         std::uint64_t sim_cycles = 0;
         double exec_seconds = 0.0;
@@ -179,8 +167,6 @@ class ProcessPool
     evaluateSweep(const std::vector<SweepPoint> &points,
                   AloneIpcCache &alone, SweepJournal *journal = nullptr);
 
-    const Stats &stats() const { return stats_; }
-
     /** Return the profile window accumulated so far and start a new one. */
     PoolProfile drainProfile();
 
@@ -227,7 +213,6 @@ class ProcessPool
     std::vector<std::string> argv_;
     ProcPoolConfig config_;
     std::vector<Worker> workers_;
-    Stats stats_;
     PoolProfile profile_;
     bool spawned_ = false;
     bool usable_ = false;

@@ -28,9 +28,9 @@
  * Exporters (CSV, Chrome trace JSON) live in telemetry/export.hh; the
  * wall-clock profiler in telemetry/profiler.hh. This module observes
  * one simulation from the inside; its fleet-level counterpart -- the
- * process-wide metrics registry, the structured run-event log, and the
- * live sweep status a `padc run --progress` maintains -- lives in
- * src/obs/ (see obs/metrics.hh and DESIGN.md section 14).
+ * structured run-event log and the live sweep status a `padc run
+ * --progress` maintains -- lives in src/obs/ (see obs/monitor.hh and
+ * DESIGN.md section 14).
  */
 
 #ifndef PADC_TELEMETRY_TELEMETRY_HH

@@ -1,11 +1,9 @@
 /**
  * @file
  * Unit tests for the shared fixed-bucket Histogram
- * (common/histogram.hh), moved out of stats_test.cc when the class
- * was promoted for reuse by the obs metrics registry. The nearest-rank
- * percentile and overflow-to-tracked-max semantics pinned down here
- * are load-bearing for both the Fig. 4(a) distributions and the
- * obs::AtomicHistogram snapshots.
+ * (common/histogram.hh). The nearest-rank percentile and
+ * overflow-to-tracked-max semantics pinned down here are load-bearing
+ * for the Fig. 4(a) distributions and the BENCH `pool_task_ms.*` summary.
  */
 
 #include <gtest/gtest.h>
@@ -118,36 +116,6 @@ TEST(HistogramTest, ToStatSetExportsSummaryAndBuckets)
     EXPECT_DOUBLE_EQ(stats.get("svc.overflow"), 1.0);
     // Exactly count/mean/p50/p90/p99/max + 3 buckets + overflow.
     EXPECT_EQ(stats.entries().size(), 10u);
-}
-
-// fromCounts() is the obs::AtomicHistogram snapshot path: rebuilding
-// from raw bucket counts must behave exactly like sampling directly.
-TEST(HistogramTest, FromCountsMatchesSampledHistogram)
-{
-    Histogram sampled(10, 2);
-    sampled.sample(5);
-    sampled.sample(15);
-    sampled.sample(1000);
-    sampled.sample(5000);
-
-    const Histogram rebuilt = Histogram::fromCounts(
-        10, {1, 1, 2}, 5.0 + 15.0 + 1000.0 + 5000.0, 5000);
-    EXPECT_EQ(rebuilt.total(), sampled.total());
-    EXPECT_EQ(rebuilt.max(), sampled.max());
-    EXPECT_DOUBLE_EQ(rebuilt.mean(), sampled.mean());
-    EXPECT_DOUBLE_EQ(rebuilt.percentile(50.0), sampled.percentile(50.0));
-    EXPECT_DOUBLE_EQ(rebuilt.percentile(75.0), sampled.percentile(75.0));
-    EXPECT_DOUBLE_EQ(rebuilt.percentile(100.0), sampled.percentile(100.0));
-    for (std::uint32_t i = 0; i <= 2; ++i)
-        EXPECT_EQ(rebuilt.count(i), sampled.count(i)) << "bucket " << i;
-}
-
-TEST(HistogramTest, FromCountsEmptyIsEmpty)
-{
-    const Histogram h = Histogram::fromCounts(10, {0, 0, 0}, 0.0, 0);
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_DOUBLE_EQ(h.percentile(50.0), 0.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
 } // namespace

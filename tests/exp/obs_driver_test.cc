@@ -7,8 +7,9 @@
  * streams stay byte-clean while the human-facing progress line, the
  * events.jsonl log, and the status.json snapshot ride elsewhere.
  *
- * Covers the ISSUE 9 acceptance scenarios: fault-injected sweeps show
- * their retries in the progress line and the event log, status.json
+ * Covers the acceptance scenarios: fault-injected sweeps show their
+ * retries in the progress line and the event log, an interrupted sweep
+ * reports every point the same way in-thread and pooled, status.json
  * stays a complete schema-valid snapshot across a SIGKILLed
  * supervisor, the event log tail-repairs on resume, and `padc status`
  * renders both live and post-mortem state.
@@ -255,6 +256,38 @@ TEST(ObsDriver, CrashRetriesShowInProgressLineEventsAndStatus)
     EXPECT_EQ(status.retries, 3u);
     EXPECT_EQ(status.quarantined, 0u);
     std::filesystem::remove_all(dir);
+}
+
+TEST(ObsDriver, PooledInterruptReportsEveryPoint)
+{
+    // Both execution paths emit the same events and the same status.
+    // An interrupt after the first point drains the other eight:
+    // in-thread they never start, in the pool they are pending or
+    // killed in flight, and each one reaches the monitor exactly once.
+    for (const std::string mode : {"threads", "workers"}) {
+        SCOPED_TRACE(mode);
+        const auto dir = freshDir("interrupt_" + mode);
+        EXPECT_EQ(runDriver({"run", "smoke_grid", "--" + mode, "1",
+                             "--progress", "--out", dir.string()},
+                            {"PADC_TEST_INTERRUPT_AFTER=1"},
+                            (dir / "stdout.log").string(),
+                            (dir / "stderr.log").string()),
+                  130);
+        obs::SweepStatus s;
+        std::vector<obs::Event> events;
+        ASSERT_TRUE(obs::loadStatusFile((dir / "status.json").string(), &s));
+        ASSERT_TRUE(obs::EventLog::load((dir / "events.jsonl").string(),
+                                        &events));
+        EXPECT_EQ(s.state, "interrupted");
+        EXPECT_EQ(s.done, 9u);
+        EXPECT_EQ(s.executed, 1u);
+        EXPECT_EQ(s.replayed, 0u);
+        EXPECT_EQ(s.failed, 0u);
+        EXPECT_EQ(countEvents(events, "point_complete"), 1u);
+        EXPECT_EQ(countEvents(events, "point_interrupted"), 8u);
+        EXPECT_EQ(countEvents(events, "sweep_interrupted"), 1u);
+        std::filesystem::remove_all(dir);
+    }
 }
 
 TEST(ObsDriver, StatusSubcommandRendersFinishedSweep)
