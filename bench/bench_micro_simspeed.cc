@@ -251,9 +251,9 @@ BM_ScheduleReadTelemetry(benchmark::State &state)
 BENCHMARK(BM_ScheduleReadTelemetry)->Arg(4)->Arg(32)->Arg(128);
 
 /**
- * A small (policy x mix) sweep through the shared thread pool; compare
- * against BM_SingleCoreSimulation-style serial cost to see the fan-out
- * win (thread count via PADC_THREADS).
+ * A small (policy x mix) sweep through a hardware-concurrency thread
+ * pool; compare against BM_SingleCoreSimulation-style serial cost to
+ * see the fan-out win.
  */
 void
 BM_ParallelSweep(benchmark::State &state)
@@ -277,8 +277,9 @@ BM_ParallelSweep(benchmark::State &state)
                 {sim::applyPolicy(base, setup), mixes[i], point_opt});
         }
     }
+    sim::ParallelExperimentRunner runner;
     for (auto _ : state) {
-        const auto results = sim::runSweep(points, sim::sharedRunner());
+        const auto results = sim::runSweep(points, runner);
         benchmark::DoNotOptimize(results.size());
     }
 }
@@ -402,13 +403,15 @@ BENCHMARK(BM_EndToEndEventDriven)
 // --- overhead checks ------------------------------------------------
 
 /**
- * The interleaved-median protocol both overhead checks share. Each of 9
- * rounds times @p off, @p on, then @p off again, so frequency drift
- * hits every arm alike, and each arm takes the median of its rounds.
- * The check fails when the two off arms differ by more than the noise
- * bound (the machine is too noisy to measure) or when on exceeds off
- * by more than it. One untimed call of each arm first warms page
- * faults, branch predictors and the allocator.
+ * The interleaved protocol both overhead checks share. Each of 9 rounds
+ * times @p off, @p on, then @p off again and takes two ratios: A/A, the
+ * slower off arm over the faster one, and on/off, the on arm over the
+ * faster off arm. Pairing the arms within a round keeps a host that
+ * changes speed mid-run from landing the two off arms' medians on
+ * different sides of the change. The check fails when the median A/A
+ * ratio exceeds the noise bound (the machine is too noisy to measure)
+ * or the median on/off ratio does. One untimed call of each arm first
+ * warms page faults, branch predictors and the allocator.
  *
  * Off by default: only --telemetry-overhead-check and
  * --obs-overhead-check run it, because a timing assertion has no place
@@ -426,25 +429,23 @@ overheadCheck(const char *check, const char *off_arm, const char *on_arm,
 
     off();
     on();
-    std::vector<double> off_a, off_b, on_t;
+    std::vector<double> aa_ratios, on_ratios;
     for (int round = 0; round < kRounds; ++round) {
-        off_a.push_back(off());
-        on_t.push_back(on());
-        off_b.push_back(off());
+        const double a = off();
+        const double t = on();
+        const double b = off();
+        aa_ratios.push_back(std::max(a, b) / std::min(a, b));
+        on_ratios.push_back(t / std::min(a, b));
     }
     const auto median = [](std::vector<double> &v) {
         std::sort(v.begin(), v.end());
         return v[v.size() / 2];
     };
-    const double a = median(off_a);
-    const double b = median(off_b);
-    const double t = median(on_t);
-
-    const double aa_ratio = std::max(a, b) / std::min(a, b);
-    const double on_ratio = t / std::min(a, b);
-    std::printf("%s: %s %.4fs / %.4fs (A/A ratio %.3f), %s %.4fs "
-                "(ratio %.3f), bound %.2f\n",
-                check, off_arm, a, b, aa_ratio, on_arm, t, on_ratio,
+    const double aa_ratio = median(aa_ratios);
+    const double on_ratio = median(on_ratios);
+    std::printf("%s: median of %d rounds: %s A/A ratio %.3f, %s ratio "
+                "%.3f, bound %.2f\n",
+                check, kRounds, off_arm, aa_ratio, on_arm, on_ratio,
                 kNoiseBound);
 
     if (aa_ratio > kNoiseBound) {

@@ -134,15 +134,13 @@ driverUsage()
            "\n"
            "options:\n"
            "  --threads N    worker threads for the sweep pool\n"
-           "                 (default: PADC_THREADS or hardware "
-           "concurrency)\n"
+           "                 (default: hardware concurrency)\n"
            "  --workers N    run sweeps across N crash-isolated worker\n"
            "                 subprocesses instead of in-process threads\n"
            "                 (0 = off; knobs: PADC_WORKER_ATTEMPTS,\n"
            "                 PADC_WORKER_TIMEOUT_MS, "
            "PADC_RETRY_BACKOFF_MS)\n"
-           "  --resume PATH  checkpoint/resume journal (default: "
-           "$PADC_RESUME)\n"
+           "  --resume PATH  checkpoint/resume journal\n"
            "  --seed N       override the random-mix seed of seeded "
            "experiments\n"
            "  --format FMT   text | json | csv (default: text)\n"
@@ -586,9 +584,9 @@ recordRunProfile(ExperimentResult &result)
 
 /**
  * Drain the process pool's per-experiment profile window into the
- * BENCH JSON `profile` block. Every member is additive — the schema's
+ * BENCH JSON `profile` block. Every member is additive: the schema's
  * profile object is open, and default (no --workers) documents do not
- * contain any of these, so pre-extension BENCH files stay byte-stable.
+ * contain any of these.
  */
 void
 recordPoolProfile(sim::ProcessPool &pool, ExperimentResult &result)
@@ -875,19 +873,6 @@ driverMain(int argc, const char *const *argv)
         return 2;
     }
 
-    if (options.threads > 0 &&
-        !sim::setSharedRunnerThreads(options.threads)) {
-        std::fprintf(stderr,
-                     "padc: warning: --threads ignored (pool already "
-                     "running)\n");
-    }
-    if (!options.resume_path.empty() &&
-        !sim::setEnvJournalPath(options.resume_path)) {
-        std::fprintf(stderr,
-                     "padc: warning: --resume ignored (journal already "
-                     "resolved)\n");
-    }
-
     std::error_code dir_error;
     std::filesystem::create_directories(options.out_dir, dir_error);
     if (dir_error) {
@@ -941,12 +926,30 @@ driverMain(int argc, const char *const *argv)
         }
     }
 
+    // This call's flags alone choose the runner and the journal; every
+    // experiment of the run shares both.
+    sim::ParallelExperimentRunner runner(options.threads);
+    std::unique_ptr<sim::SweepJournal> journal;
+    if (!options.resume_path.empty()) {
+        try {
+            journal = std::make_unique<sim::SweepJournal>(
+                options.resume_path);
+            std::fprintf(stderr,
+                         "padc: resuming from journal '%s' (%zu "
+                         "completed points loaded)\n",
+                         options.resume_path.c_str(),
+                         journal->loadedEntries());
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "padc: warning: --resume ignored: %s\n",
+                         e.what());
+        }
+    }
+
     bool any_interrupted = false;
     for (const Experiment *experiment : experiments) {
         const ExperimentInfo &info = experiment->info;
-        ExperimentContext context(info, sim::sharedRunner(),
-                                  sim::envJournal(), options.seed, tcfg,
-                                  pool.get());
+        ExperimentContext context(info, runner, journal.get(),
+                                  options.seed, tcfg, pool.get());
         telemetry::WallProfiler::instance().reset();
         const auto start = std::chrono::steady_clock::now();
         {

@@ -54,7 +54,7 @@ struct DriverOptions
     bool all = false;                   ///< run --all
     unsigned threads = 0;               ///< 0 = default pool size
     unsigned workers = 0;               ///< --workers subprocesses (0 = off)
-    std::string resume_path;            ///< empty = $PADC_RESUME
+    std::string resume_path;            ///< empty = no journal
     std::optional<std::uint64_t> seed;  ///< --seed override
     Format format = Format::Text;
     std::string out_dir = ".";          ///< BENCH_<name>.json directory

@@ -1,7 +1,6 @@
 #include "exp/experiment.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "exp/report.hh"
 #include "obs/monitor.hh"
@@ -9,32 +8,13 @@
 #include "sim/journal.hh"
 #include "sim/metrics.hh"
 #include "sim/procpool.hh"
+#include "trace/format.hh"
 
 namespace padc::exp
 {
 
 namespace
 {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t
-fnv1a(std::uint64_t hash, const void *data, std::size_t size)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1a(std::uint64_t hash, const std::string &text)
-{
-    return fnv1a(hash, text.data(), text.size());
-}
 
 /** Simulated cycles of one run: the slowest core's cycle count. */
 Cycle
@@ -58,25 +38,19 @@ addTrafficMetrics(StatSet &metrics, const sim::RunMetrics &run)
                 static_cast<double>(run.trafficPrefUseless()));
     metrics.add("traffic_writeback",
                 static_cast<double>(run.trafficWriteback()));
+}
 
-    // Controller-side per-class serviced counts, opt-in so default BENCH
-    // documents stay byte-stable across releases (the baselines are
-    // compared bit-exactly). The schema lists these as optional members.
-    static const bool class_metrics = [] {
-        const char *env = std::getenv("PADC_CLASS_METRICS");
-        return env != nullptr && env[0] == '1';
-    }();
-    if (class_metrics) {
-        for (std::size_t c = 0; c < kRequestClassCount; ++c) {
-            std::string name = toString(static_cast<RequestClass>(c));
-            for (char &ch : name) {
-                if (ch == '-')
-                    ch = '_';
-            }
-            metrics.add("class_serviced_" + name,
-                        static_cast<double>(run.class_serviced[c]));
-        }
-    }
+/** The run behind a sweep value, for the metrics every point shares. */
+const sim::RunMetrics &
+runOf(const sim::RunMetrics &run)
+{
+    return run;
+}
+
+const sim::RunMetrics &
+runOf(const sim::MixEvaluation &eval)
+{
+    return eval.metrics;
 }
 
 /** Rank of a point status for worst-status aggregation. */
@@ -96,9 +70,9 @@ std::uint64_t
 ExperimentResult::configHash() const
 {
     const std::uint64_t count = points.size();
-    std::uint64_t hash = fnv1a(kFnvOffset, &count, sizeof(count));
+    std::uint64_t hash = trace::fnv1a(&count, sizeof(count));
     for (const PointRecord &point : points)
-        hash = fnv1a(hash, &point.key, sizeof(point.key));
+        hash = trace::fnv1a(&point.key, sizeof(point.key), hash);
     return hash;
 }
 
@@ -146,71 +120,30 @@ ExperimentContext::recordPoint(PointRecord record)
     result_.points.push_back(std::move(record));
 }
 
-std::vector<sim::Result<sim::MixEvaluation>>
-ExperimentContext::evaluateSweep(const std::vector<sim::SweepPoint> &points,
-                                 sim::AloneIpcCache &alone)
+template <typename T, typename Execute, typename AddMetrics>
+std::vector<sim::Result<T>>
+ExperimentContext::sweep(const std::vector<sim::SweepPoint> &points,
+                         Execute &&execute, AddMetrics &&add_metrics)
 {
     // Telemetry collectors cannot cross the process boundary, so
-    // telemetry sweeps always run in-thread.
-    const bool pooled = pool_ != nullptr && !tcfg_.any();
+    // telemetry sweeps always run in-thread, as do sweeps whose pool
+    // has no live worker.
+    const bool pooled =
+        pool_ != nullptr && !tcfg_.any() && pool_->available();
     if (obs::FleetMonitor *monitor = obs::activeMonitor()) {
         monitor->sweepStarted(info_.name, points.size(),
                               journal_ != nullptr
                                   ? journal_->loadedEntries()
                                   : 0);
     }
-    const auto results =
-        pooled ? pool_->evaluateSweep(points, alone, journal_)
-               : sim::evaluateSweep(attachCollectors(points), alone,
-                                    runner_, journal_);
+    std::vector<sim::Result<T>> results = execute(pooled);
     reportSweepFailures(points, results);
     result_.interrupted = result_.interrupted || sim::interruptRequested();
     if (obs::FleetMonitor *monitor = obs::activeMonitor())
         monitor->sweepFinished(result_.interrupted);
 
     for (std::size_t i = 0; i < points.size(); ++i) {
-        const sim::MixEvaluation &eval = results[i].value;
-        PointRecord record;
-        record.key = sim::sweepPointKey(points[i]);
-        record.label = sim::describePoint(points[i]);
-        record.status = sim::toString(results[i].outcome.status);
-        record.detail = results[i].outcome.detail;
-        record.attempts = results[i].outcome.attempts;
-        record.last_error = results[i].outcome.last_error;
-        record.cycles = runCycles(eval.metrics);
-        record.metrics.add("ws", eval.summary.ws);
-        record.metrics.add("hs", eval.summary.hs);
-        record.metrics.add("uf", eval.summary.uf);
-        for (std::size_t c = 0; c < eval.summary.speedups.size(); ++c)
-            record.metrics.add("speedup" + std::to_string(c),
-                               eval.summary.speedups[c]);
-        addTrafficMetrics(record.metrics, eval.metrics);
-        recordPoint(std::move(record));
-    }
-    return results;
-}
-
-std::vector<sim::Result<sim::RunMetrics>>
-ExperimentContext::runSweep(const std::vector<sim::SweepPoint> &points)
-{
-    const bool pooled = pool_ != nullptr && !tcfg_.any();
-    if (obs::FleetMonitor *monitor = obs::activeMonitor()) {
-        monitor->sweepStarted(info_.name, points.size(),
-                              journal_ != nullptr
-                                  ? journal_->loadedEntries()
-                                  : 0);
-    }
-    const auto results =
-        pooled ? pool_->runSweep(points, journal_)
-               : sim::runSweep(attachCollectors(points), runner_,
-                               journal_);
-    reportSweepFailures(points, results);
-    result_.interrupted = result_.interrupted || sim::interruptRequested();
-    if (obs::FleetMonitor *monitor = obs::activeMonitor())
-        monitor->sweepFinished(result_.interrupted);
-
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const sim::RunMetrics &run = results[i].value;
+        const sim::RunMetrics &run = runOf(results[i].value);
         PointRecord record;
         record.key = sim::sweepPointKey(points[i]);
         record.label = sim::describePoint(points[i]);
@@ -219,51 +152,53 @@ ExperimentContext::runSweep(const std::vector<sim::SweepPoint> &points)
         record.attempts = results[i].outcome.attempts;
         record.last_error = results[i].outcome.last_error;
         record.cycles = runCycles(run);
-        for (std::size_t c = 0; c < run.cores.size(); ++c) {
-            const std::string prefix = "core" + std::to_string(c) + ".";
-            record.metrics.add(prefix + "ipc", run.cores[c].ipc);
-            record.metrics.add(prefix + "mpki", run.cores[c].mpki);
-            record.metrics.add(prefix + "spl", run.cores[c].spl);
-            record.metrics.add(prefix + "rbhu", run.cores[c].rbhu);
-        }
+        add_metrics(results[i].value, record.metrics);
         addTrafficMetrics(record.metrics, run);
         recordPoint(std::move(record));
     }
     return results;
 }
 
-sim::RunMetrics
-ExperimentContext::runMix(const sim::SystemConfig &config,
-                          const workload::Mix &mix,
-                          const sim::RunOptions &options)
+std::vector<sim::Result<sim::MixEvaluation>>
+ExperimentContext::evaluateSweep(const std::vector<sim::SweepPoint> &points,
+                                 sim::AloneIpcCache &alone)
 {
-    sim::RunStatus status;
-    sim::SystemConfig run_config = config;
-    if (tcfg_.any()) {
-        captures_.push_back(
-            {sim::describePoint({config, mix, options}),
-             std::make_unique<telemetry::Collector>(tcfg_)});
-        run_config.collector = captures_.back().collector.get();
-    }
-    const sim::RunMetrics run =
-        sim::runMix(run_config, mix, options, &status);
+    return sweep<sim::MixEvaluation>(
+        points,
+        [&](bool pooled) {
+            return pooled ? pool_->evaluateSweep(points, alone, journal_)
+                          : sim::evaluateSweep(attachCollectors(points),
+                                               alone, runner_, journal_);
+        },
+        [](const sim::MixEvaluation &eval, StatSet &metrics) {
+            metrics.add("ws", eval.summary.ws);
+            metrics.add("hs", eval.summary.hs);
+            metrics.add("uf", eval.summary.uf);
+            for (std::size_t c = 0; c < eval.summary.speedups.size(); ++c)
+                metrics.add("speedup" + std::to_string(c),
+                            eval.summary.speedups[c]);
+        });
+}
 
-    PointRecord record;
-    record.key = sim::sweepPointKey({config, mix, options});
-    record.label = sim::describePoint({config, mix, options});
-    record.status = status.converged() ? "ok" : "truncated";
-    record.detail = status.detail();
-    record.cycles = runCycles(run);
-    for (std::size_t c = 0; c < run.cores.size(); ++c) {
-        const std::string prefix = "core" + std::to_string(c) + ".";
-        record.metrics.add(prefix + "ipc", run.cores[c].ipc);
-        record.metrics.add(prefix + "mpki", run.cores[c].mpki);
-        record.metrics.add(prefix + "spl", run.cores[c].spl);
-        record.metrics.add(prefix + "rbhu", run.cores[c].rbhu);
-    }
-    addTrafficMetrics(record.metrics, run);
-    recordPoint(std::move(record));
-    return run;
+std::vector<sim::Result<sim::RunMetrics>>
+ExperimentContext::runSweep(const std::vector<sim::SweepPoint> &points)
+{
+    return sweep<sim::RunMetrics>(
+        points,
+        [&](bool pooled) {
+            return pooled ? pool_->runSweep(points, journal_)
+                          : sim::runSweep(attachCollectors(points), runner_,
+                                          journal_);
+        },
+        [](const sim::RunMetrics &run, StatSet &metrics) {
+            for (std::size_t c = 0; c < run.cores.size(); ++c) {
+                const std::string prefix = "core" + std::to_string(c) + ".";
+                metrics.add(prefix + "ipc", run.cores[c].ipc);
+                metrics.add(prefix + "mpki", run.cores[c].mpki);
+                metrics.add(prefix + "spl", run.cores[c].spl);
+                metrics.add(prefix + "rbhu", run.cores[c].rbhu);
+            }
+        });
 }
 
 void
@@ -277,7 +212,10 @@ ExperimentContext::recordCustomPoint(const std::string &label,
                                      Cycle cycles, const StatSet &metrics)
 {
     PointRecord record;
-    record.key = fnv1a(fnv1a(kFnvOffset, info_.name), "/" + label);
+    const std::string tail = "/" + label;
+    record.key = trace::fnv1a(tail.data(), tail.size(),
+                              trace::fnv1a(info_.name.data(),
+                                           info_.name.size()));
     record.label = label;
     record.status = "ok";
     record.cycles = cycles;

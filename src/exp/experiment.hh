@@ -101,11 +101,11 @@ struct ExperimentResult
 };
 
 /**
- * Execution context of one experiment run: the shared runner/journal
- * plumbing plus the structured-result sink. The sweep wrappers mirror
- * the sim:: entry points but also print the standard per-point failure
- * summary and record every point into the result, so experiments get
- * structured output for free by routing their sweeps through here.
+ * Execution context of one experiment run: the run's runner, journal
+ * and pool plumbing plus the structured-result sink. The two sweep
+ * wrappers mirror the sim:: entry points but also print the standard
+ * per-point failure summary and record every point into the result;
+ * every simulated point of an experiment goes through one of them.
  */
 class ExperimentContext
 {
@@ -122,7 +122,8 @@ class ExperimentContext
      *        worker subprocesses instead of in-process threads.
      *        Telemetry wins over the pool: collectors cannot cross the
      *        process boundary, so sweeps run in-thread when any
-     *        telemetry sink is enabled.
+     *        telemetry sink is enabled. They also run in-thread when
+     *        no worker came up (pool->available() is false).
      */
     ExperimentContext(const ExperimentInfo &info,
                       sim::ParallelExperimentRunner &runner,
@@ -156,15 +157,6 @@ class ExperimentContext
     std::vector<sim::Result<sim::RunMetrics>>
     runSweep(const std::vector<sim::SweepPoint> &points);
 
-    /**
-     * Single-point serial run (sim::runMix), recorded like a one-point
-     * sweep. Used by the per-benchmark serial experiments (SPL, bus
-     * traffic, RBHU).
-     */
-    sim::RunMetrics runMix(const sim::SystemConfig &config,
-                           const workload::Mix &mix,
-                           const sim::RunOptions &options);
-
     /** Record an experiment-level summary scalar. */
     void recordScalar(const std::string &name, double value);
 
@@ -195,6 +187,18 @@ class ExperimentContext
     const std::vector<PointCapture> &captures() const { return captures_; }
 
   private:
+    /**
+     * The body both sweeps share: the monitor's start and finish, the
+     * choice between the pool and the runner, the failure summary, the
+     * interrupt flag and the fields every PointRecord carries.
+     * @p execute runs the points (in the pool when its argument is
+     * true); @p add_metrics adds the sweep's own metrics to a record.
+     */
+    template <typename T, typename Execute, typename AddMetrics>
+    std::vector<sim::Result<T>>
+    sweep(const std::vector<sim::SweepPoint> &points, Execute &&execute,
+          AddMetrics &&add_metrics);
+
     void recordPoint(PointRecord record);
 
     /**

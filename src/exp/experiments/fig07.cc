@@ -10,8 +10,8 @@
 
 #include <cstdio>
 
+#include "exp/harness.hh"
 #include "exp/registry.hh"
-#include "exp/report.hh"
 
 namespace padc::exp
 {
@@ -21,9 +21,10 @@ namespace
 void
 runFig07(ExperimentContext &ctx)
 {
-    const sim::SystemConfig base = sim::SystemConfig::baseline(1);
-    const sim::RunOptions options = defaultOptions(1);
     const auto &policies = fivePolicies();
+    const auto benchmarks = figureSixBenchmarks();
+    const auto runs = singleCoreRuns(ctx, sim::SystemConfig::baseline(1),
+                                     benchmarks, policies, defaultOptions(1));
 
     std::printf("%-16s", "benchmark");
     for (const auto setup : policies)
@@ -31,13 +32,11 @@ runFig07(ExperimentContext &ctx)
     std::printf("\n");
 
     std::vector<std::vector<double>> spl(policies.size());
-    for (const auto &name : figureSixBenchmarks()) {
-        std::printf("%-16s", name.c_str());
+    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
+        std::printf("%-16s", benchmarks[b].c_str());
         for (std::size_t p = 0; p < policies.size(); ++p) {
-            const auto metrics = ctx.runMix(
-                sim::applyPolicy(base, policies[p]), {name}, options);
-            spl[p].push_back(metrics.cores[0].spl);
-            std::printf(" %17.1f", metrics.cores[0].spl);
+            spl[p].push_back(runs[b][p].cores[0].spl);
+            std::printf(" %17.1f", spl[p].back());
         }
         std::printf("\n");
     }

@@ -10,8 +10,8 @@
 
 #include <cstdio>
 
+#include "exp/harness.hh"
 #include "exp/registry.hh"
-#include "exp/report.hh"
 
 namespace padc::exp
 {
@@ -21,26 +21,26 @@ namespace
 void
 runFig08(ExperimentContext &ctx)
 {
-    const sim::SystemConfig base = sim::SystemConfig::baseline(1);
-    const sim::RunOptions options = defaultOptions(1);
     const auto &policies = fivePolicies();
+    const auto benchmarks = figureSixBenchmarks();
+    const auto runs = singleCoreRuns(ctx, sim::SystemConfig::baseline(1),
+                                     benchmarks, policies, defaultOptions(1));
 
     std::printf("%-16s %-18s %10s %10s %10s %10s\n", "benchmark",
                 "policy", "demand", "useful", "useless", "total");
 
     std::vector<double> totals(policies.size(), 0.0);
     std::vector<double> useless(policies.size(), 0.0);
-    for (const auto &name : figureSixBenchmarks()) {
+    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
         for (std::size_t p = 0; p < policies.size(); ++p) {
-            const auto metrics = ctx.runMix(
-                sim::applyPolicy(base, policies[p]), {name}, options);
+            const sim::RunMetrics &metrics = runs[b][p];
             const auto demand = metrics.trafficDemand();
             const auto use = metrics.trafficPrefUseful();
             const auto no_use = metrics.trafficPrefUseless();
             totals[p] += static_cast<double>(metrics.totalTraffic());
             useless[p] += static_cast<double>(no_use);
             std::printf("%-16s %-18s %10llu %10llu %10llu %10llu\n",
-                        name.c_str(),
+                        benchmarks[b].c_str(),
                         sim::policyLabel(policies[p]).c_str(),
                         static_cast<unsigned long long>(demand),
                         static_cast<unsigned long long>(use),

@@ -9,8 +9,8 @@
 
 #include <cstdio>
 
+#include "exp/harness.hh"
 #include "exp/registry.hh"
-#include "exp/report.hh"
 
 namespace padc::exp
 {
@@ -26,9 +26,9 @@ runTab07(ExperimentContext &ctx)
         "xalancbmk_06", "bwaves_06",   "milc_06",  "leslie3d_06",
         "soplex_06",  "lbm_06"};
 
-    const sim::SystemConfig base = sim::SystemConfig::baseline(1);
-    const sim::RunOptions options = defaultOptions(1);
     const auto &policies = fivePolicies();
+    const auto runs = singleCoreRuns(ctx, sim::SystemConfig::baseline(1),
+                                     benchmarks, policies, defaultOptions(1));
 
     std::printf("%-16s", "benchmark");
     for (const auto setup : policies)
@@ -36,13 +36,11 @@ runTab07(ExperimentContext &ctx)
     std::printf("\n");
 
     std::vector<std::vector<double>> rbhu(policies.size());
-    for (const auto &name : benchmarks) {
-        std::printf("%-16s", name.c_str());
+    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
+        std::printf("%-16s", benchmarks[b].c_str());
         for (std::size_t p = 0; p < policies.size(); ++p) {
-            const auto metrics = ctx.runMix(
-                sim::applyPolicy(base, policies[p]), {name}, options);
-            rbhu[p].push_back(metrics.cores[0].rbhu);
-            std::printf(" %17.2f", metrics.cores[0].rbhu);
+            rbhu[p].push_back(runs[b][p].cores[0].rbhu);
+            std::printf(" %17.2f", rbhu[p].back());
         }
         std::printf("\n");
     }

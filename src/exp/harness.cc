@@ -26,6 +26,31 @@ aggregateOverMixes(ExperimentContext &ctx, const sim::SystemConfig &config,
     return agg;
 }
 
+std::vector<std::vector<sim::RunMetrics>>
+singleCoreRuns(ExperimentContext &ctx, const sim::SystemConfig &base,
+               const std::vector<std::string> &benchmarks,
+               const std::vector<sim::PolicySetup> &policies,
+               const sim::RunOptions &options)
+{
+    std::vector<sim::SweepPoint> points;
+    for (const auto &name : benchmarks) {
+        for (const auto setup : policies)
+            points.push_back({sim::applyPolicy(base, setup), {name}, options});
+    }
+    const auto results = ctx.runSweep(points);
+
+    // A failed point carries no cores; read it as one all-zero core so
+    // one bad point cannot take down the whole table.
+    std::vector<std::vector<sim::RunMetrics>> runs(benchmarks.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        sim::RunMetrics run = results[i].value;
+        if (run.cores.empty())
+            run.cores.resize(1);
+        runs[i / policies.size()].push_back(std::move(run));
+    }
+    return runs;
+}
+
 std::vector<std::vector<double>>
 singleCoreNormalizedIpc(ExperimentContext &ctx,
                         const sim::SystemConfig &base,
@@ -35,25 +60,11 @@ singleCoreNormalizedIpc(ExperimentContext &ctx,
 {
     std::vector<std::vector<double>> normalized(policies.size());
 
-    // One sweep point per (benchmark, no-pref baseline + each policy),
-    // evaluated across the pool; the table prints from ordered results.
-    const std::size_t stride = policies.size() + 1;
-    std::vector<sim::SweepPoint> points;
-    for (const auto &name : benchmarks) {
-        const workload::Mix mix = {name};
-        points.push_back(
-            {sim::applyPolicy(base, sim::PolicySetup::NoPref), mix,
-             options});
-        for (const auto setup : policies)
-            points.push_back({sim::applyPolicy(base, setup), mix, options});
-    }
-    const auto runs = ctx.runSweep(points);
-    // Failed points carry an empty metrics vector; read them as 0 IPC
-    // so one bad point cannot take down the whole table.
-    const auto ipc_of = [&runs](std::size_t i) {
-        const sim::RunMetrics &m = runs[i].value;
-        return m.cores.empty() ? 0.0 : m.cores[0].ipc;
-    };
+    // Column 0 of each row is the no-pref baseline the policies are
+    // normalized to.
+    std::vector<sim::PolicySetup> setups = {sim::PolicySetup::NoPref};
+    setups.insert(setups.end(), policies.begin(), policies.end());
+    const auto runs = singleCoreRuns(ctx, base, benchmarks, setups, options);
 
     std::printf("%-16s", "benchmark");
     for (const auto setup : policies)
@@ -61,10 +72,10 @@ singleCoreNormalizedIpc(ExperimentContext &ctx,
     std::printf("\n");
 
     for (std::size_t b = 0; b < benchmarks.size(); ++b) {
-        const double ipc_nopref = ipc_of(b * stride);
+        const double ipc_nopref = runs[b][0].cores[0].ipc;
         std::printf("%-16s", benchmarks[b].c_str());
         for (std::size_t p = 0; p < policies.size(); ++p) {
-            const double ipc = ipc_of(b * stride + 1 + p);
+            const double ipc = runs[b][1 + p].cores[0].ipc;
             const double norm = ipc_nopref > 0 ? ipc / ipc_nopref : 0.0;
             normalized[p].push_back(norm);
             std::printf(" %17.3f", norm);

@@ -3,10 +3,10 @@
  * The standard experiment shapes most paper artifacts are built from:
  * the multiprogrammed "overall" experiment (random mixes, one aggregate
  * row per policy), the Section 6.3 case studies, the single-core
- * normalized-IPC table, and mix aggregation. Every sweep goes through
- * the ExperimentContext, so the structured per-point results are
- * recorded uniformly while the printed rows stay exactly the ones the
- * standalone bench binaries produced.
+ * (benchmark x policy) grid and its normalized-IPC table, and mix
+ * aggregation. Every sweep goes through the ExperimentContext, so the
+ * structured per-point results are recorded uniformly while the printed
+ * rows stay exactly the ones the standalone bench binaries produced.
  */
 
 #ifndef PADC_EXP_HARNESS_HH
@@ -34,6 +34,17 @@ Aggregate aggregateOverMixes(ExperimentContext &ctx,
                              const std::vector<workload::Mix> &mixes,
                              const sim::RunOptions &base_options,
                              sim::AloneIpcCache &alone);
+
+/**
+ * One single-core sweep of every policy on every benchmark, returned
+ * as runs[benchmark][policy]. A point that failed reads as one
+ * all-zero core, so cores[0] is always there.
+ */
+std::vector<std::vector<sim::RunMetrics>>
+singleCoreRuns(ExperimentContext &ctx, const sim::SystemConfig &base,
+               const std::vector<std::string> &benchmarks,
+               const std::vector<sim::PolicySetup> &policies,
+               const sim::RunOptions &options);
 
 /**
  * Single-core sweep: IPC of every policy for every benchmark,

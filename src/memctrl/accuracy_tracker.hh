@@ -117,11 +117,6 @@ class AccuracyTracker
         return cores_[core].total_dropped;
     }
 
-    std::uint32_t numCores() const
-    {
-        return static_cast<std::uint32_t>(cores_.size());
-    }
-
     const AccuracyConfig &config() const { return config_; }
 
   private:

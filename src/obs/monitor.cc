@@ -51,6 +51,10 @@ FleetMonitor::FleetMonitor(const std::string &out_dir)
 FleetMonitor::~FleetMonitor()
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    // The pool's workers exit after the last sweep finished; the final
+    // status.json counts them gone.
+    if (sweep_started_)
+        writeStatusFile(status_path_, buildStatus(steadyNowMs()));
     if (progress_line_open_) {
         std::fputc('\n', stderr);
         progress_line_open_ = false;
@@ -103,6 +107,8 @@ FleetMonitor::buildStatus(std::uint64_t now_ms) const
 void
 FleetMonitor::publish(bool force)
 {
+    if (!sweep_started_)
+        return; // the pool spawns before the first sweep: nothing to show
     const std::uint64_t now_ms = steadyNowMs();
     const bool want_status =
         force || now_ms - last_status_ms_ >= kStatusIntervalMs;
@@ -146,6 +152,7 @@ FleetMonitor::sweepStarted(const std::string &experiment,
     live_.quarantined = 0;
     rate_ = RateEstimator();
     sweep_start_ms_ = steadyNowMs();
+    sweep_started_ = true;
     emitEvent(journaled > 0 ? "sweep_resume" : "sweep_start", -1, -1,
               journaled, experiment);
     publish(true);

@@ -39,13 +39,17 @@ class FleetMonitor
     /**
      * Observe sweeps into @p out_dir: events.jsonl and status.json
      * there, and the progress line on stderr. An event log that cannot
-     * be opened is reported on stderr and left off.
+     * be opened is reported on stderr and left off. Events are logged
+     * from the start; status.json and the progress line wait for the
+     * first sweepStarted.
      */
     explicit FleetMonitor(const std::string &out_dir);
 
     FleetMonitor(const FleetMonitor &) = delete;
     FleetMonitor &operator=(const FleetMonitor &) = delete;
 
+    /** Writes the final status.json, worker exits since the last
+     * sweep included. */
     ~FleetMonitor();
 
     /**
@@ -111,6 +115,7 @@ class FleetMonitor
     std::uint64_t sweep_start_ms_ = 0;
     std::uint64_t last_status_ms_ = 0;
     std::uint64_t last_progress_ms_ = 0;
+    bool sweep_started_ = false; ///< publish nothing before the first
     bool stderr_tty_ = false;
     bool progress_line_open_ = false; ///< tty: \r-rewritten line active
 };

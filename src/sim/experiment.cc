@@ -1,7 +1,5 @@
 #include "sim/experiment.hh"
 
-#include <iomanip>
-#include <iostream>
 #include <memory>
 #include <stdexcept>
 
@@ -382,36 +380,6 @@ runSweep(const std::vector<SweepPoint> &points,
             }
             return result;
         });
-}
-
-void
-printLabel(const std::string &text, int width)
-{
-    std::cout << std::left << std::setw(width) << text << std::right;
-}
-
-void
-printCell(double value, int width, int precision)
-{
-    std::cout << std::setw(width) << std::fixed
-              << std::setprecision(precision) << value;
-}
-
-void
-printHeader(const std::string &label,
-            const std::vector<std::string> &columns, int label_width,
-            int col_width)
-{
-    printLabel(label, label_width);
-    for (const auto &column : columns)
-        std::cout << std::setw(col_width) << column;
-    std::cout << '\n';
-}
-
-void
-endRow()
-{
-    std::cout << '\n';
 }
 
 } // namespace padc::sim

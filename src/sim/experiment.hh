@@ -5,8 +5,7 @@
  * Provides the paper's canonical policy setups (no-pref, demand-first,
  * demand-prefetch-equal, prefetch-first, APS-only, PADC, PADC+rank and
  * the no-urgency ablations), single-mix runners, an alone-IPC cache for
- * WS/HS/UF computation, and small fixed-width table printing helpers so
- * every bench prints the same row format the paper reports.
+ * WS/HS/UF computation, and the fault-tolerant parallel sweeps.
  */
 
 #ifndef PADC_SIM_EXPERIMENT_HH
@@ -329,22 +328,6 @@ evaluateSweep(const std::vector<SweepPoint> &points, AloneIpcCache &alone,
 std::vector<Result<RunMetrics>>
 runSweep(const std::vector<SweepPoint> &points,
          ParallelExperimentRunner &runner, SweepJournal *journal = nullptr);
-
-// --- table printing helpers -------------------------------------------
-
-/** Print a left-aligned label cell of fixed width. */
-void printLabel(const std::string &text, int width = 22);
-
-/** Print one right-aligned numeric cell. */
-void printCell(double value, int width = 12, int precision = 3);
-
-/** Print a header row from column names. */
-void printHeader(const std::string &label,
-                 const std::vector<std::string> &columns, int label_width = 22,
-                 int col_width = 12);
-
-/** End the current row. */
-void endRow();
 
 } // namespace padc::sim
 

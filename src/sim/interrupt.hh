@@ -6,7 +6,7 @@
  * (async-signal-safe), that the sweep layers poll between points: a
  * point that has not started when the flag rises is recorded as Failed
  * with detail "interrupted" and deliberately NOT journaled, so a
- * subsequent PADC_RESUME run retries it. Points already in flight run
+ * later `padc run --resume` retries it. Points already in flight run
  * to completion (in-thread execution cannot be cancelled safely); the
  * process-pool supervisor instead kills its in-flight workers and
  * records their points as interrupted too.

@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -274,53 +273,6 @@ void
 SweepJournal::record(std::uint64_t key, const Result<RunMetrics> &result)
 {
     recordLine('r', key, wire::encodeRecord(result));
-}
-
-namespace
-{
-
-/** Path override installed by setEnvJournalPath (wins over the env). */
-std::string env_journal_override;
-
-/** Whether envJournal() already resolved its journal. */
-bool env_journal_resolved = false;
-
-} // namespace
-
-SweepJournal *
-envJournal()
-{
-    env_journal_resolved = true;
-    static std::unique_ptr<SweepJournal> journal = [] {
-        std::unique_ptr<SweepJournal> j;
-        const char *path = env_journal_override.empty()
-                               ? std::getenv("PADC_RESUME")
-                               : env_journal_override.c_str();
-        if (path != nullptr) {
-            try {
-                j = std::make_unique<SweepJournal>(path);
-                std::fprintf(stderr,
-                             "padc: resuming from journal '%s' "
-                             "(%zu completed points loaded)\n",
-                             path, j->loadedEntries());
-            } catch (const std::exception &e) {
-                std::fprintf(stderr,
-                             "padc: warning: PADC_RESUME ignored: %s\n",
-                             e.what());
-            }
-        }
-        return j;
-    }();
-    return journal.get();
-}
-
-bool
-setEnvJournalPath(const std::string &path)
-{
-    if (env_journal_resolved)
-        return false;
-    env_journal_override = path;
-    return true;
 }
 
 } // namespace padc::sim

@@ -36,8 +36,9 @@
  * details, the mix and the RunOptions. A config field added without a
  * table row does not compile, so it cannot be left out of the key.
  *
- * Benches opt in via the PADC_RESUME environment variable (see
- * envJournal()); the library never touches the filesystem unless asked.
+ * The `padc` driver opens one journal per run for its --resume flag
+ * and hands it to every experiment; the library never touches the
+ * filesystem unless asked.
  */
 
 #ifndef PADC_SIM_JOURNAL_HH
@@ -127,23 +128,6 @@ class SweepJournal
     int append_fd_ = -1;      ///< O_APPEND; one write(2) per record
     bool fsync_each_ = false; ///< PADC_JOURNAL_FSYNC policy
 };
-
-/**
- * The process-wide journal selected by the PADC_RESUME environment
- * variable, opened lazily on first use; nullptr when PADC_RESUME is
- * unset or the journal file cannot be opened (a warning is printed and
- * the sweep proceeds without checkpointing).
- */
-SweepJournal *envJournal();
-
-/**
- * Install the journal path envJournal() should use instead of reading
- * PADC_RESUME (the `padc` driver's --resume flag goes through here).
- * Must be called before the first envJournal() use.
- * @return false (and changes nothing) when envJournal() already
- *         resolved its journal.
- */
-bool setEnvJournalPath(const std::string &path);
 
 } // namespace padc::sim
 

@@ -1,45 +1,15 @@
 #include "sim/parallel.hh"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 #include <utility>
 
 namespace padc::sim
 {
 
-unsigned
-defaultThreadCount()
-{
-    const unsigned hw_raw = std::thread::hardware_concurrency();
-    const unsigned hw = hw_raw >= 1 ? hw_raw : 1;
-    const char *env = std::getenv("PADC_THREADS");
-    if (env == nullptr)
-        return hw;
-
-    char *end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE || parsed < 1) {
-        std::fprintf(stderr,
-                     "padc: warning: invalid PADC_THREADS=\"%s\" "
-                     "(want a positive integer); using %u threads\n",
-                     env, hw);
-        return hw;
-    }
-    if (parsed > static_cast<long>(kMaxThreads)) {
-        std::fprintf(stderr,
-                     "padc: warning: PADC_THREADS=%ld clamped to %u\n",
-                     parsed, kMaxThreads);
-        return kMaxThreads;
-    }
-    return static_cast<unsigned>(parsed);
-}
-
 ParallelExperimentRunner::ParallelExperimentRunner(unsigned threads)
 {
     if (threads == 0)
-        threads = defaultThreadCount();
+        threads = std::max(1u, std::thread::hardware_concurrency());
     // The calling thread participates in every batch, so spawn one
     // fewer worker than the requested total parallelism.
     workers_.reserve(threads - 1);
@@ -147,34 +117,6 @@ ParallelExperimentRunner::workerLoop()
         drainBatch();
         lock.lock();
     }
-}
-
-namespace
-{
-
-/** Thread count the shared runner is created with (0 = default). */
-unsigned shared_runner_threads = 0;
-
-/** Whether sharedRunner() has constructed the pool already. */
-bool shared_runner_created = false;
-
-} // namespace
-
-ParallelExperimentRunner &
-sharedRunner()
-{
-    shared_runner_created = true;
-    static ParallelExperimentRunner runner(shared_runner_threads);
-    return runner;
-}
-
-bool
-setSharedRunnerThreads(unsigned threads)
-{
-    if (shared_runner_created)
-        return false;
-    shared_runner_threads = threads;
-    return true;
 }
 
 } // namespace padc::sim

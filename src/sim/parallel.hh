@@ -14,8 +14,8 @@
  * runs exactly once, and results are collected into a vector ordered by
  * index -- never by completion time. Thread count (including 1) is
  * therefore purely a wall-clock knob; it can never change a reported
- * number. The PADC_THREADS environment variable overrides the default
- * worker count (hardware concurrency).
+ * number. The `padc` driver builds one runner per run from its
+ * --threads flag; there is no process-wide runner.
  *
  * Failure contract: a job that throws never terminates the process,
  * never deadlocks the batch, and never poisons the pool. Exceptions are
@@ -41,17 +41,7 @@
 namespace padc::sim
 {
 
-/**
- * Worker threads to use by default: the PADC_THREADS environment
- * variable if it parses as a whole positive integer (clamped to
- * kMaxThreads), else std::thread::hardware_concurrency. Invalid values
- * (trailing garbage, overflow, zero, negative) fall back to hardware
- * concurrency with a one-line warning on stderr rather than silently
- * serializing a sweep.
- */
-unsigned defaultThreadCount();
-
-/** Upper bound accepted from PADC_THREADS. */
+/** Upper bound accepted from `padc run --threads`. */
 inline constexpr unsigned kMaxThreads = 1024;
 
 /**
@@ -60,7 +50,10 @@ inline constexpr unsigned kMaxThreads = 1024;
 class ParallelExperimentRunner
 {
   public:
-    /** @param threads worker count; 0 means defaultThreadCount(). */
+    /**
+     * @param threads worker count; 0 means hardware concurrency (at
+     *        least 1).
+     */
     explicit ParallelExperimentRunner(unsigned threads = 0);
 
     ~ParallelExperimentRunner();
@@ -131,22 +124,6 @@ class ParallelExperimentRunner
     /** Per-index exceptions of the current batch (null = succeeded). */
     std::vector<std::exception_ptr> errors_;
 };
-
-/**
- * Process-wide shared runner (lazily constructed with the default thread
- * count); the experiments use this so a process spins up one pool total.
- */
-ParallelExperimentRunner &sharedRunner();
-
-/**
- * Set the worker count sharedRunner() will be constructed with
- * (0 restores the default). Must be called before the first
- * sharedRunner() use; the `padc` driver's --threads flag goes through
- * here.
- * @return false (and changes nothing) when the shared pool already
- *         exists.
- */
-bool setSharedRunnerThreads(unsigned threads);
 
 } // namespace padc::sim
 

@@ -39,8 +39,8 @@ nowMs()
 
 /**
  * Strictly parsed unsigned environment override, clamped to
- * [min, max]; malformed values warn and keep the default (the
- * PADC_THREADS convention: never guess).
+ * [min, max]; malformed values warn and keep the default rather than
+ * guess.
  */
 std::uint64_t
 envU64(const char *name, std::uint64_t fallback, std::uint64_t min_value,
@@ -188,7 +188,7 @@ ProcessPool::spawnWorker(Worker *worker)
         return false;
     }
     if (pid == 0) {
-        // Child: the parent may be running sharedRunner threads holding
+        // Child: the parent may be running runner threads holding
         // arbitrary locks, so only async-signal-safe calls are legal
         // here until execv. Stage both ends above the target fds first
         // so one dup2 cannot clobber the other's source.
@@ -253,13 +253,15 @@ ProcessPool::drainProfile()
 }
 
 std::string
-ProcessPool::reapWorker(Worker *worker)
+ProcessPool::reapWorker(Worker *worker, int wait_options)
 {
     int status = 0;
     pid_t rc;
     do {
-        rc = ::waitpid(worker->pid, &status, 0);
+        rc = ::waitpid(worker->pid, &status, wait_options);
     } while (rc < 0 && errno == EINTR);
+    if (rc == 0)
+        return {}; // WNOHANG and still running
 
     const pid_t pid = worker->pid;
     std::string fate;
@@ -303,15 +305,8 @@ ProcessPool::shutdownWorkers()
     while (remaining && nowMs() < deadline) {
         remaining = false;
         for (Worker &worker : workers_) {
-            if (!worker.alive())
-                continue;
-            int status = 0;
-            if (::waitpid(worker.pid, &status, WNOHANG) == worker.pid) {
-                closeWorkerFds(&worker);
-                worker.pid = -1;
-            } else {
+            if (worker.alive() && reapWorker(&worker, WNOHANG).empty())
                 remaining = true;
-            }
         }
         if (remaining)
             ::usleep(10 * 1000);
@@ -412,6 +407,7 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
     std::vector<Result<T>> results(n);
     if (n == 0)
         return results;
+    available(); // spawns the workers on first use
 
     enum class PState : std::uint8_t { Pending, InFlight, Done };
     struct PointState
@@ -526,7 +522,7 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         worker.deadline_ms = 0;
 
         // Profile window: round-trip latency, per-slot credit, and the
-        // worker's optional self-report (per-task deltas; see wire.hh).
+        // worker's self-report (per-task deltas; see wire.hh).
         const std::uint64_t latency_ms =
             worker.task_started_ms > 0 ? nowMs() - worker.task_started_ms
                                        : 0;
@@ -535,12 +531,10 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         WorkerSlotProfile &slot = slotProfile(worker);
         ++slot.tasks;
         slot.pid = worker.pid;
-        if (result.worker) {
-            slot.sim_cycles += result.worker->sim_cycles;
-            slot.exec_seconds += result.worker->exec_seconds;
-            profile_.sim_cycles += result.worker->sim_cycles;
-            profile_.exec_seconds += result.worker->exec_seconds;
-        }
+        slot.sim_cycles += result.worker.sim_cycles;
+        slot.exec_seconds += result.worker.exec_seconds;
+        profile_.sim_cycles += result.worker.sim_cycles;
+        profile_.exec_seconds += result.worker.exec_seconds;
 
         Result<T> merged;
         if constexpr (std::is_same_v<T, RunMetrics>)
@@ -739,8 +733,6 @@ std::vector<Result<RunMetrics>>
 ProcessPool::runSweep(const std::vector<SweepPoint> &points,
                       SweepJournal *journal)
 {
-    if (!available()) // degraded mode: behave like the in-thread sweep
-        return sim::runSweep(points, sharedRunner(), journal);
     return execute<RunMetrics>(points, wire::WireTask::Kind::Run,
                                SystemConfig(), RunOptions(), journal);
 }
@@ -749,8 +741,6 @@ std::vector<Result<MixEvaluation>>
 ProcessPool::evaluateSweep(const std::vector<SweepPoint> &points,
                            AloneIpcCache &alone, SweepJournal *journal)
 {
-    if (!available())
-        return sim::evaluateSweep(points, alone, sharedRunner(), journal);
     return execute<MixEvaluation>(points, wire::WireTask::Kind::Eval,
                                   alone.base(), alone.options(), journal);
 }
@@ -828,10 +818,10 @@ ProcessPool::workerMain(int task_fd, int result_fd)
                                        task.point.options, alone, status);
                 });
         }
-        // Self-report (append-only wire extension): per-THIS-task
-        // execution time and simulated cycles, so the supervisor's
-        // profile aggregation is a plain sum.
-        wire::WireWorkerReport &report = result.worker.emplace();
+        // Self-report: per-THIS-task execution time and simulated
+        // cycles, so the supervisor's profile aggregation is a plain
+        // sum.
+        wire::WireWorkerReport &report = result.worker;
         report.pid = static_cast<std::uint64_t>(::getpid());
         report.tasks = ++tasks_done;
         report.exec_seconds =

@@ -110,8 +110,7 @@ class ProcessPool
      * additive per-worker members of the BENCH JSON `profile` block. A
      * window is drained per experiment so each BENCH document describes
      * only its own sweep. sim_cycles / exec_seconds come from the
-     * workers' wire self-reports (WireWorkerReport) and are zero
-     * against pre-extension workers.
+     * workers' wire self-reports (WireWorkerReport).
      */
     struct PoolProfile
     {
@@ -152,6 +151,10 @@ class ProcessPool
     /**
      * Pool equivalent of sim::runSweep: results ordered like @p points,
      * every point carries its own outcome, journaled points replay.
+     * Spawns the workers on first use. The pool has no in-thread
+     * fallback: when available() is false every point that is not
+     * replayed fails as "no live workers left", so callers check
+     * available() and run in-thread instead.
      */
     std::vector<Result<RunMetrics>>
     runSweep(const std::vector<SweepPoint> &points,
@@ -161,7 +164,7 @@ class ProcessPool
      * Pool equivalent of sim::evaluateSweep. The alone-run baseline of
      * @p alone is shipped to the workers, which keep their own caches
      * (warm across the tasks each one executes); the supervisor-side
-     * cache is not consulted.
+     * cache is not consulted. Spawns and fails like runSweep.
      */
     std::vector<Result<MixEvaluation>>
     evaluateSweep(const std::vector<SweepPoint> &points,
@@ -205,7 +208,12 @@ class ProcessPool
             SweepJournal *journal);
 
     bool spawnWorker(Worker *worker);
-    std::string reapWorker(Worker *worker); ///< waitpid + close; fate text
+    /**
+     * waitpid + close + report the exit to the monitor; returns the
+     * fate text. With WNOHANG in @p wait_options a worker that is still
+     * running is left alone and the result is empty.
+     */
+    std::string reapWorker(Worker *worker, int wait_options = 0);
     void shutdownWorkers();                 ///< EOF + reap every worker
     std::size_t slotOf(const Worker &worker) const;
     WorkerSlotProfile &slotProfile(const Worker &worker);

@@ -2,45 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "telemetry/profiler.hh"
 
 namespace padc::sim
 {
-
-namespace
-{
-
-/**
- * PADC_NO_EVENT_SKIP=1 forces the legacy cycle-by-cycle loop, for
- * bisecting any future skip-on/skip-off divergence. Same strict parse
- * as PADC_THREADS: reject trailing garbage and out-of-range values
- * instead of silently misreading them.
- */
-bool
-envNoEventSkip()
-{
-    const char *env = std::getenv("PADC_NO_EVENT_SKIP");
-    if (env == nullptr)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE || parsed < 0) {
-        std::fprintf(stderr,
-                     "padc: warning: invalid PADC_NO_EVENT_SKIP=\"%s\" "
-                     "(want 0 or 1); event skipping stays enabled\n",
-                     env);
-        return false;
-    }
-    return parsed != 0;
-}
-
-} // namespace
 
 SystemConfig
 SystemConfig::baseline(std::uint32_t cores)
@@ -188,7 +155,6 @@ System::System(const SystemConfig &config,
     mem_.resize(config_.num_cores);
     results_.resize(config_.num_cores);
     next_interval_ = config_.sched.accuracy.interval;
-    event_skip_ = config_.event_skip && !envNoEventSkip();
 }
 
 System::~System() = default;
@@ -749,7 +715,7 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
             controller->tick(now_);
 
         for (CoreId i = 0; i < config_.num_cores; ++i) {
-            if (event_skip_ && core_next_[i] > now_) {
+            if (config_.event_skip && core_next_[i] > now_) {
                 // Provably idle this cycle (nothing ticked the core and
                 // no completion touched it since its bound was taken):
                 // leave the cycle to settleIdle(), which replays the
@@ -792,7 +758,7 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
                             std::min(retire_goal, warmup_instructions);
                 }
             }
-            if (event_skip_) {
+            if (config_.event_skip) {
                 core_next_[i] =
                     cores_[i]->nextEventCycle(now_ + 1, retire_goal);
             }
@@ -801,7 +767,7 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
         if (cores_done == config_.num_cores)
             break;
 
-        if (!event_skip_)
+        if (!config_.event_skip)
             continue;
 
         // Next-event jump: derive the earliest cycle >= now_ at which

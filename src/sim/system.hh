@@ -84,11 +84,11 @@ struct SystemConfig
      * Event-driven main loop: when no component can act for a span of
      * cycles, System::run() jumps simulated time to the next event
      * instead of stepping every cycle. Results are bit-identical either
-     * way (the A/B equivalence suite and the PADC_NO_EVENT_SKIP runtime
-     * escape hatch exist to prove/bisect exactly that), so this knob --
-     * like collector above -- is an execution detail, not a simulated
-     * parameter: it is excluded from validate() and from sweep point
-     * keys.
+     * way (the EventSkip A/B suite runs both loops to prove exactly
+     * that), so this knob -- like collector above -- is an execution
+     * detail, not a simulated parameter: it is excluded from validate()
+     * and from sweep point keys. false selects the cycle-by-cycle
+     * reference loop.
      */
     bool event_skip = true;
 
@@ -422,9 +422,6 @@ class System : public core::MemoryPort, public memctrl::ResponseHandler
     Cycle next_interval_ = 0;
 
     std::vector<Addr> candidate_buf_; ///< reused prefetch candidate list
-
-    /** config_.event_skip gated by the PADC_NO_EVENT_SKIP escape hatch. */
-    bool event_skip_ = true;
 
     telemetry::Collector *telem_ = nullptr; ///< nullptr = no telemetry
     /// Reused scratch for sampleTelemetry (avoids per-interval allocs).

@@ -372,10 +372,7 @@ encodeResult(const WireResult &result)
         put(writer, "result", result.eval);
     else
         put(writer, "result", result.run);
-    // Append-only extension (see WireWorkerReport): old supervisors
-    // decode by member name and skip this object entirely.
-    if (result.worker)
-        put(writer, "worker", *result.worker);
+    put(writer, "worker", result.worker);
     writer.endObject();
     return writer.str();
 }
@@ -449,16 +446,9 @@ decodeResult(const std::string &payload, WireResult *out,
         return fail(error, "unexpected payload tag '" + tag + "'");
     out->hello = false;
     if (!decodeKind(root, &out->kind, error) ||
-        !getMember(root, "index", &out->index, error))
+        !getMember(root, "index", &out->index, error) ||
+        !getMember(root, "worker", &out->worker, error))
         return false;
-    // Optional worker self-report: absent from old workers, and a
-    // malformed one is dropped rather than failing the whole result
-    // (it is advisory observability data, not the payload).
-    WireWorkerReport report;
-    std::string ignored;
-    out->worker.reset();
-    if (getMember(root, "worker", &report, &ignored))
-        out->worker = report;
     if (out->kind == WireTask::Kind::Eval)
         return getResult(root.find("result"), "result", &out->eval, error);
     return getResult(root.find("result"), "result", &out->run, error);

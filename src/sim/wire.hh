@@ -11,7 +11,7 @@
  * Three payload shapes exist: the worker's hello (handshake), a task
  * (one SweepPoint plus, for evaluate tasks, the alone-run baseline the
  * worker's AloneIpcCache needs), and a result (the point's outcome and
- * full metrics, plus the worker's optional self-report).
+ * full metrics, plus the worker's self-report).
  *
  * Points, results and reports are written and read by one generic
  * codec driven by the structs' field tables (common/fields.hh): a
@@ -49,7 +49,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "common/fields.hh"
@@ -122,14 +121,10 @@ struct WireTask
 };
 
 /**
- * Optional per-task worker self-report riding on a result frame.
- *
- * Appended as the named member "worker" — an append-only protocol
- * extension: decodeResult looks members up by name and ignores unknown
- * ones, so old supervisors skip it and old workers simply never send
- * it (WireResult::worker stays empty). Values are per-THIS-task
- * deltas, not worker-lifetime totals, so the supervisor aggregates
- * without delta bookkeeping across retries/respawns.
+ * Per-task worker self-report, the member "worker" of every result
+ * frame. Values are per-THIS-task deltas, not worker-lifetime totals,
+ * so the supervisor aggregates without delta bookkeeping across
+ * retries/respawns.
  */
 struct WireWorkerReport
 {
@@ -159,7 +154,7 @@ struct WireResult
     std::uint64_t index = 0;
     Result<RunMetrics> run;      ///< Kind::Run payload
     Result<MixEvaluation> eval;  ///< Kind::Eval payload
-    std::optional<WireWorkerReport> worker; ///< self-report extension
+    WireWorkerReport worker;     ///< the worker's self-report
 };
 
 std::string encodeHello();
@@ -220,7 +215,7 @@ struct FaultSpec
 /**
  * Parse a PADC_FAULT_INJECT value. nullptr/empty parses as None;
  * malformed input warns on stderr once per call and parses as None
- * (mirroring the strict PADC_THREADS convention: never guess).
+ * rather than guess.
  */
 FaultSpec parseFaultSpec(const char *text);
 

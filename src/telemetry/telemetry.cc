@@ -138,10 +138,11 @@ IntervalSampler::rows() const
 
 Collector::Collector(const TelemetryConfig &config) : config_(config)
 {
-    if (config_.timeseries) {
-        sampler_ =
-            std::make_unique<IntervalSampler>(config_.timeseries_limit);
-    }
+    // Time-series rows retained per run; on overflow the oldest rows
+    // are overwritten (ring semantics: the tail of the run survives).
+    constexpr std::size_t kTimeseriesRows = 1u << 20;
+    if (config_.timeseries)
+        sampler_ = std::make_unique<IntervalSampler>(kTimeseriesRows);
     if (config_.trace)
         trace_ = std::make_unique<TraceBuffer>(config_.trace_limit);
 }

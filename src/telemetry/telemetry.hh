@@ -58,10 +58,6 @@ struct TelemetryConfig
         (keeps the beginning of the run, like a fixed trace buffer). */
     std::uint64_t trace_limit = 1u << 20;
 
-    /** Time-series rows retained per run; on overflow the *oldest* rows
-        are overwritten (ring semantics: the tail of the run survives). */
-    std::size_t timeseries_limit = 1u << 20;
-
     bool any() const { return timeseries || trace; }
 };
 
@@ -185,7 +181,7 @@ struct IntervalRow
  * previous boundary's totals and computes per-interval deltas itself,
  * so the simulator only hands over current lifetime counts -- no
  * interval bookkeeping leaks into the hot path. Rows are kept in a ring
- * of timeseries_limit entries (oldest overwritten first).
+ * of a fixed capacity (oldest overwritten first).
  */
 class IntervalSampler
 {

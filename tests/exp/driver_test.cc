@@ -45,6 +45,16 @@ runDriver(const std::vector<std::string> &args, std::string *out,
     return rc;
 }
 
+std::string
+slurp(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
 std::filesystem::path
 freshOutDir(const std::string &name)
 {
@@ -124,6 +134,7 @@ TEST(ParseDriverArgs, Rejections)
     EXPECT_TRUE(fails({"run"}));
     EXPECT_TRUE(fails({"run", "smoke", "--threads", "0"}));
     EXPECT_TRUE(fails({"run", "smoke", "--threads", "nope"}));
+    EXPECT_TRUE(fails({"run", "smoke", "--threads", "2000"})); // > kMaxThreads
     EXPECT_TRUE(fails({"run", "smoke", "--threads"}));
     EXPECT_TRUE(fails({"run", "smoke", "--workers", "nope"}));
     EXPECT_TRUE(fails({"run", "smoke", "--workers", "-1"}));
@@ -232,6 +243,49 @@ TEST(DriverRun, JsonFormatIsParseableAndStructured)
     std::filesystem::remove_all(dir);
 }
 
+TEST(DriverRun, EachCallHonorsItsOwnThreadsAndResume)
+{
+    // No runner or journal outlives a driverMain call, so later calls
+    // in the same process get exactly what their own flags ask for.
+    const auto dir = freshOutDir("per_call");
+    const std::string journal = (dir / "sweep.padcjournal").string();
+    std::string out, err;
+    ASSERT_EQ(runDriver({"run", "smoke", "--out", (dir / "A").string()},
+                        &out, &err),
+              0)
+        << err;
+
+    ASSERT_EQ(runDriver({"run", "smoke", "--threads", "2", "--resume",
+                         journal, "--out", (dir / "B").string()},
+                        &out, &err),
+              0)
+        << err;
+    EXPECT_EQ(err.find("ignored"), std::string::npos) << err;
+    std::istringstream lines(slurp(journal));
+    std::size_t records = 0;
+    for (std::string line; std::getline(lines, line);)
+        records += line.rfind("padcj3 ", 0) == 0 ? 1 : 0;
+    EXPECT_EQ(records, 2u);
+
+    // Both points now replay from the journal the second call wrote.
+    ASSERT_EQ(runDriver({"run", "smoke", "--resume", journal, "--out",
+                         (dir / "C").string()},
+                        &out, &err),
+              0)
+        << err;
+    JsonValue document;
+    std::string error;
+    ASSERT_TRUE(parseJson(slurp(dir / "C" / "BENCH_smoke.json"), &document,
+                          &error))
+        << error;
+    const JsonValue *points = document.find("points");
+    ASSERT_NE(points, nullptr);
+    ASSERT_EQ(points->array.size(), 2u);
+    for (const JsonValue &point : points->array)
+        EXPECT_EQ(point.find("attempts")->number, 0.0);
+    std::filesystem::remove_all(dir);
+}
+
 // --- schema-snapshot validation ------------------------------------
 
 std::string
@@ -297,21 +351,13 @@ TEST(DriverRun, EmittedFileMatchesSchemaSnapshot)
     // Text mode still prints the experiment's rows.
     EXPECT_NE(out.find("Smoke test"), std::string::npos);
 
-    const auto read = [](const std::filesystem::path &path) {
-        std::ifstream in(path);
-        EXPECT_TRUE(in.good()) << path;
-        std::ostringstream text;
-        text << in.rdbuf();
-        return text.str();
-    };
-
     JsonValue schema;
     std::string error;
-    ASSERT_TRUE(parseJson(read(PADC_SCHEMA_PATH), &schema, &error))
+    ASSERT_TRUE(parseJson(slurp(PADC_SCHEMA_PATH), &schema, &error))
         << error;
     JsonValue document;
     ASSERT_TRUE(
-        parseJson(read(dir / "BENCH_smoke.json"), &document, &error))
+        parseJson(slurp(dir / "BENCH_smoke.json"), &document, &error))
         << error;
     validateAgainst(schema, document, "$");
     std::filesystem::remove_all(dir);

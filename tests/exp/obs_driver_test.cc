@@ -227,8 +227,11 @@ TEST(ObsDriver, CrashRetriesShowInProgressLineEventsAndStatus)
                         (dir / "stderr.log").string()),
               0);
 
-    // Progress line (stderr): final snapshot shows the three retries.
+    // Progress line (stderr): nothing is drawn before the sweep starts
+    // (the pool spawns first), and the final snapshot shows the three
+    // retries.
     const std::string err = slurp(dir / "stderr.log");
+    EXPECT_EQ(err.rfind("[padc] smoke_grid", 0), 0u) << err;
     EXPECT_NE(err.find("retries 3"), std::string::npos);
 
     // Event log: three point_retry records plus the worker churn.
@@ -242,6 +245,9 @@ TEST(ObsDriver, CrashRetriesShowInProgressLineEventsAndStatus)
     EXPECT_EQ(countEvents(events, "point_complete"), 9u);
     EXPECT_GE(countEvents(events, "worker_spawn"), 4u);
     EXPECT_GE(countEvents(events, "worker_exit"), 3u);
+    // Every worker's exit is logged, the clean ones at shutdown too.
+    EXPECT_EQ(countEvents(events, "worker_exit"),
+              countEvents(events, "worker_spawn"));
     EXPECT_EQ(countEvents(events, "sweep_finish"), 1u);
 
     // status.json: finished, with the same counts.
@@ -255,6 +261,7 @@ TEST(ObsDriver, CrashRetriesShowInProgressLineEventsAndStatus)
     EXPECT_EQ(status.executed, 9u);
     EXPECT_EQ(status.retries, 3u);
     EXPECT_EQ(status.quarantined, 0u);
+    EXPECT_EQ(status.active_workers, 0u);
     std::filesystem::remove_all(dir);
 }
 

@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -122,11 +123,12 @@ slurp(const std::filesystem::path &path)
 }
 
 JsonValue
-loadBench(const std::filesystem::path &dir)
+loadBench(const std::filesystem::path &dir,
+          const std::string &experiment = "smoke_grid")
 {
     JsonValue doc;
     std::string error;
-    const auto path = dir / "BENCH_smoke_grid.json";
+    const auto path = dir / ("BENCH_" + experiment + ".json");
     EXPECT_TRUE(parseJson(slurp(path), &doc, &error))
         << path << ": " << error;
     return doc;
@@ -307,28 +309,35 @@ TEST(ProcDriver, KilledSupervisorResumesExactlyOnce)
 
 TEST(ProcDriver, TestInterruptHookWritesPartialBenchAndExits130)
 {
-    const auto dir = freshDir("interrupt");
-    EXPECT_EQ(runDriver({"run", "smoke_grid", "--workers", "0", "--out",
-                         dir.string()},
-                        {"PADC_TEST_INTERRUPT_AFTER=1",
-                         "PADC_THREADS=1"},
-                        (dir / "log.txt").string()),
-              130);
+    // One thread makes the split exact: the first point completes and
+    // every later one is interrupted. tab07 shows that its per-benchmark
+    // points take the same sweep path as smoke_grid's grid.
+    for (const auto &[experiment, total] :
+         {std::pair<std::string, std::size_t>{"smoke_grid", 9},
+          {"tab07", 65}}) {
+        SCOPED_TRACE(experiment);
+        const auto dir = freshDir("interrupt_" + experiment);
+        EXPECT_EQ(runDriver({"run", experiment, "--threads", "1",
+                             "--workers", "0", "--out", dir.string()},
+                            {"PADC_TEST_INTERRUPT_AFTER=1"},
+                            (dir / "log.txt").string()),
+                  130);
 
-    const JsonValue bench = loadBench(dir);
-    ASSERT_NE(bench.find("interrupted"), nullptr);
-    EXPECT_TRUE(bench.find("interrupted")->boolean);
-    std::size_t ok = 0;
-    std::size_t interrupted = 0;
-    for (const JsonValue &point : bench.find("points")->array) {
-        if (point.find("status")->string == "ok")
-            ++ok;
-        else if (point.find("detail")->string == "interrupted")
-            ++interrupted;
+        const JsonValue bench = loadBench(dir, experiment);
+        ASSERT_NE(bench.find("interrupted"), nullptr);
+        EXPECT_TRUE(bench.find("interrupted")->boolean);
+        std::size_t ok = 0;
+        std::size_t interrupted = 0;
+        for (const JsonValue &point : bench.find("points")->array) {
+            if (point.find("status")->string == "ok")
+                ++ok;
+            else if (point.find("detail")->string == "interrupted")
+                ++interrupted;
+        }
+        EXPECT_EQ(ok, 1u);
+        EXPECT_EQ(interrupted, total - 1);
+        std::filesystem::remove_all(dir);
     }
-    EXPECT_EQ(ok, 1u);
-    EXPECT_EQ(interrupted, 8u);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ProcDriver, SigtermDrainsHungPoolGracefully)

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -363,24 +362,16 @@ TEST(EventSkipTest, JumpsActuallyTaken)
     EXPECT_GE(snap.skipped_cycles, snap.event_jumps);
 }
 
-TEST(EventSkipTest, EnvEscapeHatchDisablesSkipping)
+TEST(EventSkipTest, SkipOffLandsOnEveryCycle)
 {
-    // PADC_NO_EVENT_SKIP=1 forces the legacy loop even when the config
-    // asks for skipping, landing on every cycle and ticking every core
-    // there; 0 leaves skipping enabled.
-    ::setenv("PADC_NO_EVENT_SKIP", "1", 1);
+    // SystemConfig::event_skip = false selects the cycle-by-cycle
+    // reference loop: it lands on every cycle and ticks every core
+    // there.
     const RunArtifacts legacy =
-        runOnce(padcConfig(2), {"mcf_06", "wrf_06"}, true, 4000, 0);
+        runOnce(padcConfig(2), {"mcf_06", "wrf_06"}, false, 4000, 0);
     EXPECT_EQ(legacy.loop.event_jumps, 0u);
     EXPECT_EQ(legacy.loop.landed_cycles, legacy.status.cycles);
     EXPECT_EQ(legacy.loop.core_ticks, 2 * legacy.status.cycles);
-
-    ::setenv("PADC_NO_EVENT_SKIP", "0", 1);
-    EXPECT_GT(runOnce(padcConfig(1), {"mcf_06"}, true, 4000, 0)
-                  .loop.event_jumps,
-              0u);
-
-    ::unsetenv("PADC_NO_EVENT_SKIP");
 }
 
 } // namespace

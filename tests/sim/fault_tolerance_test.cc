@@ -1,18 +1,16 @@
 /**
  * @file
  * Failure-injection tests for the fault-tolerant experiment stack:
- * the parallel runner's exception contract, PADC_THREADS parsing,
- * RunStatus propagation from the cycle cap, and per-point sweep
- * outcomes (Failed / Truncated) that never abort the whole sweep.
+ * the parallel runner's exception contract, RunStatus propagation
+ * from the cycle cap, and per-point sweep outcomes (Failed /
+ * Truncated) that never abort the whole sweep.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -114,79 +112,6 @@ TEST(RunnerFaults, TryForEachEmptyBatchReturnsNoErrors)
     EXPECT_TRUE(runner.tryForEach(0, [](std::size_t) {
                           throw std::runtime_error("never runs");
                       }).empty());
-}
-
-// --- PADC_THREADS parsing ---------------------------------------------
-
-/** RAII guard restoring PADC_THREADS after each case. */
-class ThreadsEnvGuard
-{
-  public:
-    ThreadsEnvGuard()
-    {
-        const char *old = std::getenv("PADC_THREADS");
-        had_ = old != nullptr;
-        if (had_)
-            saved_ = old;
-    }
-
-    ~ThreadsEnvGuard()
-    {
-        if (had_)
-            ::setenv("PADC_THREADS", saved_.c_str(), 1);
-        else
-            ::unsetenv("PADC_THREADS");
-    }
-
-  private:
-    bool had_ = false;
-    std::string saved_;
-};
-
-unsigned
-hwThreads()
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw >= 1 ? hw : 1;
-}
-
-TEST(ThreadsEnv, ValidValueIsUsed)
-{
-    ThreadsEnvGuard guard;
-    ::setenv("PADC_THREADS", "3", 1);
-    EXPECT_EQ(defaultThreadCount(), 3u);
-    ::setenv("PADC_THREADS", "1", 1);
-    EXPECT_EQ(defaultThreadCount(), 1u);
-    // strtol convention: leading whitespace is permitted.
-    ::setenv("PADC_THREADS", " 4", 1);
-    EXPECT_EQ(defaultThreadCount(), 4u);
-}
-
-TEST(ThreadsEnv, UnsetFallsBackToHardwareConcurrency)
-{
-    ThreadsEnvGuard guard;
-    ::unsetenv("PADC_THREADS");
-    EXPECT_EQ(defaultThreadCount(), hwThreads());
-}
-
-TEST(ThreadsEnv, InvalidValuesFallBackWithoutSerializing)
-{
-    ThreadsEnvGuard guard;
-    // None of these may be honored verbatim: zero/negative would break
-    // the runner, trailing garbage and overflow indicate a typo.
-    for (const char *bad : {"0", "-2", "abc", "7abc", "4 ", "",
-                            "99999999999999999999"}) {
-        ::setenv("PADC_THREADS", bad, 1);
-        EXPECT_EQ(defaultThreadCount(), hwThreads())
-            << "PADC_THREADS=\"" << bad << "\"";
-    }
-}
-
-TEST(ThreadsEnv, OversizedValueClampedToMax)
-{
-    ThreadsEnvGuard guard;
-    ::setenv("PADC_THREADS", "2000", 1);
-    EXPECT_EQ(defaultThreadCount(), kMaxThreads);
 }
 
 // --- RunStatus propagation --------------------------------------------

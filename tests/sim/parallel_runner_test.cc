@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <thread>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -76,6 +78,10 @@ TEST(ParallelRunner, ThreadCountRespectsConstructorArg)
     EXPECT_EQ(one.threadCount(), 1u);
     ParallelExperimentRunner four(4);
     EXPECT_EQ(four.threadCount(), 4u);
+    // 0 is the driver's "no --threads": hardware concurrency, at least 1.
+    ParallelExperimentRunner dflt(0);
+    EXPECT_EQ(dflt.threadCount(),
+              std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(AloneIpcCacheParallel, ConcurrentLookupsMatchSerial)

@@ -19,6 +19,7 @@
 
 #include <unistd.h>
 
+#include "exp/experiment.hh"
 #include "sim/experiment.hh"
 #include "sim/interrupt.hh"
 #include "sim/journal.hh"
@@ -312,10 +313,15 @@ TEST(ProcPool, UnspawnableWorkersDegradeToInThreadExecution)
     ParallelExperimentRunner runner(2);
     const auto reference = runSweep(points, runner);
 
+    // The pool has no fallback of its own: the experiment context sees
+    // that no worker came up and runs the sweep on its runner.
     ProcessPool pool({"/nonexistent/padc-worker-binary", "worker"},
                      quickConfig());
     EXPECT_FALSE(pool.available());
-    const auto pooled = pool.runSweep(points);
+    const exp::ExperimentInfo info{"unspawnable", "", "", "", {}};
+    exp::ExperimentContext ctx(info, runner, nullptr, std::nullopt, {},
+                               &pool);
+    const auto pooled = ctx.runSweep(points);
     expectBitIdentical(pooled, reference);
 }
 

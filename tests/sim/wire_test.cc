@@ -127,10 +127,9 @@ TEST(WireResultCodec, RunResultRoundTripsBitExactly)
     ASSERT_TRUE(decodeResult(encodeResult(result), &decoded, &error))
         << error;
     EXPECT_FALSE(decoded.hello);
-    ASSERT_TRUE(decoded.worker.has_value());
-    EXPECT_EQ(decoded.worker->pid, 4242u);
-    EXPECT_EQ(decoded.worker->sim_cycles, (1ULL << 55) + 1);
-    EXPECT_EQ(decoded.worker->exec_seconds, 0.1 + 0.2);
+    EXPECT_EQ(decoded.worker.pid, 4242u);
+    EXPECT_EQ(decoded.worker.sim_cycles, (1ULL << 55) + 1);
+    EXPECT_EQ(decoded.worker.exec_seconds, 0.1 + 0.2);
     EXPECT_EQ(decoded.index, 4u);
     EXPECT_EQ(decoded.run.outcome.status, PointStatus::Truncated);
     EXPECT_EQ(decoded.run.outcome.detail, "cycle cap");
@@ -140,6 +139,16 @@ TEST(WireResultCodec, RunResultRoundTripsBitExactly)
     EXPECT_EQ(decoded.run.value.cores[0].traffic_demand,
               core.traffic_demand);
     EXPECT_EQ(decoded.run.value.cores[0].cycles, core.cycles);
+
+    // The report is a required member like every other: a result frame
+    // without it is rejected, naming the member.
+    std::string frame = encodeResult(result);
+    const std::size_t key = frame.find("\"worker\"");
+    ASSERT_NE(key, std::string::npos) << frame;
+    const std::size_t from = frame.rfind(',', key);
+    frame.erase(from, frame.find('}', key) + 1 - from);
+    EXPECT_FALSE(decodeResult(frame, &decoded, &error)) << frame;
+    EXPECT_NE(error.find("worker"), std::string::npos) << error;
 }
 
 TEST(WireResultCodec, EvalResultCarriesSummaryAndHelloDecodes)
@@ -161,7 +170,6 @@ TEST(WireResultCodec, EvalResultCarriesSummaryAndHelloDecodes)
     ASSERT_TRUE(decodeResult(encodeResult(result), &decoded, &error))
         << error;
     EXPECT_EQ(decoded.eval.value.summary.ws, 1.75);
-    EXPECT_FALSE(decoded.worker.has_value()) << "no report was sent";
     EXPECT_EQ(decoded.eval.value.summary.speedups,
               result.eval.value.summary.speedups);
     ASSERT_EQ(decoded.eval.value.metrics.cores.size(), 1u);
