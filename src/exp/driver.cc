@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +13,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "common/parse.hh"
 #include "exp/json.hh"
 #include "exp/registry.hh"
 #include "exp/report.hh"
@@ -40,22 +40,6 @@ hex16(std::uint64_t value)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(value));
     return buf;
-}
-
-bool
-parseUint64(const char *text, std::uint64_t *out)
-{
-    // strtoull accepts (and wraps) signed input; reject it up front.
-    if (text == nullptr || *text == '\0' || text[0] == '-' ||
-        text[0] == '+')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0')
-        return false;
-    *out = value;
-    return true;
 }
 
 /**
@@ -204,7 +188,7 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
         } else if (arg == "--threads") {
             const char *text = value();
             std::uint64_t threads = 0;
-            if (!parseUint64(text, &threads) || threads == 0 ||
+            if (!parseU64(text, &threads) || threads == 0 ||
                 threads > sim::kMaxThreads) {
                 *error = "--threads expects an integer in [1, " +
                          std::to_string(sim::kMaxThreads) + "]";
@@ -214,7 +198,7 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
         } else if (arg == "--workers") {
             const char *text = value();
             std::uint64_t workers = 0;
-            if (!parseUint64(text, &workers) || workers > 1024) {
+            if (!parseU64(text, &workers) || workers > 1024) {
                 *error = "--workers expects an integer in [0, 1024]";
                 return false;
             }
@@ -228,7 +212,7 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
             out->resume_path = text;
         } else if (arg == "--seed") {
             std::uint64_t seed = 0;
-            if (!parseUint64(value(), &seed)) {
+            if (!parseU64(value(), &seed)) {
                 *error = "--seed expects a non-negative integer";
                 return false;
             }
@@ -293,7 +277,7 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
                 arg == "--trace-limit"
                     ? value()
                     : arg.c_str() + std::strlen("--trace-limit=");
-            if (!parseUint64(text, &out->trace_limit)) {
+            if (!parseU64(text, &out->trace_limit)) {
                 *error = "--trace-limit expects a non-negative integer";
                 return false;
             }

@@ -1,7 +1,5 @@
 #include "exp/experiment.hh"
 
-#include <algorithm>
-
 #include "exp/report.hh"
 #include "obs/monitor.hh"
 #include "sim/interrupt.hh"
@@ -15,16 +13,6 @@ namespace padc::exp
 
 namespace
 {
-
-/** Simulated cycles of one run: the slowest core's cycle count. */
-Cycle
-runCycles(const sim::RunMetrics &metrics)
-{
-    Cycle cycles = 0;
-    for (const auto &core : metrics.cores)
-        cycles = std::max(cycles, core.cycles);
-    return cycles;
-}
 
 void
 addTrafficMetrics(StatSet &metrics, const sim::RunMetrics &run)
@@ -151,7 +139,7 @@ ExperimentContext::sweep(const std::vector<sim::SweepPoint> &points,
         record.detail = results[i].outcome.detail;
         record.attempts = results[i].outcome.attempts;
         record.last_error = results[i].outcome.last_error;
-        record.cycles = runCycles(run);
+        record.cycles = run.cycles();
         add_metrics(results[i].value, record.metrics);
         addTrafficMetrics(record.metrics, run);
         recordPoint(std::move(record));

@@ -185,38 +185,37 @@ FleetMonitor::pointDispatched(std::uint64_t index, std::size_t slot,
 }
 
 void
-FleetMonitor::pointFinished(std::uint64_t index, const std::string &status,
+FleetMonitor::pointFinished(std::uint64_t index, PointEnding ending,
+                            const std::string &status,
                             std::uint32_t attempts,
                             const std::string &detail, std::int64_t slot,
                             std::int64_t pid)
 {
+    static constexpr const char *kEvent[] = { // in PointEnding order
+        "point_complete", "point_replay", "point_interrupted",
+        "point_quarantine", "point_stranded"};
     std::lock_guard<std::mutex> lock(mutex_);
-    // By detail, not attempts: a pool point killed in flight by the
-    // drain has attempts >= 1 and still never produced a result.
-    const bool interrupted = detail == "interrupted";
-    const bool replayed = attempts == 0 && !interrupted;
+    const bool quarantined = ending == PointEnding::Quarantined;
     ++live_.done;
-    if (replayed) {
-        ++live_.replayed;
-    } else if (!interrupted) {
-        ++live_.executed;
-        // Only genuinely executed points feed the rate estimator:
-        // journal replays are near-instant and would wreck the ETA.
+    live_.executed += ending == PointEnding::Ran;
+    live_.replayed += ending == PointEnding::Replayed;
+    live_.quarantined += quarantined;
+    live_.failed += status != "ok" && ending != PointEnding::Interrupted;
+    // Only executed points feed the rate estimator: journal replays are
+    // near-instant and would wreck the ETA.
+    if (ending == PointEnding::Ran)
         rate_.notePoint(steadyNowMs());
-    }
-    if (status != "ok" && !interrupted)
-        ++live_.failed;
     if (slot >= 0) {
         WorkerStatus &worker = slotRef(static_cast<std::size_t>(slot));
         worker.busy = false;
         ++worker.tasks;
     }
-    emitEvent(replayed ? "point_replay"
-                       : (interrupted ? "point_interrupted"
-                                      : "point_complete"),
-              static_cast<std::int64_t>(index), pid, attempts,
-              status == "ok" ? status : status + ": " + detail);
-    publish(false);
+    emitEvent(kEvent[static_cast<std::size_t>(ending)],
+              static_cast<std::int64_t>(index), pid, quarantined ? 0 : attempts,
+              quarantined ? detail
+                          : (status == "ok" ? status : status + ": " + detail));
+    // A quarantine is bad news: never throttled away.
+    publish(quarantined);
 }
 
 void
@@ -229,19 +228,6 @@ FleetMonitor::pointRetried(std::uint64_t index, std::uint32_t attempt,
               attempt, fate);
     // Forced: a retry burst must be visible even inside the throttle
     // window (the crash:3 acceptance scenario).
-    publish(true);
-}
-
-void
-FleetMonitor::pointQuarantined(std::uint64_t index,
-                               const std::string &fate)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++live_.quarantined;
-    ++live_.done;
-    ++live_.failed;
-    emitEvent("point_quarantine", static_cast<std::int64_t>(index), -1,
-              0, fate);
     publish(true);
 }
 

@@ -1,22 +1,27 @@
 /**
  * @file
- * FleetMonitor: the single observer the sweep executors notify
- * (DESIGN.md section 14). It fans each notification out to the two
+ * FleetMonitor: the single observer the sweeps notify (DESIGN.md
+ * section 14). It fans each notification out to the two
  * observability surfaces in the run's --out directory — the
  * events.jsonl structured log, and the periodically atomic-renamed
  * status.json plus the stderr --progress line. The sweep counters
  * live once, in the SweepStatus both surfaces render.
+ *
+ * Each point's final outcome comes once, from the sweep body both
+ * executors share (sim::runPoints), with its PointEnding named by the
+ * caller; the process pool adds the worker-level hooks.
  *
  * Wiring follows the notePointCompleted() precedent (sim/interrupt.hh):
  * a process-global nullable pointer, installed by the driver when
  * --progress is given and left null otherwise, so the sim layer needs
  * no dependency injection and default runs pay one predicted-null
  * branch per event. All methods take plain types (indices, pids,
- * strings) — the sim layer does not leak into obs.
+ * strings, the PointEnding enum) — the sim layer does not leak into
+ * obs.
  *
  * Thread-safety: every public method locks an internal mutex (the
- * in-thread sweep calls from worker threads; the pool supervisor is
- * single-threaded but shares the same code path).
+ * in-thread sweep reports from runner threads; the pool supervisor is
+ * single-threaded).
  */
 
 #ifndef PADC_OBS_MONITOR_HH
@@ -68,24 +73,22 @@ class FleetMonitor
                          std::int64_t pid);
 
     /**
-     * Point @p index reached a final outcome. @p detail "interrupted"
-     * means an interrupt cut it short, whether it never ran or was
-     * killed in flight: it counts toward `done` only. Otherwise
-     * @p attempts == 0 means it was satisfied from the resume journal
-     * (replayed). Neither feeds the rate estimator, so resumes and
-     * drains do not distort the ETA. @p slot >= 0 credits the pool
-     * worker slot that produced the result.
+     * Point @p index reached its final @p ending with @p status ("ok",
+     * "truncated", "failed"). It counts toward `done`; Ran also toward
+     * `executed` and the rate estimator (so resumes and drains do not
+     * distort the ETA), Replayed toward `replayed`, Quarantined toward
+     * `quarantined`. A failed point counts as `failed` unless it was
+     * interrupted. For Quarantined, @p detail is the last worker's
+     * fate. @p slot >= 0 credits the pool worker slot that ran it.
      */
-    void pointFinished(std::uint64_t index, const std::string &status,
-                       std::uint32_t attempts, const std::string &detail,
-                       std::int64_t slot = -1, std::int64_t pid = -1);
+    void pointFinished(std::uint64_t index, PointEnding ending,
+                       const std::string &status, std::uint32_t attempts,
+                       const std::string &detail, std::int64_t slot = -1,
+                       std::int64_t pid = -1);
 
     /** Point @p index will be retried after the worker death @p fate. */
     void pointRetried(std::uint64_t index, std::uint32_t attempt,
                       const std::string &fate);
-
-    /** Point @p index exhausted its attempts and is quarantined. */
-    void pointQuarantined(std::uint64_t index, const std::string &fate);
 
     /** Worker lifecycle (pool path). */
     void workerSpawned(std::size_t slot, std::int64_t pid);

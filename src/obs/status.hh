@@ -83,6 +83,16 @@ struct WorkerStatus
     bool busy = false;
 };
 
+/** How a sweep point ended: it decides the counters the point moves. */
+enum class PointEnding : std::uint8_t
+{
+    Ran,         ///< executed (ok, truncated or failed)
+    Replayed,    ///< served from the resume journal
+    Interrupted, ///< a stop came before it started, or killed it
+    Quarantined, ///< killed every worker it was given
+    Stranded,    ///< no live worker was left to run it
+};
+
 /** The padc-sweep-status-v1 document. */
 struct SweepStatus
 {

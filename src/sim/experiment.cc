@@ -1,7 +1,10 @@
 #include "sim/experiment.hh"
 
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "obs/monitor.hh"
 #include "sim/interrupt.hh"
@@ -152,25 +155,55 @@ AloneIpcCache::ipcAlone(const std::string &profile_name, std::uint32_t core,
     return ipc;
 }
 
+namespace
+{
+
+/** A mix and the seed its traces are generated with. */
+using MixSeed = std::pair<const workload::Mix *, std::uint64_t>;
+
+/**
+ * Fill @p alone for every distinct (profile, core, seed) alone run of
+ * @p mixes across @p runner. Strict: rethrow the lowest-index failure
+ * (the runner's rule). Otherwise a failing alone run is left to the
+ * points that need it, whose own lookup raises it again, and an
+ * interrupt stops the rest: those points fail as "interrupted" anyway.
+ */
+void
+warmAlone(AloneIpcCache &alone, const std::vector<MixSeed> &mixes,
+          ParallelExperimentRunner &runner, bool strict)
+{
+    using Slot = std::tuple<std::string, std::uint32_t, std::uint64_t>;
+    std::set<Slot> seen;
+    std::vector<Slot> slots;
+    for (const auto &[mix, seed] : mixes) {
+        for (std::uint32_t c = 0; c < mix->size(); ++c) {
+            if (seen.insert({(*mix)[c], c, seed}).second)
+                slots.push_back({(*mix)[c], c, seed});
+        }
+    }
+    const auto run = [&](std::size_t k) {
+        if (!strict && interruptRequested())
+            return;
+        const auto &[profile, core, seed] = slots[k];
+        alone.ipcAlone(profile, core, seed);
+    };
+    if (strict)
+        runner.forEach(slots.size(), run);
+    else
+        runner.tryForEach(slots.size(), run);
+}
+
+} // namespace
+
 void
 AloneIpcCache::prewarm(const std::vector<workload::Mix> &mixes,
                        std::uint64_t base_seed,
                        ParallelExperimentRunner &runner)
 {
-    struct Slot
-    {
-        std::string profile;
-        std::uint32_t core;
-        std::uint64_t seed;
-    };
-    std::vector<Slot> slots;
-    for (std::size_t i = 0; i < mixes.size(); ++i) {
-        for (std::uint32_t c = 0; c < mixes[i].size(); ++c)
-            slots.push_back({mixes[i][c], c, base_seed + i});
-    }
-    runner.forEach(slots.size(), [&](std::size_t i) {
-        ipcAlone(slots[i].profile, slots[i].core, slots[i].seed);
-    });
+    std::vector<MixSeed> seeded;
+    for (std::size_t i = 0; i < mixes.size(); ++i)
+        seeded.push_back({&mixes[i], base_seed + i});
+    warmAlone(*this, seeded, runner, /*strict=*/true);
 }
 
 double
@@ -267,41 +300,87 @@ toString(PointStatus status)
     return "unknown";
 }
 
+template <typename T>
+std::vector<Result<T>>
+runPoints(const std::vector<SweepPoint> &points, SweepJournal *journal,
+          const SweepExecutor<T> &execute)
+{
+    obs::FleetMonitor *monitor = obs::activeMonitor();
+    std::vector<Result<T>> results(points.size());
+    std::vector<std::uint64_t> keys(journal != nullptr ? points.size() : 0);
+    const FinishPoint<T> finish = [&](std::size_t i, FinishedPoint<T> done) {
+        Result<T> &result = results[i] = std::move(done.result);
+        PointOutcome &outcome = result.outcome;
+        if (done.ending == obs::PointEnding::Ran) {
+            if (journal != nullptr)
+                journal->record(keys[i], result);
+            notePointCompleted();
+        } else if (done.ending != obs::PointEnding::Replayed) {
+            // Did not run: never journaled, so a resume retries it.
+            result.value = T{};
+            outcome.status = PointStatus::Failed;
+            if (done.ending == obs::PointEnding::Interrupted)
+                outcome.detail = kInterruptedDetail;
+        }
+        if (monitor != nullptr) {
+            monitor->pointFinished(
+                i, done.ending, toString(outcome.status), outcome.attempts,
+                done.ending == obs::PointEnding::Quarantined
+                    ? outcome.last_error
+                    : outcome.detail,
+                done.slot, done.pid);
+        }
+    };
+
+    std::vector<std::size_t> todo;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (journal != nullptr) {
+            keys[i] = sweepPointKey(points[i]);
+            FinishedPoint<T> replay;
+            if (journal->lookup(keys[i], &replay.result)) {
+                replay.result.outcome.attempts = 0;
+                replay.ending = obs::PointEnding::Replayed;
+                finish(i, std::move(replay));
+                continue;
+            }
+        }
+        todo.push_back(i);
+    }
+    execute(todo, finish);
+    return results;
+}
+
+template std::vector<Result<RunMetrics>>
+runPoints(const std::vector<SweepPoint> &, SweepJournal *,
+          const SweepExecutor<RunMetrics> &);
+template std::vector<Result<MixEvaluation>>
+runPoints(const std::vector<SweepPoint> &, SweepJournal *,
+          const SweepExecutor<MixEvaluation> &);
+
 namespace
 {
 
 /**
- * Execute one sweep point under the fault-tolerance contract: serve it
- * from the journal when recorded, otherwise run it through
- * executePoint, and checkpoint the finished point.
+ * The in-thread executor: each point i of @p todo runs @p fn(i, status)
+ * through executePoint on @p runner, unless a stop came first.
  */
 template <typename T, typename Fn>
-Result<T>
-runPoint(SweepJournal *journal, const SweepPoint &point, Fn &&fn)
+void
+runInThreads(const std::vector<std::size_t> &todo,
+             ParallelExperimentRunner &runner, const FinishPoint<T> &finish,
+             Fn &&fn)
 {
-    Result<T> result;
-    std::uint64_t key = 0;
-    if (journal != nullptr) {
-        key = sweepPointKey(point);
-        if (journal->lookup(key, &result)) {
-            result.outcome.attempts = 0; // replayed, never ran here
-            return result;
+    runner.forEach(todo.size(), [&](std::size_t k) {
+        FinishedPoint<T> done;
+        if (interruptRequested()) {
+            done.ending = obs::PointEnding::Interrupted;
+            done.result.outcome.attempts = 0;
+        } else {
+            done.result = executePoint<T>(
+                [&](RunStatus *status) { return fn(todo[k], status); });
         }
-    }
-    // Graceful stop: points not yet started when the interrupt arrived
-    // complete as Failed "interrupted" and are NOT journaled, so a
-    // resumed run retries them.
-    if (interruptRequested()) {
-        result.outcome.status = PointStatus::Failed;
-        result.outcome.detail = kInterruptedDetail;
-        result.outcome.attempts = 0;
-        return result;
-    }
-    result = executePoint<T>(fn);
-    if (journal != nullptr)
-        journal->record(key, result);
-    notePointCompleted();
-    return result;
+        finish(todo[k], std::move(done));
+    });
 }
 
 } // namespace
@@ -310,55 +389,19 @@ std::vector<Result<MixEvaluation>>
 evaluateSweep(const std::vector<SweepPoint> &points, AloneIpcCache &alone,
               ParallelExperimentRunner &runner, SweepJournal *journal)
 {
-    // Fill the alone cache first so the sweep jobs below are pure cache
-    // hits; the alone-runs themselves fan out across the pool too.
-    // Prewarm failures are deliberately ignored here: a failing
-    // alone-run resurfaces at every point that needs it, where it is
-    // recorded as that point's Failed outcome.
-    {
-        struct Key
-        {
-            workload::Mix mix;
-            std::uint64_t seed;
-        };
-        std::vector<Key> keys;
-        for (const auto &point : points) {
-            // Journaled points replay without alone-runs; don't prewarm
-            // for them (that would undo most of a resume's savings).
-            if (journal != nullptr &&
-                journal->containsEval(sweepPointKey(point))) {
-                continue;
-            }
-            bool seen = false;
-            for (const auto &key : keys) {
-                seen = key.seed == point.options.mix_seed &&
-                       key.mix == point.mix;
-                if (seen)
-                    break;
-            }
-            if (!seen)
-                keys.push_back({point.mix, point.options.mix_seed});
-        }
-        runner.tryForEach(keys.size(), [&](std::size_t i) {
-            if (interruptRequested())
-                return; // the points will fail as "interrupted" anyway
-            for (std::uint32_t c = 0; c < keys[i].mix.size(); ++c)
-                alone.ipcAlone(keys[i].mix[c], c, keys[i].seed);
-        });
-    }
-    return runner.map<Result<MixEvaluation>>(
-        points.size(), [&](std::size_t i) {
-            Result<MixEvaluation> result = runPoint<MixEvaluation>(
-                journal, points[i], [&](RunStatus *status) {
+    return runPoints<MixEvaluation>(
+        points, journal, [&](const auto &todo, const auto &finish) {
+            // Fill the alone cache for exactly the points to run, so
+            // their jobs below only hit it.
+            std::vector<MixSeed> mixes;
+            for (const std::size_t i : todo)
+                mixes.push_back({&points[i].mix, points[i].options.mix_seed});
+            warmAlone(alone, mixes, runner, /*strict=*/false);
+            runInThreads<MixEvaluation>(
+                todo, runner, finish, [&](std::size_t i, RunStatus *status) {
                     return evaluateMix(points[i].config, points[i].mix,
                                        points[i].options, alone, status);
                 });
-            if (obs::FleetMonitor *monitor = obs::activeMonitor()) {
-                monitor->pointFinished(i, toString(result.outcome.status),
-                                       result.outcome.attempts,
-                                       result.outcome.detail);
-            }
-            return result;
         });
 }
 
@@ -366,19 +409,13 @@ std::vector<Result<RunMetrics>>
 runSweep(const std::vector<SweepPoint> &points,
          ParallelExperimentRunner &runner, SweepJournal *journal)
 {
-    return runner.map<Result<RunMetrics>>(
-        points.size(), [&](std::size_t i) {
-            Result<RunMetrics> result = runPoint<RunMetrics>(
-                journal, points[i], [&](RunStatus *status) {
+    return runPoints<RunMetrics>(
+        points, journal, [&](const auto &todo, const auto &finish) {
+            runInThreads<RunMetrics>(
+                todo, runner, finish, [&](std::size_t i, RunStatus *status) {
                     return runMix(points[i].config, points[i].mix,
                                   points[i].options, status);
                 });
-            if (obs::FleetMonitor *monitor = obs::activeMonitor()) {
-                monitor->pointFinished(i, toString(result.outcome.status),
-                                       result.outcome.attempts,
-                                       result.outcome.detail);
-            }
-            return result;
         });
 }
 

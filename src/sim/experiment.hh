@@ -5,7 +5,11 @@
  * Provides the paper's canonical policy setups (no-pref, demand-first,
  * demand-prefetch-equal, prefetch-first, APS-only, PADC, PADC+rank and
  * the no-urgency ablations), single-mix runners, an alone-IPC cache for
- * WS/HS/UF computation, and the fault-tolerant parallel sweeps.
+ * WS/HS/UF computation, and the fault-tolerant sweeps.
+ *
+ * Every sweep runs through one body, runPoints; an executor (the
+ * in-thread runner here, the worker processes of sim/procpool.hh) only
+ * runs the points the body hands it.
  */
 
 #ifndef PADC_SIM_EXPERIMENT_HH
@@ -13,12 +17,14 @@
 
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/fields.hh"
+#include "obs/status.hh"
 #include "sim/metrics.hh"
 #include "sim/parallel.hh"
 #include "sim/system.hh"
@@ -303,17 +309,52 @@ executePoint(Fn &&fn)
 }
 
 /**
- * Evaluate every point across @p runner; results are ordered like
- * @p points. The alone cache is prewarmed for every distinct (mix,
- * seed) slot first, so the sweep jobs themselves never miss.
+ * A point as an executor hands it back to runPoints, with the pool
+ * worker that ran it. For a point that did not run, the executor fills
+ * only the outcome's attempts, last_error and (quarantined or
+ * stranded) detail.
+ */
+template <typename T>
+struct FinishedPoint
+{
+    Result<T> result;
+    obs::PointEnding ending = obs::PointEnding::Ran;
+    std::int64_t slot = -1; ///< pool worker slot; -1 in-thread
+    std::int64_t pid = -1;
+};
+
+/** Takes a point's final result, by index; any thread may call it. */
+template <typename T>
+using FinishPoint = std::function<void(std::size_t, FinishedPoint<T>)>;
+
+/** Runs the points at the given indices, finishing each one once. */
+template <typename T>
+using SweepExecutor = std::function<void(const std::vector<std::size_t> &,
+                                         const FinishPoint<T> &)>;
+
+/**
+ * The sweep contract every executor shares; results are ordered like
+ * @p points. A point whose @p journal record decodes replays it
+ * (attempts 0) and never reaches @p execute. A point that did not run
+ * fails unjournaled, so a resume retries it; an interrupted one gets
+ * the detail "interrupted". Each computed result is journaled once and
+ * counts toward notePointCompleted. Every point's ending reaches the
+ * active monitor once. Instantiated for RunMetrics and MixEvaluation.
+ */
+template <typename T>
+std::vector<Result<T>> runPoints(const std::vector<SweepPoint> &points,
+                                 SweepJournal *journal,
+                                 const SweepExecutor<T> &execute);
+
+/**
+ * Evaluate every point across @p runner: runPoints with the in-thread
+ * executor, so @p journal (may be null) replays and records as it
+ * says. The alone cache is first prewarmed for every alone run the
+ * points to run need, so their jobs never miss.
  *
  * Fault tolerance: a point that throws or fails to converge records a
  * Failed/Truncated outcome with a diagnostic; the remaining points
  * still run. Nothing is thrown for per-point failures.
- *
- * @param journal when non-null, points whose key is already recorded
- *        replay the stored result (bit-identical) instead of running,
- *        and freshly computed points are appended for future resumes.
  */
 std::vector<Result<MixEvaluation>>
 evaluateSweep(const std::vector<SweepPoint> &points, AloneIpcCache &alone,
@@ -322,8 +363,7 @@ evaluateSweep(const std::vector<SweepPoint> &points, AloneIpcCache &alone,
 
 /**
  * Run (no WS/HS/UF summary, no alone-runs needed) every point across
- * @p runner; results ordered like @p points. Same fault-tolerance and
- * journal contract as evaluateSweep.
+ * @p runner, with evaluateSweep's journal and fault-tolerance contract.
  */
 std::vector<Result<RunMetrics>>
 runSweep(const std::vector<SweepPoint> &points,

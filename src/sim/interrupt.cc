@@ -1,10 +1,12 @@
 #include "sim/interrupt.hh"
 
 #include <atomic>
-#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/parse.hh"
 
 namespace padc::sim
 {
@@ -15,7 +17,7 @@ namespace
 /**
  * The stop flag. std::atomic<int> rather than volatile sig_atomic_t:
  * lock-free atomics are async-signal-safe, and the sweep runner's
- * threads poll the flag in runPoint while another runner thread's
+ * threads poll the flag before each point while another runner thread's
  * notePointCompleted() (or the signal handler) writes it, so plain
  * volatile would be a cross-thread data race.
  */
@@ -54,10 +56,8 @@ resetInterruptState()
     const char *env = std::getenv("PADC_TEST_INTERRUPT_AFTER");
     if (env == nullptr)
         return;
-    char *end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE || parsed < 0) {
+    std::uint64_t parsed = 0;
+    if (!parseU64(env, &parsed) || parsed > LONG_MAX) {
         std::fprintf(stderr,
                      "padc: warning: invalid PADC_TEST_INTERRUPT_AFTER="
                      "\"%s\" (want a non-negative integer); ignored\n",
@@ -68,7 +68,8 @@ resetInterruptState()
         requestInterrupt();
         return;
     }
-    g_points_remaining.store(parsed, std::memory_order_relaxed);
+    g_points_remaining.store(static_cast<long>(parsed),
+                             std::memory_order_relaxed);
 }
 
 void

@@ -95,6 +95,10 @@ hashValue(Fnv &h, const T &value)
 /** Line tag of the current format; see the file comment of journal.hh. */
 constexpr char kLineTag[] = "padcj3";
 
+/** A line's kind: 'r' for runSweep results, 'e' for evaluateSweep. */
+template <typename T>
+constexpr char kKind = std::is_same_v<T, RunMetrics> ? 'r' : 'e';
+
 } // namespace
 
 std::uint64_t
@@ -240,39 +244,26 @@ SweepJournal::recordLine(char kind, std::uint64_t key,
         ::fsync(append_fd_);
 }
 
+template <typename T>
 bool
-SweepJournal::containsEval(std::uint64_t key) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.find({'e', key}) != entries_.end();
-}
-
-bool
-SweepJournal::lookup(std::uint64_t key, Result<MixEvaluation> *out)
+SweepJournal::lookup(std::uint64_t key, Result<T> *out)
 {
     std::string body;
-    return lookupLine('e', key, &body) &&
+    return lookupLine(kKind<T>, key, &body) &&
            wire::decodeRecord(body, out, nullptr);
 }
 
-bool
-SweepJournal::lookup(std::uint64_t key, Result<RunMetrics> *out)
+template <typename T>
+void
+SweepJournal::record(std::uint64_t key, const Result<T> &result)
 {
-    std::string body;
-    return lookupLine('r', key, &body) &&
-           wire::decodeRecord(body, out, nullptr);
+    recordLine(kKind<T>, key, wire::encodeRecord(result));
 }
 
-void
-SweepJournal::record(std::uint64_t key, const Result<MixEvaluation> &result)
-{
-    recordLine('e', key, wire::encodeRecord(result));
-}
-
-void
-SweepJournal::record(std::uint64_t key, const Result<RunMetrics> &result)
-{
-    recordLine('r', key, wire::encodeRecord(result));
-}
+template bool SweepJournal::lookup(std::uint64_t, Result<RunMetrics> *);
+template bool SweepJournal::lookup(std::uint64_t, Result<MixEvaluation> *);
+template void SweepJournal::record(std::uint64_t, const Result<RunMetrics> &);
+template void SweepJournal::record(std::uint64_t,
+                                   const Result<MixEvaluation> &);
 
 } // namespace padc::sim

@@ -92,27 +92,17 @@ class SweepJournal
     std::size_t hits() const;
 
     /**
-     * Replay the recorded evaluateSweep result for @p key into @p out.
+     * Replay the recorded result of @p key's kind (evaluateSweep for
+     * MixEvaluation, runSweep for RunMetrics) into @p out.
      * @return true on a hit (out fully populated, bit-identical to the
      *         run that recorded it).
      */
-    bool lookup(std::uint64_t key, Result<MixEvaluation> *out);
+    template <typename T>
+    bool lookup(std::uint64_t key, Result<T> *out);
 
-    /** Replay the recorded runSweep result for @p key. */
-    bool lookup(std::uint64_t key, Result<RunMetrics> *out);
-
-    /**
-     * True when an evaluateSweep entry for @p key is recorded (used to
-     * skip alone-IPC prewarm work for already-completed points; does
-     * not count as a hit).
-     */
-    bool containsEval(std::uint64_t key) const;
-
-    /** Record a completed evaluateSweep point (append + flush). */
-    void record(std::uint64_t key, const Result<MixEvaluation> &result);
-
-    /** Record a completed runSweep point (append + flush). */
-    void record(std::uint64_t key, const Result<RunMetrics> &result);
+    /** Record a completed point of @p result's kind (append + flush). */
+    template <typename T>
+    void record(std::uint64_t key, const Result<T> &result);
 
   private:
     using EntryKey = std::pair<char, std::uint64_t>; ///< (kind, hash)

@@ -15,6 +15,15 @@ RunMetrics::totalTraffic() const
            trafficWriteback();
 }
 
+Cycle
+RunMetrics::cycles() const
+{
+    Cycle cycles = 0;
+    for (const auto &c : cores)
+        cycles = std::max(cycles, c.cycles);
+    return cycles;
+}
+
 std::uint64_t
 RunMetrics::trafficDemand() const
 {

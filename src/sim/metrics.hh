@@ -79,6 +79,9 @@ struct RunMetrics
     std::uint64_t trafficPrefUseful() const;
     std::uint64_t trafficPrefUseless() const;
     std::uint64_t trafficWriteback() const;
+
+    /** Simulated cycles of the run: its slowest core's. */
+    Cycle cycles() const;
 };
 
 /** RunMetrics's field table; see common/fields.hh. */

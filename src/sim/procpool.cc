@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -16,10 +17,10 @@
 #include <type_traits>
 #include <utility>
 
+#include "common/parse.hh"
 #include "exp/json.hh"
 #include "obs/monitor.hh"
 #include "sim/interrupt.hh"
-#include "sim/journal.hh"
 
 namespace padc::sim
 {
@@ -49,11 +50,8 @@ envU64(const char *name, std::uint64_t fallback, std::uint64_t min_value,
     const char *env = std::getenv(name);
     if (env == nullptr)
         return fallback;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (*env == '\0' || *env == '-' || *env == '+' || end == env ||
-        *end != '\0' || errno != 0) {
+    std::uint64_t parsed = 0;
+    if (!parseU64(env, &parsed)) {
         std::fprintf(stderr,
                      "padc: warning: invalid %s=\"%s\" (want an "
                      "unsigned integer); using %llu\n",
@@ -61,21 +59,7 @@ envU64(const char *name, std::uint64_t fallback, std::uint64_t min_value,
                      static_cast<unsigned long long>(fallback));
         return fallback;
     }
-    if (parsed < min_value)
-        return min_value;
-    if (parsed > max_value)
-        return max_value;
-    return parsed;
-}
-
-/** Simulated cycles of one run: the slowest core defines the point. */
-std::uint64_t
-runCyclesOf(const RunMetrics &metrics)
-{
-    std::uint64_t cycles = 0;
-    for (const CoreMetrics &core : metrics.cores)
-        cycles = std::max<std::uint64_t>(cycles, core.cycles);
-    return cycles;
+    return std::clamp(parsed, min_value, max_value);
 }
 
 /** Close both supervisor-side pipe ends of @p worker. */
@@ -397,68 +381,43 @@ ProcessPool::available()
 }
 
 template <typename T>
-std::vector<Result<T>>
+void
 ProcessPool::execute(const std::vector<SweepPoint> &points,
-                     wire::WireTask::Kind kind,
-                     const SystemConfig &alone_base,
-                     const RunOptions &alone_options, SweepJournal *journal)
+                     const std::vector<std::size_t> &todo,
+                     const FinishPoint<T> &finish,
+                     const AloneIpcCache *alone)
 {
     const std::size_t n = points.size();
-    std::vector<Result<T>> results(n);
-    if (n == 0)
-        return results;
+    profile_.replayed += n - todo.size();
+    if (todo.empty())
+        return;
     available(); // spawns the workers on first use
 
     enum class PState : std::uint8_t { Pending, InFlight, Done };
     struct PointState
     {
-        PState state = PState::Pending;
+        PState state = PState::Done; ///< points not in todo stay Done
         std::uint32_t attempts = 0;  ///< dispatches so far
         std::uint64_t ready_ms = 0;  ///< backoff gate
         std::string last_error;      ///< fate of the last failed attempt
     };
     std::vector<PointState> state(n);
-    std::vector<std::uint64_t> keys(n, 0);
-    std::size_t done = 0;
+    for (const std::size_t i : todo)
+        state[i].state = PState::Pending;
+    std::size_t done = n - todo.size();
 
-    // Exactly-once resume: replay journaled points up front. Nothing
-    // below journals anything except a fully received worker result.
-    for (std::size_t i = 0; i < n; ++i) {
-        if (journal == nullptr)
-            continue;
-        keys[i] = sweepPointKey(points[i]);
-        if (journal->lookup(keys[i], &results[i])) {
-            results[i].outcome.attempts = 0; // never ran in this process
-            state[i].state = PState::Done;
-            ++done;
-            ++profile_.replayed;
-            if (obs::FleetMonitor *monitor = obs::activeMonitor()) {
-                monitor->pointFinished(
-                    i, toString(results[i].outcome.status), 0,
-                    results[i].outcome.detail);
-            }
-        }
-    }
-
-    // Every final outcome that is not a worker's result ends here and
-    // reaches the monitor exactly once, as in-thread: a quarantine (with
-    // the last worker's fate) through its own hook, the rest through
-    // pointFinished.
-    auto finishFailed = [&](std::size_t i, const std::string &detail,
-                            const std::string &quarantine_fate = "") {
-        results[i].value = T{};
-        results[i].outcome.status = PointStatus::Failed;
-        results[i].outcome.detail = detail;
-        results[i].outcome.attempts = state[i].attempts;
-        results[i].outcome.last_error = state[i].last_error;
+    // A point that ends without a worker's result: the sweep body
+    // fails it.
+    auto finishUnrun = [&](std::size_t i, obs::PointEnding ending,
+                           const std::string &detail = "") {
+        FinishedPoint<T> unrun;
+        unrun.ending = ending;
+        unrun.result.outcome.detail = detail;
+        unrun.result.outcome.attempts = state[i].attempts;
+        unrun.result.outcome.last_error = state[i].last_error;
         state[i].state = PState::Done;
         ++done;
-        obs::FleetMonitor *monitor = obs::activeMonitor();
-        if (monitor != nullptr && !quarantine_fate.empty())
-            monitor->pointQuarantined(i, quarantine_fate);
-        else if (monitor != nullptr)
-            monitor->pointFinished(i, toString(PointStatus::Failed),
-                                   state[i].attempts, detail);
+        finish(i, std::move(unrun));
     };
 
     // A worker died (crash, exit, heartbeat kill, malformed frame). Its
@@ -473,11 +432,10 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         state[i].last_error = fate;
         if (state[i].attempts >= config_.max_attempts) {
             ++profile_.quarantined;
-            finishFailed(i,
-                         "quarantined after " +
-                             std::to_string(state[i].attempts) +
-                             " attempts; last worker " + fate,
-                         fate);
+            finishUnrun(i, obs::PointEnding::Quarantined,
+                        "quarantined after " +
+                            std::to_string(state[i].attempts) +
+                            " attempts; last worker " + fate);
             return;
         }
         std::uint64_t delay = config_.backoff_initial_ms;
@@ -536,32 +494,24 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         profile_.sim_cycles += result.worker.sim_cycles;
         profile_.exec_seconds += result.worker.exec_seconds;
 
-        Result<T> merged;
+        FinishedPoint<T> ran;
         if constexpr (std::is_same_v<T, RunMetrics>)
-            merged = std::move(result.run);
+            ran.result = std::move(result.run);
         else
-            merged = std::move(result.eval);
-        merged.outcome.attempts = state[i].attempts;
-        merged.outcome.last_error = state[i].last_error;
-        if (journal != nullptr)
-            journal->record(keys[i], merged);
-        if (obs::FleetMonitor *monitor = obs::activeMonitor()) {
-            monitor->pointFinished(
-                i, toString(merged.outcome.status),
-                state[i].attempts, merged.outcome.detail,
-                static_cast<std::int64_t>(slotOf(worker)), worker.pid);
-        }
-        results[i] = std::move(merged);
+            ran.result = std::move(result.eval);
+        ran.result.outcome.attempts = state[i].attempts;
+        ran.result.outcome.last_error = state[i].last_error;
+        ran.slot = static_cast<std::int64_t>(slotOf(worker));
+        ran.pid = worker.pid;
         state[i].state = PState::Done;
         ++done;
-        notePointCompleted();
+        finish(i, std::move(ran));
     };
 
     while (done < n) {
         // Graceful stop: kill busy workers immediately (one of them may
-        // be wedged -- never wait), fail the unfinished points as
-        // "interrupted" without journaling them, and leave the idle
-        // workers for shutdownWorkers().
+        // be wedged -- never wait), end the unfinished points as
+        // interrupted, and leave the idle workers for shutdownWorkers().
         if (interruptRequested()) {
             if (obs::FleetMonitor *monitor = obs::activeMonitor())
                 monitor->interruptDrain();
@@ -571,12 +521,12 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
                     reapWorker(&worker);
                     const auto i = static_cast<std::size_t>(worker.task);
                     worker.task = -1;
-                    finishFailed(i, kInterruptedDetail);
+                    finishUnrun(i, obs::PointEnding::Interrupted);
                 }
             }
             for (std::size_t i = 0; i < n; ++i) {
                 if (state[i].state == PState::Pending)
-                    finishFailed(i, kInterruptedDetail);
+                    finishUnrun(i, obs::PointEnding::Interrupted);
             }
             break;
         }
@@ -600,12 +550,12 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         if (!any_alive) {
             for (std::size_t i = 0; i < n; ++i) {
                 if (state[i].state != PState::Done) {
-                    finishFailed(i,
-                                 "no live workers left to run the point" +
-                                     (state[i].last_error.empty()
-                                          ? std::string()
-                                          : "; last worker " +
-                                                state[i].last_error));
+                    finishUnrun(i, obs::PointEnding::Stranded,
+                                "no live workers left to run the point" +
+                                    (state[i].last_error.empty()
+                                         ? std::string()
+                                         : "; last worker " +
+                                               state[i].last_error));
                 }
             }
             break;
@@ -628,13 +578,14 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
                 break;
             const auto i = static_cast<std::size_t>(pick);
             wire::WireTask task;
-            task.kind = kind;
+            task.kind = alone != nullptr ? wire::WireTask::Kind::Eval
+                                         : wire::WireTask::Kind::Run;
             task.index = i;
             task.attempt = state[i].attempts;
             task.point = points[i];
-            if (kind == wire::WireTask::Kind::Eval) {
-                task.alone_base = alone_base;
-                task.alone_options = alone_options;
+            if (alone != nullptr) {
+                task.alone_base = alone->base();
+                task.alone_options = alone->options();
             }
             if (!wire::writeFrame(worker.task_fd,
                                   wire::encodeTask(task))) {
@@ -725,24 +676,26 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
             }
         }
     }
-
-    return results;
 }
 
 std::vector<Result<RunMetrics>>
 ProcessPool::runSweep(const std::vector<SweepPoint> &points,
                       SweepJournal *journal)
 {
-    return execute<RunMetrics>(points, wire::WireTask::Kind::Run,
-                               SystemConfig(), RunOptions(), journal);
+    return runPoints<RunMetrics>(
+        points, journal, [&](const auto &todo, const auto &finish) {
+            execute<RunMetrics>(points, todo, finish);
+        });
 }
 
 std::vector<Result<MixEvaluation>>
 ProcessPool::evaluateSweep(const std::vector<SweepPoint> &points,
                            AloneIpcCache &alone, SweepJournal *journal)
 {
-    return execute<MixEvaluation>(points, wire::WireTask::Kind::Eval,
-                                  alone.base(), alone.options(), journal);
+    return runPoints<MixEvaluation>(
+        points, journal, [&](const auto &todo, const auto &finish) {
+            execute<MixEvaluation>(points, todo, finish, &alone);
+        });
 }
 
 int
@@ -827,8 +780,8 @@ ProcessPool::workerMain(int task_fd, int result_fd)
         report.exec_seconds =
             static_cast<double>(nowMs() - started_ms) / 1000.0;
         report.sim_cycles = task.kind == wire::WireTask::Kind::Run
-                                ? runCyclesOf(result.run.value)
-                                : runCyclesOf(result.eval.value.metrics);
+                                ? result.run.value.cycles()
+                                : result.eval.value.metrics.cycles();
         if (!wire::writeFrame(result_fd, wire::encodeResult(result)))
             return 1; // supervisor is gone
     }

@@ -5,34 +5,32 @@
  * A ProcessPool runs sweep points in `padc worker` subprocesses so that
  * a point that crashes the simulator (or is killed by the OOM killer,
  * or wedges) takes down one worker, not the whole sweep. The supervisor
- * forks+execs /proc/self/exe with a `worker` argv, talks to each worker
- * over a pair of pipes (tasks down fd 3, results up fd 4; see
- * sim/wire.hh for the frame format), and merges results back in point
- * order, so a pool sweep returns exactly what the in-thread
- * sim::runSweep / sim::evaluateSweep contract promises.
+ * forks+execs /proc/self/exe with a `worker` argv and talks to each
+ * worker over a pair of pipes (tasks down fd 3, results up fd 4; see
+ * sim/wire.hh for the frame format). The pool only executes: its
+ * sweeps run through sim::runPoints, the body of the in-thread sweeps,
+ * which owns the journal, fails the points that did not run and
+ * reports every point to the monitor.
  *
  * Robustness model:
  *  - Worker death (crash, signal, nonzero exit, heartbeat timeout) is
  *    detected via pipe EOF / poll(2); the in-flight point is retried on
  *    another worker with exponential backoff, up to a bounded number of
  *    attempts.
- *  - A point that keeps killing workers is quarantined: it completes as
- *    PointStatus::Failed with the last worker's exit diagnostics in the
- *    outcome, and the sweep carries on. Quarantined points are NOT
- *    journaled, so a resumed run gets to try them again.
- *  - Exactly-once journaling: only the supervisor appends to the
- *    SweepJournal, and only when a worker's result frame has fully
- *    arrived. A supervisor killed mid-sweep therefore re-runs only the
- *    points whose results it had not yet recorded.
+ *  - A point that keeps killing workers is quarantined, and when no
+ *    worker is left the remaining points are stranded: either way the
+ *    point did not run, so it fails with the last worker's fate, the
+ *    sweep carries on, and a resume retries it.
+ *  - Exactly-once journaling: a point reaches the sweep body only once
+ *    its worker's result frame has fully arrived, so a supervisor
+ *    killed mid-sweep re-runs only the points not yet recorded.
  *  - Graceful interrupt (see sim/interrupt.hh): busy workers are killed
  *    immediately (never waited on -- one may be wedged), idle workers
- *    are shut down via pipe EOF, and unfinished points complete as
- *    Failed "interrupted" without being journaled.
+ *    are shut down via pipe EOF, and unfinished points end interrupted.
  *
- * Workers are plain child processes running the same binary, so the
- * merged results are bit-identical to an in-thread run: the wire format
- * round-trips doubles exactly, and each point's simulation is
- * deterministic given its config.
+ * Workers run the same binary, so the merged results are bit-identical
+ * to an in-thread run: the wire round-trips doubles exactly, and each
+ * point's simulation is deterministic given its config.
  */
 
 #ifndef PADC_SIM_PROCPOOL_HH
@@ -149,22 +147,19 @@ class ProcessPool
     bool available();
 
     /**
-     * Pool equivalent of sim::runSweep: results ordered like @p points,
-     * every point carries its own outcome, journaled points replay.
-     * Spawns the workers on first use. The pool has no in-thread
-     * fallback: when available() is false every point that is not
-     * replayed fails as "no live workers left", so callers check
-     * available() and run in-thread instead.
+     * Pool equivalent of sim::runSweep: sim::runPoints with this pool's
+     * executor; spawns the workers on first use. With no live worker
+     * (available() false) every point that is not replayed is
+     * stranded, so callers check available() and run in-thread.
      */
     std::vector<Result<RunMetrics>>
     runSweep(const std::vector<SweepPoint> &points,
              SweepJournal *journal = nullptr);
 
     /**
-     * Pool equivalent of sim::evaluateSweep. The alone-run baseline of
-     * @p alone is shipped to the workers, which keep their own caches
-     * (warm across the tasks each one executes); the supervisor-side
-     * cache is not consulted. Spawns and fails like runSweep.
+     * Pool equivalent of sim::evaluateSweep. The workers get @p alone's
+     * baseline and keep their own warm alone caches; the supervisor's
+     * cache is not consulted.
      */
     std::vector<Result<MixEvaluation>>
     evaluateSweep(const std::vector<SweepPoint> &points,
@@ -201,11 +196,12 @@ class ProcessPool
         bool alive() const { return pid > 0; }
     };
 
+    /** The executor of runSweep and evaluateSweep (sim::runPoints). */
     template <typename T>
-    std::vector<Result<T>>
-    execute(const std::vector<SweepPoint> &points, wire::WireTask::Kind kind,
-            const SystemConfig &alone_base, const RunOptions &alone_options,
-            SweepJournal *journal);
+    void execute(const std::vector<SweepPoint> &points,
+                 const std::vector<std::size_t> &todo,
+                 const FinishPoint<T> &finish,
+                 const AloneIpcCache *alone = nullptr);
 
     bool spawnWorker(Worker *worker);
     /**

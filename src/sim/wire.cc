@@ -10,6 +10,7 @@
 #include <type_traits>
 
 #include "common/fields.hh"
+#include "common/parse.hh"
 
 namespace padc::sim::wire
 {
@@ -61,22 +62,6 @@ fail(std::string *error, const std::string &message)
     if (error != nullptr)
         *error = message;
     return false;
-}
-
-/** Strict unsigned decimal parse: whole string, no sign, no overflow. */
-bool
-parseU64Strict(const char *text, std::uint64_t *out)
-{
-    if (text == nullptr || *text == '\0' || text[0] == '-' ||
-        text[0] == '+')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0')
-        return false;
-    *out = value;
-    return true;
 }
 
 /**
@@ -186,7 +171,7 @@ get(const exp::JsonValue *value, const std::string &path, T *out,
                                                 std::type_identity<T>>::type;
         std::uint64_t raw = 0;
         if (!value->isString() ||
-            !parseU64Strict(value->string.c_str(), &raw) ||
+            !parseU64(value->string.c_str(), &raw) ||
             raw > std::numeric_limits<Raw>::max())
             return bad();
         *out = static_cast<T>(raw);
@@ -482,7 +467,7 @@ parseFaultSpec(const char *text)
 
     std::uint64_t number = 0;
     if (mode == "crash" || mode == "hang") {
-        if (!parseU64Strict(rest.c_str(), &number) || number == 0)
+        if (!parseU64(rest.c_str(), &number) || number == 0)
             return warn();
         spec.mode = mode == "crash" ? FaultSpec::Mode::Crash
                                     : FaultSpec::Mode::Hang;
@@ -490,7 +475,7 @@ parseFaultSpec(const char *text)
         return spec;
     }
     if (mode == "poison") {
-        if (!parseU64Strict(rest.c_str(), &number))
+        if (!parseU64(rest.c_str(), &number))
             return warn();
         spec.mode = FaultSpec::Mode::Poison;
         spec.poison_index = number;
@@ -501,9 +486,9 @@ parseFaultSpec(const char *text)
         if (second == std::string::npos)
             return warn();
         std::uint64_t code = 0;
-        if (!parseU64Strict(rest.substr(0, second).c_str(), &code) ||
+        if (!parseU64(rest.substr(0, second).c_str(), &code) ||
             code > 255 ||
-            !parseU64Strict(rest.substr(second + 1).c_str(), &number) ||
+            !parseU64(rest.substr(second + 1).c_str(), &number) ||
             number == 0) {
             return warn();
         }

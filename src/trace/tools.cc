@@ -1,6 +1,5 @@
 #include "trace/tools.hh"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "common/suggest.hh"
 #include "trace/corpus.hh"
 #include "trace/format.hh"
@@ -22,21 +22,6 @@ namespace padc::trace
 
 namespace
 {
-
-bool
-parseUint64(const char *text, std::uint64_t *out)
-{
-    if (text == nullptr || *text == '\0' || text[0] == '-' ||
-        text[0] == '+')
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0')
-        return false;
-    *out = value;
-    return true;
-}
 
 int
 usageError(const std::string &message)
@@ -151,16 +136,16 @@ captureCommand(ArgCursor args)
                 return usageError("--name expects a profile name");
             name = text;
         } else if (arg == "--ops") {
-            if (!parseUint64(args.value(), &ops) || ops == 0)
+            if (!parseU64(args.value(), &ops) || ops == 0)
                 return usageError("--ops expects a positive integer");
         } else if (arg == "--core") {
-            if (!parseUint64(args.value(), &core))
+            if (!parseU64(args.value(), &core))
                 return usageError("--core expects a non-negative integer");
         } else if (arg == "--seed") {
-            if (!parseUint64(args.value(), &seed))
+            if (!parseU64(args.value(), &seed))
                 return usageError("--seed expects a non-negative integer");
         } else if (arg == "--block-ops") {
-            if (!parseUint64(args.value(), &block_ops) || block_ops == 0 ||
+            if (!parseU64(args.value(), &block_ops) || block_ops == 0 ||
                 block_ops > 1u << 20) {
                 return usageError(
                     "--block-ops expects an integer in [1, 1048576]");
@@ -234,7 +219,7 @@ convertCommand(ArgCursor args)
                 return usageError("--name expects a profile name");
             name = text;
         } else if (arg == "--block-ops") {
-            if (!parseUint64(args.value(), &block_ops) || block_ops == 0 ||
+            if (!parseU64(args.value(), &block_ops) || block_ops == 0 ||
                 block_ops > 1u << 20) {
                 return usageError(
                     "--block-ops expects an integer in [1, 1048576]");

@@ -3,8 +3,8 @@
  * FleetMonitor unit tests: each hook is driven directly on a temp
  * --out directory, then status.json is read back through
  * loadStatusFile and the whole of events.jsonl through EventLog::load.
- * They pin how the monitor classifies a finished point (executed,
- * replayed, interrupted, failed) and which counter and event each hook
+ * They pin which counter and event each point ending (executed,
+ * replayed, interrupted, quarantined, stranded) and each other hook
  * moves, for the in-thread runner and the process pool alike.
  */
 
@@ -24,6 +24,12 @@ namespace
 {
 
 using Lines = std::vector<std::string>;
+
+constexpr PointEnding Ran = PointEnding::Ran;
+constexpr PointEnding Replayed = PointEnding::Replayed;
+constexpr PointEnding Interrupted = PointEnding::Interrupted;
+constexpr PointEnding Quarantined = PointEnding::Quarantined;
+constexpr PointEnding Stranded = PointEnding::Stranded;
 
 const std::string kFate = "killed by signal 9 (Killed)";
 
@@ -86,16 +92,16 @@ TEST_F(FleetMonitorTest, ClassifiesEveryFinishedPoint)
 {
     FleetMonitor monitor(dir_.string());
     monitor.sweepStarted("unit", 8, 0);
-    monitor.pointFinished(0, "ok", 1, "");                // executed
-    monitor.pointFinished(1, "failed", 1, "boom");        // + failed
-    monitor.pointFinished(2, "ok", 0, "");                // replayed
-    monitor.pointFinished(3, "failed", 0, "boom");        // + failed
-    monitor.pointFinished(4, "failed", 0, "interrupted"); // never ran
-    monitor.pointFinished(5, "failed", 1, "interrupted"); // killed in flight
+    monitor.pointFinished(0, Ran, "ok", 1, "");                  // executed
+    monitor.pointFinished(1, Ran, "failed", 1, "boom");          // + failed
+    monitor.pointFinished(2, Replayed, "ok", 0, "");             // replayed
+    monitor.pointFinished(3, Replayed, "failed", 0, "boom");     // + failed
+    monitor.pointFinished(4, Interrupted, "failed", 0, "interrupted");
+    monitor.pointFinished(5, Interrupted, "failed", 1, "interrupted");
     monitor.pointRetried(6, 1, kFate);
-    monitor.pointFinished(6, "ok", 2, "");
+    monitor.pointFinished(6, Ran, "ok", 2, "");
     monitor.pointRetried(7, 1, kFate);
-    monitor.pointQuarantined(7, kFate);
+    monitor.pointFinished(7, Quarantined, "failed", 3, kFate);
     monitor.sweepFinished(false);
     // executed: 0 1 6; replayed: 2 3; failed: 1 3 7.
     EXPECT_EQ(status(), "finished unit 8 8 3 2 3 2 1 0");
@@ -115,6 +121,25 @@ TEST_F(FleetMonitorTest, ClassifiesEveryFinishedPoint)
                                "sweep_finish -1 -1 0 unit"}));
 }
 
+TEST_F(FleetMonitorTest, StrandedPointsFailWithoutRunningOrReplaying)
+{
+    // No worker was left to run them: one had been dispatched once, the
+    // other never. Neither executed nor replayed, both failed.
+    const std::string stranded = "no live workers left to run the point";
+    FleetMonitor monitor(dir_.string());
+    monitor.sweepStarted("unit", 3, 0);
+    monitor.pointFinished(0, Ran, "ok", 1, "", 0, 1000);
+    monitor.pointFinished(1, Stranded, "failed", 1, stranded);
+    monitor.pointFinished(2, Stranded, "failed", 0, stranded);
+    monitor.sweepFinished(false);
+    EXPECT_EQ(status(), "finished unit 3 3 1 0 2 0 0 0 | -1 1 0 idle");
+    EXPECT_EQ(events(), (Lines{"sweep_start -1 -1 0 unit",
+                               "point_complete 0 1000 1 ok",
+                               "point_stranded 1 -1 1 failed: " + stranded,
+                               "point_stranded 2 -1 0 failed: " + stranded,
+                               "sweep_finish -1 -1 0 unit"}));
+}
+
 TEST_F(FleetMonitorTest, WorkerHooksTrackEverySlot)
 {
     const std::string timeout = "timed out after 300ms (killed)";
@@ -124,13 +149,13 @@ TEST_F(FleetMonitorTest, WorkerHooksTrackEverySlot)
     monitor.workerSpawned(1, 1001);
     monitor.pointDispatched(0, 0, 1000);
     monitor.pointDispatched(1, 1, 1001);
-    monitor.pointFinished(0, "ok", 1, "", 0, 1000);
+    monitor.pointFinished(0, Ran, "ok", 1, "", 0, 1000);
     monitor.workerTimedOut(1, 1001, 1);
     monitor.workerExited(1, 1001, timeout);
     monitor.pointRetried(1, 1, timeout);
     monitor.workerSpawned(1, 1002);
     monitor.pointDispatched(1, 1, 1002);
-    monitor.pointFinished(1, "ok", 2, "", 1, 1002);
+    monitor.pointFinished(1, Ran, "ok", 2, "", 1, 1002);
     monitor.sweepFinished(false);
     EXPECT_EQ(status(),
               "finished unit 2 2 2 0 0 1 0 2 | 1000 1 0 idle | 1002 1 1 idle");
@@ -154,14 +179,14 @@ TEST_F(FleetMonitorTest, ResumeThenInterruptDrain)
     FleetMonitor monitor(dir_.string());
     // A first sweep's counters do not leak into the next one.
     monitor.sweepStarted("first", 1, 0);
-    monitor.pointFinished(0, "ok", 1, "");
+    monitor.pointFinished(0, Ran, "ok", 1, "");
     monitor.sweepFinished(false);
     // sweep_resume's attempt is the number of journal entries loaded.
     monitor.sweepStarted("unit", 3, 2);
-    monitor.pointFinished(0, "ok", 0, "");
-    monitor.pointFinished(1, "ok", 0, "");
+    monitor.pointFinished(0, Replayed, "ok", 0, "");
+    monitor.pointFinished(1, Replayed, "ok", 0, "");
     monitor.interruptDrain();
-    monitor.pointFinished(2, "failed", 1, "interrupted");
+    monitor.pointFinished(2, Interrupted, "failed", 1, "interrupted");
     monitor.sweepFinished(true);
     EXPECT_EQ(status(), "interrupted unit 3 3 0 2 0 0 0 0");
     EXPECT_EQ(events(),
@@ -182,7 +207,7 @@ TEST_F(FleetMonitorTest, UnopenableEventLogIsReportedAndLeftOff)
     testing::internal::CaptureStderr();
     FleetMonitor monitor(absent.string());
     monitor.sweepStarted("unit", 1, 0);
-    monitor.pointFinished(0, "ok", 1, "");
+    monitor.pointFinished(0, Ran, "ok", 1, "");
     monitor.sweepFinished(false);
     const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_NE(err.find("padc: EventLog: cannot open"), std::string::npos)

@@ -215,8 +215,7 @@ TEST_F(JournalTest, EvalAndRunEntriesDoNotCollide)
     EXPECT_TRUE(reopened.lookup(42, &e));
     EXPECT_EQ(r.value.cores.at(0).ipc, 1.5);
     EXPECT_EQ(e.value.summary.ws, 2.5);
-    EXPECT_TRUE(reopened.containsEval(42));
-    EXPECT_FALSE(reopened.containsEval(43));
+    EXPECT_FALSE(reopened.lookup(43, &e));
 }
 
 TEST_F(JournalTest, FailedOutcomeRoundTripsWithDetail)
@@ -392,7 +391,7 @@ TEST_F(JournalTest, StopRaisedOnOneRunnerThreadStopsTheOthersAndResumes)
 {
     // Twelve distinct points on four threads. The test hook raises the
     // stop flag from whichever runner thread completes the second point
-    // while the other threads poll it in runPoint, so under the tsan
+    // while the other threads poll it before each point, so under the tsan
     // preset this is the cross-thread check of the flag.
     const workload::Mix mix = {"libquantum_06", "milc_06"};
     std::vector<SweepPoint> points;

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include <unistd.h>
 
 #include "exp/experiment.hh"
+#include "obs/monitor.hh"
 #include "sim/experiment.hh"
 #include "sim/interrupt.hh"
 #include "sim/journal.hh"
@@ -323,6 +325,54 @@ TEST(ProcPool, UnspawnableWorkersDegradeToInThreadExecution)
                                &pool);
     const auto pooled = ctx.runSweep(points);
     expectBitIdentical(pooled, reference);
+}
+
+TEST(ProcPool, StrandedPointsAreFailedNotReplayed)
+{
+    // The worker comes up once; every respawn exits before its
+    // handshake. crash:1 kills it on point 0, so no worker is left and
+    // every point is stranded: dispatched once or never, and none of
+    // them served from a journal.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("padc_procpool_stranded." + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::vector<std::string> argv = {
+        "/bin/sh", "-c",
+        "if [ -e \"$1\" ]; then exit 3; fi; : > \"$1\"; "
+        "exec \"$2\" --padc-worker",
+        "sh", (dir / "spawned").string(),
+        std::filesystem::read_symlink("/proc/self/exe").string()};
+    const auto points = fourPoints();
+
+    ScopedEnv fault("PADC_FAULT_INJECT", "crash:1");
+    std::vector<Result<RunMetrics>> pooled;
+    {
+        obs::FleetMonitor monitor(dir.string());
+        ParallelExperimentRunner runner(1);
+        ProcessPool pool(argv, quickConfig(1));
+        obs::setActiveMonitor(&monitor);
+        const exp::ExperimentInfo info{"stranded", "", "", "", {}};
+        exp::ExperimentContext ctx(info, runner, nullptr, std::nullopt, {},
+                                   &pool);
+        pooled = ctx.runSweep(points);
+        obs::setActiveMonitor(nullptr);
+    }
+    for (const auto &result : pooled) {
+        EXPECT_EQ(result.outcome.status, PointStatus::Failed);
+        EXPECT_NE(result.outcome.detail.find("no live workers left"),
+                  std::string::npos)
+            << result.outcome.detail;
+    }
+    obs::SweepStatus status;
+    std::string error;
+    ASSERT_TRUE(obs::loadStatusFile((dir / obs::kStatusFileName).string(),
+                                    &status, &error))
+        << error;
+    EXPECT_EQ(status.replayed, 0u);
+    EXPECT_EQ(status.failed, points.size());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ProcPool, InterruptDrainsPendingPointsAsInterrupted)

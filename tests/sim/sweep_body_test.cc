@@ -1,0 +1,258 @@
+/**
+ * @file
+ * Tests of the sweep body every executor shares (sim::runPoints),
+ * driven by a stub executor: no threads, no processes. They pin journal
+ * replay, the interrupt rule, exactly-once journaling, and the ending
+ * each monitor counter receives.
+ */
+
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "obs/monitor.hh"
+#include "sim/experiment.hh"
+#include "sim/interrupt.hh"
+#include "sim/journal.hh"
+#include "sim/parallel.hh"
+#include "telemetry/profiler.hh"
+
+namespace padc::sim
+{
+namespace
+{
+
+using obs::PointEnding;
+using Lines = std::vector<std::string>;
+
+/** Four cheap single-core points differing only in seed. */
+std::vector<SweepPoint>
+fourPoints()
+{
+    SweepPoint base;
+    base.config = SystemConfig::baseline(1);
+    base.mix = {"mcf_06"};
+    base.options.instructions = 2000;
+    base.options.warmup = 0;
+    std::vector<SweepPoint> points;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        points.push_back(base);
+        points.back().options.mix_seed = seed;
+    }
+    return points;
+}
+
+/**
+ * Ends point i of each todo it is given as endings[i] (Ran when
+ * endings is empty). A Ran point's core 0 has IPC i + 1, or NaN for
+ * nan_point, so a replay shows which call computed it. A point that
+ * did not run carries the attempts, fate and detail a pool would give.
+ */
+struct StubExecutor
+{
+    std::vector<PointEnding> endings;
+    std::size_t nan_point = std::numeric_limits<std::size_t>::max();
+    std::vector<std::vector<std::size_t>> calls; ///< the todo of each call
+
+    std::vector<Result<RunMetrics>>
+    sweep(const std::vector<SweepPoint> &points, SweepJournal *journal)
+    {
+        return runPoints<RunMetrics>(
+            points, journal,
+            [&](const std::vector<std::size_t> &todo,
+                const FinishPoint<RunMetrics> &finish) {
+                calls.push_back(todo);
+                for (const std::size_t i : todo) {
+                    FinishedPoint<RunMetrics> done;
+                    done.ending =
+                        endings.empty() ? PointEnding::Ran : endings[i];
+                    if (done.ending == PointEnding::Ran) {
+                        done.result.value.cores.resize(1);
+                        done.result.value.cores[0].ipc =
+                            i == nan_point
+                                ? std::numeric_limits<double>::quiet_NaN()
+                                : static_cast<double>(i + 1);
+                    } else {
+                        done.result.outcome.attempts = 2;
+                        done.result.outcome.last_error = "killed";
+                        done.result.outcome.detail = "gone";
+                    }
+                    finish(i, std::move(done));
+                }
+            });
+    }
+};
+
+class SweepBody : public ::testing::Test
+{
+  protected:
+    void SetUp() override { std::filesystem::create_directories(dir_); }
+
+    void TearDown() override { std::filesystem::remove_all(dir_); }
+
+    std::string journalPath() const { return (dir_ / "sweep.j").string(); }
+
+    /** Lines the journal file holds. */
+    std::size_t journalLines() const
+    {
+        std::ifstream in(journalPath());
+        std::size_t lines = 0;
+        for (std::string line; std::getline(in, line);)
+            ++lines;
+        return lines;
+    }
+
+    const std::filesystem::path dir_ =
+        std::filesystem::temp_directory_path() /
+        ("padc_sweep_body_test." + std::to_string(::getpid()));
+};
+
+TEST_F(SweepBody, ReplaysJournaledPointsAndFailsInterruptedOnesUnjournaled)
+{
+    const auto points = fourPoints();
+    SweepJournal journal(journalPath());
+    StubExecutor stub;
+    stub.endings = {PointEnding::Ran, PointEnding::Interrupted,
+                    PointEnding::Ran, PointEnding::Interrupted};
+    const auto first = stub.sweep(points, &journal);
+    for (const std::size_t i : {1u, 3u}) {
+        const PointOutcome &outcome = first[i].outcome;
+        EXPECT_EQ(outcome.status, PointStatus::Failed) << i;
+        EXPECT_EQ(outcome.detail, kInterruptedDetail) << i;
+        EXPECT_EQ(outcome.attempts, 2u) << i;
+        EXPECT_EQ(outcome.last_error, "killed") << i;
+        EXPECT_TRUE(first[i].value.cores.empty()) << i;
+    }
+    EXPECT_EQ(journalLines(), 2u); // the interrupted points are not
+
+    stub.endings.clear();
+    const auto second = stub.sweep(points, &journal);
+    ASSERT_EQ(stub.calls.size(), 2u);
+    EXPECT_EQ(stub.calls[0], (std::vector<std::size_t>{0, 1, 2, 3}));
+    EXPECT_EQ(stub.calls[1], (std::vector<std::size_t>{1, 3}));
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(second[i].outcome.status, PointStatus::Ok) << i;
+        EXPECT_EQ(second[i].outcome.attempts, i % 2 == 0 ? 0u : 1u) << i;
+        EXPECT_EQ(second[i].value.cores.at(0).ipc, i + 1.0) << i;
+    }
+}
+
+TEST_F(SweepBody, JournalsEachComputedPointOnceAndRerunsUndecodableOnes)
+{
+    const auto points = fourPoints();
+    SweepJournal journal(journalPath());
+    StubExecutor stub;
+    stub.nan_point = 2; // written as null: present, but never decodes
+    stub.sweep(points, &journal);
+    EXPECT_EQ(journalLines(), 4u);
+
+    stub.nan_point = std::numeric_limits<std::size_t>::max();
+    const auto second = stub.sweep(points, &journal);
+    ASSERT_EQ(stub.calls.size(), 2u);
+    EXPECT_EQ(stub.calls[1], (std::vector<std::size_t>{2}));
+    for (std::size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(second[i].outcome.attempts, i == 2 ? 1u : 0u) << i;
+    EXPECT_EQ(journalLines(), 4u); // nothing journaled twice
+
+    // Once every point decodes, a call replays all of them.
+    SweepJournal reopened(journalPath());
+    StubExecutor fresh;
+    fresh.sweep(points, &reopened);
+    const auto third = fresh.sweep(points, &reopened);
+    ASSERT_EQ(fresh.calls.size(), 2u);
+    EXPECT_EQ(fresh.calls[0], (std::vector<std::size_t>{2}));
+    EXPECT_TRUE(fresh.calls[1].empty());
+    for (const auto &result : third)
+        EXPECT_EQ(result.outcome.attempts, 0u);
+    EXPECT_EQ(journalLines(), 5u);
+}
+
+TEST_F(SweepBody, FullyJournaledEvaluateSweepComputesNoAloneRun)
+{
+    const auto points = fourPoints();
+    ParallelExperimentRunner runner(1);
+    SweepJournal journal(journalPath());
+    const auto aloneRuns = [] {
+        return telemetry::WallProfiler::instance().snapshot().calls(
+            telemetry::ProfilePhase::Alone);
+    };
+    {
+        AloneIpcCache alone(points[0].config, points[0].options);
+        const std::uint64_t before = aloneRuns();
+        evaluateSweep(points, alone, runner, &journal);
+        EXPECT_EQ(aloneRuns() - before, points.size());
+    }
+    AloneIpcCache alone(points[0].config, points[0].options);
+    const std::uint64_t before = aloneRuns();
+    const auto replayed = evaluateSweep(points, alone, runner, &journal);
+    EXPECT_EQ(aloneRuns(), before);
+    for (const auto &result : replayed) {
+        EXPECT_TRUE(result.ok());
+        EXPECT_EQ(result.outcome.attempts, 0u);
+    }
+}
+
+TEST_F(SweepBody, MonitorCountsEachEndingOnce)
+{
+    std::vector<SweepPoint> points = fourPoints();
+    points.push_back(points.back());
+    points.back().options.mix_seed = 4;
+    SweepJournal journal(journalPath());
+    StubExecutor().sweep({points[0]}, &journal);
+
+    const std::string out = (dir_ / "out").string();
+    std::filesystem::create_directories(out);
+    {
+        obs::FleetMonitor monitor(out);
+        obs::setActiveMonitor(&monitor);
+        monitor.sweepStarted("unit", points.size(), 1);
+        StubExecutor stub;
+        stub.endings = {PointEnding::Ran, PointEnding::Ran,
+                        PointEnding::Interrupted, PointEnding::Quarantined,
+                        PointEnding::Stranded};
+        const auto results = stub.sweep(points, &journal);
+        monitor.sweepFinished(false);
+        obs::setActiveMonitor(nullptr);
+        EXPECT_EQ(results[3].outcome.detail, "gone");
+        EXPECT_EQ(results[3].outcome.status, PointStatus::Failed);
+        EXPECT_EQ(results[4].outcome.status, PointStatus::Failed);
+    }
+    EXPECT_EQ(journalLines(), 2u); // points 0 and 1
+
+    obs::SweepStatus status;
+    std::string error;
+    ASSERT_TRUE(obs::loadStatusFile(out + "/" + obs::kStatusFileName,
+                                    &status, &error))
+        << error;
+    EXPECT_EQ(status.done, 5u);
+    EXPECT_EQ(status.executed, 1u);
+    EXPECT_EQ(status.replayed, 1u);
+    EXPECT_EQ(status.failed, 2u); // quarantined + stranded
+    EXPECT_EQ(status.quarantined, 1u);
+
+    std::vector<obs::Event> log;
+    ASSERT_TRUE(
+        obs::EventLog::load(out + "/" + obs::kEventsFileName, &log, &error))
+        << error;
+    Lines events;
+    for (const obs::Event &e : log) {
+        events.push_back(e.type + " " + std::to_string(e.point) + " " +
+                         std::to_string(e.attempt) + " " + e.detail);
+    }
+    EXPECT_EQ(events, (Lines{"sweep_resume -1 1 unit",
+                             "point_replay 0 0 ok",
+                             "point_complete 1 1 ok",
+                             "point_interrupted 2 2 failed: interrupted",
+                             "point_quarantine 3 0 killed",
+                             "point_stranded 4 2 failed: gone",
+                             "sweep_finish -1 0 unit"}));
+}
+
+} // namespace
+} // namespace padc::sim
