@@ -1,6 +1,8 @@
 #include "common/atomic_file.hh"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 
 namespace padc
 {
@@ -11,7 +13,8 @@ AtomicFile::AtomicFile(std::string path)
     file_ = std::fopen(tmp_path_.c_str(), "wb");
     if (file_ == nullptr) {
         failed_ = true;
-        error_ = "cannot open '" + tmp_path_ + "' for writing";
+        error_ = "cannot open '" + tmp_path_ + "' for writing: " +
+                 std::strerror(errno);
     }
 }
 
@@ -96,7 +99,8 @@ AtomicFile::commit()
     }
     file_ = nullptr;
     if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-        fail("cannot rename '" + tmp_path_ + "' onto '" + path_ + "'");
+        fail("cannot rename '" + tmp_path_ + "' onto '" + path_ +
+             "': " + std::strerror(errno));
         std::remove(tmp_path_.c_str());
         return false;
     }

@@ -13,6 +13,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "common/atomic_file.hh"
 #include "common/parse.hh"
 #include "exp/json.hh"
 #include "exp/registry.hh"
@@ -121,9 +122,7 @@ driverUsage()
            "                 (default: hardware concurrency)\n"
            "  --workers N    run sweeps across N crash-isolated worker\n"
            "                 subprocesses instead of in-process threads\n"
-           "                 (0 = off; knobs: PADC_WORKER_ATTEMPTS,\n"
-           "                 PADC_WORKER_TIMEOUT_MS, "
-           "PADC_RETRY_BACKOFF_MS)\n"
+           "                 (0 = off; knob: PADC_WORKER_TIMEOUT_MS)\n"
            "  --resume PATH  checkpoint/resume journal\n"
            "  --seed N       override the random-mix seed of seeded "
            "experiments\n"
@@ -991,13 +990,11 @@ driverMain(int argc, const char *const *argv)
         const std::filesystem::path path =
             std::filesystem::path(options.out_dir) /
             ("BENCH_" + info.name + ".json");
-        if (std::FILE *file = std::fopen(path.c_str(), "w")) {
-            std::fputs(document.c_str(), file);
-            std::fputc('\n', file);
-            std::fclose(file);
-        } else {
-            std::fprintf(stderr, "padc: cannot write '%s'\n",
-                         path.c_str());
+        AtomicFile file(path.string());
+        const std::string text = document + "\n";
+        if (!file.write(text.data(), text.size()) || !file.commit()) {
+            std::fprintf(stderr, "padc: cannot write '%s': %s\n",
+                         path.c_str(), file.error().c_str());
             any_failed = true;
         }
         documents.push_back(document);

@@ -134,10 +134,6 @@ class ExperimentContext
 
     const ExperimentInfo &info() const { return info_; }
 
-    sim::ParallelExperimentRunner &runner() { return runner_; }
-
-    sim::SweepJournal *journal() { return journal_; }
-
     /** The experiment's default mix seed, unless --seed overrode it. */
     std::uint64_t mixSeed(std::uint64_t dflt) const
     {

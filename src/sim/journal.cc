@@ -109,11 +109,11 @@ sweepPointKey(const SweepPoint &point)
     return h.digest();
 }
 
-SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
+SweepJournal::SweepJournal(const std::string &path)
 {
     // Load whatever a previous (possibly killed) run managed to append.
     bool torn_tail = false; // file ends without '\n' (killed mid-write)
-    if (std::FILE *in = std::fopen(path_.c_str(), "rb")) {
+    if (std::FILE *in = std::fopen(path.c_str(), "rb")) {
         std::string line;
         int c = 0;
         bool complete = false;
@@ -167,9 +167,9 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
 
     // O_APPEND + one write(2) per record is what makes concurrent
     // writers (other threads, other processes) line-atomic.
-    append_fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    append_fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (append_fd_ < 0)
-        throw std::runtime_error("SweepJournal: cannot open '" + path_ +
+        throw std::runtime_error("SweepJournal: cannot open '" + path +
                                  "' for appending");
 
     // Terminate a torn tail now; otherwise the next record would merge

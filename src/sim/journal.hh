@@ -76,14 +76,12 @@ class SweepJournal
      * complete, well-formed entry already recorded there.
      * @throws std::runtime_error when the file cannot be created.
      */
-    explicit SweepJournal(std::string path);
+    explicit SweepJournal(const std::string &path);
 
     ~SweepJournal();
 
     SweepJournal(const SweepJournal &) = delete;
     SweepJournal &operator=(const SweepJournal &) = delete;
-
-    const std::string &path() const { return path_; }
 
     /** Entries recovered when the journal was opened. */
     std::size_t loadedEntries() const { return loaded_; }
@@ -111,7 +109,6 @@ class SweepJournal
     void recordLine(char kind, std::uint64_t key, const std::string &body);
 
     mutable std::mutex mutex_;
-    std::string path_;
     std::map<EntryKey, std::string> entries_; ///< payload (line body)
     std::size_t loaded_ = 0;
     std::size_t hits_ = 0;

@@ -11,8 +11,8 @@
  * point (seeds carried in RunOptions / trace parameters) and must not
  * mutate shared state. Under that contract the runner guarantees
  * results identical to serial execution: jobs are indexed, each index
- * runs exactly once, and results are collected into a vector ordered by
- * index -- never by completion time. Thread count (including 1) is
+ * runs exactly once, and a job stores its result by its index -- never
+ * by completion time. Thread count (including 1) is
  * therefore purely a wall-clock knob; it can never change a reported
  * number. The `padc` driver builds one runner per run from its
  * --threads flag; there is no process-wide runner.
@@ -20,7 +20,7 @@
  * Failure contract: a job that throws never terminates the process,
  * never deadlocks the batch, and never poisons the pool. Exceptions are
  * captured per index on whatever thread ran the job; every remaining
- * index still runs. forEach/map rethrow the lowest-index exception on
+ * index still runs. forEach rethrows the lowest-index exception on
  * the calling thread once the batch has fully drained (deterministic
  * regardless of thread count); tryForEach instead reports every
  * captured exception so callers can degrade per point.
@@ -87,19 +87,6 @@ class ParallelExperimentRunner
      */
     std::vector<std::exception_ptr>
     tryForEach(std::size_t n, const std::function<void(std::size_t)> &fn);
-
-    /**
-     * Ordered map: returns {fn(0), ..., fn(n-1)}, always indexed by
-     * point, never by completion order. Rethrows like forEach.
-     */
-    template <typename R>
-    std::vector<R> map(std::size_t n,
-                       const std::function<R(std::size_t)> &fn)
-    {
-        std::vector<R> out(n);
-        forEach(n, [&](std::size_t i) { out[i] = fn(i); });
-        return out;
-    }
 
   private:
     void workerLoop();

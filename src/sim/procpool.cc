@@ -21,6 +21,7 @@
 #include "exp/json.hh"
 #include "obs/monitor.hh"
 #include "sim/interrupt.hh"
+#include "telemetry/profiler.hh"
 
 namespace padc::sim
 {
@@ -28,7 +29,7 @@ namespace padc::sim
 namespace
 {
 
-/** Monotonic milliseconds for deadlines and backoff gates. */
+/** Monotonic milliseconds for deadlines and retry delay gates. */
 std::uint64_t
 nowMs()
 {
@@ -38,29 +39,14 @@ nowMs()
             .count());
 }
 
-/**
- * Strictly parsed unsigned environment override, clamped to
- * [min, max]; malformed values warn and keep the default rather than
- * guess.
- */
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback, std::uint64_t min_value,
-       std::uint64_t max_value)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr)
-        return fallback;
-    std::uint64_t parsed = 0;
-    if (!parseU64(env, &parsed)) {
-        std::fprintf(stderr,
-                     "padc: warning: invalid %s=\"%s\" (want an "
-                     "unsigned integer); using %llu\n",
-                     name, env,
-                     static_cast<unsigned long long>(fallback));
-        return fallback;
-    }
-    return std::clamp(parsed, min_value, max_value);
-}
+/** Dispatches per point before quarantine. */
+constexpr std::uint32_t kMaxAttempts = 3;
+
+/** Delay before a point's first retry; it doubles per retry after. */
+constexpr std::uint64_t kFirstRetryDelayMs = 100;
+
+/** How long shutdown waits for workers to exit on task-pipe EOF. */
+constexpr std::uint64_t kShutdownGraceMs = 2000;
 
 /** Close both supervisor-side pipe ends of @p worker. */
 template <typename W>
@@ -107,16 +93,21 @@ ProcPoolConfig::fromEnv(unsigned workers)
 {
     ProcPoolConfig config;
     config.workers = workers;
-    config.max_attempts = static_cast<std::uint32_t>(
-        envU64("PADC_WORKER_ATTEMPTS", config.max_attempts, 1, 100));
+    const char *env = std::getenv("PADC_WORKER_TIMEOUT_MS");
+    if (env == nullptr)
+        return config;
+    std::uint64_t parsed = 0;
+    if (!parseU64(env, &parsed)) {
+        std::fprintf(stderr,
+                     "padc: warning: invalid PADC_WORKER_TIMEOUT_MS=\"%s\" "
+                     "(want an unsigned integer); using %llu\n",
+                     env,
+                     static_cast<unsigned long long>(
+                         config.heartbeat_timeout_ms));
+        return config;
+    }
     config.heartbeat_timeout_ms =
-        envU64("PADC_WORKER_TIMEOUT_MS", config.heartbeat_timeout_ms, 1,
-               24ull * 3600 * 1000);
-    config.backoff_initial_ms =
-        envU64("PADC_RETRY_BACKOFF_MS", config.backoff_initial_ms, 0,
-               60000);
-    if (config.backoff_max_ms < config.backoff_initial_ms)
-        config.backoff_max_ms = config.backoff_initial_ms;
+        std::clamp<std::uint64_t>(parsed, 1, 24ull * 3600 * 1000);
     return config;
 }
 
@@ -131,6 +122,21 @@ ProcessPool::ProcessPool(std::vector<std::string> worker_argv,
     ignore.sa_handler = SIG_IGN;
     sigemptyset(&ignore.sa_mask);
     sigpipe_saved_ = ::sigaction(SIGPIPE, &ignore, &old_sigpipe_) == 0;
+
+    // Wait until every worker is ready or retired, so a sweep starts on
+    // the whole pool; one ready worker is enough to run sweeps.
+    workers_.resize(config_.workers);
+    for (Worker &worker : workers_)
+        worker.retired = !spawnWorker(&worker);
+    const auto waiting = [this] {
+        return std::any_of(workers_.begin(), workers_.end(),
+                           [](const Worker &w) {
+                               return w.alive() && !w.ready;
+                           });
+    };
+    while (waiting())
+        step(UINT64_MAX);
+    usable_ = anyAlive();
 }
 
 ProcessPool::~ProcessPool()
@@ -237,15 +243,13 @@ ProcessPool::drainProfile()
 }
 
 std::string
-ProcessPool::reapWorker(Worker *worker, int wait_options)
+ProcessPool::reapWorker(Worker *worker)
 {
     int status = 0;
     pid_t rc;
     do {
-        rc = ::waitpid(worker->pid, &status, wait_options);
+        rc = ::waitpid(worker->pid, &status, 0);
     } while (rc < 0 && errno == EINTR);
-    if (rc == 0)
-        return {}; // WNOHANG and still running
 
     const pid_t pid = worker->pid;
     std::string fate;
@@ -265,6 +269,9 @@ ProcessPool::reapWorker(Worker *worker, int wait_options)
         fate = "disappeared";
     }
     closeWorkerFds(worker);
+    // Death before the hello is the exec-failure signature: respawning
+    // that worker would loop.
+    worker->retired = worker->retired || !worker->ready;
     worker->pid = -1;
     worker->ready = false;
     worker->timed_out = false;
@@ -273,111 +280,134 @@ ProcessPool::reapWorker(Worker *worker, int wait_options)
     return fate;
 }
 
+std::string
+ProcessPool::killWorker(Worker *worker)
+{
+    ::kill(worker->pid, SIGKILL);
+    return reapWorker(worker);
+}
+
+bool
+ProcessPool::anyAlive() const
+{
+    return std::any_of(workers_.begin(), workers_.end(),
+                       [](const Worker &worker) { return worker.alive(); });
+}
+
 void
 ProcessPool::shutdownWorkers()
 {
     // Closing the task pipe is the shutdown signal; workers exit their
-    // readFrame loop on the EOF.
+    // readFrame loop on the EOF, and step() reaps them.
     for (Worker &worker : workers_) {
-        if (worker.alive() && worker.task_fd >= 0) {
+        if (worker.task_fd >= 0) {
             ::close(worker.task_fd);
             worker.task_fd = -1;
         }
     }
-    const std::uint64_t deadline = nowMs() + 2000;
-    bool remaining = true;
-    while (remaining && nowMs() < deadline) {
-        remaining = false;
-        for (Worker &worker : workers_) {
-            if (worker.alive() && reapWorker(&worker, WNOHANG).empty())
-                remaining = true;
-        }
-        if (remaining)
-            ::usleep(10 * 1000);
-    }
+    const std::uint64_t deadline = nowMs() + kShutdownGraceMs;
+    while (anyAlive() && nowMs() < deadline)
+        step(deadline);
     // Anything still alive is wedged; don't wait on it politely.
     for (Worker &worker : workers_) {
-        if (worker.alive()) {
-            ::kill(worker.pid, SIGKILL);
-            reapWorker(&worker);
-        }
+        if (worker.alive())
+            killWorker(&worker);
     }
 }
 
-bool
-ProcessPool::available()
+void
+ProcessPool::step(std::uint64_t wake_ms, const OnResult &on_result,
+                  const OnLost &on_lost)
 {
-    if (spawned_)
-        return usable_;
-    spawned_ = true;
-    if (config_.workers == 0 || argv_.empty())
-        return false;
-
-    workers_.resize(config_.workers);
+    std::vector<struct pollfd> fds;
+    std::vector<Worker *> order;
     for (Worker &worker : workers_) {
-        if (!spawnWorker(&worker))
-            worker.retired = true;
+        if (!worker.alive())
+            continue;
+        fds.push_back({worker.result_fd, POLLIN, 0});
+        order.push_back(&worker);
+        if (worker.deadline_ms != 0)
+            wake_ms = std::min(wake_ms, worker.deadline_ms);
+    }
+    const std::uint64_t now = nowMs();
+    const int timeout =
+        wake_ms > now
+            ? static_cast<int>(std::min<std::uint64_t>(wake_ms - now, 1000))
+            : 0;
+    // An error (EINTR included) leaves every revents 0: nothing arrived.
+    ::poll(fds.data(), fds.size(), timeout);
+
+    // A dead worker hands back the point it held.
+    const auto lose = [&](Worker &worker, const std::string &fate) {
+        if (worker.task < 0)
+            return;
+        const auto i = static_cast<std::size_t>(worker.task);
+        worker.task = -1;
+        if (on_lost)
+            on_lost(i, fate);
+    };
+    // A frame the protocol does not allow here: the worker cannot be
+    // trusted any more, so kill it.
+    const auto reject = [&](Worker &worker, const std::string &why) {
+        const std::string fate = killWorker(&worker);
+        lose(worker, why + " (" + fate + ")");
+    };
+    const auto handle = [&](Worker &worker, const std::string &payload) {
+        wire::WireResult result;
+        std::string error;
+        if (!wire::decodeResult(payload, &result, &error)) {
+            reject(worker, "sent a malformed result: " + error);
+        } else if (result.hello && !worker.ready) {
+            worker.ready = true;
+            worker.deadline_ms = 0;
+        } else if (result.hello || worker.task < 0 ||
+                   result.index != static_cast<std::uint64_t>(worker.task)) {
+            reject(worker, "sent an unexpected frame");
+        } else {
+            const auto i = static_cast<std::size_t>(worker.task);
+            worker.task = -1;
+            worker.deadline_ms = 0;
+            if (on_result)
+                on_result(i, worker, result);
+        }
+    };
+
+    for (std::size_t k = 0; k < fds.size(); ++k) {
+        Worker &worker = *order[k];
+        if (!worker.alive()) // killed by an earlier event this step
+            continue;
+        if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0)
+            continue;
+        char buf[65536];
+        const ssize_t m = ::read(worker.result_fd, buf, sizeof(buf));
+        if (m > 0) {
+            worker.frames.feed(buf, static_cast<std::size_t>(m));
+            std::string payload;
+            while (worker.alive() && worker.frames.next(&payload))
+                handle(worker, payload);
+            if (worker.alive() && worker.frames.corrupt())
+                reject(worker, "sent a corrupt frame");
+        } else if (m == 0 || errno != EINTR) {
+            lose(worker, reapWorker(&worker));
+        }
     }
 
-    // Wait (bounded) until every worker is ready or dead; one ready
-    // worker is enough to run sweeps.
-    const std::uint64_t deadline = nowMs() + 10000;
-    for (;;) {
-        std::vector<struct pollfd> fds;
-        std::vector<Worker *> order;
-        for (Worker &worker : workers_) {
-            if (worker.alive() && !worker.ready) {
-                fds.push_back({worker.result_fd, POLLIN, 0});
-                order.push_back(&worker);
+    // A worker that missed its handshake or heartbeat deadline is
+    // killed, with the timeout as its fate.
+    const std::uint64_t after = nowMs();
+    for (Worker &worker : workers_) {
+        if (worker.alive() && worker.deadline_ms != 0 &&
+            worker.deadline_ms <= after) {
+            worker.timed_out = true;
+            ++profile_.timeout_kills;
+            ++slotProfile(worker).kills;
+            if (obs::FleetMonitor *monitor = obs::activeMonitor()) {
+                monitor->workerTimedOut(slotOf(worker), worker.pid,
+                                        worker.task);
             }
-        }
-        if (fds.empty())
-            break;
-        const std::uint64_t now = nowMs();
-        if (now >= deadline) {
-            for (Worker *worker : order) {
-                ::kill(worker->pid, SIGKILL);
-                reapWorker(worker);
-                worker->retired = true;
-            }
-            break;
-        }
-        const int timeout =
-            static_cast<int>(std::min<std::uint64_t>(deadline - now, 100));
-        const int rc = ::poll(fds.data(), fds.size(), timeout);
-        if (rc < 0 && errno != EINTR)
-            break;
-        for (std::size_t k = 0; k < fds.size(); ++k) {
-            Worker &worker = *order[k];
-            if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0)
-                continue;
-            char buf[4096];
-            const ssize_t m = ::read(worker.result_fd, buf, sizeof(buf));
-            if (m > 0) {
-                worker.frames.feed(buf, static_cast<std::size_t>(m));
-                std::string payload;
-                while (worker.frames.next(&payload)) {
-                    wire::WireResult result;
-                    std::string error;
-                    if (wire::decodeResult(payload, &result, &error) &&
-                        result.hello) {
-                        worker.ready = true;
-                        worker.deadline_ms = 0;
-                    }
-                }
-            } else if (m == 0 || errno != EINTR) {
-                reapWorker(&worker);
-                worker.retired = true; // never came up; don't respawn
-            }
+            lose(worker, killWorker(&worker));
         }
     }
-
-    usable_ = false;
-    for (const Worker &worker : workers_)
-        usable_ = usable_ || worker.ready;
-    if (!usable_)
-        shutdownWorkers();
-    return usable_;
 }
 
 template <typename T>
@@ -391,14 +421,13 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
     profile_.replayed += n - todo.size();
     if (todo.empty())
         return;
-    available(); // spawns the workers on first use
 
     enum class PState : std::uint8_t { Pending, InFlight, Done };
     struct PointState
     {
         PState state = PState::Done; ///< points not in todo stay Done
         std::uint32_t attempts = 0;  ///< dispatches so far
-        std::uint64_t ready_ms = 0;  ///< backoff gate
+        std::uint64_t ready_ms = 0;  ///< retry delay gate
         std::string last_error;      ///< fate of the last failed attempt
     };
     std::vector<PointState> state(n);
@@ -420,17 +449,13 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         finish(i, std::move(unrun));
     };
 
-    // A worker died (crash, exit, heartbeat kill, malformed frame). Its
-    // in-flight point backs off and retries, or quarantines once its
-    // attempt budget is spent. Quarantined points are NOT journaled, so
-    // a resume retries them.
-    auto onDeath = [&](Worker &worker, const std::string &fate) {
-        if (worker.task < 0)
-            return;
-        const auto i = static_cast<std::size_t>(worker.task);
-        worker.task = -1;
+    // Its worker died (crash, exit, deadline kill, rejected frame): the
+    // point waits out the retry delay, or quarantines once its attempts
+    // are spent. Quarantined points are NOT journaled, so a resume
+    // retries them.
+    const OnLost lost = [&](std::size_t i, const std::string &fate) {
         state[i].last_error = fate;
-        if (state[i].attempts >= config_.max_attempts) {
+        if (state[i].attempts >= kMaxAttempts) {
             ++profile_.quarantined;
             finishUnrun(i, obs::PointEnding::Quarantined,
                         "quarantined after " +
@@ -438,74 +463,46 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
                             " attempts; last worker " + fate);
             return;
         }
-        std::uint64_t delay = config_.backoff_initial_ms;
-        for (std::uint32_t k = 1;
-             k < state[i].attempts && delay < config_.backoff_max_ms; ++k)
-            delay *= 2;
-        delay = std::min(delay, config_.backoff_max_ms);
         state[i].state = PState::Pending;
-        state[i].ready_ms = nowMs() + delay;
+        state[i].ready_ms =
+            nowMs() + (kFirstRetryDelayMs << (state[i].attempts - 1));
         ++profile_.retries;
         if (obs::FleetMonitor *monitor = obs::activeMonitor())
             monitor->pointRetried(i, state[i].attempts, fate);
     };
 
-    // Protocol violations are handled like deaths: the worker cannot be
-    // trusted any more, so kill it and let the retry machinery take over.
-    auto killForProtocol = [&](Worker &worker, const std::string &why) {
-        ::kill(worker.pid, SIGKILL);
-        const std::string fate = reapWorker(&worker);
-        onDeath(worker, why + " (" + fate + ")");
-    };
-
-    auto handleFrame = [&](Worker &worker, const std::string &payload) {
-        wire::WireResult result;
-        std::string error;
-        if (!wire::decodeResult(payload, &result, &error)) {
-            killForProtocol(worker, "sent a malformed result: " + error);
-            return;
+    // A result: the profile window takes the round-trip latency, the
+    // point's cycles and the worker's exec seconds, and the
+    // supervisor's profiler merges the worker's (per task; see wire.hh).
+    const OnResult ran = [&](std::size_t i, Worker &worker,
+                             wire::WireResult &result) {
+        FinishedPoint<T> point;
+        std::uint64_t cycles = 0;
+        if constexpr (std::is_same_v<T, RunMetrics>) {
+            point.result = std::move(result.run);
+            cycles = point.result.value.cycles();
+        } else {
+            point.result = std::move(result.eval);
+            cycles = point.result.value.metrics.cycles();
         }
-        if (result.hello) { // respawned worker's handshake
-            worker.ready = true;
-            worker.deadline_ms = 0;
-            return;
-        }
-        if (worker.task < 0 ||
-            result.index != static_cast<std::uint64_t>(worker.task)) {
-            killForProtocol(worker, "sent a result for the wrong point");
-            return;
-        }
-        const auto i = static_cast<std::size_t>(worker.task);
-        worker.task = -1;
-        worker.deadline_ms = 0;
-
-        // Profile window: round-trip latency, per-slot credit, and the
-        // worker's self-report (per-task deltas; see wire.hh).
-        const std::uint64_t latency_ms =
-            worker.task_started_ms > 0 ? nowMs() - worker.task_started_ms
-                                       : 0;
-        profile_.task_ms.sample(latency_ms);
+        profile_.task_ms.sample(nowMs() - worker.task_started_ms);
         ++profile_.tasks;
+        profile_.sim_cycles += cycles;
+        profile_.exec_seconds += result.worker.exec_seconds;
         WorkerSlotProfile &slot = slotProfile(worker);
         ++slot.tasks;
         slot.pid = worker.pid;
-        slot.sim_cycles += result.worker.sim_cycles;
+        slot.sim_cycles += cycles;
         slot.exec_seconds += result.worker.exec_seconds;
-        profile_.sim_cycles += result.worker.sim_cycles;
-        profile_.exec_seconds += result.worker.exec_seconds;
+        telemetry::WallProfiler::instance().merge(result.worker.profile);
 
-        FinishedPoint<T> ran;
-        if constexpr (std::is_same_v<T, RunMetrics>)
-            ran.result = std::move(result.run);
-        else
-            ran.result = std::move(result.eval);
-        ran.result.outcome.attempts = state[i].attempts;
-        ran.result.outcome.last_error = state[i].last_error;
-        ran.slot = static_cast<std::int64_t>(slotOf(worker));
-        ran.pid = worker.pid;
+        point.result.outcome.attempts = state[i].attempts;
+        point.result.outcome.last_error = state[i].last_error;
+        point.slot = static_cast<std::int64_t>(slotOf(worker));
+        point.pid = worker.pid;
         state[i].state = PState::Done;
         ++done;
-        finish(i, std::move(ran));
+        finish(i, std::move(point));
     };
 
     while (done < n) {
@@ -517,8 +514,7 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
                 monitor->interruptDrain();
             for (Worker &worker : workers_) {
                 if (worker.alive() && worker.task >= 0) {
-                    ::kill(worker.pid, SIGKILL);
-                    reapWorker(&worker);
+                    killWorker(&worker);
                     const auto i = static_cast<std::size_t>(worker.task);
                     worker.task = -1;
                     finishUnrun(i, obs::PointEnding::Interrupted);
@@ -531,9 +527,8 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
             break;
         }
 
-        // Respawn fallen workers while work remains. A worker that dies
-        // before its handshake is retired instead (that is the
-        // exec-failure signature, and respawning it would loop).
+        // Respawn fallen workers while work remains (retired ones stay
+        // down).
         for (Worker &worker : workers_) {
             if (worker.alive() || worker.retired)
                 continue;
@@ -544,10 +539,7 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
             }
         }
 
-        bool any_alive = false;
-        for (const Worker &worker : workers_)
-            any_alive = any_alive || worker.alive();
-        if (!any_alive) {
+        if (!anyAlive()) {
             for (std::size_t i = 0; i < n; ++i) {
                 if (state[i].state != PState::Done) {
                     finishUnrun(i, obs::PointEnding::Stranded,
@@ -562,7 +554,7 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
         }
 
         // Dispatch ready points (index order) to idle ready workers.
-        std::uint64_t now = nowMs();
+        const std::uint64_t now = nowMs();
         for (Worker &worker : workers_) {
             if (!worker.alive() || !worker.ready || worker.task >= 0)
                 continue;
@@ -590,8 +582,7 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
             if (!wire::writeFrame(worker.task_fd,
                                   wire::encodeTask(task))) {
                 // EPIPE: it died idle; reap here, respawn next round.
-                ::kill(worker.pid, SIGKILL);
-                reapWorker(&worker);
+                killWorker(&worker);
                 continue;
             }
             worker.task = pick;
@@ -604,77 +595,14 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
                 monitor->pointDispatched(i, slotOf(worker), worker.pid);
         }
 
-        // Wait for results, deaths, handshake/heartbeat deadlines, or
-        // backoff expiry -- whichever comes first.
-        std::vector<struct pollfd> fds;
-        std::vector<Worker *> order;
-        for (Worker &worker : workers_) {
-            if (worker.alive()) {
-                fds.push_back({worker.result_fd, POLLIN, 0});
-                order.push_back(&worker);
-            }
-        }
-        now = nowMs();
-        std::uint64_t wake = now + 1000;
-        for (const Worker &worker : workers_) {
-            if (worker.alive() && worker.deadline_ms != 0 &&
-                (worker.task >= 0 || !worker.ready))
-                wake = std::min(wake, worker.deadline_ms);
-        }
+        // Wake when the earliest retry delay passes, unless something
+        // comes first.
+        std::uint64_t wake = UINT64_MAX;
         for (std::size_t i = 0; i < n; ++i) {
-            if (state[i].state == PState::Pending &&
-                state[i].ready_ms > now)
+            if (state[i].state == PState::Pending && state[i].ready_ms > now)
                 wake = std::min(wake, state[i].ready_ms);
         }
-        const int timeout =
-            wake > now ? static_cast<int>(std::min<std::uint64_t>(
-                             wake - now, 1000))
-                       : 0;
-        const int rc = ::poll(fds.data(), fds.size(), timeout);
-        if (rc < 0 && errno != EINTR)
-            break;
-
-        for (std::size_t k = 0; k < fds.size(); ++k) {
-            Worker &worker = *order[k];
-            if (!worker.alive()) // killed by an earlier event this round
-                continue;
-            if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0)
-                continue;
-            char buf[65536];
-            const ssize_t m = ::read(worker.result_fd, buf, sizeof(buf));
-            if (m > 0) {
-                worker.frames.feed(buf, static_cast<std::size_t>(m));
-                std::string payload;
-                while (worker.alive() && worker.frames.next(&payload))
-                    handleFrame(worker, payload);
-                if (worker.alive() && worker.frames.corrupt())
-                    killForProtocol(worker, "sent a corrupt frame");
-            } else if (m == 0 || errno != EINTR) {
-                const std::string fate = reapWorker(&worker);
-                if (!worker.ready && worker.task < 0)
-                    worker.retired = true; // died during handshake
-                onDeath(worker, fate);
-            }
-        }
-
-        // Heartbeat: a worker whose task (or handshake) blew its
-        // deadline gets SIGKILLed; the EOF surfaces on the next round
-        // and feeds the death path above with a timeout fate.
-        const std::uint64_t after = nowMs();
-        for (Worker &worker : workers_) {
-            if (worker.alive() && worker.deadline_ms != 0 &&
-                (worker.task >= 0 || !worker.ready) &&
-                worker.deadline_ms <= after && !worker.timed_out) {
-                worker.timed_out = true;
-                ++profile_.timeout_kills;
-                ++slotProfile(worker).kills;
-                if (obs::FleetMonitor *monitor = obs::activeMonitor()) {
-                    monitor->workerTimedOut(slotOf(worker), worker.pid,
-                                            worker.task);
-                }
-                ::kill(worker.pid, SIGKILL);
-            }
-        }
+        step(wake, ran, lost);
     }
 }
 
@@ -713,7 +641,7 @@ ProcessPool::workerMain(int task_fd, int result_fd)
         return 1;
 
     std::map<std::string, std::unique_ptr<AloneIpcCache>> alone_caches;
-    std::uint64_t tasks_done = 0;
+    telemetry::WallProfiler &profiler = telemetry::WallProfiler::instance();
     std::string payload;
     while (wire::readFrame(task_fd, &payload)) {
         wire::WireTask task;
@@ -757,6 +685,7 @@ ProcessPool::workerMain(int task_fd, int result_fd)
         wire::WireResult result;
         result.kind = task.kind;
         result.index = task.index;
+        profiler.reset();
         const std::uint64_t started_ms = nowMs();
         if (task.kind == wire::WireTask::Kind::Run) {
             result.run = executePoint<RunMetrics>([&](RunStatus *status) {
@@ -771,17 +700,11 @@ ProcessPool::workerMain(int task_fd, int result_fd)
                                        task.point.options, alone, status);
                 });
         }
-        // Self-report: per-THIS-task execution time and simulated
-        // cycles, so the supervisor's profile aggregation is a plain
-        // sum.
-        wire::WireWorkerReport &report = result.worker;
-        report.pid = static_cast<std::uint64_t>(::getpid());
-        report.tasks = ++tasks_done;
-        report.exec_seconds =
+        // Self-report: this task's execution time and profiler counts,
+        // so the supervisor's aggregation is a plain sum.
+        result.worker.exec_seconds =
             static_cast<double>(nowMs() - started_ms) / 1000.0;
-        report.sim_cycles = task.kind == wire::WireTask::Kind::Run
-                                ? result.run.value.cycles()
-                                : result.eval.value.metrics.cycles();
+        result.worker.profile = profiler.snapshot();
         if (!wire::writeFrame(result_fd, wire::encodeResult(result)))
             return 1; // supervisor is gone
     }

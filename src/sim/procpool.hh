@@ -13,10 +13,15 @@
  * reports every point to the monitor.
  *
  * Robustness model:
- *  - Worker death (crash, signal, nonzero exit, heartbeat timeout) is
- *    detected via pipe EOF / poll(2); the in-flight point is retried on
- *    another worker with exponential backoff, up to a bounded number of
- *    attempts.
+ *  - Every wait of the supervisor goes through one poll step: start-up
+ *    (the constructor waits for each worker's hello), sweeps and
+ *    shutdown. The step decides when a worker is ready and when it is
+ *    dead, in one place.
+ *  - Worker death (crash, signal, nonzero exit, missed handshake or
+ *    heartbeat deadline) is detected via pipe EOF / poll(2); the
+ *    in-flight point is retried on a respawned worker after 100 ms,
+ *    then 200 ms, up to 3 attempts. A worker that dies before its hello
+ *    is retired, never respawned.
  *  - A point that keeps killing workers is quarantined, and when no
  *    worker is left the remaining points are stranded: either way the
  *    point did not run, so it fails with the last worker's fate, the
@@ -40,6 +45,7 @@
 #include <sys/types.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -56,29 +62,24 @@ class SweepJournal;
 inline constexpr int kWorkerTaskFd = 3;   ///< worker reads tasks here
 inline constexpr int kWorkerResultFd = 4; ///< worker writes results here
 
-/** Tunables of the supervisor's retry/backoff/timeout machinery. */
+/**
+ * The pool's two settings. Attempts and retry delays are constants of
+ * the supervisor (see the file comment); only the pool size and the
+ * deadline depend on the host and the build.
+ */
 struct ProcPoolConfig
 {
     unsigned workers = 0; ///< subprocess count; 0 disables the pool
 
-    /** Max dispatches per point before quarantine (PADC_WORKER_ATTEMPTS). */
-    std::uint32_t max_attempts = 3;
-
     /** Per-task heartbeat: SIGKILL a worker whose task exceeds this
-     * (PADC_WORKER_TIMEOUT_MS). Also bounds a respawned worker's
-     * handshake. */
+     * (PADC_WORKER_TIMEOUT_MS). Also bounds every worker's handshake,
+     * at start-up and after a respawn. */
     std::uint64_t heartbeat_timeout_ms = 120000;
 
-    /** First retry delay (PADC_RETRY_BACKOFF_MS); doubles per retry. */
-    std::uint64_t backoff_initial_ms = 100;
-
-    /** Retry delay ceiling. */
-    std::uint64_t backoff_max_ms = 5000;
-
     /**
-     * @p workers plus the PADC_WORKER_ATTEMPTS / PADC_WORKER_TIMEOUT_MS /
-     * PADC_RETRY_BACKOFF_MS environment overrides (strictly parsed;
-     * malformed values warn on stderr and keep the default).
+     * @p workers plus the PADC_WORKER_TIMEOUT_MS environment override
+     * (strictly parsed; a malformed value warns on stderr and keeps the
+     * default).
      */
     static ProcPoolConfig fromEnv(unsigned workers);
 };
@@ -99,7 +100,7 @@ class ProcessPool
         std::uint64_t tasks = 0;      ///< results received
         std::uint64_t dispatches = 0; ///< tasks handed out (>= tasks)
         std::uint64_t kills = 0;      ///< heartbeat SIGKILLs
-        std::uint64_t sim_cycles = 0; ///< worker-reported, summed
+        std::uint64_t sim_cycles = 0; ///< of the results received
         double exec_seconds = 0.0;    ///< worker-reported busy time
     };
 
@@ -107,8 +108,9 @@ class ProcessPool
      * The pool's counters accumulated since the last drain — the
      * additive per-worker members of the BENCH JSON `profile` block. A
      * window is drained per experiment so each BENCH document describes
-     * only its own sweep. sim_cycles / exec_seconds come from the
-     * workers' wire self-reports (WireWorkerReport).
+     * only its own sweep. sim_cycles sums the results' cycles();
+     * exec_seconds comes from the workers' wire self-reports
+     * (WireWorkerReport).
      */
     struct PoolProfile
     {
@@ -126,9 +128,11 @@ class ProcessPool
     };
 
     /**
+     * Spawn the workers and wait until each has said hello or is
+     * retired (died, or missed its handshake deadline).
      * @param worker_argv argv (argv[0] = executable path) that execs
      *        into worker mode, e.g. {"/proc/self/exe", "worker", ...}
-     * @param config pool size and retry tunables
+     * @param config pool size and heartbeat deadline
      */
     ProcessPool(std::vector<std::string> worker_argv, ProcPoolConfig config);
 
@@ -138,19 +142,17 @@ class ProcessPool
     ProcessPool &operator=(const ProcessPool &) = delete;
 
     /**
-     * Spawn the workers (first call only) and wait for their hello
-     * handshakes.
-     * @return true when at least one worker came up; false when the
-     *         pool is disabled (workers == 0) or every spawn/exec
-     *         failed -- callers then fall back to the in-thread runner.
+     * @return true when at least one worker came up at construction;
+     *         false when the pool is disabled (workers == 0) or every
+     *         worker was retired -- callers then run in-thread.
      */
-    bool available();
+    bool available() const { return usable_; }
 
     /**
      * Pool equivalent of sim::runSweep: sim::runPoints with this pool's
-     * executor; spawns the workers on first use. With no live worker
-     * (available() false) every point that is not replayed is
-     * stranded, so callers check available() and run in-thread.
+     * executor. With no live worker (available() false) every point
+     * that is not replayed is stranded, so callers check available()
+     * and run in-thread.
      */
     std::vector<Result<RunMetrics>>
     runSweep(const std::vector<SweepPoint> &points,
@@ -187,7 +189,7 @@ class ProcessPool
         int result_fd = -1;   ///< supervisor reads results (worker fd 4)
         wire::FrameBuffer frames;
         bool ready = false;   ///< hello received
-        bool retired = false; ///< permanently dead (exec/handshake failed)
+        bool retired = false; ///< died before its hello; never respawned
         bool timed_out = false;       ///< killed by the heartbeat
         std::int64_t task = -1;       ///< in-flight point index; -1 idle
         std::uint64_t deadline_ms = 0; ///< heartbeat / handshake deadline
@@ -203,14 +205,36 @@ class ProcessPool
                  const FinishPoint<T> &finish,
                  const AloneIpcCache *alone = nullptr);
 
+    /** A worker's result for its in-flight point @p index. */
+    using OnResult = std::function<void(std::size_t index, Worker &worker,
+                                        wire::WireResult &result)>;
+    /** A worker died holding point @p index; @p fate says how. */
+    using OnLost =
+        std::function<void(std::size_t index, const std::string &fate)>;
+
+    /**
+     * The one poll step of start-up, sweeps and shutdown: wait until a
+     * live worker's result pipe has data or EOF, a handshake or
+     * heartbeat deadline passes, or @p wake_ms comes (at most 1 s),
+     * then handle what came. A hello marks its worker ready, a result
+     * for the worker's in-flight point goes to @p on_result, any other
+     * frame kills its sender, an EOF reaps the worker, and a missed
+     * deadline kills it with the timeout as its fate. A worker that
+     * dies holding a point hands it to @p on_lost.
+     */
+    void step(std::uint64_t wake_ms, const OnResult &on_result = {},
+              const OnLost &on_lost = {});
+
     bool spawnWorker(Worker *worker);
     /**
      * waitpid + close + report the exit to the monitor; returns the
-     * fate text. With WNOHANG in @p wait_options a worker that is still
-     * running is left alone and the result is empty.
+     * fate text. A worker reaped before its hello is retired.
      */
-    std::string reapWorker(Worker *worker, int wait_options = 0);
-    void shutdownWorkers();                 ///< EOF + reap every worker
+    std::string reapWorker(Worker *worker);
+    /** SIGKILL + reapWorker; returns the fate text. */
+    std::string killWorker(Worker *worker);
+    bool anyAlive() const;
+    void shutdownWorkers(); ///< EOF, step until reaped, kill the rest
     std::size_t slotOf(const Worker &worker) const;
     WorkerSlotProfile &slotProfile(const Worker &worker);
 
@@ -218,7 +242,6 @@ class ProcessPool
     ProcPoolConfig config_;
     std::vector<Worker> workers_;
     PoolProfile profile_;
-    bool spawned_ = false;
     bool usable_ = false;
     bool sigpipe_saved_ = false;
     struct sigaction old_sigpipe_ = {};

@@ -11,7 +11,8 @@
  * Three payload shapes exist: the worker's hello (handshake), a task
  * (one SweepPoint plus, for evaluate tasks, the alone-run baseline the
  * worker's AloneIpcCache needs), and a result (the point's outcome and
- * full metrics, plus the worker's self-report).
+ * full metrics, plus the worker's self-report: its wall time and
+ * profiler counts for the task).
  *
  * Points, results and reports are written and read by one generic
  * codec driven by the structs' field tables (common/fields.hh): a
@@ -54,6 +55,7 @@
 #include "common/fields.hh"
 #include "exp/json.hh"
 #include "sim/experiment.hh"
+#include "telemetry/profiler.hh"
 
 namespace padc::sim::wire
 {
@@ -122,16 +124,15 @@ struct WireTask
 
 /**
  * Per-task worker self-report, the member "worker" of every result
- * frame. Values are per-THIS-task deltas, not worker-lifetime totals,
- * so the supervisor aggregates without delta bookkeeping across
- * retries/respawns.
+ * frame. Values cover THIS task only (the worker resets its profiler
+ * before each task), so the supervisor aggregates without delta
+ * bookkeeping across retries/respawns.
  */
 struct WireWorkerReport
 {
-    std::uint64_t pid = 0;      ///< reporting worker process
-    std::uint64_t tasks = 0;    ///< tasks this worker has completed
-    std::uint64_t sim_cycles = 0; ///< simulated cycles of this task
-    double exec_seconds = 0.0;  ///< wall seconds executing this task
+    /** The worker's WallProfiler over this task. */
+    telemetry::WallProfiler::Snapshot profile;
+    double exec_seconds = 0.0; ///< wall seconds executing this task
 };
 
 /** WireWorkerReport's field table; see common/fields.hh. */
@@ -139,9 +140,7 @@ template <fields::Of<WireWorkerReport> S, typename V>
 constexpr void
 forEachField(S &s, V &&v)
 {
-    v("pid", s.pid);
-    v("tasks", s.tasks);
-    v("sim_cycles", s.sim_cycles);
+    v("profile", s.profile);
     v("exec_seconds", s.exec_seconds);
 }
 static_assert(fields::complete<WireWorkerReport>());

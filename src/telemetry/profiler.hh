@@ -17,7 +17,10 @@
  *
  * The driver snapshots-and-resets around each experiment and reports
  * the phases next to the sim-cycles/sec block and in the "profile"
- * member of BENCH_<name>.json.
+ * member of BENCH_<name>.json. A `padc worker` resets its own profiler
+ * before each task and ships the snapshot in the result frame; the
+ * supervisor merges it, so a --workers run reports the same profile as
+ * an in-thread one.
  */
 
 #ifndef PADC_TELEMETRY_PROFILER_HH
@@ -28,6 +31,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+
+#include "common/fields.hh"
 
 namespace padc::telemetry
 {
@@ -111,6 +116,9 @@ class WallProfiler
 
     Snapshot snapshot() const;
 
+    /** Add another profiler's counts (a pool worker's, for one task). */
+    void merge(const Snapshot &other);
+
     void reset();
 
     /** RAII phase timer. */
@@ -155,6 +163,28 @@ class WallProfiler
     std::atomic<std::uint64_t> landed_cycles_{0};
     std::atomic<std::uint64_t> core_ticks_{0};
 };
+
+/** Field tables of a snapshot, which travels in worker result frames. */
+template <fields::Of<WallProfiler::Snapshot::Entry> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("nanos", s.nanos);
+    v("calls", s.calls);
+}
+static_assert(fields::complete<WallProfiler::Snapshot::Entry>());
+
+template <fields::Of<WallProfiler::Snapshot> S, typename V>
+constexpr void
+forEachField(S &s, V &&v)
+{
+    v("entries", s.entries);
+    v("skipped_cycles", s.skipped_cycles);
+    v("event_jumps", s.event_jumps);
+    v("landed_cycles", s.landed_cycles);
+    v("core_ticks", s.core_ticks);
+}
+static_assert(fields::complete<WallProfiler::Snapshot>());
 
 } // namespace padc::telemetry
 

@@ -8,7 +8,9 @@
 
 #include "exp/driver.hh"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <regex>
@@ -338,6 +340,27 @@ validateAgainst(const JsonValue &schema, const JsonValue &value,
             validateAgainst(*items, value.array[i],
                             where + "[" + std::to_string(i) + "]");
     }
+}
+
+TEST(DriverRun, FailedBenchWriteFailsTheRunAndLeavesNoTemp)
+{
+    // A directory squats on the BENCH path, so the write cannot land:
+    // the run fails naming the path and the reason, and no temp file
+    // stays behind.
+    const auto dir = freshOutDir("bench_write");
+    const auto bench = dir / "BENCH_smoke.json";
+    std::filesystem::create_directories(bench / "occupied");
+    std::string out, err;
+    EXPECT_EQ(runDriver({"run", "smoke", "--out", dir.string()}, &out,
+                        &err),
+              1);
+    EXPECT_NE(err.find("cannot write '" + bench.string() + "'"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find(std::strerror(EISDIR)), std::string::npos) << err;
+    EXPECT_TRUE(std::filesystem::is_directory(bench / "occupied"));
+    EXPECT_FALSE(std::filesystem::exists(dir / "BENCH_smoke.json.tmp"));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(DriverRun, EmittedFileMatchesSchemaSnapshot)

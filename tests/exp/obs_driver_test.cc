@@ -221,8 +221,7 @@ TEST(ObsDriver, CrashRetriesShowInProgressLineEventsAndStatus)
     const auto dir = freshDir("crash");
     ASSERT_EQ(runDriver({"run", "smoke_grid", "--workers", "4",
                          "--progress", "--out", dir.string()},
-                        {"PADC_FAULT_INJECT=crash:3",
-                         "PADC_RETRY_BACKOFF_MS=1"},
+                        {"PADC_FAULT_INJECT=crash:3"},
                         (dir / "stdout.log").string(),
                         (dir / "stderr.log").string()),
               0);

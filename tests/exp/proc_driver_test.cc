@@ -206,8 +206,7 @@ TEST(ProcDriver, CrashFaultedWorkersMatchInThreadBitIdentically)
               0);
     ASSERT_EQ(runDriver({"run", "smoke_grid", "--workers", "2", "--out",
                          pool_dir.string()},
-                        {"PADC_FAULT_INJECT=crash:3",
-                         "PADC_RETRY_BACKOFF_MS=1"},
+                        {"PADC_FAULT_INJECT=crash:3"},
                         (pool_dir / "log.txt").string()),
               0);
 
@@ -234,13 +233,48 @@ TEST(ProcDriver, CrashFaultedWorkersMatchInThreadBitIdentically)
     std::filesystem::remove_all(pool_dir);
 }
 
+TEST(ProcDriver, WorkersReportTheInThreadLoopProfile)
+{
+    // Each worker ships its profiler counts for every task, so the BENCH
+    // profile of a --workers run reads like an in-thread one. smoke only
+    // runs points: an evaluate sweep would repeat alone runs per worker.
+    const auto thread_dir = freshDir("profile_threads");
+    const auto pool_dir = freshDir("profile_pool");
+    ASSERT_EQ(runDriver({"run", "smoke", "--threads", "2", "--out",
+                         thread_dir.string()},
+                        {}, (thread_dir / "log.txt").string()),
+              0);
+    ASSERT_EQ(runDriver({"run", "smoke", "--workers", "2", "--out",
+                         pool_dir.string()},
+                        {}, (pool_dir / "log.txt").string()),
+              0);
+
+    const JsonValue threads = loadBench(thread_dir, "smoke");
+    const JsonValue pool = loadBench(pool_dir, "smoke");
+    const JsonValue *expected = threads.find("profile");
+    const JsonValue *profile = pool.find("profile");
+    ASSERT_NE(expected, nullptr);
+    ASSERT_NE(profile, nullptr);
+    for (const char *counter : {"event_jumps", "skipped_cycles",
+                                "landed_cycles", "core_ticks"}) {
+        ASSERT_NE(profile->find(counter), nullptr) << counter;
+        EXPECT_GT(expected->find(counter)->number, 0.0) << counter;
+        EXPECT_EQ(profile->find(counter)->number,
+                  expected->find(counter)->number)
+            << counter;
+    }
+    EXPECT_GT(profile->find("simulate_seconds")->number, 0.0);
+
+    std::filesystem::remove_all(thread_dir);
+    std::filesystem::remove_all(pool_dir);
+}
+
 TEST(ProcDriver, PoisonPointIsQuarantinedWithDiagnostics)
 {
     const auto dir = freshDir("poison");
     EXPECT_EQ(runDriver({"run", "smoke_grid", "--workers", "2", "--out",
                          dir.string()},
-                        {"PADC_FAULT_INJECT=poison:4",
-                         "PADC_RETRY_BACKOFF_MS=1"},
+                        {"PADC_FAULT_INJECT=poison:4"},
                         (dir / "log.txt").string()),
               1);
 

@@ -74,9 +74,9 @@ TEST(RunnerFaults, PoolStaysUsableAfterFailedBatch)
     std::atomic<std::size_t> sum{0};
     runner.forEach(100, [&](std::size_t i) { sum += i; });
     EXPECT_EQ(sum.load(), 100u * 99u / 2u);
-    // ... and map still orders results by index.
-    const auto out =
-        runner.map<std::size_t>(10, [](std::size_t i) { return i * 3; });
+    // ... and results still land by index.
+    std::vector<std::size_t> out(10);
+    runner.forEach(out.size(), [&](std::size_t i) { out[i] = i * 3; });
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], i * 3);
 }

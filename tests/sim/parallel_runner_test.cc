@@ -35,14 +35,14 @@ TEST(ParallelRunner, RunsEveryIndexExactlyOnce)
 TEST(ParallelRunner, MapOrdersResultsByIndexNotCompletion)
 {
     ParallelExperimentRunner runner(4);
-    const std::vector<std::uint64_t> out = runner.map<std::uint64_t>(
-        100, [](std::size_t i) {
-            // Unequal work so completion order differs from index order.
-            volatile std::uint64_t acc = 0;
-            for (std::size_t k = 0; k < (i % 7) * 1000; ++k)
-                acc = acc + k;
-            return static_cast<std::uint64_t>(i * i);
-        });
+    std::vector<std::uint64_t> out(100);
+    runner.forEach(out.size(), [&](std::size_t i) {
+        // Unequal work so completion order differs from index order.
+        volatile std::uint64_t acc = 0;
+        for (std::size_t k = 0; k < (i % 7) * 1000; ++k)
+            acc = acc + k;
+        out[i] = static_cast<std::uint64_t>(i * i);
+    });
     ASSERT_EQ(out.size(), 100u);
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], i * i);
@@ -51,9 +51,11 @@ TEST(ParallelRunner, MapOrdersResultsByIndexNotCompletion)
 TEST(ParallelRunner, ResultsIndependentOfThreadCount)
 {
     auto compute = [](ParallelExperimentRunner &runner) {
-        return runner.map<double>(37, [](std::size_t i) {
-            return static_cast<double>(i) * 1.5 + 1.0 / (i + 1);
+        std::vector<double> out(37);
+        runner.forEach(out.size(), [&](std::size_t i) {
+            out[i] = static_cast<double>(i) * 1.5 + 1.0 / (i + 1);
         });
+        return out;
     };
     ParallelExperimentRunner serial(1);
     ParallelExperimentRunner pooled(8);

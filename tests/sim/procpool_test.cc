@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include "exp/experiment.hh"
+#include "obs/events.hh"
 #include "obs/monitor.hh"
 #include "sim/experiment.hh"
 #include "sim/interrupt.hh"
@@ -61,8 +62,6 @@ quickConfig(unsigned workers = 2)
 {
     ProcPoolConfig config;
     config.workers = workers;
-    config.backoff_initial_ms = 1;
-    config.backoff_max_ms = 2;
     return config;
 }
 
@@ -325,6 +324,68 @@ TEST(ProcPool, UnspawnableWorkersDegradeToInThreadExecution)
                                &pool);
     const auto pooled = ctx.runSweep(points);
     expectBitIdentical(pooled, reference);
+}
+
+TEST(ProcPool, SilentWorkersTimeOutAtTheHandshakeAndRetire)
+{
+    // Neither worker ever says hello. Start-up kills both at the
+    // handshake deadline, as a timeout, and retires them; the context
+    // then runs the sweep in-thread.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("padc_procpool_silent." + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const auto points = fourPoints();
+    ParallelExperimentRunner runner(2);
+    const auto reference = runSweep(points, runner);
+
+    ProcPoolConfig config = quickConfig();
+    config.heartbeat_timeout_ms = 300;
+    {
+        obs::FleetMonitor monitor(dir.string());
+        obs::setActiveMonitor(&monitor);
+        ProcessPool pool({"/bin/sh", "-c", "exec sleep 60"}, config);
+        EXPECT_FALSE(pool.available());
+        EXPECT_EQ(pool.drainProfile().timeout_kills, 2u);
+        const exp::ExperimentInfo info{"silent", "", "", "", {}};
+        exp::ExperimentContext ctx(info, runner, nullptr, std::nullopt, {},
+                                   &pool);
+        expectBitIdentical(ctx.runSweep(points), reference);
+        obs::setActiveMonitor(nullptr);
+
+        // Retired slots stay down: a sweep on the pool itself strands
+        // its points instead of respawning a worker.
+        for (const auto &result : pool.runSweep(points)) {
+            EXPECT_NE(result.outcome.detail.find("no live workers left"),
+                      std::string::npos)
+                << result.outcome.detail;
+        }
+        EXPECT_EQ(pool.drainProfile().respawns, 0u);
+    }
+
+    std::vector<obs::Event> events;
+    std::string error;
+    ASSERT_TRUE(obs::EventLog::load((dir / "events.jsonl").string(),
+                                    &events, &error))
+        << error;
+    std::size_t spawns = 0;
+    std::size_t timeouts = 0;
+    std::size_t exits = 0;
+    for (const obs::Event &event : events) {
+        spawns += event.type == "worker_spawn" ? 1 : 0;
+        timeouts += event.type == "worker_timeout" ? 1 : 0;
+        if (event.type == "worker_exit") {
+            ++exits;
+            EXPECT_NE(event.detail.find("timed out after 300ms"),
+                      std::string::npos)
+                << event.detail;
+        }
+    }
+    EXPECT_EQ(spawns, 2u);
+    EXPECT_EQ(timeouts, 2u);
+    EXPECT_EQ(exits, 2u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ProcPool, StrandedPointsAreFailedNotReplayed)

@@ -120,15 +120,18 @@ TEST(WireResultCodec, RunResultRoundTripsBitExactly)
     core.instructions = 123456789;
     core.cycles = 987654321;
     result.run.value.cores.push_back(core);
-    result.worker = WireWorkerReport{4242, 7, (1ULL << 55) + 1, 0.1 + 0.2};
+    result.worker.profile.entries[1] = {(1ULL << 55) + 1, 3};
+    result.worker.profile.core_ticks = 4242;
+    result.worker.exec_seconds = 0.1 + 0.2;
 
     WireResult decoded;
     std::string error;
     ASSERT_TRUE(decodeResult(encodeResult(result), &decoded, &error))
         << error;
     EXPECT_FALSE(decoded.hello);
-    EXPECT_EQ(decoded.worker.pid, 4242u);
-    EXPECT_EQ(decoded.worker.sim_cycles, (1ULL << 55) + 1);
+    EXPECT_EQ(decoded.worker.profile.entries[1].nanos, (1ULL << 55) + 1);
+    EXPECT_EQ(decoded.worker.profile.entries[1].calls, 3u);
+    EXPECT_EQ(decoded.worker.profile.core_ticks, 4242u);
     EXPECT_EQ(decoded.worker.exec_seconds, 0.1 + 0.2);
     EXPECT_EQ(decoded.index, 4u);
     EXPECT_EQ(decoded.run.outcome.status, PointStatus::Truncated);
@@ -141,12 +144,12 @@ TEST(WireResultCodec, RunResultRoundTripsBitExactly)
     EXPECT_EQ(decoded.run.value.cores[0].cycles, core.cycles);
 
     // The report is a required member like every other: a result frame
-    // without it is rejected, naming the member.
+    // without it (its last member) is rejected, naming the member.
     std::string frame = encodeResult(result);
     const std::size_t key = frame.find("\"worker\"");
     ASSERT_NE(key, std::string::npos) << frame;
     const std::size_t from = frame.rfind(',', key);
-    frame.erase(from, frame.find('}', key) + 1 - from);
+    frame.erase(from, frame.rfind('}') - from);
     EXPECT_FALSE(decodeResult(frame, &decoded, &error)) << frame;
     EXPECT_NE(error.find("worker"), std::string::npos) << error;
 }
