@@ -102,9 +102,9 @@ enum class RowPolicy : std::uint8_t
  * already have lattice rows in every policy table so wiring a new
  * traffic source is a producer-side change only.
  *
- * Enumerator values are a wire/stat-index contract: they index
+ * Enumerator values are a journal/stat-index contract: they index
  * per-class stat arrays and are serialized by the telemetry trace and
- * the worker wire codec. Append new classes at the end and bump
+ * the sweep journal. Append new classes at the end and bump
  * kRequestClassCount; never renumber.
  */
 enum class RequestClass : std::uint8_t

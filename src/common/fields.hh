@@ -1,9 +1,8 @@
 /**
  * @file
  * Field tables: the one list of a struct's members that every generic
- * walk over the struct derives from (the sweep-point key, the JSON
- * codec of the worker wire and the journal, and the tests that mutate
- * every leaf).
+ * walk over the struct derives from (the sweep-point key, the
+ * journal's JSON record codec, and the tests that mutate every leaf).
  *
  * A table is a forEachField(s, v) function template written next to
  * the struct, in the struct's namespace (callers find it by ADL). It

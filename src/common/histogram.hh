@@ -1,8 +1,7 @@
 /**
  * @file
- * Fixed-bucket histogram shared by the simulator statistics (Fig. 4(a)
- * prefetch service-time distribution) and the process pool's
- * task-latency profile (the BENCH `pool_task_ms.*` summary).
+ * Fixed-bucket histogram of the simulator statistics (the Fig. 4(a)
+ * prefetch service-time distribution).
  */
 
 #ifndef PADC_COMMON_HISTOGRAM_HH

@@ -1,7 +1,7 @@
 /**
  * @file
  * The one strict unsigned decimal parser: flags, environment
- * overrides, wire integers and fault specs all use it.
+ * overrides and journal integers all use it.
  */
 
 #ifndef PADC_COMMON_PARSE_HH

@@ -21,7 +21,6 @@
 #include "obs/monitor.hh"
 #include "obs/status.hh"
 #include "sim/interrupt.hh"
-#include "sim/procpool.hh"
 #include "telemetry/export.hh"
 #include "telemetry/profiler.hh"
 #include "trace/corpus.hh"
@@ -113,28 +112,27 @@ driverUsage()
            "  trace <subcommand>       trace-corpus toolchain (capture,\n"
            "                           convert, info, verify; see\n"
            "                           'padc trace help')\n"
-           "  worker                   (internal) crash-isolated sweep\n"
-           "                           worker; spawned by --workers\n"
            "  help                     show this message\n"
            "\n"
            "options:\n"
-           "  --threads N    worker threads for the sweep pool\n"
-           "                 (default: hardware concurrency)\n"
-           "  --workers N    run sweeps across N crash-isolated worker\n"
-           "                 subprocesses instead of in-process threads\n"
-           "                 (0 = off; knob: PADC_WORKER_TIMEOUT_MS)\n"
-           "  --resume PATH  checkpoint/resume journal\n"
+           "  --threads N    threads the sweeps run on (1 = serial;\n"
+           "                 default: hardware concurrency); results\n"
+           "                 are identical at any N\n"
+           "  --resume PATH  checkpoint/resume journal: every finished\n"
+           "                 point is appended, and a rerun replays\n"
+           "                 the points it holds\n"
            "  --seed N       override the random-mix seed of seeded "
            "experiments\n"
            "  --format FMT   text | json | csv (default: text)\n"
            "  --out DIR      directory for BENCH_<name>.json files "
            "(default: .)\n"
-           "  --corpus DIR   register the trace corpus at DIR "
+           "  --corpus DIR   validate the trace corpus at DIR "
            "(corpus.json)\n"
-           "                 as trace-backed workload profiles before "
-           "running\n"
+           "                 and register its trace-backed profiles by\n"
+           "                 name (the registered experiments use only\n"
+           "                 built-in profiles)\n"
            "  --progress     live sweep observability: a stderr progress\n"
-           "                 line (done/total, rate, ETA, retries) plus\n"
+           "                 line (done/total, rate, ETA) plus\n"
            "                 <out>/status.json and <out>/events.jsonl;\n"
            "                 stdout output is unchanged\n"
            "  --timeseries[=PATH]\n"
@@ -150,7 +148,10 @@ driverUsage()
            "                 instead of the text report\n"
            "\n"
            "Every run also writes a machine-readable BENCH_<name>.json\n"
-           "(schema padc-bench-result-v1) per experiment into --out.\n";
+           "(schema padc-bench-result-v1) per experiment into --out.\n"
+           "The first SIGINT/SIGTERM stops after the points in flight,\n"
+           "writes the partial BENCH file and exits 130; a second one\n"
+           "exits at once.\n";
 }
 
 bool
@@ -194,14 +195,6 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
                 return false;
             }
             out->threads = static_cast<unsigned>(threads);
-        } else if (arg == "--workers") {
-            const char *text = value();
-            std::uint64_t workers = 0;
-            if (!parseU64(text, &workers) || workers > 1024) {
-                *error = "--workers expects an integer in [0, 1024]";
-                return false;
-            }
-            out->workers = static_cast<unsigned>(workers);
         } else if (arg == "--resume") {
             const char *text = value();
             if (text == nullptr || *text == '\0') {
@@ -339,7 +332,6 @@ resultJson(const ExperimentInfo &info, const ExperimentResult &result)
         writer.member("status", point.status);
         writer.member("detail", point.detail);
         writer.member("attempts", point.attempts);
-        writer.member("last_error", point.last_error);
         writer.member("cycles", static_cast<std::uint64_t>(point.cycles));
         writer.beginObject("metrics");
         for (const auto &[name, value] : point.metrics.entries())
@@ -566,60 +558,11 @@ recordRunProfile(ExperimentResult &result)
 }
 
 /**
- * Drain the process pool's per-experiment profile window into the
- * BENCH JSON `profile` block. Every member is additive: the schema's
- * profile object is open, and default (no --workers) documents do not
- * contain any of these.
- */
-void
-recordPoolProfile(sim::ProcessPool &pool, ExperimentResult &result)
-{
-    const sim::ProcessPool::PoolProfile profile = pool.drainProfile();
-    result.profile.add("pool_workers",
-                       static_cast<double>(profile.workers.size()));
-    result.profile.add("pool_tasks", static_cast<double>(profile.tasks));
-    result.profile.add("pool_replayed",
-                       static_cast<double>(profile.replayed));
-    result.profile.add("pool_retries",
-                       static_cast<double>(profile.retries));
-    result.profile.add("pool_respawns",
-                       static_cast<double>(profile.respawns));
-    result.profile.add("pool_quarantined",
-                       static_cast<double>(profile.quarantined));
-    result.profile.add("pool_timeout_kills",
-                       static_cast<double>(profile.timeout_kills));
-    result.profile.add("pool_exec_seconds", profile.exec_seconds);
-    result.profile.add("pool_sim_cycles_per_sec",
-                       profile.exec_seconds > 0.0
-                           ? static_cast<double>(profile.sim_cycles) /
-                                 profile.exec_seconds
-                           : 0.0);
-    const StatSet task_ms = profile.task_ms.toStatSet("pool_task_ms");
-    for (const auto &[name, value] : task_ms.entries())
-        result.profile.add(name, value);
-    for (std::size_t slot = 0; slot < profile.workers.size(); ++slot) {
-        const sim::ProcessPool::WorkerSlotProfile &worker =
-            profile.workers[slot];
-        const std::string prefix =
-            "pool_worker" + std::to_string(slot) + "_";
-        result.profile.add(prefix + "tasks",
-                           static_cast<double>(worker.tasks));
-        result.profile.add(prefix + "dispatches",
-                           static_cast<double>(worker.dispatches));
-        result.profile.add(prefix + "kills",
-                           static_cast<double>(worker.kills));
-        result.profile.add(prefix + "sim_cycles",
-                           static_cast<double>(worker.sim_cycles));
-        result.profile.add(prefix + "exec_seconds", worker.exec_seconds);
-    }
-}
-
-/**
  * `padc status <dir>`: render the status.json a `run --progress` sweep
  * maintains. Works mid-sweep (the writer atomic-renames complete
- * snapshots, so this never sees a torn document) and after the sweep —
- * or its supervisor — died, where the last snapshot is exactly what an
- * operator wants to see.
+ * snapshots, so this never sees a torn document) and after the sweep
+ * died, where the last snapshot is exactly what an operator wants to
+ * see.
  */
 int
 statusCommand(const DriverOptions &options)
@@ -682,39 +625,6 @@ class MonitorGuard
   private:
     std::unique_ptr<obs::FleetMonitor> monitor_;
 };
-
-/**
- * Entry point of the internal `padc worker` subcommand: the supervisor
- * spawns `/proc/self/exe worker [--corpus DIR]` with the task/result
- * pipes staged on fixed fds. The worker only needs the corpus
- * registered (trace-backed profiles resolve by name inside shipped
- * sweep points); everything else arrives over the wire.
- */
-int
-workerEntry(int argc, const char *const *argv)
-{
-    std::string corpus_dir;
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--corpus") == 0 && i + 1 < argc) {
-            corpus_dir = argv[++i];
-        } else {
-            std::fprintf(stderr, "padc worker: unknown argument '%s'\n",
-                         argv[i]);
-            return 2;
-        }
-    }
-    if (!corpus_dir.empty()) {
-        trace::Corpus corpus;
-        std::string error;
-        if (!trace::loadCorpus(corpus_dir, &corpus, &error) ||
-            !trace::registerCorpus(corpus, &error)) {
-            std::fprintf(stderr, "padc worker: %s\n", error.c_str());
-            return 2;
-        }
-    }
-    return sim::ProcessPool::workerMain(sim::kWorkerTaskFd,
-                                        sim::kWorkerResultFd);
-}
 
 /**
  * First SIGINT/SIGTERM requests a graceful stop (finish the in-flight
@@ -798,12 +708,9 @@ int
 driverMain(int argc, const char *const *argv)
 {
     // The trace toolchain has its own grammar; hand it the raw argv
-    // before the experiment-driver parse. Same for the internal worker
-    // subcommand the process-pool supervisor spawns.
+    // before the experiment-driver parse.
     if (argc >= 2 && std::strcmp(argv[1], "trace") == 0)
         return trace::traceToolMain(argc, argv);
-    if (argc >= 2 && std::strcmp(argv[1], "worker") == 0)
-        return workerEntry(argc, argv);
 
     DriverOptions options;
     std::string error;
@@ -886,29 +793,6 @@ driverMain(int argc, const char *const *argv)
     // the stdout streams above are byte-identical with the flag off.
     MonitorGuard monitor_guard(options);
 
-    std::unique_ptr<sim::ProcessPool> pool;
-    if (options.workers > 0 && tcfg.any()) {
-        std::fprintf(stderr,
-                     "padc: warning: --workers ignored (telemetry "
-                     "collectors cannot cross the process boundary); "
-                     "sweeps run in-thread\n");
-    } else if (options.workers > 0) {
-        std::vector<std::string> worker_argv = {"/proc/self/exe",
-                                                "worker"};
-        if (!options.corpus_dir.empty()) {
-            worker_argv.push_back("--corpus");
-            worker_argv.push_back(options.corpus_dir);
-        }
-        pool = std::make_unique<sim::ProcessPool>(
-            std::move(worker_argv),
-            sim::ProcPoolConfig::fromEnv(options.workers));
-        if (!pool->available()) {
-            std::fprintf(stderr,
-                         "padc: warning: no sweep worker process came "
-                         "up; sweeps run in-thread\n");
-        }
-    }
-
     // This call's flags alone choose the runner and the journal; every
     // experiment of the run shares both.
     sim::ParallelExperimentRunner runner(options.threads);
@@ -932,7 +816,7 @@ driverMain(int argc, const char *const *argv)
     for (const Experiment *experiment : experiments) {
         const ExperimentInfo &info = experiment->info;
         ExperimentContext context(info, runner, journal.get(),
-                                  options.seed, tcfg, pool.get());
+                                  options.seed, tcfg);
         telemetry::WallProfiler::instance().reset();
         const auto start = std::chrono::steady_clock::now();
         {
@@ -951,8 +835,6 @@ driverMain(int argc, const char *const *argv)
         ExperimentResult &result = context.result();
         result.wall_seconds = wall.count();
         recordRunProfile(result);
-        if (pool != nullptr && pool->available())
-            recordPoolProfile(*pool, result);
         writeSinks(options, info, context, result, &any_failed);
         if (options.format == DriverOptions::Format::Text) {
             std::printf(

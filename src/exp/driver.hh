@@ -52,8 +52,7 @@ struct DriverOptions
     Command command = Command::Help;
     std::vector<std::string> selectors; ///< names / tags / globs, in order
     bool all = false;                   ///< run --all
-    unsigned threads = 0;               ///< 0 = default pool size
-    unsigned workers = 0;               ///< --workers subprocesses (0 = off)
+    unsigned threads = 0;               ///< 0 = hardware concurrency
     std::string resume_path;            ///< empty = no journal
     std::optional<std::uint64_t> seed;  ///< --seed override
     Format format = Format::Text;

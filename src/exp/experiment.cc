@@ -5,7 +5,6 @@
 #include "sim/interrupt.hh"
 #include "sim/journal.hh"
 #include "sim/metrics.hh"
-#include "sim/procpool.hh"
 #include "trace/format.hh"
 
 namespace padc::exp
@@ -76,8 +75,8 @@ ExperimentResult::simCycles() const
 ExperimentContext::ExperimentContext(
     const ExperimentInfo &info, sim::ParallelExperimentRunner &runner,
     sim::SweepJournal *journal, std::optional<std::uint64_t> seed_override,
-    telemetry::TelemetryConfig telemetry, sim::ProcessPool *pool)
-    : info_(info), runner_(runner), journal_(journal), pool_(pool),
+    telemetry::TelemetryConfig telemetry)
+    : info_(info), runner_(runner), journal_(journal),
       seed_override_(seed_override), tcfg_(telemetry)
 {
 }
@@ -113,18 +112,13 @@ std::vector<sim::Result<T>>
 ExperimentContext::sweep(const std::vector<sim::SweepPoint> &points,
                          Execute &&execute, AddMetrics &&add_metrics)
 {
-    // Telemetry collectors cannot cross the process boundary, so
-    // telemetry sweeps always run in-thread, as do sweeps whose pool
-    // has no live worker.
-    const bool pooled =
-        pool_ != nullptr && !tcfg_.any() && pool_->available();
     if (obs::FleetMonitor *monitor = obs::activeMonitor()) {
         monitor->sweepStarted(info_.name, points.size(),
                               journal_ != nullptr
                                   ? journal_->loadedEntries()
                                   : 0);
     }
-    std::vector<sim::Result<T>> results = execute(pooled);
+    std::vector<sim::Result<T>> results = execute();
     reportSweepFailures(points, results);
     result_.interrupted = result_.interrupted || sim::interruptRequested();
     if (obs::FleetMonitor *monitor = obs::activeMonitor())
@@ -138,7 +132,6 @@ ExperimentContext::sweep(const std::vector<sim::SweepPoint> &points,
         record.status = sim::toString(results[i].outcome.status);
         record.detail = results[i].outcome.detail;
         record.attempts = results[i].outcome.attempts;
-        record.last_error = results[i].outcome.last_error;
         record.cycles = run.cycles();
         add_metrics(results[i].value, record.metrics);
         addTrafficMetrics(record.metrics, run);
@@ -153,10 +146,9 @@ ExperimentContext::evaluateSweep(const std::vector<sim::SweepPoint> &points,
 {
     return sweep<sim::MixEvaluation>(
         points,
-        [&](bool pooled) {
-            return pooled ? pool_->evaluateSweep(points, alone, journal_)
-                          : sim::evaluateSweep(attachCollectors(points),
-                                               alone, runner_, journal_);
+        [&] {
+            return sim::evaluateSweep(attachCollectors(points), alone,
+                                      runner_, journal_);
         },
         [](const sim::MixEvaluation &eval, StatSet &metrics) {
             metrics.add("ws", eval.summary.ws);
@@ -173,10 +165,9 @@ ExperimentContext::runSweep(const std::vector<sim::SweepPoint> &points)
 {
     return sweep<sim::RunMetrics>(
         points,
-        [&](bool pooled) {
-            return pooled ? pool_->runSweep(points, journal_)
-                          : sim::runSweep(attachCollectors(points), runner_,
-                                          journal_);
+        [&] {
+            return sim::runSweep(attachCollectors(points), runner_,
+                                 journal_);
         },
         [](const sim::RunMetrics &run, StatSet &metrics) {
             for (std::size_t c = 0; c < run.cores.size(); ++c) {

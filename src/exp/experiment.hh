@@ -30,11 +30,6 @@
 #include "telemetry/telemetry.hh"
 #include "workload/mixes.hh"
 
-namespace padc::sim
-{
-class ProcessPool;
-} // namespace padc::sim
-
 namespace padc::exp
 {
 
@@ -55,8 +50,7 @@ struct PointRecord
     std::string label;     ///< human identification of the point
     std::string status;    ///< "ok" / "truncated" / "failed"
     std::string detail;    ///< diagnostic for non-ok points
-    std::uint64_t attempts = 1; ///< executions (0 = replay/never ran)
-    std::string last_error;     ///< last failed attempt when retried
+    std::uint64_t attempts = 1; ///< 1 ran, 0 replayed or never ran
     Cycle cycles = 0;      ///< simulated cycles of the point
     StatSet metrics;       ///< per-point scalar metrics
 };
@@ -101,8 +95,8 @@ struct ExperimentResult
 };
 
 /**
- * Execution context of one experiment run: the run's runner, journal
- * and pool plumbing plus the structured-result sink. The two sweep
+ * Execution context of one experiment run: the run's runner and
+ * journal plus the structured-result sink. The two sweep
  * wrappers mirror the sim:: entry points but also print the standard
  * per-point failure summary and record every point into the result;
  * every simulated point of an experiment goes through one of them.
@@ -118,19 +112,12 @@ class ExperimentContext
      *        default mix seeds when set
      * @param telemetry which telemetry sinks to attach to each executed
      *        point (all off by default)
-     * @param pool when non-null, sweeps run crash-isolated across its
-     *        worker subprocesses instead of in-process threads.
-     *        Telemetry wins over the pool: collectors cannot cross the
-     *        process boundary, so sweeps run in-thread when any
-     *        telemetry sink is enabled. They also run in-thread when
-     *        no worker came up (pool->available() is false).
      */
     ExperimentContext(const ExperimentInfo &info,
                       sim::ParallelExperimentRunner &runner,
                       sim::SweepJournal *journal,
                       std::optional<std::uint64_t> seed_override,
-                      telemetry::TelemetryConfig telemetry = {},
-                      sim::ProcessPool *pool = nullptr);
+                      telemetry::TelemetryConfig telemetry = {});
 
     const ExperimentInfo &info() const { return info_; }
 
@@ -185,10 +172,9 @@ class ExperimentContext
   private:
     /**
      * The body both sweeps share: the monitor's start and finish, the
-     * choice between the pool and the runner, the failure summary, the
-     * interrupt flag and the fields every PointRecord carries.
-     * @p execute runs the points (in the pool when its argument is
-     * true); @p add_metrics adds the sweep's own metrics to a record.
+     * failure summary, the interrupt flag and the fields every
+     * PointRecord carries. @p execute runs the points; @p add_metrics
+     * adds the sweep's own metrics to a record.
      */
     template <typename T, typename Execute, typename AddMetrics>
     std::vector<sim::Result<T>>
@@ -208,7 +194,6 @@ class ExperimentContext
     const ExperimentInfo &info_;
     sim::ParallelExperimentRunner &runner_;
     sim::SweepJournal *journal_;
-    sim::ProcessPool *pool_;
     std::optional<std::uint64_t> seed_override_;
     telemetry::TelemetryConfig tcfg_;
     std::vector<PointCapture> captures_;

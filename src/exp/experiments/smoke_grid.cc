@@ -1,12 +1,11 @@
 /**
  * @file
- * Process-pool smoke grid: a 9-point (3 policies x 3 seeds) evaluate
- * sweep, still seconds of wall-clock, used by the `proc_smoke` ctest
- * label to exercise the multi-process executor. Nine points make the
- * periodic fault schedules meaningful (PADC_FAULT_INJECT=crash:3 fires
- * three times) where the 2-point `smoke` sweep would dodge them, and
- * routing through evaluateSweep covers the alone-baseline wire path
- * that runSweep-only experiments never touch.
+ * Smoke grid: a 9-point (3 policies x 3 seeds) evaluate sweep that
+ * still takes seconds of wall-clock. The driver tests run it to check
+ * the sweep layer end to end (journal replay, --progress, graceful
+ * stop), and it is half of the golden_points gate, whose digests pin
+ * its nine points. Routing through evaluateSweep covers the alone-run
+ * path that runSweep-only experiments never touch.
  */
 
 #include <cstdio>
@@ -63,10 +62,9 @@ runSmokeGrid(ExperimentContext &ctx)
 }
 
 const Registrar registrar(
-    {"smoke_grid", "Smoke grid", "nine-point crash-isolation smoke grid",
-     "runs in seconds; exercises the process pool, retry, and journal "
-     "paths",
-     {"proc"}},
+    {"smoke_grid", "Smoke grid", "nine-point sweep-layer smoke grid",
+     "runs in seconds; exercises the sweep, journal and progress paths",
+     {"sweep"}},
     &runSmokeGrid);
 
 } // namespace

@@ -53,33 +53,9 @@ std::size_t
 reportSweepFailuresImpl(const std::vector<sim::SweepPoint> &points,
                         const std::vector<sim::Result<T>> &results)
 {
-    // Points that recovered: the pool retried them after a worker death
-    // and a later attempt produced a clean result. Worth a note (the
-    // crash diagnostics would otherwise vanish), but not a warning.
     // Diagnostics go to stderr: with --format json the experiments'
     // human-readable stdout is silenced (and must stay clean JSON), and
-    // retry/quarantine reports are exactly what an operator should see
-    // either way.
-    std::size_t retried = 0;
-    for (const auto &result : results)
-        retried += (result.ok() && result.outcome.attempts > 1) ? 1 : 0;
-    if (retried > 0) {
-        std::fprintf(stderr,
-                     "NOTE: %zu sweep point(s) succeeded after worker "
-                     "retries:\n",
-                     retried);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (!results[i].ok() || results[i].outcome.attempts <= 1)
-                continue;
-            std::fprintf(stderr,
-                         "  point %zu (%s): attempt %u succeeded; "
-                         "previous worker %s\n",
-                         i, sim::describePoint(points[i]).c_str(),
-                         results[i].outcome.attempts,
-                         results[i].outcome.last_error.c_str());
-        }
-    }
-
+    // failure reports are what an operator should see either way.
     std::size_t bad = 0;
     for (const auto &result : results)
         bad += result.ok() ? 0 : 1;
@@ -92,20 +68,10 @@ reportSweepFailuresImpl(const std::vector<sim::SweepPoint> &points,
     for (std::size_t i = 0; i < results.size(); ++i) {
         if (results[i].ok())
             continue;
-        // Quarantined points already carry the attempt count and the
-        // last worker's exit status/signal in their detail; the suffix
-        // distinguishes multi-attempt failures elsewhere too.
-        std::string attempts_note;
-        if (results[i].outcome.attempts > 1) {
-            attempts_note = " [" +
-                            std::to_string(results[i].outcome.attempts) +
-                            " attempts]";
-        }
-        std::fprintf(stderr, "  point %zu (%s): %s: %s%s\n", i,
+        std::fprintf(stderr, "  point %zu (%s): %s: %s\n", i,
                      sim::describePoint(points[i]).c_str(),
                      sim::toString(results[i].outcome.status),
-                     results[i].outcome.detail.c_str(),
-                     attempts_note.c_str());
+                     results[i].outcome.detail.c_str());
     }
     return bad;
 }

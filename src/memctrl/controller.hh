@@ -131,7 +131,7 @@ struct ControllerStats
      * time, so a promoted prefetch counts as DemandRead, matching
      * demand_reads). Indexed by RequestClass enumerator value; reserved
      * classes hold zero until a producer exists. Serialized by the
-     * worker wire codec and the sweep journal; see sim/metrics.hh.
+     * sweep journal; see sim/metrics.hh.
      */
     std::array<std::uint64_t, kRequestClassCount> serviced_by_class{};
 };

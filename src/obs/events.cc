@@ -25,8 +25,6 @@ formatEvent(const Event &event)
     out += std::to_string(event.t_ms);
     out += ",\"point\":";
     out += std::to_string(event.point);
-    out += ",\"worker\":";
-    out += std::to_string(event.worker);
     out += ",\"attempt\":";
     out += std::to_string(event.attempt);
     out += ",\"detail\":";
@@ -132,8 +130,6 @@ EventLog::load(const std::string &path, std::vector<Event> *out,
             event.t_ms = static_cast<std::uint64_t>(v->number);
         if (const exp::JsonValue *v = parsed.find("point"))
             event.point = static_cast<std::int64_t>(v->number);
-        if (const exp::JsonValue *v = parsed.find("worker"))
-            event.worker = static_cast<std::int64_t>(v->number);
         if (const exp::JsonValue *v = parsed.find("attempt"))
             event.attempt = static_cast<std::uint64_t>(v->number);
         if (const exp::JsonValue *v = parsed.find("detail"))

@@ -2,9 +2,8 @@
  * @file
  * Structured JSONL run-event log for fleet observability (DESIGN.md
  * section 14): one JSON object per line in `events.jsonl`, recording
- * the lifecycle of a sweep (start/resume/finish), of its points
- * (dispatch/complete/retry/quarantine), and of its workers
- * (spawn/exit/heartbeat-timeout), plus the SIGINT drain.
+ * the lifecycle of a sweep (start/resume/finish/interrupted) and how
+ * each of its points ended (complete/replay/interrupted).
  *
  * Durability reuses the sweep journal's idiom (sim/journal.cc): the
  * file is opened O_APPEND and every record is a single write(2) of one
@@ -32,17 +31,15 @@ inline constexpr char kEventSchema[] = "padc-run-event-v1";
 inline constexpr char kEventsFileName[] = "events.jsonl";
 
 /**
- * One run event. `point` and `worker` are -1 when not applicable
- * (e.g. worker lifecycle events have no point, sweep events have
- * neither). Timestamps are steady-clock milliseconds — monotonic and
- * immune to wall-clock steps, comparable only within one process run.
+ * One run event. `point` is -1 for sweep events. Timestamps are
+ * steady-clock milliseconds — monotonic and immune to wall-clock
+ * steps, comparable only within one process run.
  */
 struct Event
 {
-    std::string type;       ///< e.g. "sweep_start", "point_retry"
+    std::string type;       ///< e.g. "sweep_start", "point_complete"
     std::uint64_t t_ms = 0; ///< steady-clock timestamp, milliseconds
-    std::int64_t point = -1;  ///< sweep point index, -1 if n/a
-    std::int64_t worker = -1; ///< worker pid, -1 if n/a
+    std::int64_t point = -1; ///< sweep point index, -1 if n/a
     std::uint64_t attempt = 0;
     std::string detail; ///< free-form: fate, status, experiment name
 };

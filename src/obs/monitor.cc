@@ -51,10 +51,6 @@ FleetMonitor::FleetMonitor(const std::string &out_dir)
 FleetMonitor::~FleetMonitor()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    // The pool's workers exit after the last sweep finished; the final
-    // status.json counts them gone.
-    if (sweep_started_)
-        writeStatusFile(status_path_, buildStatus(steadyNowMs()));
     if (progress_line_open_) {
         std::fputc('\n', stderr);
         progress_line_open_ = false;
@@ -63,8 +59,7 @@ FleetMonitor::~FleetMonitor()
 
 void
 FleetMonitor::emitEvent(const std::string &type, std::int64_t point,
-                        std::int64_t worker, std::uint64_t attempt,
-                        const std::string &detail)
+                        std::uint64_t attempt, const std::string &detail)
 {
     if (events_ == nullptr)
         return;
@@ -72,18 +67,9 @@ FleetMonitor::emitEvent(const std::string &type, std::int64_t point,
     event.type = type;
     event.t_ms = steadyNowMs();
     event.point = point;
-    event.worker = worker;
     event.attempt = attempt;
     event.detail = detail;
     events_->record(event);
-}
-
-WorkerStatus &
-FleetMonitor::slotRef(std::size_t slot)
-{
-    if (live_.workers.size() <= slot)
-        live_.workers.resize(slot + 1);
-    return live_.workers[slot];
 }
 
 SweepStatus
@@ -96,11 +82,6 @@ FleetMonitor::buildStatus(std::uint64_t now_ms) const
     const std::uint64_t remaining =
         live_.total > live_.done ? live_.total - live_.done : 0;
     status.eta_seconds = rate_.etaSeconds(now_ms, remaining);
-    status.active_workers = 0;
-    for (const WorkerStatus &worker : live_.workers) {
-        if (worker.pid >= 0)
-            ++status.active_workers;
-    }
     return status;
 }
 
@@ -108,7 +89,7 @@ void
 FleetMonitor::publish(bool force)
 {
     if (!sweep_started_)
-        return; // the pool spawns before the first sweep: nothing to show
+        return; // nothing to show before the first sweep
     const std::uint64_t now_ms = steadyNowMs();
     const bool want_status =
         force || now_ms - last_status_ms_ >= kStatusIntervalMs;
@@ -139,21 +120,13 @@ FleetMonitor::sweepStarted(const std::string &experiment,
                            std::uint64_t total, std::uint64_t journaled)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    // Per-sweep counters restart; worker slots persist (the pool
-    // outlives individual experiments).
+    live_ = SweepStatus{};
     live_.experiment = experiment;
-    live_.state = "running";
     live_.total = total;
-    live_.done = 0;
-    live_.executed = 0;
-    live_.replayed = 0;
-    live_.failed = 0;
-    live_.retries = 0;
-    live_.quarantined = 0;
     rate_ = RateEstimator();
     sweep_start_ms_ = steadyNowMs();
     sweep_started_ = true;
-    emitEvent(journaled > 0 ? "sweep_resume" : "sweep_start", -1, -1,
+    emitEvent(journaled > 0 ? "sweep_resume" : "sweep_start", -1,
               journaled, experiment);
     publish(true);
 }
@@ -163,8 +136,8 @@ FleetMonitor::sweepFinished(bool interrupted)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     live_.state = interrupted ? "interrupted" : "finished";
-    emitEvent(interrupted ? "sweep_interrupted" : "sweep_finish", -1, -1,
-              0, live_.experiment);
+    emitEvent(interrupted ? "sweep_interrupted" : "sweep_finish", -1, 0,
+              live_.experiment);
     publish(true);
     if (progress_line_open_) {
         std::fputc('\n', stderr);
@@ -174,104 +147,26 @@ FleetMonitor::sweepFinished(bool interrupted)
 }
 
 void
-FleetMonitor::pointDispatched(std::uint64_t index, std::size_t slot,
-                              std::int64_t pid)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    slotRef(slot).busy = true;
-    emitEvent("point_dispatch", static_cast<std::int64_t>(index), pid, 0,
-              "");
-    publish(false);
-}
-
-void
 FleetMonitor::pointFinished(std::uint64_t index, PointEnding ending,
                             const std::string &status,
                             std::uint32_t attempts,
-                            const std::string &detail, std::int64_t slot,
-                            std::int64_t pid)
+                            const std::string &detail)
 {
     static constexpr const char *kEvent[] = { // in PointEnding order
-        "point_complete", "point_replay", "point_interrupted",
-        "point_quarantine", "point_stranded"};
+        "point_complete", "point_replay", "point_interrupted"};
     std::lock_guard<std::mutex> lock(mutex_);
-    const bool quarantined = ending == PointEnding::Quarantined;
     ++live_.done;
     live_.executed += ending == PointEnding::Ran;
     live_.replayed += ending == PointEnding::Replayed;
-    live_.quarantined += quarantined;
     live_.failed += status != "ok" && ending != PointEnding::Interrupted;
     // Only executed points feed the rate estimator: journal replays are
     // near-instant and would wreck the ETA.
     if (ending == PointEnding::Ran)
         rate_.notePoint(steadyNowMs());
-    if (slot >= 0) {
-        WorkerStatus &worker = slotRef(static_cast<std::size_t>(slot));
-        worker.busy = false;
-        ++worker.tasks;
-    }
     emitEvent(kEvent[static_cast<std::size_t>(ending)],
-              static_cast<std::int64_t>(index), pid, quarantined ? 0 : attempts,
-              quarantined ? detail
-                          : (status == "ok" ? status : status + ": " + detail));
-    // A quarantine is bad news: never throttled away.
-    publish(quarantined);
-}
-
-void
-FleetMonitor::pointRetried(std::uint64_t index, std::uint32_t attempt,
-                           const std::string &fate)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++live_.retries;
-    emitEvent("point_retry", static_cast<std::int64_t>(index), -1,
-              attempt, fate);
-    // Forced: a retry burst must be visible even inside the throttle
-    // window (the crash:3 acceptance scenario).
-    publish(true);
-}
-
-void
-FleetMonitor::workerSpawned(std::size_t slot, std::int64_t pid)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    WorkerStatus &worker = slotRef(slot);
-    worker.pid = pid;
-    worker.busy = false;
-    emitEvent("worker_spawn", -1, pid, 0,
-              "slot " + std::to_string(slot));
+              static_cast<std::int64_t>(index), attempts,
+              status == "ok" ? status : status + ": " + detail);
     publish(false);
-}
-
-void
-FleetMonitor::workerExited(std::size_t slot, std::int64_t pid,
-                           const std::string &fate)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    WorkerStatus &worker = slotRef(slot);
-    worker.pid = -1;
-    worker.busy = false;
-    emitEvent("worker_exit", -1, pid, 0, fate);
-    publish(false);
-}
-
-void
-FleetMonitor::workerTimedOut(std::size_t slot, std::int64_t pid,
-                             std::int64_t index)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++slotRef(slot).kills;
-    emitEvent("worker_timeout", index, pid, 0, "heartbeat timeout");
-    publish(true);
-}
-
-void
-FleetMonitor::interruptDrain()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    emitEvent("interrupt_drain", -1, -1, 0,
-              "draining in-flight points");
-    publish(true);
 }
 
 } // namespace padc::obs

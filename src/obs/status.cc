@@ -68,22 +68,9 @@ formatStatus(const SweepStatus &status)
     writer.member("executed", status.executed);
     writer.member("replayed", status.replayed);
     writer.member("failed", status.failed);
-    writer.member("retries", status.retries);
-    writer.member("quarantined", status.quarantined);
-    writer.member("active_workers", status.active_workers);
     writer.member("elapsed_seconds", status.elapsed_seconds);
     writer.member("rate_per_sec", status.rate_per_sec);
     writer.member("eta_seconds", status.eta_seconds);
-    writer.beginArray("workers");
-    for (const WorkerStatus &worker : status.workers) {
-        writer.beginObject();
-        writer.member("pid", static_cast<double>(worker.pid));
-        writer.member("tasks", worker.tasks);
-        writer.member("kills", worker.kills);
-        writer.member("busy", worker.busy);
-        writer.endObject();
-    }
-    writer.endArray();
     writer.endObject();
     return writer.str();
 }
@@ -152,30 +139,9 @@ loadStatusFile(const std::string &path, SweepStatus *out,
     u64("executed", &status.executed);
     u64("replayed", &status.replayed);
     u64("failed", &status.failed);
-    u64("retries", &status.retries);
-    u64("quarantined", &status.quarantined);
-    u64("active_workers", &status.active_workers);
     f64("elapsed_seconds", &status.elapsed_seconds);
     f64("rate_per_sec", &status.rate_per_sec);
     f64("eta_seconds", &status.eta_seconds);
-    if (const exp::JsonValue *workers = parsed.find("workers");
-        workers != nullptr && workers->isArray()) {
-        for (const exp::JsonValue &entry : workers->array) {
-            WorkerStatus worker;
-            if (const exp::JsonValue *v = entry.find("pid");
-                v && v->isNumber())
-                worker.pid = static_cast<std::int64_t>(v->number);
-            if (const exp::JsonValue *v = entry.find("tasks");
-                v && v->isNumber())
-                worker.tasks = static_cast<std::uint64_t>(v->number);
-            if (const exp::JsonValue *v = entry.find("kills");
-                v && v->isNumber())
-                worker.kills = static_cast<std::uint64_t>(v->number);
-            if (const exp::JsonValue *v = entry.find("busy"))
-                worker.busy = v->boolean;
-            status.workers.push_back(worker);
-        }
-    }
     *out = status;
     return true;
 }
@@ -207,16 +173,12 @@ renderProgressLine(const SweepStatus &status)
     char buf[256];
     std::snprintf(
         buf, sizeof(buf),
-        "[padc] %s %llu/%llu done (%llu replayed) | %.2f pts/s ETA %s | "
-        "workers %llu | retries %llu quarantined %llu",
+        "[padc] %s %llu/%llu done (%llu replayed) | %.2f pts/s ETA %s",
         status.experiment.empty() ? "sweep" : status.experiment.c_str(),
         static_cast<unsigned long long>(status.done),
         static_cast<unsigned long long>(status.total),
         static_cast<unsigned long long>(status.replayed),
-        status.rate_per_sec, formatEta(status.eta_seconds).c_str(),
-        static_cast<unsigned long long>(status.active_workers),
-        static_cast<unsigned long long>(status.retries),
-        static_cast<unsigned long long>(status.quarantined));
+        status.rate_per_sec, formatEta(status.eta_seconds).c_str());
     return buf;
 }
 
@@ -231,24 +193,15 @@ renderStatusReport(const SweepStatus &status)
     if (status.replayed > 0)
         os << " (" << status.replayed << " replayed)";
     os << "\n";
-    os << "  executed " << status.executed << ", retries "
-       << status.retries << ", quarantined " << status.quarantined
-       << ", failed " << status.failed << "\n";
+    os << "  executed " << status.executed << ", failed " << status.failed
+       << "\n";
     char line[128];
     std::snprintf(line, sizeof(line),
-                  "  rate %.2f pts/s, ETA %s, elapsed %.1fs, "
-                  "%llu active worker(s)\n",
+                  "  rate %.2f pts/s, ETA %s, elapsed %.1fs\n",
                   status.rate_per_sec,
                   formatEta(status.eta_seconds).c_str(),
-                  status.elapsed_seconds,
-                  static_cast<unsigned long long>(status.active_workers));
+                  status.elapsed_seconds);
     os << line;
-    for (std::size_t i = 0; i < status.workers.size(); ++i) {
-        const WorkerStatus &worker = status.workers[i];
-        os << "  worker " << i << ": pid " << worker.pid << ", tasks "
-           << worker.tasks << ", kills " << worker.kills << ", "
-           << (worker.busy ? "busy" : "idle") << "\n";
-    }
     return os.str();
 }
 

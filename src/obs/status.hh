@@ -1,7 +1,7 @@
 /**
  * @file
  * Live sweep status for external observers (DESIGN.md section 14):
- * a rolling-window rate/ETA estimator, the `padc-sweep-status-v1`
+ * a rolling-window rate/ETA estimator, the `padc-sweep-status-v2`
  * snapshot document periodically atomic-renamed to `status.json`
  * (so a poller — `padc status <dir>` — never reads a torn file), and
  * the stderr progress-line renderer.
@@ -18,13 +18,12 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <vector>
 
 namespace padc::obs
 {
 
 /** Schema tag carried by every status.json snapshot. */
-inline constexpr char kStatusSchema[] = "padc-sweep-status-v1";
+inline constexpr char kStatusSchema[] = "padc-sweep-status-v2";
 
 /** The snapshot's file name inside a run's --out directory. */
 inline constexpr char kStatusFileName[] = "status.json";
@@ -74,45 +73,30 @@ class RateEstimator
     std::deque<std::uint64_t> times_; ///< newest at back
 };
 
-/** Per-worker-slot snapshot inside SweepStatus. */
-struct WorkerStatus
-{
-    std::int64_t pid = -1; ///< -1 when the slot is not running
-    std::uint64_t tasks = 0;
-    std::uint64_t kills = 0;
-    bool busy = false;
-};
-
 /** How a sweep point ended: it decides the counters the point moves. */
 enum class PointEnding : std::uint8_t
 {
     Ran,         ///< executed (ok, truncated or failed)
     Replayed,    ///< served from the resume journal
-    Interrupted, ///< a stop came before it started, or killed it
-    Quarantined, ///< killed every worker it was given
-    Stranded,    ///< no live worker was left to run it
+    Interrupted, ///< a stop came before it started
 };
 
-/** The padc-sweep-status-v1 document. */
+/** The padc-sweep-status-v2 document. */
 struct SweepStatus
 {
     std::string state = "running"; ///< running | finished | interrupted
     std::string experiment;
     std::uint64_t total = 0;
-    std::uint64_t done = 0;     ///< executed + replayed + failed
+    std::uint64_t done = 0;     ///< executed + replayed + interrupted
     std::uint64_t executed = 0; ///< really simulated this run
     std::uint64_t replayed = 0; ///< satisfied from the resume journal
-    std::uint64_t failed = 0;   ///< quarantined / permanently failed
-    std::uint64_t retries = 0;
-    std::uint64_t quarantined = 0;
-    std::uint64_t active_workers = 0;
+    std::uint64_t failed = 0;   ///< ran or replayed, not ok
     double elapsed_seconds = 0.0;
     double rate_per_sec = 0.0;
     double eta_seconds = -1.0; ///< negative = unknown
-    std::vector<WorkerStatus> workers;
 };
 
-/** Serialize @p status as the padc-sweep-status-v1 JSON document. */
+/** Serialize @p status as the padc-sweep-status-v2 JSON document. */
 std::string formatStatus(const SweepStatus &status);
 
 /**

@@ -315,20 +315,15 @@ runPoints(const std::vector<SweepPoint> &points, SweepJournal *journal,
             if (journal != nullptr)
                 journal->record(keys[i], result);
             notePointCompleted();
-        } else if (done.ending != obs::PointEnding::Replayed) {
+        } else if (done.ending == obs::PointEnding::Interrupted) {
             // Did not run: never journaled, so a resume retries it.
             result.value = T{};
             outcome.status = PointStatus::Failed;
-            if (done.ending == obs::PointEnding::Interrupted)
-                outcome.detail = kInterruptedDetail;
+            outcome.detail = kInterruptedDetail;
         }
         if (monitor != nullptr) {
-            monitor->pointFinished(
-                i, done.ending, toString(outcome.status), outcome.attempts,
-                done.ending == obs::PointEnding::Quarantined
-                    ? outcome.last_error
-                    : outcome.detail,
-                done.slot, done.pid);
+            monitor->pointFinished(i, done.ending, toString(outcome.status),
+                                   outcome.attempts, outcome.detail);
         }
     };
 

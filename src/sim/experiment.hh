@@ -7,9 +7,8 @@
  * the no-urgency ablations), single-mix runners, an alone-IPC cache for
  * WS/HS/UF computation, and the fault-tolerant sweeps.
  *
- * Every sweep runs through one body, runPoints; an executor (the
- * in-thread runner here, the worker processes of sim/procpool.hh) only
- * runs the points the body hands it.
+ * Every sweep runs through one body, runPoints; its executor (the
+ * in-thread runner) only runs the points the body hands it.
  */
 
 #ifndef PADC_SIM_EXPERIMENT_HH
@@ -129,12 +128,6 @@ class AloneIpcCache
     void prewarm(const std::vector<workload::Mix> &mixes,
                  std::uint64_t base_seed, ParallelExperimentRunner &runner);
 
-    /** The CMP configuration the alone-runs execute under. */
-    const SystemConfig &base() const { return base_; }
-
-    /** The run options the alone-runs execute under. */
-    const RunOptions &options() const { return options_; }
-
   private:
     double computeAlone(const std::string &profile_name,
                         std::uint32_t core, std::uint64_t mix_seed) const;
@@ -215,29 +208,19 @@ struct PointOutcome
     std::string detail; ///< why, for Truncated/Failed; empty for Ok
 
     /**
-     * Executions this point took: 1 for a normal run, >1 when the
-     * process pool retried it after worker deaths, 0 when it never ran
-     * in this process (journal replay, or interrupted before dispatch).
-     * Not persisted in the journal (it describes this run, not the
-     * result).
+     * 1 when this process ran the point, 0 when it did not (journal
+     * replay, or interrupted before it started). Not persisted in the
+     * journal (it describes this run, not the result).
      */
     std::uint32_t attempts = 1;
-
-    /**
-     * Diagnostic of the last *failed* attempt when attempts were
-     * retried (e.g. "killed by signal 9 (Killed)"); distinguishes
-     * "failed once, succeeded on retry" from clean first-try results.
-     */
-    std::string last_error;
 
     bool ok() const { return status == PointStatus::Ok; }
 };
 
 /**
- * PointOutcome's field table; see common/fields.hh. attempts and
- * last_error have no row: they describe how this process ran the point,
- * not its result, so the journal does not store them and the
- * supervisor fills them in itself.
+ * PointOutcome's field table; see common/fields.hh. attempts has no
+ * row: it describes how this process ran the point, not its result, so
+ * the journal does not store it.
  */
 template <fields::Of<PointOutcome> S, typename V>
 constexpr void
@@ -246,7 +229,7 @@ forEachField(S &s, V &&v)
     v("status", s.status);
     v("detail", s.detail);
 }
-static_assert(fields::complete<PointOutcome>(/*unlisted=*/2));
+static_assert(fields::complete<PointOutcome>(/*unlisted=*/1));
 
 /**
  * A per-point sweep result: the computed value plus the outcome that
@@ -282,7 +265,7 @@ static_assert(fields::complete<Result<MixEvaluation>>());
  * Run one sweep point: @p fn receives a RunStatus out-param and returns
  * the point's value. A cycle-cap truncation becomes a Truncated outcome
  * and an exception a Failed one with a default value, each with its
- * diagnostic. Shared by the in-process sweeps and the worker process.
+ * diagnostic.
  */
 template <typename T, typename Fn>
 Result<T>
@@ -309,18 +292,14 @@ executePoint(Fn &&fn)
 }
 
 /**
- * A point as an executor hands it back to runPoints, with the pool
- * worker that ran it. For a point that did not run, the executor fills
- * only the outcome's attempts, last_error and (quarantined or
- * stranded) detail.
+ * A point as an executor hands it back to runPoints. For a point that
+ * did not run, the executor fills only the outcome's attempts.
  */
 template <typename T>
 struct FinishedPoint
 {
     Result<T> result;
     obs::PointEnding ending = obs::PointEnding::Ran;
-    std::int64_t slot = -1; ///< pool worker slot; -1 in-thread
-    std::int64_t pid = -1;
 };
 
 /** Takes a point's final result, by index; any thread may call it. */
@@ -333,13 +312,14 @@ using SweepExecutor = std::function<void(const std::vector<std::size_t> &,
                                          const FinishPoint<T> &)>;
 
 /**
- * The sweep contract every executor shares; results are ordered like
- * @p points. A point whose @p journal record decodes replays it
- * (attempts 0) and never reaches @p execute. A point that did not run
- * fails unjournaled, so a resume retries it; an interrupted one gets
- * the detail "interrupted". Each computed result is journaled once and
- * counts toward notePointCompleted. Every point's ending reaches the
- * active monitor once. Instantiated for RunMetrics and MixEvaluation.
+ * The sweep contract; results are ordered like @p points. A point
+ * whose @p journal record decodes replays it (attempts 0) and never
+ * reaches @p execute. A point that did not run fails unjournaled with
+ * the detail "interrupted", so a resume retries it. Each computed
+ * result is journaled once and counts toward notePointCompleted. Every
+ * point's ending reaches the active monitor once. evaluateSweep and
+ * runSweep pass the in-thread executor; the sweep-body tests pass a
+ * stub. Instantiated for RunMetrics and MixEvaluation.
  */
 template <typename T>
 std::vector<Result<T>> runPoints(const std::vector<SweepPoint> &points,

@@ -27,9 +27,8 @@ static_assert(std::atomic<int>::is_always_lock_free,
 
 /**
  * Remaining PADC_TEST_INTERRUPT_AFTER budget; negative = hook disarmed.
- * Only resetInterruptState() arms it, so worker subprocesses (which
- * never call it) ignore the variable even though they inherit the
- * environment.
+ * Only resetInterruptState() arms it, so a library caller that never
+ * calls it ignores the variable.
  */
 std::atomic<long> g_points_remaining{-1};
 

@@ -7,9 +7,7 @@
  * point that has not started when the flag rises is recorded as Failed
  * with detail "interrupted" and deliberately NOT journaled, so a
  * later `padc run --resume` retries it. Points already in flight run
- * to completion (in-thread execution cannot be cancelled safely); the
- * process-pool supervisor instead kills its in-flight workers and
- * records their points as interrupted too.
+ * to completion (in-thread execution cannot be cancelled safely).
  *
  * The PADC_TEST_INTERRUPT_AFTER=<n> hook raises the flag automatically
  * after n completed sweep points, giving tests a deterministic stand-in

@@ -6,12 +6,14 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
 
 #include "common/fields.hh"
-#include "sim/wire.hh"
+#include "common/parse.hh"
+#include "exp/json.hh"
 
 namespace padc::sim
 {
@@ -92,6 +94,146 @@ hashValue(Fnv &h, const T &value)
     }
 }
 
+// --- record codec -----------------------------------------------------
+
+bool
+fail(std::string *error, const std::string &message)
+{
+    if (error != nullptr)
+        *error = message;
+    return false;
+}
+
+/**
+ * Write @p value as member @p key of the open object, or as the next
+ * element of the open array when @p key is null. Tabled structs become
+ * objects, vectors and arrays become arrays (of members only), u64s
+ * and enums decimal strings (see the file comment of journal.hh).
+ */
+template <typename T>
+void
+put(exp::JsonWriter &w, const char *key, const T &value)
+{
+    if constexpr (fields::Tabled<T>) {
+        if (key != nullptr)
+            w.beginObject(key);
+        else
+            w.beginObject();
+        forEachField(value, [&w](const char *name, const auto &member) {
+            put(w, name, member);
+        });
+        w.endObject();
+    } else if constexpr (fields::kIsVector<T> || fields::kIsArray<T>) {
+        w.beginArray(key);
+        for (const auto &element : value)
+            put(w, nullptr, element);
+        w.endArray();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        w.member(key, value);
+    } else if constexpr (std::is_same_v<T, double> ||
+                         std::is_same_v<T, std::string>) {
+        if (key != nullptr)
+            w.member(key, value);
+        else
+            w.element(value);
+    } else {
+        static_assert(std::is_unsigned_v<T> || std::is_enum_v<T>);
+        const std::string text =
+            std::to_string(static_cast<std::uint64_t>(value));
+        if (key != nullptr)
+            w.member(key, text);
+        else
+            w.element(text);
+    }
+}
+
+/**
+ * Read what put() wrote for @p value (the JSON at dotted @p path) into
+ * @p out. A missing or mistyped value, or a vector longer than
+ * kMaxCores, fails naming @p path.
+ */
+template <typename T>
+bool
+get(const exp::JsonValue *value, const std::string &path, T *out,
+    std::string *error)
+{
+    const auto bad = [&] {
+        return fail(error, "missing or mistyped member '" + path + "'");
+    };
+    if (value == nullptr)
+        return bad();
+    if constexpr (fields::Tabled<T>) {
+        if (!value->isObject())
+            return bad();
+        bool ok = true;
+        forEachField(*out, [&](const char *name, auto &member) {
+            ok = ok && get(value->find(name),
+                           path.empty() ? name : path + "." + name,
+                           &member, error);
+        });
+        return ok;
+    } else if constexpr (fields::kIsVector<T> || fields::kIsArray<T>) {
+        if (!value->isArray())
+            return bad();
+        const std::size_t n = value->array.size();
+        if constexpr (fields::kIsVector<T>) {
+            if (n > memctrl::kMaxCores)
+                return fail(error, "member '" + path + "' has " +
+                                       std::to_string(n) +
+                                       " elements; the limit is " +
+                                       std::to_string(memctrl::kMaxCores));
+            out->clear();
+            out->resize(n);
+        } else if (n != out->size()) {
+            return bad();
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!get(&value->array[i], path + "[" + std::to_string(i) + "]",
+                     &(*out)[i], error))
+                return false;
+        }
+        return true;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (value->kind != exp::JsonValue::Kind::Bool)
+            return bad();
+        *out = value->boolean;
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (!value->isNumber())
+            return bad();
+        *out = value->number;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        if (!value->isString())
+            return bad();
+        *out = value->string;
+    } else {
+        using Raw = typename std::conditional_t<std::is_enum_v<T>,
+                                                std::underlying_type<T>,
+                                                std::type_identity<T>>::type;
+        std::uint64_t raw = 0;
+        if (!value->isString() ||
+            !parseU64(value->string.c_str(), &raw) ||
+            raw > std::numeric_limits<Raw>::max())
+            return bad();
+        *out = static_cast<T>(raw);
+    }
+    return true;
+}
+
+/** get() of a sweep result, which must also carry a known status. */
+template <typename T>
+bool
+getResult(const exp::JsonValue *value, const std::string &path,
+          Result<T> *out, std::string *error)
+{
+    if (!get(value, path, out, error))
+        return false;
+    if (out->outcome.status > PointStatus::Failed)
+        return fail(error, "unknown point status " +
+                               std::to_string(static_cast<unsigned>(
+                                   out->outcome.status)));
+    return true;
+}
+
 /** Line tag of the current format; see the file comment of journal.hh. */
 constexpr char kLineTag[] = "padcj3";
 
@@ -108,6 +250,31 @@ sweepPointKey(const SweepPoint &point)
     hashValue(h, point);
     return h.digest();
 }
+
+template <typename T>
+std::string
+encodeRecord(const Result<T> &result)
+{
+    exp::JsonWriter writer(exp::JsonWriter::Layout::OneLine);
+    put(writer, nullptr, result);
+    return writer.str();
+}
+
+template <typename T>
+bool
+decodeRecord(const std::string &text, Result<T> *out, std::string *error)
+{
+    exp::JsonValue root;
+    return exp::parseJson(text, &root, error) &&
+           getResult(&root, "", out, error);
+}
+
+template std::string encodeRecord(const Result<RunMetrics> &);
+template std::string encodeRecord(const Result<MixEvaluation> &);
+template bool decodeRecord(const std::string &, Result<RunMetrics> *,
+                           std::string *);
+template bool decodeRecord(const std::string &, Result<MixEvaluation> *,
+                           std::string *);
 
 SweepJournal::SweepJournal(const std::string &path)
 {
@@ -140,10 +307,10 @@ SweepJournal::SweepJournal(const std::string &path)
             bool valid = false;
             if (kind[0] == 'e') {
                 Result<MixEvaluation> probe;
-                valid = wire::decodeRecord(body, &probe, nullptr);
+                valid = decodeRecord(body, &probe, nullptr);
             } else if (kind[0] == 'r') {
                 Result<RunMetrics> probe;
-                valid = wire::decodeRecord(body, &probe, nullptr);
+                valid = decodeRecord(body, &probe, nullptr);
             }
             if (!valid)
                 return;
@@ -250,14 +417,14 @@ SweepJournal::lookup(std::uint64_t key, Result<T> *out)
 {
     std::string body;
     return lookupLine(kKind<T>, key, &body) &&
-           wire::decodeRecord(body, out, nullptr);
+           decodeRecord(body, out, nullptr);
 }
 
 template <typename T>
 void
 SweepJournal::record(std::uint64_t key, const Result<T> &result)
 {
-    recordLine(kKind<T>, key, wire::encodeRecord(result));
+    recordLine(kKind<T>, key, encodeRecord(result));
 }
 
 template bool SweepJournal::lookup(std::uint64_t, Result<RunMetrics> *);

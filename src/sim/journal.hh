@@ -10,9 +10,25 @@
  * journal replays recorded points instead of recomputing them.
  *
  * One line is "padcj3 <kind> <key> <record>": kind 'e' (evaluateSweep)
- * or 'r' (runSweep), the key in hex, and the result as one line of the
- * worker wire's JSON (wire::encodeRecord). Lines of any other format,
- * older journals included, load as misses, so those points rerun.
+ * or 'r' (runSweep), the key in hex, and the result as one line of
+ * JSON (encodeRecord). Lines of any other format, older journals
+ * included, load as misses, so those points rerun.
+ *
+ * A record is written and read by one generic codec driven by the
+ * result structs' field tables (common/fields.hh): a tabled struct is
+ * an object with one member per row, named by the row; vectors and
+ * arrays are JSON arrays.
+ *  - doubles are plain JSON numbers; exp::jsonNumber emits the shortest
+ *    decimal that strtod()s back to the same bits. A non-finite double
+ *    is written as null, which does not decode.
+ *  - 64-bit integers are decimal STRINGS ("123"), never JSON numbers:
+ *    the parser stores numbers as double, which silently loses
+ *    precision past 2^53.
+ *  - enums are written as their underlying integer value.
+ *  - decoding is strict: a missing or mistyped member, an integer out
+ *    of its field's range, a vector longer than kMaxCores or an
+ *    unknown point status fails, and the error names the member's
+ *    dotted path (for example "value.cores[1].ipc").
  *
  * Guarantees:
  *  - Replayed results are bit-identical to recomputed ones: doubles are
@@ -64,6 +80,18 @@ namespace padc::sim
  * strings with their length first.
  */
 std::uint64_t sweepPointKey(const SweepPoint &point);
+
+/**
+ * A sweep result (T is RunMetrics or MixEvaluation) as one line of
+ * JSON: the journal's record body; see the file comment.
+ */
+template <typename T>
+std::string encodeRecord(const Result<T> &result);
+
+/** Decode a record written by encodeRecord. */
+template <typename T>
+bool decodeRecord(const std::string &text, Result<T> *out,
+                  std::string *error);
 
 /**
  * Append-only journal of completed sweep points; see file comment.

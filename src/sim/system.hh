@@ -114,10 +114,10 @@ struct SystemConfig
 
 /**
  * SystemConfig's field table; see common/fields.hh. Every row is a
- * simulated parameter, so the table is what the sweep key hashes and
- * what a worker receives. collector and event_skip have no row: both
- * are execution details that cannot change a result (see their
- * comments), so they are neither keyed nor sent.
+ * simulated parameter, so the table is what the sweep key hashes.
+ * collector and event_skip have no row: both are execution details
+ * that cannot change a result (see their comments), so they are not
+ * keyed.
  */
 template <fields::Of<SystemConfig> S, typename V>
 constexpr void
@@ -312,7 +312,7 @@ class System : public core::MemoryPort, public memctrl::ResponseHandler
     /**
      * Serviced requests per RequestClass, summed over all controllers
      * (indexed by enumerator value; reserved classes stay zero). Feeds
-     * the per-class block of RunMetrics and the wire/journal codecs.
+     * the per-class block of RunMetrics and the journal codec.
      */
     std::array<std::uint64_t, kRequestClassCount> classServiced() const;
 

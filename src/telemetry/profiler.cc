@@ -28,19 +28,6 @@ WallProfiler::snapshot() const
 }
 
 void
-WallProfiler::merge(const Snapshot &other)
-{
-    for (std::size_t i = 0; i < kProfilePhases; ++i) {
-        cells_[i].nanos.fetch_add(other.entries[i].nanos,
-                                  std::memory_order_relaxed);
-        cells_[i].calls.fetch_add(other.entries[i].calls,
-                                  std::memory_order_relaxed);
-    }
-    addLoopWork({other.skipped_cycles, other.event_jumps,
-                 other.landed_cycles, other.core_ticks});
-}
-
-void
 WallProfiler::reset()
 {
     for (auto &cell : cells_) {

@@ -8,19 +8,16 @@
  * per simulated run. Nothing inside System::run's cycle loop is timed:
  * a clock read costs more than a controller tick, so per-layer cost
  * comes from replaying each layer standalone (perfbench), not from
- * sampling here. The counters are atomics so parallel sweep workers
- * can share the singleton; numbers therefore aggregate *across* worker
- * threads (CPU seconds, not elapsed seconds, when the pool fans out).
+ * sampling here. The counters are atomics so parallel sweep threads
+ * can share the singleton; numbers therefore aggregate *across*
+ * threads (CPU seconds, not elapsed seconds, when a sweep fans out).
  *
  * Alone wraps each alone-IPC run (AloneIpcCache::computeAlone) whole,
  * which no runMix phase covers.
  *
  * The driver snapshots-and-resets around each experiment and reports
  * the phases next to the sim-cycles/sec block and in the "profile"
- * member of BENCH_<name>.json. A `padc worker` resets its own profiler
- * before each task and ships the snapshot in the result frame; the
- * supervisor merges it, so a --workers run reports the same profile as
- * an in-thread one.
+ * member of BENCH_<name>.json.
  */
 
 #ifndef PADC_TELEMETRY_PROFILER_HH
@@ -31,8 +28,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-
-#include "common/fields.hh"
 
 namespace padc::telemetry
 {
@@ -116,9 +111,6 @@ class WallProfiler
 
     Snapshot snapshot() const;
 
-    /** Add another profiler's counts (a pool worker's, for one task). */
-    void merge(const Snapshot &other);
-
     void reset();
 
     /** RAII phase timer. */
@@ -163,28 +155,6 @@ class WallProfiler
     std::atomic<std::uint64_t> landed_cycles_{0};
     std::atomic<std::uint64_t> core_ticks_{0};
 };
-
-/** Field tables of a snapshot, which travels in worker result frames. */
-template <fields::Of<WallProfiler::Snapshot::Entry> S, typename V>
-constexpr void
-forEachField(S &s, V &&v)
-{
-    v("nanos", s.nanos);
-    v("calls", s.calls);
-}
-static_assert(fields::complete<WallProfiler::Snapshot::Entry>());
-
-template <fields::Of<WallProfiler::Snapshot> S, typename V>
-constexpr void
-forEachField(S &s, V &&v)
-{
-    v("entries", s.entries);
-    v("skipped_cycles", s.skipped_cycles);
-    v("event_jumps", s.event_jumps);
-    v("landed_cycles", s.landed_cycles);
-    v("core_ticks", s.core_ticks);
-}
-static_assert(fields::complete<WallProfiler::Snapshot>());
 
 } // namespace padc::telemetry
 

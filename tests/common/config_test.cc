@@ -91,7 +91,7 @@ TEST(ConfigTest, RequestClassRoundTrip)
 }
 
 /**
- * The enumerator values are a wire and stat-index contract (request
+ * The enumerator values are a journal and stat-index contract (request
  * pools, telemetry events, per-class counter arrays): append-only,
  * never renumbered.
  */

@@ -3,7 +3,7 @@
  * Unit tests for the shared fixed-bucket Histogram
  * (common/histogram.hh). The nearest-rank percentile and
  * overflow-to-tracked-max semantics pinned down here are load-bearing
- * for the Fig. 4(a) distributions and the BENCH `pool_task_ms.*` summary.
+ * for the Fig. 4(a) distributions.
  */
 
 #include <gtest/gtest.h>

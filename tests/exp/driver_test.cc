@@ -81,13 +81,12 @@ TEST(ParseDriverArgs, CommandsAndFlags)
     const char *run[] = {"padc",     "run",      "fig09", "overall",
                          "--threads", "3",       "--seed", "42",
                          "--format", "json",     "--out",  "/tmp/x",
-                         "--resume", "/tmp/j.jsonl", "--workers", "4"};
-    ASSERT_TRUE(parseDriverArgs(16, run, &options, &error)) << error;
+                         "--resume", "/tmp/j.jsonl"};
+    ASSERT_TRUE(parseDriverArgs(14, run, &options, &error)) << error;
     EXPECT_EQ(options.command, DriverOptions::Command::Run);
     ASSERT_EQ(options.selectors.size(), 2u);
     EXPECT_EQ(options.selectors[0], "fig09");
     EXPECT_EQ(options.threads, 3u);
-    EXPECT_EQ(options.workers, 4u);
     ASSERT_TRUE(options.seed.has_value());
     EXPECT_EQ(*options.seed, 42u);
     EXPECT_EQ(options.format, DriverOptions::Format::Json);
@@ -138,10 +137,6 @@ TEST(ParseDriverArgs, Rejections)
     EXPECT_TRUE(fails({"run", "smoke", "--threads", "nope"}));
     EXPECT_TRUE(fails({"run", "smoke", "--threads", "2000"})); // > kMaxThreads
     EXPECT_TRUE(fails({"run", "smoke", "--threads"}));
-    EXPECT_TRUE(fails({"run", "smoke", "--workers", "nope"}));
-    EXPECT_TRUE(fails({"run", "smoke", "--workers", "-1"}));
-    EXPECT_TRUE(fails({"run", "smoke", "--workers", "1025"}));
-    EXPECT_TRUE(fails({"run", "smoke", "--workers"}));
     EXPECT_TRUE(fails({"run", "smoke", "--seed", "-1"}));
     EXPECT_TRUE(fails({"run", "smoke", "--format", "xml"}));
     EXPECT_TRUE(fails({"run", "smoke", "--frob"}));

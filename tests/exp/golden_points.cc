@@ -1,0 +1,184 @@
+/**
+ * @file
+ * The golden_points gate: reruns `padc run smoke_grid fig09 --threads 2`
+ * through the real driver binary and compares every point with the
+ * digests committed in tests/exp/golden/points.txt, one line per point:
+ *
+ *   <experiment> <index> <status> <cycles> <digest>
+ *
+ * The digest is a 64-bit FNV-1a over the point's label and every
+ * metric's name and double bits (metric names in sorted order). `key`
+ * and `attempts` are left out, so adding or removing a keyed config
+ * field does not churn the file.
+ *
+ * The actual lines are always written to points.txt in the build-tree
+ * directory PADC_GOLDEN_OUT (next to the BENCH files of the run). On a
+ * mismatch the gate prints the first differing point (its label, the
+ * expected and actual status, cycles and digest, and the actual
+ * metrics) and the `cp` command that accepts the new results; a change
+ * that moves simulated results on purpose runs that command and says
+ * why in its change log.
+ */
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "exp/json.hh"
+#include "trace/format.hh"
+
+namespace
+{
+
+using padc::exp::JsonValue;
+
+/** One point of the run, as its digest line plus what explains it. */
+struct Point
+{
+    std::string line;
+    std::string label;
+    const JsonValue *metrics = nullptr;
+};
+
+std::uint64_t
+digest(const std::string &label, const JsonValue &metrics)
+{
+    // Each string is hashed with its terminating NUL, so the boundary
+    // between two fields is part of the digest.
+    std::uint64_t hash = padc::trace::fnv1a(label.c_str(), label.size() + 1);
+    for (const auto &[name, value] : metrics.object) {
+        hash = padc::trace::fnv1a(name.c_str(), name.size() + 1, hash);
+        const double number = value.isNumber()
+                                  ? value.number
+                                  : std::numeric_limits<double>::quiet_NaN();
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &number, sizeof(bits));
+        hash = padc::trace::fnv1a(&bits, sizeof(bits), hash);
+    }
+    return hash;
+}
+
+/** Run the driver; its stdout (one JSON document) into @p out. */
+bool
+runDriver(std::string *out)
+{
+    const std::string command = std::string("'") + PADC_DRIVER_BIN +
+                                "' run smoke_grid fig09 --threads 2 "
+                                "--format json --out '" PADC_GOLDEN_OUT "'";
+    std::FILE *pipe = ::popen(command.c_str(), "r");
+    if (pipe == nullptr)
+        return false;
+    char buffer[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0)
+        out->append(buffer, n);
+    const int status = ::pclose(pipe);
+    if (status != 0)
+        std::fprintf(stderr, "golden_points: '%s' exited with status %d\n",
+                     command.c_str(), status);
+    return status == 0;
+}
+
+/** The digest lines of every point of @p doc, in run order. */
+bool
+collectPoints(const JsonValue &doc, std::vector<Point> *points)
+{
+    const JsonValue *results = doc.find("results");
+    if (results == nullptr || !results->isArray())
+        return false;
+    for (const JsonValue &result : results->array) {
+        const JsonValue *name = result.find("name");
+        const JsonValue *list = result.find("points");
+        if (name == nullptr || list == nullptr || !list->isArray())
+            return false;
+        for (std::size_t i = 0; i < list->array.size(); ++i) {
+            const JsonValue &entry = list->array[i];
+            const JsonValue *label = entry.find("label");
+            const JsonValue *status = entry.find("status");
+            const JsonValue *cycles = entry.find("cycles");
+            const JsonValue *metrics = entry.find("metrics");
+            if (label == nullptr || status == nullptr ||
+                cycles == nullptr || metrics == nullptr ||
+                !metrics->isObject())
+                return false;
+            char line[256];
+            std::snprintf(line, sizeof(line), "%s %zu %s %llu %016llx",
+                          name->string.c_str(), i, status->string.c_str(),
+                          static_cast<unsigned long long>(cycles->number),
+                          static_cast<unsigned long long>(
+                              digest(label->string, *metrics)));
+            points->push_back({line, label->string, metrics});
+        }
+    }
+    return true;
+}
+
+} // namespace
+
+int
+main()
+{
+    std::string text;
+    JsonValue doc;
+    std::string error;
+    std::vector<Point> actual;
+    if (!runDriver(&text) || !padc::exp::parseJson(text, &doc, &error) ||
+        !collectPoints(doc, &actual)) {
+        std::fprintf(stderr, "golden_points: no usable run output %s\n",
+                     error.c_str());
+        return 1;
+    }
+
+    const std::string actual_path = PADC_GOLDEN_OUT "/points.txt";
+    {
+        std::ofstream out(actual_path);
+        for (const Point &point : actual)
+            out << point.line << "\n";
+    }
+
+    std::vector<std::string> expected;
+    {
+        std::ifstream in(PADC_GOLDEN_POINTS);
+        for (std::string line; std::getline(in, line);)
+            expected.push_back(line);
+    }
+
+    for (std::size_t i = 0; i < actual.size() || i < expected.size(); ++i) {
+        const std::string want = i < expected.size() ? expected[i] : "";
+        const std::string got = i < actual.size() ? actual[i].line : "";
+        if (want == got)
+            continue;
+        std::fprintf(stderr,
+                     "golden_points: point %zu differs from %s\n"
+                     "  label:    %s\n"
+                     "  expected: %s\n"
+                     "  actual:   %s\n",
+                     i, PADC_GOLDEN_POINTS,
+                     i < actual.size() ? actual[i].label.c_str()
+                                       : "(no such point)",
+                     want.empty() ? "(no such point)" : want.c_str(),
+                     got.empty() ? "(no such point)" : got.c_str());
+        if (i < actual.size()) {
+            std::fprintf(stderr, "  actual metrics:\n");
+            for (const auto &[name, value] : actual[i].metrics->object)
+                std::fprintf(stderr, "    %s %s\n", name.c_str(),
+                             value.isNumber()
+                                 ? padc::exp::jsonNumber(value.number).c_str()
+                                 : "null");
+        }
+        std::fprintf(stderr,
+                     "golden_points: the whole actual file is %s; if the "
+                     "change is meant to move results, accept it with\n"
+                     "  cp %s %s\n",
+                     actual_path.c_str(), actual_path.c_str(),
+                     PADC_GOLDEN_POINTS);
+        return 1;
+    }
+    std::printf("golden_points: %zu points match %s\n", actual.size(),
+                PADC_GOLDEN_POINTS);
+    return 0;
+}

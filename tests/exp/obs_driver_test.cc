@@ -7,12 +7,10 @@
  * streams stay byte-clean while the human-facing progress line, the
  * events.jsonl log, and the status.json snapshot ride elsewhere.
  *
- * Covers the acceptance scenarios: fault-injected sweeps show their
- * retries in the progress line and the event log, an interrupted sweep
- * reports every point the same way in-thread and pooled, status.json
- * stays a complete schema-valid snapshot across a SIGKILLed
- * supervisor, the event log tail-repairs on resume, and `padc status`
- * renders both live and post-mortem state.
+ * Covers the acceptance scenarios: an interrupted sweep reports every
+ * point once, status.json stays a complete schema-valid snapshot
+ * across a SIGKILLed run, the event log tail-repairs on resume, and
+ * `padc status` renders both live and post-mortem state.
  */
 
 #include <fcntl.h>
@@ -141,7 +139,7 @@ journalLines(const std::string &path)
     return lines;
 }
 
-/** Poll until the journal holds @p want lines (worker progress gate). */
+/** Poll until the journal holds @p want lines (sweep progress gate). */
 bool
 awaitJournalLines(const std::string &path, std::size_t want)
 {
@@ -214,86 +212,31 @@ TEST(ObsDriver, WithoutProgressNoSidecarFilesAppear)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ObsDriver, CrashRetriesShowInProgressLineEventsAndStatus)
-{
-    // Acceptance: crash:3 under --workers --progress surfaces the
-    // retries on every observability surface.
-    const auto dir = freshDir("crash");
-    ASSERT_EQ(runDriver({"run", "smoke_grid", "--workers", "4",
-                         "--progress", "--out", dir.string()},
-                        {"PADC_FAULT_INJECT=crash:3"},
-                        (dir / "stdout.log").string(),
-                        (dir / "stderr.log").string()),
-              0);
-
-    // Progress line (stderr): nothing is drawn before the sweep starts
-    // (the pool spawns first), and the final snapshot shows the three
-    // retries.
-    const std::string err = slurp(dir / "stderr.log");
-    EXPECT_EQ(err.rfind("[padc] smoke_grid", 0), 0u) << err;
-    EXPECT_NE(err.find("retries 3"), std::string::npos);
-
-    // Event log: three point_retry records plus the worker churn.
-    std::vector<obs::Event> events;
-    std::string error;
-    ASSERT_TRUE(obs::EventLog::load((dir / "events.jsonl").string(),
-                                    &events, &error))
-        << error;
-    EXPECT_EQ(countEvents(events, "sweep_start"), 1u);
-    EXPECT_EQ(countEvents(events, "point_retry"), 3u);
-    EXPECT_EQ(countEvents(events, "point_complete"), 9u);
-    EXPECT_GE(countEvents(events, "worker_spawn"), 4u);
-    EXPECT_GE(countEvents(events, "worker_exit"), 3u);
-    // Every worker's exit is logged, the clean ones at shutdown too.
-    EXPECT_EQ(countEvents(events, "worker_exit"),
-              countEvents(events, "worker_spawn"));
-    EXPECT_EQ(countEvents(events, "sweep_finish"), 1u);
-
-    // status.json: finished, with the same counts.
-    obs::SweepStatus status;
-    ASSERT_TRUE(obs::loadStatusFile((dir / "status.json").string(),
-                                    &status, &error))
-        << error;
-    EXPECT_EQ(status.state, "finished");
-    EXPECT_EQ(status.experiment, "smoke_grid");
-    EXPECT_EQ(status.done, 9u);
-    EXPECT_EQ(status.executed, 9u);
-    EXPECT_EQ(status.retries, 3u);
-    EXPECT_EQ(status.quarantined, 0u);
-    EXPECT_EQ(status.active_workers, 0u);
-    std::filesystem::remove_all(dir);
-}
-
 TEST(ObsDriver, PooledInterruptReportsEveryPoint)
 {
-    // Both execution paths emit the same events and the same status.
-    // An interrupt after the first point drains the other eight:
-    // in-thread they never start, in the pool they are pending or
-    // killed in flight, and each one reaches the monitor exactly once.
-    for (const std::string mode : {"threads", "workers"}) {
-        SCOPED_TRACE(mode);
-        const auto dir = freshDir("interrupt_" + mode);
-        EXPECT_EQ(runDriver({"run", "smoke_grid", "--" + mode, "1",
-                             "--progress", "--out", dir.string()},
-                            {"PADC_TEST_INTERRUPT_AFTER=1"},
-                            (dir / "stdout.log").string(),
-                            (dir / "stderr.log").string()),
-                  130);
-        obs::SweepStatus s;
-        std::vector<obs::Event> events;
-        ASSERT_TRUE(obs::loadStatusFile((dir / "status.json").string(), &s));
-        ASSERT_TRUE(obs::EventLog::load((dir / "events.jsonl").string(),
-                                        &events));
-        EXPECT_EQ(s.state, "interrupted");
-        EXPECT_EQ(s.done, 9u);
-        EXPECT_EQ(s.executed, 1u);
-        EXPECT_EQ(s.replayed, 0u);
-        EXPECT_EQ(s.failed, 0u);
-        EXPECT_EQ(countEvents(events, "point_complete"), 1u);
-        EXPECT_EQ(countEvents(events, "point_interrupted"), 8u);
-        EXPECT_EQ(countEvents(events, "sweep_interrupted"), 1u);
-        std::filesystem::remove_all(dir);
-    }
+    // An interrupt after the first point of a one-thread sweep: the
+    // other eight never start, and each one reaches the monitor once.
+    const auto dir = freshDir("interrupt_threads");
+    EXPECT_EQ(runDriver({"run", "smoke_grid", "--threads", "1",
+                         "--progress", "--out", dir.string()},
+                        {"PADC_TEST_INTERRUPT_AFTER=1"},
+                        (dir / "stdout.log").string(),
+                        (dir / "stderr.log").string()),
+              130);
+    obs::SweepStatus s;
+    std::vector<obs::Event> events;
+    ASSERT_TRUE(obs::loadStatusFile((dir / "status.json").string(), &s));
+    ASSERT_TRUE(
+        obs::EventLog::load((dir / "events.jsonl").string(), &events));
+    EXPECT_EQ(s.state, "interrupted");
+    EXPECT_EQ(s.done, 9u);
+    EXPECT_EQ(s.executed, 1u);
+    EXPECT_EQ(s.replayed, 0u);
+    EXPECT_EQ(s.failed, 0u);
+    EXPECT_EQ(countEvents(events, "point_complete"), 1u);
+    EXPECT_EQ(countEvents(events, "point_interrupted"), 8u);
+    EXPECT_EQ(countEvents(events, "sweep_interrupted"), 1u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ObsDriver, StatusSubcommandRendersFinishedSweep)
@@ -324,7 +267,7 @@ TEST(ObsDriver, StatusSubcommandRendersFinishedSweep)
     ASSERT_TRUE(parseJson(slurp(dir / "status_json.log"), &doc, &error))
         << error;
     ASSERT_NE(doc.find("schema"), nullptr);
-    EXPECT_EQ(doc.find("schema")->string, "padc-sweep-status-v1");
+    EXPECT_EQ(doc.find("schema")->string, "padc-sweep-status-v2");
     ASSERT_NE(doc.find("state"), nullptr);
     EXPECT_EQ(doc.find("state")->string, "finished");
     ASSERT_NE(doc.find("done"), nullptr);
@@ -353,36 +296,34 @@ TEST(ObsDriver, StatusSubcommandFailsCleanlyWithoutStatusFile)
 
 TEST(ObsDriver, KilledSupervisorLeavesValidStatusAndRepairableLog)
 {
-    // S4: kill -9 the supervisor mid-sweep. The atomic-rename writer
+    // S4: kill -9 a one-thread tab07 run (one sweep of 65 points) once
+    // about five points are journaled. The atomic-rename writer
     // guarantees status.json is a complete schema-valid snapshot, the
     // event log loses at most its torn tail, and a resumed run repairs
     // the tail and appends a sweep_resume record.
+    constexpr std::size_t kPoints = 65;
     const auto dir = freshDir("kill9");
     const std::string journal = (dir / "sweep.padcjournal").string();
     const std::string events_path = (dir / "events.jsonl").string();
 
-    // hang:9 wedges a worker on the last point while the other eight
-    // complete; the huge timeout keeps the heartbeat out of the way.
     const pid_t pid =
-        spawnDriver({"run", "smoke_grid", "--workers", "2", "--progress",
+        spawnDriver({"run", "tab07", "--threads", "1", "--progress",
                      "--resume", journal, "--out", dir.string()},
-                    {"PADC_FAULT_INJECT=hang:9",
-                     "PADC_WORKER_TIMEOUT_MS=600000"},
-                    (dir / "out1.log").string(),
+                    {}, (dir / "out1.log").string(),
                     (dir / "err1.log").string());
     ASSERT_GT(pid, 0);
-    ASSERT_TRUE(awaitJournalLines(journal, 8));
+    ASSERT_TRUE(awaitJournalLines(journal, 5));
 
-    // Live observation while the sweep hangs: status.json is already
-    // a complete snapshot and `padc status` renders it.
+    // Live observation mid-sweep: status.json is already a complete
+    // snapshot and `padc status` renders it.
     obs::SweepStatus live;
     std::string error;
     ASSERT_TRUE(obs::loadStatusFile((dir / "status.json").string(),
                                     &live, &error))
         << error;
     EXPECT_EQ(live.state, "running");
-    EXPECT_EQ(live.experiment, "smoke_grid");
-    EXPECT_EQ(live.total, 9u);
+    EXPECT_EQ(live.experiment, "tab07");
+    EXPECT_EQ(live.total, kPoints);
     ASSERT_EQ(runDriver({"status", dir.string()}, {},
                         (dir / "live_out.log").string(),
                         (dir / "live_err.log").string()),
@@ -392,6 +333,10 @@ TEST(ObsDriver, KilledSupervisorLeavesValidStatusAndRepairableLog)
 
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
     EXPECT_EQ(waitDriver(pid), 128 + SIGKILL);
+    const std::size_t journaled = journalLines(journal);
+    // A kill after the last point would leave nothing to resume.
+    ASSERT_LT(journaled, kPoints)
+        << "the killed run had already journaled every point";
 
     // Post-mortem: the snapshot is still complete and schema-valid.
     obs::SweepStatus dead;
@@ -399,7 +344,7 @@ TEST(ObsDriver, KilledSupervisorLeavesValidStatusAndRepairableLog)
                                     &dead, &error))
         << error;
     EXPECT_EQ(dead.state, "running"); // nobody got to write "finished"
-    EXPECT_EQ(dead.total, 9u);
+    EXPECT_EQ(dead.total, kPoints);
 
     // Simulate the kill having torn the event log mid-write.
     {
@@ -408,15 +353,14 @@ TEST(ObsDriver, KilledSupervisorLeavesValidStatusAndRepairableLog)
         torn << "{\"padc\":\"padc-run-event-v1\",\"ev\":\"point_";
     }
 
-    // Resume fault-free with --progress: the log tail-repairs, the
-    // journaled points replay, and the monitor records a sweep_resume.
-    ASSERT_EQ(runDriver({"run", "smoke_grid", "--workers", "2",
-                         "--progress", "--resume", journal, "--out",
-                         dir.string()},
+    // Resume with --progress: the log tail-repairs, the journaled
+    // points replay, and the monitor records a sweep_resume.
+    ASSERT_EQ(runDriver({"run", "tab07", "--threads", "2", "--progress",
+                         "--resume", journal, "--out", dir.string()},
                         {}, (dir / "out2.log").string(),
                         (dir / "err2.log").string()),
               0);
-    EXPECT_EQ(journalLines(journal), 9u);
+    EXPECT_EQ(journalLines(journal), kPoints);
 
     std::vector<obs::Event> events;
     ASSERT_TRUE(obs::EventLog::load(events_path, &events, &error))
@@ -424,18 +368,19 @@ TEST(ObsDriver, KilledSupervisorLeavesValidStatusAndRepairableLog)
     EXPECT_EQ(countEvents(events, "sweep_start"), 1u);
     EXPECT_EQ(countEvents(events, "sweep_resume"), 1u);
     EXPECT_EQ(countEvents(events, "sweep_finish"), 1u);
-    // 8 replays + 1 genuine completion arrive after the resume.
-    EXPECT_EQ(countEvents(events, "point_replay"), 8u);
-    EXPECT_GE(countEvents(events, "point_complete"), 9u);
+    EXPECT_EQ(countEvents(events, "point_replay"), journaled);
+    // The killed run may have journaled its last point without logging
+    // it; every other point logged one completion.
+    EXPECT_GE(countEvents(events, "point_complete"), kPoints - 1);
 
     obs::SweepStatus final_status;
     ASSERT_TRUE(obs::loadStatusFile((dir / "status.json").string(),
                                     &final_status, &error))
         << error;
     EXPECT_EQ(final_status.state, "finished");
-    EXPECT_EQ(final_status.done, 9u);
-    EXPECT_EQ(final_status.replayed, 8u);
-    EXPECT_EQ(final_status.executed, 1u);
+    EXPECT_EQ(final_status.done, kPoints);
+    EXPECT_EQ(final_status.replayed, journaled);
+    EXPECT_EQ(final_status.executed, kPoints - journaled);
     std::filesystem::remove_all(dir);
 }
 

@@ -59,7 +59,6 @@ makeEvent(const std::string &type, std::int64_t point = -1)
     event.type = type;
     event.t_ms = 1234;
     event.point = point;
-    event.worker = 42;
     event.attempt = 2;
     event.detail = "status: some \"quoted\" detail";
     return event;
@@ -67,7 +66,7 @@ makeEvent(const std::string &type, std::int64_t point = -1)
 
 TEST_F(EventLogTest, FormatEventIsSingleLineTaggedJson)
 {
-    const std::string line = formatEvent(makeEvent("point_retry", 7));
+    const std::string line = formatEvent(makeEvent("point_complete", 7));
     EXPECT_EQ(line.find('\n'), std::string::npos);
 
     exp::JsonValue root;
@@ -75,10 +74,9 @@ TEST_F(EventLogTest, FormatEventIsSingleLineTaggedJson)
     ASSERT_TRUE(exp::parseJson(line, &root, &error)) << error;
     ASSERT_NE(root.find("padc"), nullptr);
     EXPECT_EQ(root.find("padc")->string, obs::kEventSchema);
-    EXPECT_EQ(root.find("ev")->string, "point_retry");
+    EXPECT_EQ(root.find("ev")->string, "point_complete");
     EXPECT_DOUBLE_EQ(root.find("t_ms")->number, 1234.0);
     EXPECT_DOUBLE_EQ(root.find("point")->number, 7.0);
-    EXPECT_DOUBLE_EQ(root.find("worker")->number, 42.0);
     EXPECT_DOUBLE_EQ(root.find("attempt")->number, 2.0);
     EXPECT_EQ(root.find("detail")->string,
               "status: some \"quoted\" detail");
@@ -100,7 +98,6 @@ TEST_F(EventLogTest, RecordLoadRoundtrip)
     EXPECT_EQ(events[0].type, "sweep_start");
     EXPECT_EQ(events[1].type, "point_complete");
     EXPECT_EQ(events[1].point, 0);
-    EXPECT_EQ(events[1].worker, 42);
     EXPECT_EQ(events[1].attempt, 2u);
     EXPECT_EQ(events[1].t_ms, 1234u);
     EXPECT_EQ(events[2].type, "sweep_finish");

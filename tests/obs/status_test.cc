@@ -97,14 +97,9 @@ sampleStatus()
     status.executed = 3;
     status.replayed = 2;
     status.failed = 1;
-    status.retries = 4;
-    status.quarantined = 1;
-    status.active_workers = 2;
     status.elapsed_seconds = 12.5;
     status.rate_per_sec = 1.75;
     status.eta_seconds = 2.3;
-    status.workers.push_back({1234, 2, 0, true});
-    status.workers.push_back({1235, 1, 1, false});
     return status;
 }
 
@@ -130,18 +125,9 @@ TEST(SweepStatusTest, WriteLoadRoundtrip)
     EXPECT_EQ(loaded.executed, written.executed);
     EXPECT_EQ(loaded.replayed, written.replayed);
     EXPECT_EQ(loaded.failed, written.failed);
-    EXPECT_EQ(loaded.retries, written.retries);
-    EXPECT_EQ(loaded.quarantined, written.quarantined);
-    EXPECT_EQ(loaded.active_workers, written.active_workers);
     EXPECT_DOUBLE_EQ(loaded.elapsed_seconds, written.elapsed_seconds);
     EXPECT_DOUBLE_EQ(loaded.rate_per_sec, written.rate_per_sec);
     EXPECT_DOUBLE_EQ(loaded.eta_seconds, written.eta_seconds);
-    ASSERT_EQ(loaded.workers.size(), 2u);
-    EXPECT_EQ(loaded.workers[0].pid, 1234);
-    EXPECT_EQ(loaded.workers[0].tasks, 2u);
-    EXPECT_TRUE(loaded.workers[0].busy);
-    EXPECT_EQ(loaded.workers[1].kills, 1u);
-    EXPECT_FALSE(loaded.workers[1].busy);
 
     std::filesystem::remove_all(dir);
 }
@@ -179,9 +165,6 @@ TEST(SweepStatusTest, ProgressLineCarriesTheHeadlineNumbers)
     EXPECT_NE(line.find("5/9"), std::string::npos);
     EXPECT_NE(line.find("2 replayed"), std::string::npos);
     EXPECT_NE(line.find("1.75"), std::string::npos);
-    EXPECT_NE(line.find("workers 2"), std::string::npos);
-    EXPECT_NE(line.find("retries 4"), std::string::npos);
-    EXPECT_NE(line.find("quarantined 1"), std::string::npos);
 }
 
 TEST(SweepStatusTest, ProgressLineShowsUnknownEta)
@@ -190,16 +173,6 @@ TEST(SweepStatusTest, ProgressLineShowsUnknownEta)
     status.eta_seconds = -1.0;
     const std::string line = obs::renderProgressLine(status);
     EXPECT_NE(line.find("ETA --"), std::string::npos);
-}
-
-TEST(SweepStatusTest, ReportRendersWorkers)
-{
-    const std::string report = obs::renderStatusReport(sampleStatus());
-    EXPECT_NE(report.find("smoke_grid"), std::string::npos);
-    EXPECT_NE(report.find("running"), std::string::npos);
-    EXPECT_NE(report.find("pid 1234"), std::string::npos);
-    EXPECT_NE(report.find("busy"), std::string::npos);
-    EXPECT_NE(report.find("idle"), std::string::npos);
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the field tables (common/fields.hh) and everything derived
- * from them: every config and RunOptions leaf is keyed and survives the
- * worker wire, every metric leaf round-trips bit-exactly through the
- * wire and the journal, three keys match their pinned values, and
- * strict decoding names the dotted path of a bad member.
+ * from them: every config and RunOptions leaf is keyed, every metric
+ * leaf round-trips bit-exactly through the journal, three keys match
+ * their pinned values, and strict record decoding names the dotted
+ * path of a bad member.
  * The leaf lists come from the tables themselves (field_walk.hh).
  */
 
@@ -19,11 +19,9 @@
 #include <string>
 #include <vector>
 
-#include "exp/json.hh"
 #include "field_walk.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
-#include "sim/wire.hh"
 
 namespace padc::sim
 {
@@ -57,24 +55,7 @@ fancyPoint()
     return point;
 }
 
-/** The point after an eval task's trip through the worker wire. */
-SweepPoint
-overTheWire(const SweepPoint &point, SweepPoint *alone)
-{
-    wire::WireTask task;
-    task.kind = wire::WireTask::Kind::Eval;
-    task.point = point;
-    task.alone_base = point.config;
-    task.alone_options = point.options;
-    wire::WireTask decoded;
-    std::string error;
-    EXPECT_TRUE(wire::decodeTask(wire::encodeTask(task), &decoded, &error))
-        << error;
-    *alone = {decoded.alone_base, point.mix, decoded.alone_options};
-    return decoded.point;
-}
-
-TEST(FieldTable, EveryConfigLeafIsKeyedAndSurvivesTheWire)
+TEST(FieldTable, EveryConfigLeafIsKeyed)
 {
     const SweepPoint base = fancyPoint();
     const std::uint64_t base_key = sweepPointKey(base);
@@ -94,21 +75,12 @@ TEST(FieldTable, EveryConfigLeafIsKeyedAndSurvivesTheWire)
         const std::uint64_t key = sweepPointKey(point);
         EXPECT_NE(key, base_key) << "leaf not keyed";
         EXPECT_TRUE(keys.insert(key).second) << "key collides";
-
-        SweepPoint alone;
-        const SweepPoint decoded = overTheWire(point, &alone);
-        EXPECT_EQ(sweepPointKey(decoded), key) << "dropped by the wire";
-        EXPECT_EQ(sweepPointKey(alone), key) << "alone config dropped";
-        EXPECT_EQ(leafDump(decoded), leafDump(point));
     }
 
     // Mix order is keyed too (no single-leaf nudge swaps two entries).
     SweepPoint swapped = base;
     std::swap(swapped.mix[0], swapped.mix[1]);
     EXPECT_NE(sweepPointKey(swapped), base_key);
-    SweepPoint alone;
-    EXPECT_EQ(sweepPointKey(overTheWire(swapped, &alone)),
-              sweepPointKey(swapped));
 }
 
 /**
@@ -151,11 +123,11 @@ class FieldTableJournal : public ::testing::Test
 
     /**
      * Nudge each leaf of @p base in turn and check the result comes
-     * back bit-identical from a result frame and from the journal.
+     * back bit-identical from the journal.
      */
     template <typename T>
     void
-    walkRoundTrips(Result<T> base, wire::WireTask::Kind kind)
+    walkRoundTrips(Result<T> base)
     {
         fillLeaves(base);
         base.outcome.status = PointStatus::Ok; // its nudge stays valid
@@ -167,23 +139,6 @@ class FieldTableJournal : public ::testing::Test
                 Result<T> result = base;
                 SCOPED_TRACE(nudgeLeaf(result, i));
                 ASSERT_NE(leafDump(result), leafDump(base));
-
-                wire::WireResult frame;
-                frame.kind = kind;
-                if constexpr (std::is_same_v<T, RunMetrics>)
-                    frame.run = result;
-                else
-                    frame.eval = result;
-                wire::WireResult decoded;
-                std::string error;
-                ASSERT_TRUE(wire::decodeResult(wire::encodeResult(frame),
-                                               &decoded, &error))
-                    << error;
-                if constexpr (std::is_same_v<T, RunMetrics>)
-                    EXPECT_EQ(leafDump(decoded.run), leafDump(result));
-                else
-                    EXPECT_EQ(leafDump(decoded.eval), leafDump(result));
-
                 journal.record(i, result);
                 nudged.push_back(result);
             }
@@ -206,7 +161,7 @@ TEST_F(FieldTableJournal, EveryRunMetricsLeafRoundTripsBitExactly)
     base.value.cores.resize(2);
     // 2 cores x 13 + class_serviced + outcome status and detail.
     ASSERT_EQ(leafPaths(base).size(), 26u + kRequestClassCount + 2u);
-    walkRoundTrips(base, wire::WireTask::Kind::Run);
+    walkRoundTrips(base);
 }
 
 TEST_F(FieldTableJournal, EveryEvalLeafRoundTripsBitExactly)
@@ -214,7 +169,7 @@ TEST_F(FieldTableJournal, EveryEvalLeafRoundTripsBitExactly)
     Result<MixEvaluation> base;
     base.value.metrics.cores.resize(2);
     base.value.summary.speedups.resize(2);
-    walkRoundTrips(base, wire::WireTask::Kind::Eval);
+    walkRoundTrips(base);
 }
 
 TEST(FieldTable, KeysMatchTheValuesPinnedBeforeTheTables)
@@ -244,73 +199,51 @@ TEST(FieldTable, ExecutionDetailsAreNotKeyed)
     EXPECT_EQ(sweepPointKey(point), sweepPointKey(base));
 }
 
-/** decodePoint of @p doc after @p edit; @return the error. */
-template <typename Edit>
+/**
+ * decodeRecord of a two-core evaluate record after replacing the one
+ * occurrence of @p from in its text by @p to; @return the error.
+ */
 std::string
-decodeEdited(Edit &&edit)
+decodeEdited(const std::string &from, const std::string &to)
 {
-    exp::JsonWriter writer;
-    writer.beginObject();
-    wire::encodePoint(writer, "point", fancyPoint());
-    writer.endObject();
-    exp::JsonValue root;
+    Result<MixEvaluation> result;
+    result.value.metrics.cores.resize(2);
+    result.value.metrics.cores[1].instructions = 777;
+    result.value.metrics.class_serviced = {11, 12, 13, 14, 15};
+    result.value.summary.speedups = {0.5, 0.75};
+    std::string record = encodeRecord(result);
+    const std::size_t at = record.find(from);
+    EXPECT_NE(at, std::string::npos) << record;
+    EXPECT_EQ(record.find(from, at + 1), std::string::npos) << record;
+    record.replace(at, from.size(), to);
+    Result<MixEvaluation> decoded;
     std::string error;
-    EXPECT_TRUE(exp::parseJson(writer.str(), &root, &error)) << error;
-    exp::JsonValue &point = root.object.at("point");
-    edit(point);
-    SweepPoint decoded;
-    EXPECT_FALSE(wire::decodePoint(point, &decoded, &error));
+    EXPECT_FALSE(decodeRecord(record, &decoded, &error)) << record;
     return error;
 }
 
 TEST(FieldTable, DecodeNamesTheDottedPathOfABadMember)
 {
-    const auto accuracy = [](exp::JsonValue &point) -> exp::JsonValue & {
-        return point.object.at("config").object.at("sched").object.at(
-            "accuracy");
-    };
-    std::string error = decodeEdited([&](exp::JsonValue &point) {
-        accuracy(point).object.erase("interval");
-    });
-    EXPECT_NE(error.find("'config.sched.accuracy.interval'"),
-              std::string::npos)
-        << error;
+    const std::string instructions = "'value.metrics.cores[1].instructions'";
+    std::string error = decodeEdited("\"instructions\": \"777\",", "");
+    EXPECT_NE(error.find(instructions), std::string::npos) << error;
 
     // u64s travel as decimal strings; a JSON number is mistyped.
-    error = decodeEdited([&](exp::JsonValue &point) {
-        exp::JsonValue &interval = accuracy(point).object.at("interval");
-        interval.kind = exp::JsonValue::Kind::Number;
-        interval.number = 100000;
-    });
-    EXPECT_NE(error.find("'config.sched.accuracy.interval'"),
-              std::string::npos)
-        << error;
+    error = decodeEdited("\"instructions\": \"777\"",
+                         "\"instructions\": 777");
+    EXPECT_NE(error.find(instructions), std::string::npos) << error;
 
-    // Out of range for a 32-bit member.
-    error = decodeEdited([](exp::JsonValue &point) {
-        point.object.at("config").object.at("num_cores").string =
-            "4294967296";
-    });
-    EXPECT_NE(error.find("'config.num_cores'"), std::string::npos) << error;
+    // Out of range for an 8-bit member.
+    error = decodeEdited("\"status\": \"0\"", "\"status\": \"256\"");
+    EXPECT_NE(error.find("'outcome.status'"), std::string::npos) << error;
 
     // Array elements are named by index; a short array fails.
-    error = decodeEdited([](exp::JsonValue &point) {
-        point.object.at("config")
-            .object.at("sched")
-            .object.at("drop_thresholds")
-            .array[2]
-            .string = "-1";
-    });
-    EXPECT_NE(error.find("'config.sched.drop_thresholds[2]'"),
+    error = decodeEdited("\"13\"", "\"-1\"");
+    EXPECT_NE(error.find("'value.metrics.class_serviced[2]'"),
               std::string::npos)
         << error;
-    error = decodeEdited([](exp::JsonValue &point) {
-        point.object.at("config")
-            .object.at("sched")
-            .object.at("drop_accuracy_bounds")
-            .array.pop_back();
-    });
-    EXPECT_NE(error.find("'config.sched.drop_accuracy_bounds'"),
+    error = decodeEdited(",\"15\"]", "]");
+    EXPECT_NE(error.find("'value.metrics.class_serviced'"),
               std::string::npos)
         << error;
 }
@@ -322,11 +255,11 @@ TEST(FieldTable, VectorsKeepTheirCoreBound)
     Result<RunMetrics> decoded;
     std::string error;
     EXPECT_TRUE(
-        wire::decodeRecord(wire::encodeRecord(result), &decoded, &error))
+        decodeRecord(encodeRecord(result), &decoded, &error))
         << error;
     result.value.cores.resize(memctrl::kMaxCores + 1);
     EXPECT_FALSE(
-        wire::decodeRecord(wire::encodeRecord(result), &decoded, &error));
+        decodeRecord(encodeRecord(result), &decoded, &error));
     EXPECT_NE(error.find("'value.cores'"), std::string::npos) << error;
 }
 
@@ -334,11 +267,11 @@ TEST(FieldTable, NonFiniteDoublesDoNotDecode)
 {
     Result<MixEvaluation> result;
     result.value.summary.uf = std::numeric_limits<double>::infinity();
-    const std::string record = wire::encodeRecord(result);
+    const std::string record = encodeRecord(result);
     EXPECT_NE(record.find("\"uf\": null"), std::string::npos) << record;
     Result<MixEvaluation> decoded;
     std::string error;
-    EXPECT_FALSE(wire::decodeRecord(record, &decoded, &error));
+    EXPECT_FALSE(decodeRecord(record, &decoded, &error));
     EXPECT_NE(error.find("'value.summary.uf'"), std::string::npos) << error;
 }
 
@@ -347,17 +280,17 @@ TEST(FieldTable, RecordsAreOneLineAndRejectUnknownStatus)
     Result<RunMetrics> result;
     result.value.cores.resize(2);
     result.outcome.detail = "two\nlines";
-    const std::string record = wire::encodeRecord(result);
+    const std::string record = encodeRecord(result);
     EXPECT_EQ(record.find('\n'), std::string::npos) << record;
 
     Result<RunMetrics> decoded;
     std::string error;
-    ASSERT_TRUE(wire::decodeRecord(record, &decoded, &error)) << error;
+    ASSERT_TRUE(decodeRecord(record, &decoded, &error)) << error;
     EXPECT_EQ(decoded.outcome.detail, "two\nlines");
 
     result.outcome.status = static_cast<PointStatus>(3);
     EXPECT_FALSE(
-        wire::decodeRecord(wire::encodeRecord(result), &decoded, &error));
+        decodeRecord(encodeRecord(result), &decoded, &error));
     EXPECT_NE(error.find("status"), std::string::npos) << error;
 }
 

@@ -269,7 +269,7 @@ TEST_F(JournalTest, AppendAfterTornTailDoesNotMergeLines)
         SweepJournal journal(path_);
         journal.record(1, first);
     }
-    // A supervisor killed mid-append leaves a torn final line. A later
+    // A run killed mid-append leaves a torn final line. A later
     // resume must not glue its first fresh record onto that tail: the
     // journal terminates the tail at open so both stay separate lines.
     const std::string line = recordedLine(0xdeadbeef, first);

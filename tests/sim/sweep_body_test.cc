@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests of the sweep body every executor shares (sim::runPoints),
- * driven by a stub executor: no threads, no processes. They pin journal
- * replay, the interrupt rule, exactly-once journaling, and the ending
- * each monitor counter receives.
+ * Tests of the sweep body (sim::runPoints), driven by a stub executor
+ * instead of the in-thread one: no threads. They pin journal replay,
+ * the interrupt rule, exactly-once journaling, and the ending each
+ * monitor counter receives.
  */
 
 #include <gtest/gtest.h>
@@ -51,13 +51,15 @@ fourPoints()
 /**
  * Ends point i of each todo it is given as endings[i] (Ran when
  * endings is empty). A Ran point's core 0 has IPC i + 1, or NaN for
- * nan_point, so a replay shows which call computed it. A point that
- * did not run carries the attempts, fate and detail a pool would give.
+ * nan_point, so a replay shows which call computed it; failed_point
+ * ran but failed. A point that did not run carries attempts 0 and a
+ * detail runPoints must replace.
  */
 struct StubExecutor
 {
     std::vector<PointEnding> endings;
     std::size_t nan_point = std::numeric_limits<std::size_t>::max();
+    std::size_t failed_point = std::numeric_limits<std::size_t>::max();
     std::vector<std::vector<std::size_t>> calls; ///< the todo of each call
 
     std::vector<Result<RunMetrics>>
@@ -78,9 +80,12 @@ struct StubExecutor
                             i == nan_point
                                 ? std::numeric_limits<double>::quiet_NaN()
                                 : static_cast<double>(i + 1);
+                        if (i == failed_point) {
+                            done.result.outcome.status = PointStatus::Failed;
+                            done.result.outcome.detail = "boom";
+                        }
                     } else {
-                        done.result.outcome.attempts = 2;
-                        done.result.outcome.last_error = "killed";
+                        done.result.outcome.attempts = 0;
                         done.result.outcome.detail = "gone";
                     }
                     finish(i, std::move(done));
@@ -125,8 +130,7 @@ TEST_F(SweepBody, ReplaysJournaledPointsAndFailsInterruptedOnesUnjournaled)
         const PointOutcome &outcome = first[i].outcome;
         EXPECT_EQ(outcome.status, PointStatus::Failed) << i;
         EXPECT_EQ(outcome.detail, kInterruptedDetail) << i;
-        EXPECT_EQ(outcome.attempts, 2u) << i;
-        EXPECT_EQ(outcome.last_error, "killed") << i;
+        EXPECT_EQ(outcome.attempts, 0u) << i;
         EXPECT_TRUE(first[i].value.cores.empty()) << i;
     }
     EXPECT_EQ(journalLines(), 2u); // the interrupted points are not
@@ -214,16 +218,16 @@ TEST_F(SweepBody, MonitorCountsEachEndingOnce)
         monitor.sweepStarted("unit", points.size(), 1);
         StubExecutor stub;
         stub.endings = {PointEnding::Ran, PointEnding::Ran,
-                        PointEnding::Interrupted, PointEnding::Quarantined,
-                        PointEnding::Stranded};
+                        PointEnding::Interrupted, PointEnding::Ran,
+                        PointEnding::Ran};
+        stub.failed_point = 4;
         const auto results = stub.sweep(points, &journal);
         monitor.sweepFinished(false);
         obs::setActiveMonitor(nullptr);
-        EXPECT_EQ(results[3].outcome.detail, "gone");
-        EXPECT_EQ(results[3].outcome.status, PointStatus::Failed);
+        EXPECT_EQ(results[2].outcome.detail, kInterruptedDetail);
         EXPECT_EQ(results[4].outcome.status, PointStatus::Failed);
     }
-    EXPECT_EQ(journalLines(), 2u); // points 0 and 1
+    EXPECT_EQ(journalLines(), 4u); // all but the interrupted point 2
 
     obs::SweepStatus status;
     std::string error;
@@ -231,10 +235,9 @@ TEST_F(SweepBody, MonitorCountsEachEndingOnce)
                                     &status, &error))
         << error;
     EXPECT_EQ(status.done, 5u);
-    EXPECT_EQ(status.executed, 1u);
+    EXPECT_EQ(status.executed, 3u);
     EXPECT_EQ(status.replayed, 1u);
-    EXPECT_EQ(status.failed, 2u); // quarantined + stranded
-    EXPECT_EQ(status.quarantined, 1u);
+    EXPECT_EQ(status.failed, 1u); // point 4; interrupted is not failed
 
     std::vector<obs::Event> log;
     ASSERT_TRUE(
@@ -248,9 +251,9 @@ TEST_F(SweepBody, MonitorCountsEachEndingOnce)
     EXPECT_EQ(events, (Lines{"sweep_resume -1 1 unit",
                              "point_replay 0 0 ok",
                              "point_complete 1 1 ok",
-                             "point_interrupted 2 2 failed: interrupted",
-                             "point_quarantine 3 0 killed",
-                             "point_stranded 4 2 failed: gone",
+                             "point_interrupted 2 0 failed: interrupted",
+                             "point_complete 3 1 ok",
+                             "point_complete 4 1 failed: boom",
                              "sweep_finish -1 0 unit"}));
 }
 
