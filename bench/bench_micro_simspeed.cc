@@ -32,9 +32,7 @@
 #include "sim/experiment.hh"
 #include "sim/parallel.hh"
 #include "telemetry/telemetry.hh"
-#include "trace/format.hh"
 #include "workload/generator.hh"
-#include "workload/trace_profile.hh"
 
 namespace
 {
@@ -98,39 +96,6 @@ BM_SyntheticTraceNext(benchmark::State &state)
         benchmark::DoNotOptimize(trace.next().addr);
 }
 BENCHMARK(BM_SyntheticTraceNext);
-
-/**
- * Decode throughput of the compressed PADCTRC2 format (delta + varint
- * blocks, full checksum verification) -- the replay-side cost a
- * trace-backed workload pays per simulated op.
- */
-void
-BM_TraceDecode(benchmark::State &state)
-{
-    workload::TraceParams params;
-    params.seed = 13;
-    workload::SyntheticTrace generator(params);
-    std::vector<core::TraceOp> written;
-    for (int i = 0; i < 100000; ++i)
-        written.push_back(generator.next());
-
-    const std::string path = "/tmp/padc_bench_v2.trc";
-    std::string error;
-    if (!trace::writeTraceFileV2(path, written, &error)) {
-        state.SkipWithError(error.c_str());
-        return;
-    }
-    for (auto _ : state) {
-        std::vector<core::TraceOp> ops;
-        if (!trace::readTraceFileV2(path, &ops, &error))
-            state.SkipWithError(error.c_str());
-        benchmark::DoNotOptimize(ops.size());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(written.size()));
-    std::remove(path.c_str());
-}
-BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);
 
 /** Discards completions; the scheduler benchmarks only need DRAM work. */
 class NullHandler : public memctrl::ResponseHandler
@@ -302,52 +267,48 @@ BM_SingleCoreSimulation(benchmark::State &state)
 BENCHMARK(BM_SingleCoreSimulation)->Unit(benchmark::kMillisecond);
 
 /**
- * Registers (once) the serial pointer-chase profile the idle-heavy
- * end-to-end benchmark runs: fully dependent loads striding randomly
- * through a working set far larger than the L2, one access per line,
- * no compute between them -- the lat_mem_rd idiom. Every load is an L2 miss whose address hangs
- * off the previous one, so the core sits in a DRAM-latency-bound stall
- * loop and almost every simulated cycle is dead time. Registered under
- * a bench-local name so the builtin profile table (and with it
+ * The serial pointer chase the idle-heavy end-to-end arm runs: fully
+ * dependent loads striding randomly through a working set far larger
+ * than the L2, one access per line, no compute between them -- the
+ * lat_mem_rd idiom. Every load is an L2 miss whose address hangs off
+ * the previous one, so the core sits in a DRAM-latency-bound stall
+ * loop and almost every simulated cycle is dead time. The parameters
+ * stay bench-local, so the builtin profile table (and with it
  * randomMixes and every figure) is untouched.
  */
-const char *
-pointerChaseProfile()
+workload::TraceParams
+pointerChaseParams()
 {
-    static const char *name = [] {
-        workload::TraceParams p;
-        p.seed = 41;
-        p.avg_gap = 0;
-        p.store_fraction = 0.0;
-        p.dependent_fraction = 1.0;
-        p.working_set_bytes = 8ULL << 20;
-        p.accesses_per_line = 1;
-        p.phases[0].seq_fraction = 0.0;
-        p.phases[0].stride_fraction = 0.0;
-        p.phases[0].burst_lines = 1;
-        p.phases[0].revisit_fraction = 0.0;
-        p.phases[0].concurrent_runs = 1;
-        workload::registerTraceProfile("bench_pchase", [p] {
-            return std::make_unique<workload::SyntheticTrace>(p);
-        });
-        return "bench_pchase";
-    }();
-    return name;
+    workload::TraceParams p;
+    p.seed = 41;
+    p.avg_gap = 0;
+    p.store_fraction = 0.0;
+    p.dependent_fraction = 1.0;
+    p.working_set_bytes = 8ULL << 20;
+    p.accesses_per_line = 1;
+    p.phases[0].seq_fraction = 0.0;
+    p.phases[0].stride_fraction = 0.0;
+    p.phases[0].burst_lines = 1;
+    p.phases[0].revisit_fraction = 0.0;
+    p.phases[0].concurrent_runs = 1;
+    return p;
 }
 
 /**
  * Full System::run throughput (sim-cycles/sec counter), cycle-by-cycle
  * (BM_EndToEnd) vs. the event-driven next-event loop
  * (BM_EndToEndEventDriven). Arg 0 is an idle-heavy serial pointer chase
- * (bench_pchase, prefetcher off) where nearly every cycle is a dead
- * wait on a dependent DRAM miss; Arg 1 is a saturated streaming profile
- * (libquantum_06) where nearly every cycle does work. Both are short
- * single-core runs (~14k sim-cycles on Arg 1), so System construction
- * weighs on them. Compare the pair at the same arg: the idle-heavy arg
- * shows the skipping win, the saturated arg bounds its overhead when
- * there is nothing to skip. Arg 2 (event-driven only) is a four-core
- * saturated mix of prefetch-friendly profiles, long enough that the
- * controller's deep-queue scheduling, not construction, dominates.
+ * (pointerChaseParams, prefetcher off) where nearly every cycle is a
+ * dead wait on a dependent DRAM miss; Arg 1 is a saturated streaming
+ * profile (libquantum_06) where nearly every cycle does work. Both are
+ * short single-core runs (~14k sim-cycles on Arg 1), so System
+ * construction weighs on them. Compare the pair at the same arg: the
+ * idle-heavy arg shows the skipping win, the saturated arg bounds its
+ * overhead when there is nothing to skip. Arg 2 (event-driven only) is
+ * a four-core saturated mix of prefetch-friendly profiles, long enough
+ * that the controller's deep-queue scheduling, not construction,
+ * dominates. Each iteration builds the System from its trace sources,
+ * runs it and collects its metrics, as perfbench's serial points do.
  */
 void
 endToEnd(benchmark::State &state, bool event_skip)
@@ -364,7 +325,6 @@ endToEnd(benchmark::State &state, bool event_skip)
         // between the dependent misses, and the chase defeats it
         // anyway (random next-line, one access per line).
         cfg.prefetch_enabled = false;
-        mix = {pointerChaseProfile()};
     } else if (four_core) {
         mix = {"libquantum_06", "swim_00", "lbm_06", "bwaves_06"};
     }
@@ -373,10 +333,22 @@ endToEnd(benchmark::State &state, bool event_skip)
     opt.warmup = 0;
     std::uint64_t total_cycles = 0;
     for (auto _ : state) {
-        sim::RunStatus status;
-        benchmark::DoNotOptimize(
-            sim::runMix(cfg, mix, opt, &status).cores[0].ipc);
-        total_cycles += status.cycles;
+        std::vector<std::unique_ptr<core::TraceSource>> traces;
+        std::vector<core::TraceSource *> sources;
+        for (std::uint32_t c = 0; c < mix.size(); ++c) {
+            if (arm == 0) {
+                traces.push_back(std::make_unique<workload::SyntheticTrace>(
+                    pointerChaseParams()));
+            } else {
+                traces.push_back(
+                    workload::makeTraceSource(mix, c, opt.mix_seed));
+            }
+            sources.push_back(traces.back().get());
+        }
+        sim::System system(cfg, sources);
+        total_cycles +=
+            system.run(opt.instructions, opt.max_cycles, opt.warmup).cycles;
+        benchmark::DoNotOptimize(sim::collectMetrics(system).cores[0].ipc);
     }
     state.counters["sim_cycles_per_sec"] = benchmark::Counter(
         static_cast<double>(total_cycles), benchmark::Counter::kIsRate);

@@ -57,25 +57,6 @@ Histogram::percentile(double p) const
     return static_cast<double>(max_); // rank falls in the overflow bucket
 }
 
-StatSet
-Histogram::toStatSet(const std::string &prefix) const
-{
-    StatSet stats;
-    stats.add(prefix + ".count", static_cast<double>(total_));
-    stats.add(prefix + ".mean", mean());
-    stats.add(prefix + ".p50", percentile(50.0));
-    stats.add(prefix + ".p90", percentile(90.0));
-    stats.add(prefix + ".p99", percentile(99.0));
-    stats.add(prefix + ".max", static_cast<double>(max_));
-    for (std::uint32_t i = 0; i < buckets(); ++i) {
-        stats.add(prefix + ".le_" + std::to_string((i + 1) * width_),
-                  static_cast<double>(counts_[i]));
-    }
-    stats.add(prefix + ".overflow",
-              static_cast<double>(counts_[buckets()]));
-    return stats;
-}
-
 void
 Histogram::reset()
 {

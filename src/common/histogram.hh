@@ -8,10 +8,7 @@
 #define PADC_COMMON_HISTOGRAM_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "common/stats.hh"
 
 namespace padc
 {
@@ -60,13 +57,6 @@ class Histogram
      * returns 0 for an empty histogram.
      */
     double percentile(double p) const;
-
-    /**
-     * Export as named stats: <prefix>.count/mean/p50/p90/p99/max plus
-     * per-bucket counts (<prefix>.le_<edge> cumulative-style upper
-     * edges, <prefix>.overflow).
-     */
-    StatSet toStatSet(const std::string &prefix) const;
 
     void reset();
 

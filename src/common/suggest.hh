@@ -1,8 +1,8 @@
 /**
  * @file
  * "Did you mean" machinery shared by every name registry (experiment
- * selectors, workload profiles, corpus entries): Levenshtein edit
- * distance plus a closest-candidate picker.
+ * selectors, workload profiles): Levenshtein edit distance plus a
+ * closest-candidate picker.
  */
 
 #ifndef PADC_COMMON_SUGGEST_HH

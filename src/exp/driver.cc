@@ -23,8 +23,6 @@
 #include "sim/interrupt.hh"
 #include "telemetry/export.hh"
 #include "telemetry/profiler.hh"
-#include "trace/corpus.hh"
-#include "trace/tools.hh"
 
 namespace padc::exp
 {
@@ -109,9 +107,6 @@ driverUsage()
            "  status <dir>             render the live status.json a\n"
            "                           `run --progress` sweep keeps in\n"
            "                           its --out directory\n"
-           "  trace <subcommand>       trace-corpus toolchain (capture,\n"
-           "                           convert, info, verify; see\n"
-           "                           'padc trace help')\n"
            "  help                     show this message\n"
            "\n"
            "options:\n"
@@ -126,11 +121,6 @@ driverUsage()
            "  --format FMT   text | json | csv (default: text)\n"
            "  --out DIR      directory for BENCH_<name>.json files "
            "(default: .)\n"
-           "  --corpus DIR   validate the trace corpus at DIR "
-           "(corpus.json)\n"
-           "                 and register its trace-backed profiles by\n"
-           "                 name (the registered experiments use only\n"
-           "                 built-in profiles)\n"
            "  --progress     live sweep observability: a stderr progress\n"
            "                 line (done/total, rate, ETA) plus\n"
            "                 <out>/status.json and <out>/events.jsonl;\n"
@@ -229,13 +219,6 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
                 return false;
             }
             out->out_dir = text;
-        } else if (arg == "--corpus") {
-            const char *text = value();
-            if (text == nullptr || *text == '\0') {
-                *error = "--corpus expects a directory";
-                return false;
-            }
-            out->corpus_dir = text;
         } else if (arg == "--progress") {
             out->progress = true;
         } else if (arg == "--json") {
@@ -707,11 +690,6 @@ printCsv(const std::vector<const Experiment *> &experiments,
 int
 driverMain(int argc, const char *const *argv)
 {
-    // The trace toolchain has its own grammar; hand it the raw argv
-    // before the experiment-driver parse.
-    if (argc >= 2 && std::strcmp(argv[1], "trace") == 0)
-        return trace::traceToolMain(argc, argv);
-
     DriverOptions options;
     std::string error;
     if (!parseDriverArgs(argc, argv, &options, &error)) {
@@ -730,15 +708,6 @@ driverMain(int argc, const char *const *argv)
         return statusCommand(options);
       case DriverOptions::Command::Run:
         break;
-    }
-
-    if (!options.corpus_dir.empty()) {
-        trace::Corpus corpus;
-        if (!trace::loadCorpus(options.corpus_dir, &corpus, &error) ||
-            !trace::registerCorpus(corpus, &error)) {
-            std::fprintf(stderr, "padc: %s\n", error.c_str());
-            return 2;
-        }
     }
 
     bool selectors_ok = false;

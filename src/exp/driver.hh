@@ -57,7 +57,6 @@ struct DriverOptions
     std::optional<std::uint64_t> seed;  ///< --seed override
     Format format = Format::Text;
     std::string out_dir = ".";          ///< BENCH_<name>.json directory
-    std::string corpus_dir;             ///< --corpus trace-profile dir
 
     bool progress = false;       ///< --progress live sweep status
     std::string status_dir;      ///< `padc status <dir>` argument

@@ -1,11 +1,11 @@
 #include "exp/experiment.hh"
 
+#include "common/fnv.hh"
 #include "exp/report.hh"
 #include "obs/monitor.hh"
 #include "sim/interrupt.hh"
 #include "sim/journal.hh"
 #include "sim/metrics.hh"
-#include "trace/format.hh"
 
 namespace padc::exp
 {
@@ -57,9 +57,9 @@ std::uint64_t
 ExperimentResult::configHash() const
 {
     const std::uint64_t count = points.size();
-    std::uint64_t hash = trace::fnv1a(&count, sizeof(count));
+    std::uint64_t hash = fnv1a(&count, sizeof(count));
     for (const PointRecord &point : points)
-        hash = trace::fnv1a(&point.key, sizeof(point.key), hash);
+        hash = fnv1a(&point.key, sizeof(point.key), hash);
     return hash;
 }
 
@@ -192,9 +192,8 @@ ExperimentContext::recordCustomPoint(const std::string &label,
 {
     PointRecord record;
     const std::string tail = "/" + label;
-    record.key = trace::fnv1a(tail.data(), tail.size(),
-                              trace::fnv1a(info_.name.data(),
-                                           info_.name.size()));
+    record.key = fnv1a(tail.data(), tail.size(),
+                       fnv1a(info_.name.data(), info_.name.size()));
     record.label = label;
     record.status = "ok";
     record.cycles = cycles;

@@ -1,12 +1,5 @@
 #include "obs/events.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-
 #include "exp/json.hh"
 
 namespace padc::obs
@@ -33,66 +26,12 @@ formatEvent(const Event &event)
     return out;
 }
 
-EventLog::EventLog(const std::string &path)
-{
-    // Detect a torn trailing line left by a previous killed process:
-    // a non-empty file whose last byte is not '\n'.
-    bool torn_tail = false;
-    if (std::FILE *in = std::fopen(path.c_str(), "rb")) {
-        int c = 0;
-        int last = '\n';
-        while ((c = std::fgetc(in)) != EOF)
-            last = c;
-        torn_tail = last != '\n';
-        std::fclose(in);
-    }
-
-    // O_APPEND + one write(2) per record keeps concurrent writers
-    // line-atomic (same contract as the sweep journal).
-    fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd_ < 0) {
-        error_ = "EventLog: cannot open '" + path +
-                 "' for appending: " + std::strerror(errno);
-        return;
-    }
-
-    // Terminate the torn tail now; otherwise the next record would
-    // merge into the partial line and BOTH would be lost on load.
-    if (torn_tail) {
-        const char nl = '\n';
-        while (::write(fd_, &nl, 1) < 0 && errno == EINTR) {
-        }
-    }
-}
-
-EventLog::~EventLog()
-{
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
 bool
 EventLog::record(const Event &event)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (fd_ < 0)
-        return false;
-    std::string line = formatEvent(event);
-    line += '\n';
-    // The whole line in one write(2): atomic w.r.t. other O_APPEND
-    // writers, and a kill mid-write can only tear THIS line.
-    std::size_t off = 0;
-    while (off < line.size()) {
-        const ssize_t n = ::write(fd_, line.data() + off,
-                                  line.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false; // best-effort; observation must not kill the run
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
+    // Best-effort: observation must not kill the run.
+    return file_.append(formatEvent(event));
 }
 
 bool
@@ -100,21 +39,9 @@ EventLog::load(const std::string &path, std::vector<Event> *out,
                std::string *error)
 {
     out->clear();
-    std::FILE *in = std::fopen(path.c_str(), "rb");
-    if (in == nullptr) {
-        if (error != nullptr)
-            *error = "EventLog: cannot read '" + path +
-                     "': " + std::strerror(errno);
-        return false;
-    }
-    std::string line;
-    int c = 0;
-    bool complete = false;
-    auto consume = [&] {
-        // Torn (unterminated) or malformed lines are skipped, exactly
-        // like journal replay drops them.
-        if (!complete || line.empty())
-            return;
+    // Malformed lines are skipped, exactly like journal replay drops
+    // them; forEachLine already skips a torn tail.
+    const auto visit = [out](const std::string &line) {
         exp::JsonValue parsed;
         if (!exp::parseJson(line, &parsed, nullptr) || !parsed.isObject())
             return;
@@ -136,18 +63,11 @@ EventLog::load(const std::string &path, std::vector<Event> *out,
             event.detail = v->string;
         out->push_back(std::move(event));
     };
-    while ((c = std::fgetc(in)) != EOF) {
-        if (c == '\n') {
-            complete = true;
-            consume();
-            line.clear();
-            complete = false;
-        } else {
-            line.push_back(static_cast<char>(c));
-        }
+    if (!LineFile::forEachLine(path, visit, error)) {
+        if (error != nullptr)
+            error->insert(0, "EventLog: ");
+        return false;
     }
-    consume(); // trailing line without '\n': dropped by `complete`
-    std::fclose(in);
     return true;
 }
 

@@ -5,12 +5,11 @@
  * the lifecycle of a sweep (start/resume/finish/interrupted) and how
  * each of its points ended (complete/replay/interrupted).
  *
- * Durability reuses the sweep journal's idiom (sim/journal.cc): the
- * file is opened O_APPEND and every record is a single write(2) of one
- * '\n'-terminated line, so a crash can lose at most the trailing
- * partial line. On reopen the constructor repairs a torn tail by
- * terminating it with '\n'; the torn fragment then fails to parse and
- * is skipped by load(), exactly like journal replay.
+ * Durability is the sweep journal's: both write through LineFile
+ * (common/line_file.hh), one write(2) of one '\n'-terminated line per
+ * record to an O_APPEND file, so a crash can lose at most the trailing
+ * partial line. On reopen the torn tail gets its '\n'; the fragment
+ * then fails to parse and load() skips it, exactly like journal replay.
  */
 
 #ifndef PADC_OBS_EVENTS_HH
@@ -20,6 +19,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/line_file.hh"
 
 namespace padc::obs
 {
@@ -55,16 +56,16 @@ class EventLog
      * Open (creating if needed) @p path for appending, repairing a
      * torn trailing line left by a crash. Check ok() afterwards.
      */
-    explicit EventLog(const std::string &path);
+    explicit EventLog(const std::string &path) : file_(path) {}
 
-    EventLog(const EventLog &) = delete;
-    EventLog &operator=(const EventLog &) = delete;
+    bool ok() const { return file_.ok(); }
 
-    ~EventLog();
-
-    bool ok() const { return fd_ >= 0; }
-
-    const std::string &error() const { return error_; }
+    /** Why the open failed; empty while ok(). */
+    std::string
+    error() const
+    {
+        return ok() ? std::string() : "EventLog: " + file_.error();
+    }
 
     /** Append one event; no-op (returns false) after an I/O error. */
     bool record(const Event &event);
@@ -78,8 +79,7 @@ class EventLog
                      std::string *error = nullptr);
 
   private:
-    int fd_ = -1;
-    std::string error_;
+    LineFile file_;
     std::mutex mutex_;
 };
 

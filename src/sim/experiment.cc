@@ -217,10 +217,8 @@ AloneIpcCache::computeAlone(const std::string &profile_name,
     // with a compute-only spin trace confined to a single line.
     SystemConfig cfg = applyPolicy(base_, PolicySetup::DemandFirst);
 
-    // Build the mix-placed trace for the target core, then run it
-    // alone. makeTraceSource resolves trace-backed profiles to replays
-    // and synthetic ones to the generator, so alone-IPC normalization
-    // works identically for captured traces.
+    // Build the mix-placed trace for the target core (the same seed
+    // and address base it has in the mix), then run it alone.
     workload::Mix dummy_mix(base_.num_cores, profile_name);
     std::unique_ptr<core::TraceSource> app_trace =
         workload::makeTraceSource(dummy_mix, core, mix_seed);

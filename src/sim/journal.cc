@@ -1,9 +1,6 @@
 #include "sim/journal.hh"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -12,6 +9,7 @@
 #include <type_traits>
 
 #include "common/fields.hh"
+#include "common/fnv.hh"
 #include "common/parse.hh"
 #include "exp/json.hh"
 
@@ -23,22 +21,20 @@ namespace
 
 // --- hashing ----------------------------------------------------------
 
-/** FNV-1a over typed fields; the canonical sweep-point fingerprint. */
+/**
+ * FNV-1a over typed fields, from the canonical offset basis; the
+ * sweep-point fingerprint.
+ */
 class Fnv
 {
   public:
     void
-    byte(unsigned char b)
-    {
-        hash_ ^= b;
-        hash_ *= 0x100000001b3ULL;
-    }
-
-    void
     u64(std::uint64_t v)
     {
+        unsigned char bytes[8];
         for (int i = 0; i < 8; ++i)
-            byte(static_cast<unsigned char>(v >> (8 * i)));
+            bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+        hash_ = fnv1a(bytes, sizeof(bytes), hash_);
     }
 
     void
@@ -53,8 +49,7 @@ class Fnv
     str(const std::string &s)
     {
         u64(s.size());
-        for (const char c : s)
-            byte(static_cast<unsigned char>(c));
+        hash_ = fnv1a(s.data(), s.size(), hash_);
     }
 
     std::uint64_t
@@ -277,86 +272,53 @@ template bool decodeRecord(const std::string &, Result<MixEvaluation> *,
                            std::string *);
 
 SweepJournal::SweepJournal(const std::string &path)
+    : loaded_(load(path, &entries_)), file_(path)
 {
-    // Load whatever a previous (possibly killed) run managed to append.
-    bool torn_tail = false; // file ends without '\n' (killed mid-write)
-    if (std::FILE *in = std::fopen(path.c_str(), "rb")) {
-        std::string line;
-        int c = 0;
-        bool complete = false;
-        auto consume = [&] {
-            // A line missing its terminating '\n' is an append the
-            // previous process died inside; drop it.
-            if (!complete || line.empty())
-                return;
-            std::istringstream tokens(line);
-            std::string tag, kind, key_hex;
-            if (!(tokens >> tag >> kind >> key_hex) || tag != kLineTag ||
-                kind.size() != 1) {
-                return;
-            }
-            char *end = nullptr;
-            const std::uint64_t key =
-                std::strtoull(key_hex.c_str(), &end, 16);
-            if (end == key_hex.c_str() || *end != '\0')
-                return;
-            std::string body;
-            std::getline(tokens >> std::ws, body);
-            // Validate the payload now so a corrupt line surfaces as a
-            // miss at load time, not a broken result mid-sweep.
-            bool valid = false;
-            if (kind[0] == 'e') {
-                Result<MixEvaluation> probe;
-                valid = decodeRecord(body, &probe, nullptr);
-            } else if (kind[0] == 'r') {
-                Result<RunMetrics> probe;
-                valid = decodeRecord(body, &probe, nullptr);
-            }
-            if (!valid)
-                return;
-            entries_[{kind[0], key}] = body;
-            ++loaded_;
-        };
-        while ((c = std::fgetc(in)) != EOF) {
-            if (c == '\n') {
-                complete = true;
-                consume();
-                line.clear();
-                complete = false;
-            } else {
-                line.push_back(static_cast<char>(c));
-            }
-        }
-        consume(); // trailing line without '\n': dropped by `complete`
-        torn_tail = !line.empty();
-        std::fclose(in);
-    }
-
-    // O_APPEND + one write(2) per record is what makes concurrent
-    // writers (other threads, other processes) line-atomic.
-    append_fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (append_fd_ < 0)
-        throw std::runtime_error("SweepJournal: cannot open '" + path +
-                                 "' for appending");
-
-    // Terminate a torn tail now; otherwise the next record would merge
-    // into the partial line and BOTH would be unparseable on reload.
-    if (torn_tail) {
-        const char nl = '\n';
-        while (::write(append_fd_, &nl, 1) < 0 && errno == EINTR) {
-        }
-    }
-
+    if (!file_.ok())
+        throw std::runtime_error("SweepJournal: " + file_.error());
     const char *fsync_env = std::getenv("PADC_JOURNAL_FSYNC");
     fsync_each_ = fsync_env != nullptr &&
                   (std::strcmp(fsync_env, "1") == 0 ||
                    std::strcmp(fsync_env, "always") == 0);
 }
 
-SweepJournal::~SweepJournal()
+std::size_t
+SweepJournal::load(const std::string &path,
+                   std::map<EntryKey, std::string> *entries)
 {
-    if (append_fd_ >= 0)
-        ::close(append_fd_);
+    // Whatever a previous (possibly killed) run managed to append; a
+    // missing file loads nothing. This runs before file_ opens, so a
+    // torn tail is still unterminated here and forEachLine skips it.
+    std::size_t loaded = 0;
+    LineFile::forEachLine(path, [&](const std::string &line) {
+        std::istringstream tokens(line);
+        std::string tag, kind, key_hex;
+        if (!(tokens >> tag >> kind >> key_hex) || tag != kLineTag ||
+            kind.size() != 1) {
+            return;
+        }
+        char *end = nullptr;
+        const std::uint64_t key = std::strtoull(key_hex.c_str(), &end, 16);
+        if (end == key_hex.c_str() || *end != '\0')
+            return;
+        std::string body;
+        std::getline(tokens >> std::ws, body);
+        // Validate the payload now so a corrupt line surfaces as a miss
+        // at load time, not a broken result mid-sweep.
+        bool valid = false;
+        if (kind[0] == 'e') {
+            Result<MixEvaluation> probe;
+            valid = decodeRecord(body, &probe, nullptr);
+        } else if (kind[0] == 'r') {
+            Result<RunMetrics> probe;
+            valid = decodeRecord(body, &probe, nullptr);
+        }
+        if (!valid)
+            return;
+        (*entries)[{kind[0], key}] = body;
+        ++loaded;
+    });
+    return loaded;
 }
 
 std::size_t
@@ -389,26 +351,9 @@ SweepJournal::recordLine(char kind, std::uint64_t key,
     char head[32];
     std::snprintf(head, sizeof(head), "%s %c %llx ", kLineTag, kind,
                   static_cast<unsigned long long>(key));
-    std::string line = head;
-    line += body;
-    line += '\n';
-
-    // The whole line in one write(2): with O_APPEND this is atomic with
-    // respect to other writers of the same file, and a kill mid-write
-    // can only tear THIS line (which the loader then drops).
-    std::size_t off = 0;
-    while (off < line.size()) {
-        const ssize_t n =
-            ::write(append_fd_, line.data() + off, line.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // journal is best-effort; the sweep must go on
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    if (fsync_each_)
-        ::fsync(append_fd_);
+    // Best-effort: a failed append must not stop the sweep.
+    if (file_.append(head + body) && fsync_each_)
+        file_.sync();
 }
 
 template <typename T>

@@ -62,12 +62,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <string>
 #include <utility>
 
+#include "common/line_file.hh"
 #include "sim/experiment.hh"
 
 namespace padc::sim
@@ -106,11 +106,6 @@ class SweepJournal
      */
     explicit SweepJournal(const std::string &path);
 
-    ~SweepJournal();
-
-    SweepJournal(const SweepJournal &) = delete;
-    SweepJournal &operator=(const SweepJournal &) = delete;
-
     /** Entries recovered when the journal was opened. */
     std::size_t loadedEntries() const { return loaded_; }
 
@@ -133,14 +128,24 @@ class SweepJournal
   private:
     using EntryKey = std::pair<char, std::uint64_t>; ///< (kind, hash)
 
+    /**
+     * Fill @p entries from the well-formed lines of @p path; returns
+     * how many there were.
+     */
+    static std::size_t load(const std::string &path,
+                            std::map<EntryKey, std::string> *entries);
+
     bool lookupLine(char kind, std::uint64_t key, std::string *line);
     void recordLine(char kind, std::uint64_t key, const std::string &body);
 
+    // Declaration order is construction order: entries_ exists before
+    // load() fills it, and load() reads the file before file_ repairs
+    // a torn tail, so a record missing only its '\n' stays a miss.
     mutable std::mutex mutex_;
     std::map<EntryKey, std::string> entries_; ///< payload (line body)
     std::size_t loaded_ = 0;
     std::size_t hits_ = 0;
-    int append_fd_ = -1;      ///< O_APPEND; one write(2) per record
+    LineFile file_;           ///< one write(2) per record
     bool fsync_each_ = false; ///< PADC_JOURNAL_FSYNC policy
 };
 

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/atomic_file.hh"
+#include "common/fnv.hh"
 
 namespace padc::trace
 {
@@ -84,19 +85,6 @@ fail(std::string *error, const std::string &message)
 }
 
 } // namespace
-
-std::uint64_t
-fnv1a(const void *data, std::size_t size, std::uint64_t seed)
-{
-    constexpr std::uint64_t kPrime = 1099511628211ULL;
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    std::uint64_t hash = seed;
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= kPrime;
-    }
-    return hash;
-}
 
 std::uint64_t
 zigzag(std::int64_t value)
@@ -251,9 +239,7 @@ readV2Header(std::FILE *file, const std::string &path, V2Header *out,
         return fail(error,
                     "'" + path +
                         "' is a PADCTRC1 trace, a format no longer "
-                        "supported; convert it to PADCTRC2 with `padc "
-                        "trace convert --format trace` from an older "
-                        "build that still reads PADCTRC1");
+                        "supported");
     }
     if (got != sizeof(header)) {
         return fail(error, "'" + path + "' is shorter than the " +

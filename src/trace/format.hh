@@ -1,18 +1,20 @@
 /**
  * @file
- * PADCTRC2: the compact on-disk workload-trace format, plus format
- * probing/verification shared by the corpus tooling.
+ * PADCTRC2: the compact on-disk workload-trace format, with probing
+ * and full-file verification.
+ *
+ * No experiment reads trace files: every workload is synthetic
+ * (workload::makeTraceSource always builds a SyntheticTrace). This
+ * codec and the streaming reader in stream.hh have no caller outside
+ * tests/trace, and ROADMAP item 9 schedules their deletion.
  *
  * PADCTRC2 delta-encodes each operation against its predecessor and
  * varint-packs the result, cutting generated traces to a few bytes per
  * op, while remaining integrity-checked end to end and decodable block
  * by block with bounded memory.
  *
- * It is the only format the toolchain reads. The older PADCTRC1
- * (fixed 24-byte records) is recognised by its magic only to be
- * refused with a message saying so: convert such a file with
- * `padc trace convert --format trace` from an older build that still
- * reads it.
+ * The older PADCTRC1 (fixed 24-byte records) is recognised by its
+ * magic only to be refused with a message saying so.
  *
  * ## Byte-level layout (all integers little-endian)
  *
@@ -74,10 +76,6 @@ namespace padc::trace
 
 /** Default operations per PADCTRC2 block. */
 constexpr std::uint32_t kDefaultBlockOps = 4096;
-
-/** 64-bit FNV-1a (offset-basis seed when chaining). */
-std::uint64_t fnv1a(const void *data, std::size_t size,
-                    std::uint64_t seed = 1469598103934665603ULL);
 
 /** Cheaply probed facts about a trace file (header + index only). */
 struct TraceFileInfo
@@ -166,7 +164,7 @@ bool probeTraceFile(const std::string &path, TraceFileInfo *info,
 /**
  * Full-file verification with bounded memory: decode every block,
  * validate every checksum and count, and fill the footprint statistics
- * in @p info. The check `padc trace verify` runs.
+ * in @p info.
  */
 bool verifyTraceFile(const std::string &path, TraceFileInfo *info,
                      std::string *error = nullptr);

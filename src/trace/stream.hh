@@ -6,10 +6,9 @@
  * infinite-stream contract, and replays the exact same sequence again
  * after reset().
  *
- * This is the corpus subsystem's run-time path: experiment sweeps
- * construct one StreamingFileTrace per trace-backed mix slot, so even
- * multi-gigabyte captures cost only one decoded block (~block_ops
- * operations) of resident memory per core.
+ * A multi-gigabyte capture costs only one decoded block (~block_ops
+ * operations) of resident memory. Like the codec in format.hh, it has
+ * no caller outside tests/trace.
  */
 
 #ifndef PADC_TRACE_STREAM_HH

@@ -1,11 +1,11 @@
 #include "workload/mixes.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/random.hh"
 #include "common/suggest.hh"
 #include "workload/generator.hh"
-#include "workload/trace_profile.hh"
 
 namespace padc::workload
 {
@@ -58,17 +58,16 @@ checkCore(const Mix &mix, std::uint32_t core)
     }
 }
 
-/** Diagnostic for a name that resolves to no synthetic profile. */
+/**
+ * "unknown profile 'X' (did you mean 'Y'?)": Y is the closest built-in
+ * profile name, ties going to the alphabetically first.
+ */
 std::string
 unknownProfileMessage(const std::string &name)
 {
-    if (isTraceProfile(name)) {
-        return "profile '" + name +
-               "' is trace-backed and has no generator parameters; "
-               "use makeTraceSource()";
-    }
-    return "unknown profile '" + name + "'" +
-           didYouMean(name, mixProfilePool());
+    std::vector<std::string> names = allProfileNames();
+    std::sort(names.begin(), names.end());
+    return "unknown profile '" + name + "'" + didYouMean(name, names);
 }
 
 } // namespace
@@ -78,14 +77,12 @@ validateMix(const Mix &mix, ConfigErrors *errors)
 {
     bool ok = true;
     for (std::size_t core = 0; core < mix.size(); ++core) {
-        const std::string &name = mix[core];
-        if (findProfile(name) != nullptr || isTraceProfile(name))
+        if (findProfile(mix[core]) != nullptr)
             continue;
         ok = false;
         if (errors != nullptr) {
             errors->add("mix[" + std::to_string(core) + "]",
-                        "unknown profile '" + name + "'" +
-                            didYouMean(name, mixProfilePool()));
+                        unknownProfileMessage(mix[core]));
         }
     }
     return ok;
@@ -113,11 +110,6 @@ traceParamsFor(const Mix &mix, std::uint32_t core, std::uint64_t mix_seed)
 std::unique_ptr<core::TraceSource>
 makeTraceSource(const Mix &mix, std::uint32_t core, std::uint64_t mix_seed)
 {
-    checkCore(mix, core);
-    std::unique_ptr<core::TraceSource> traced =
-        makeRegisteredTraceSource(mix[core]);
-    if (traced != nullptr)
-        return traced;
     return std::make_unique<SyntheticTrace>(
         traceParamsFor(mix, core, mix_seed));
 }

@@ -40,8 +40,7 @@ Mix caseStudyUnfriendly();
 Mix caseStudyMixed();
 
 /**
- * Check every name in @p mix against the profile pool (built-in
- * synthetic profiles plus registered trace-backed profiles),
+ * Check every name in @p mix against the built-in profile table,
  * accumulating one ConfigError per unknown name -- each with a
  * Levenshtein "did you mean" suggestion -- instead of stopping at the
  * first. Field paths are "mix[core]".
@@ -54,19 +53,16 @@ bool validateMix(const Mix &mix, ConfigErrors *errors);
  * profile's parameters with a per-(mix, core) seed and a disjoint
  * address-space base.
  * @throws std::invalid_argument when @p core is out of range or the
- *         name is not a synthetic profile (unknown names carry a
- *         "did you mean" suggestion; trace-backed profiles have no
- *         generator parameters and are called out as such).
+ *         name is not a built-in profile (with a "did you mean"
+ *         suggestion).
  */
 TraceParams traceParamsFor(const Mix &mix, std::uint32_t core,
                            std::uint64_t mix_seed);
 
 /**
- * Instantiate the trace source for one core of a mix: a fresh
- * StreamingFileTrace-backed replay for trace-backed profiles, otherwise
- * a SyntheticTrace over traceParamsFor(). This is the single entry
- * point the simulator uses, so captured traces drop into mixes
- * anywhere a synthetic profile fits.
+ * Instantiate the trace source for one core of a mix: a SyntheticTrace
+ * over traceParamsFor(). Every mix is synthetic; this is the single
+ * entry point the simulator uses to turn a profile name into a trace.
  * @throws std::invalid_argument as traceParamsFor() does.
  */
 std::unique_ptr<core::TraceSource>

@@ -98,25 +98,5 @@ TEST(HistogramTest, PercentileOverflowBucketReturnsMax)
     EXPECT_DOUBLE_EQ(h.percentile(100.0), 0.0);
 }
 
-TEST(HistogramTest, ToStatSetExportsSummaryAndBuckets)
-{
-    Histogram h(100, 3); // [0,100) [100,200) [200,300) + overflow
-    h.sample(50);
-    h.sample(150);
-    h.sample(150);
-    h.sample(900);
-    const StatSet stats = h.toStatSet("svc");
-    EXPECT_DOUBLE_EQ(stats.get("svc.count"), 4.0);
-    EXPECT_DOUBLE_EQ(stats.get("svc.mean"), (50 + 150 + 150 + 900) / 4.0);
-    EXPECT_DOUBLE_EQ(stats.get("svc.p50"), 200.0);
-    EXPECT_DOUBLE_EQ(stats.get("svc.max"), 900.0);
-    EXPECT_DOUBLE_EQ(stats.get("svc.le_100"), 1.0);
-    EXPECT_DOUBLE_EQ(stats.get("svc.le_200"), 2.0);
-    EXPECT_DOUBLE_EQ(stats.get("svc.le_300"), 0.0);
-    EXPECT_DOUBLE_EQ(stats.get("svc.overflow"), 1.0);
-    // Exactly count/mean/p50/p90/p99/max + 3 buckets + overflow.
-    EXPECT_EQ(stats.entries().size(), 10u);
-}
-
 } // namespace
 } // namespace padc

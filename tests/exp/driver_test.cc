@@ -147,6 +147,7 @@ TEST(ParseDriverArgs, Rejections)
     EXPECT_TRUE(fails({"run", "smoke", "--trace-limit=1x"}));
     EXPECT_TRUE(fails({"run", "smoke", "--trace="}));
     EXPECT_TRUE(fails({"run", "smoke", "--timeseries="}));
+    EXPECT_TRUE(fails({"run", "smoke", "--corpus", "d"}));
 
     const auto failsWith = [&](std::vector<const char *> argv,
                                const std::string &diagnostic) {
@@ -204,6 +205,15 @@ TEST(DriverRun, UnknownSelectorFailsWithSuggestion)
     // An unknown glob / tag fails the same way, before running anything.
     EXPECT_EQ(runDriver({"run", "smoke", "zz_no_such*"}, &out, &err), 2);
     EXPECT_NE(err.find("unknown experiment"), std::string::npos) << err;
+}
+
+TEST(DriverRun, TraceIsAnUnknownCommand)
+{
+    // Every workload is synthetic: there is no trace tool to reach.
+    std::string out, err;
+    EXPECT_EQ(runDriver({"trace", "info", "f"}, &out, &err), 2);
+    EXPECT_NE(err.find("unknown command 'trace'"), std::string::npos)
+        << err;
 }
 
 TEST(DriverRun, JsonFormatIsParseableAndStructured)

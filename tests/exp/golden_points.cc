@@ -28,8 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hh"
 #include "exp/json.hh"
-#include "trace/format.hh"
 
 namespace
 {
@@ -49,15 +49,15 @@ digest(const std::string &label, const JsonValue &metrics)
 {
     // Each string is hashed with its terminating NUL, so the boundary
     // between two fields is part of the digest.
-    std::uint64_t hash = padc::trace::fnv1a(label.c_str(), label.size() + 1);
+    std::uint64_t hash = padc::fnv1a(label.c_str(), label.size() + 1);
     for (const auto &[name, value] : metrics.object) {
-        hash = padc::trace::fnv1a(name.c_str(), name.size() + 1, hash);
+        hash = padc::fnv1a(name.c_str(), name.size() + 1, hash);
         const double number = value.isNumber()
                                   ? value.number
                                   : std::numeric_limits<double>::quiet_NaN();
         std::uint64_t bits = 0;
         std::memcpy(&bits, &number, sizeof(bits));
-        hash = padc::trace::fnv1a(&bits, sizeof(bits), hash);
+        hash = padc::fnv1a(&bits, sizeof(bits), hash);
     }
     return hash;
 }
