@@ -55,29 +55,6 @@ AtomicFile::write(const void *data, std::size_t size)
 }
 
 bool
-AtomicFile::seekTo(long offset)
-{
-    if (!ok())
-        return false;
-    if (std::fseek(file_, offset, SEEK_SET) != 0) {
-        fail("cannot seek in '" + tmp_path_ + "'");
-        return false;
-    }
-    return true;
-}
-
-long
-AtomicFile::tell()
-{
-    if (!ok())
-        return -1;
-    const long pos = std::ftell(file_);
-    if (pos < 0)
-        fail("cannot tell position in '" + tmp_path_ + "'");
-    return pos;
-}
-
-bool
 AtomicFile::commit()
 {
     if (!ok()) {

@@ -46,12 +46,6 @@ class AtomicFile
     /** Write @p size bytes; false (and ok() latches false) on failure. */
     bool write(const void *data, std::size_t size);
 
-    /** Reposition the write cursor (for header back-patching). */
-    bool seekTo(long offset);
-
-    /** Current write position, or -1 on error. */
-    long tell();
-
     /**
      * Flush, close, and rename the temp file onto the destination.
      * On any failure the temp file is removed and false returned with

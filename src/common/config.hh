@@ -5,7 +5,7 @@
  * Module-specific configuration structs live with their modules
  * (dram::DramConfig, memctrl::SchedulerConfig, ...); this header only
  * defines the cross-cutting enums those structs reference, together with
- * string conversions used by the examples and benchmark harnesses.
+ * their string conversions.
  */
 
 #ifndef PADC_COMMON_CONFIG_HH

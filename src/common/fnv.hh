@@ -1,7 +1,7 @@
 /**
  * @file
  * The one 64-bit FNV-1a: result config hashes, custom-point keys,
- * golden digests, sweep-point keys and PADCTRC2 checksums all use it.
+ * golden digests and sweep-point keys all use it.
  */
 
 #ifndef PADC_COMMON_FNV_HH

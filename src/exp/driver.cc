@@ -42,8 +42,8 @@ hex16(std::uint64_t value)
 
 /**
  * Redirect stdout to /dev/null for the scope (RAII): the structured
- * --format json|csv streams replace the experiments' human-readable
- * rows, which keep printing through printf.
+ * --format json stream replaces the experiments' human-readable rows,
+ * which keep printing through printf.
  */
 class StdoutSilencer
 {
@@ -77,22 +77,6 @@ class StdoutSilencer
     int saved_ = -1;
 };
 
-/** CSV field, quoted when it contains a separator or quote. */
-std::string
-csvField(const std::string &text)
-{
-    if (text.find_first_of(",\"\n") == std::string::npos)
-        return text;
-    std::string out = "\"";
-    for (const char c : text) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
 } // namespace
 
 std::string
@@ -118,7 +102,7 @@ driverUsage()
            "                 the points it holds\n"
            "  --seed N       override the random-mix seed of seeded "
            "experiments\n"
-           "  --format FMT   text | json | csv (default: text)\n"
+           "  --format FMT   text | json (default: text)\n"
            "  --out DIR      directory for BENCH_<name>.json files "
            "(default: .)\n"
            "  --progress     live sweep observability: a stderr progress\n"
@@ -206,10 +190,8 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
             } else if (text != nullptr &&
                        std::strcmp(text, "json") == 0) {
                 out->format = DriverOptions::Format::Json;
-            } else if (text != nullptr && std::strcmp(text, "csv") == 0) {
-                out->format = DriverOptions::Format::Csv;
             } else {
-                *error = "--format expects text, json, or csv";
+                *error = "--format expects text or json";
                 return false;
             }
         } else if (arg == "--out") {
@@ -659,32 +641,6 @@ class StopSignalGuard
     struct sigaction old_term_ = {};
 };
 
-void
-printCsv(const std::vector<const Experiment *> &experiments,
-         const std::vector<ExperimentResult> &results)
-{
-    std::printf(
-        "experiment,point,label,key,status,cycles,metric,value\n");
-    // An interrupted run has results only for the experiments that
-    // started before the stop; never index experiments past that.
-    for (std::size_t e = 0; e < results.size(); ++e) {
-        const std::string &name = experiments[e]->info.name;
-        const ExperimentResult &result = results[e];
-        for (std::size_t p = 0; p < result.points.size(); ++p) {
-            const PointRecord &point = result.points[p];
-            for (const auto &[metric, value] : point.metrics.entries()) {
-                std::printf(
-                    "%s,%zu,%s,%s,%s,%llu,%s,%s\n", name.c_str(), p,
-                    csvField(point.label).c_str(),
-                    hex16(point.key).c_str(), point.status.c_str(),
-                    static_cast<unsigned long long>(point.cycles),
-                    csvField(metric).c_str(),
-                    jsonNumber(value).c_str());
-            }
-        }
-    }
-}
-
 } // namespace
 
 int
@@ -744,7 +700,6 @@ driverMain(int argc, const char *const *argv)
     const bool silent_text =
         options.format != DriverOptions::Format::Text;
     bool any_failed = false;
-    std::vector<ExperimentResult> results;
     std::vector<std::string> documents;
     telemetry::TelemetryConfig tcfg;
     tcfg.timeseries = options.timeseries;
@@ -849,10 +804,9 @@ driverMain(int argc, const char *const *argv)
             any_failed = true;
         }
         documents.push_back(document);
-        results.push_back(std::move(result));
         // A graceful stop still wrote this experiment's (partial) BENCH
         // file above; later experiments never start.
-        if (results.back().interrupted) {
+        if (result.interrupted) {
             any_interrupted = true;
             break;
         }
@@ -867,8 +821,6 @@ driverMain(int argc, const char *const *argv)
         }
         out += "]}";
         std::printf("%s\n", out.c_str());
-    } else if (options.format == DriverOptions::Format::Csv) {
-        printCsv(experiments, results);
     }
     if (any_interrupted)
         return 130;

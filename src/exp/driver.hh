@@ -12,7 +12,7 @@
  * Every run writes a machine-readable `BENCH_<name>.json` (schema
  * `padc-bench-result-v1`: config hash, per-point status + metrics,
  * wall time, sim-cycles/sec) next to the human-readable text output;
- * `--format json|csv` swaps the stdout stream for the structured form.
+ * `--format json` swaps the stdout stream for the structured form.
  *
  * driverMain is a library function so the CLI is testable in-process;
  * bench/padc_main.cc is the two-line real main().
@@ -46,7 +46,6 @@ struct DriverOptions
     {
         Text,
         Json,
-        Csv,
     };
 
     Command command = Command::Help;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Experiment harness shared by the benchmark binaries and examples.
+ * Experiment harness shared by the registered experiments, perfbench
+ * and the micro-benchmarks.
  *
  * Provides the paper's canonical policy setups (no-pref, demand-first,
  * demand-prefetch-equal, prefetch-first, APS-only, PADC, PADC+rank and

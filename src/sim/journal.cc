@@ -289,7 +289,6 @@ SweepJournal::load(const std::string &path,
     // Whatever a previous (possibly killed) run managed to append; a
     // missing file loads nothing. This runs before file_ opens, so a
     // torn tail is still unterminated here and forEachLine skips it.
-    std::size_t loaded = 0;
     LineFile::forEachLine(path, [&](const std::string &line) {
         std::istringstream tokens(line);
         std::string tag, kind, key_hex;
@@ -316,16 +315,10 @@ SweepJournal::load(const std::string &path,
         if (!valid)
             return;
         (*entries)[{kind[0], key}] = body;
-        ++loaded;
     });
-    return loaded;
-}
-
-std::size_t
-SweepJournal::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
+    // A point recorded twice (say by two processes sharing the file)
+    // is one entry, not two.
+    return entries->size();
 }
 
 bool
@@ -336,7 +329,6 @@ SweepJournal::lookupLine(char kind, std::uint64_t key, std::string *line)
     if (it == entries_.end())
         return false;
     *line = it->second;
-    ++hits_;
     return true;
 }
 

@@ -106,11 +106,8 @@ class SweepJournal
      */
     explicit SweepJournal(const std::string &path);
 
-    /** Entries recovered when the journal was opened. */
+    /** Distinct entries recovered when the journal was opened. */
     std::size_t loadedEntries() const { return loaded_; }
-
-    /** Lookups served from the journal since it was opened. */
-    std::size_t hits() const;
 
     /**
      * Replay the recorded result of @p key's kind (evaluateSweep for
@@ -129,8 +126,8 @@ class SweepJournal
     using EntryKey = std::pair<char, std::uint64_t>; ///< (kind, hash)
 
     /**
-     * Fill @p entries from the well-formed lines of @p path; returns
-     * how many there were.
+     * Fill the empty @p entries from the well-formed lines of @p path;
+     * returns how many distinct entries that made.
      */
     static std::size_t load(const std::string &path,
                             std::map<EntryKey, std::string> *entries);
@@ -141,10 +138,9 @@ class SweepJournal
     // Declaration order is construction order: entries_ exists before
     // load() fills it, and load() reads the file before file_ repairs
     // a torn tail, so a record missing only its '\n' stays a miss.
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::map<EntryKey, std::string> entries_; ///< payload (line body)
     std::size_t loaded_ = 0;
-    std::size_t hits_ = 0;
     LineFile file_;           ///< one write(2) per record
     bool fsync_each_ = false; ///< PADC_JOURNAL_FSYNC policy
 };

@@ -139,6 +139,7 @@ TEST(ParseDriverArgs, Rejections)
     EXPECT_TRUE(fails({"run", "smoke", "--threads"}));
     EXPECT_TRUE(fails({"run", "smoke", "--seed", "-1"}));
     EXPECT_TRUE(fails({"run", "smoke", "--format", "xml"}));
+    EXPECT_TRUE(fails({"run", "smoke", "--format", "csv"}));
     EXPECT_TRUE(fails({"run", "smoke", "--frob"}));
     EXPECT_TRUE(fails({"list", "stray"}));
     EXPECT_TRUE(fails({"run", "smoke", "--trace-limit", "nope"}));

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -105,6 +106,20 @@ expectBitIdentical(const Result<MixEvaluation> &a,
     EXPECT_EQ(test::leafDump(a), test::leafDump(b));
 }
 
+/**
+ * Points the sweep replayed from its journal: runPoints sets attempts
+ * to 0 for those, and in an uninterrupted sweep for no other point.
+ */
+template <typename T>
+std::size_t
+replayedCount(const std::vector<Result<T>> &results)
+{
+    return static_cast<std::size_t>(
+        std::count_if(results.begin(), results.end(), [](const auto &r) {
+            return r.outcome.attempts == 0;
+        }));
+}
+
 TEST(SweepPointKey, DistinguishesConfigMixSeedAndOptions)
 {
     const workload::Mix mix = {"libquantum_06", "milc_06"};
@@ -147,7 +162,7 @@ TEST_F(JournalTest, RecordedEvalPointsReplayBitIdentical)
         EXPECT_EQ(journal.loadedEntries(), 0u);
         AloneIpcCache alone(base2(), quickOptions());
         first = evaluateSweep(points, alone, runner, &journal);
-        EXPECT_EQ(journal.hits(), 0u);
+        EXPECT_EQ(replayedCount(first), 0u);
     }
 
     // A fresh process over the same journal replays without recomputing:
@@ -157,7 +172,7 @@ TEST_F(JournalTest, RecordedEvalPointsReplayBitIdentical)
     AloneIpcCache cold_alone(base2(), quickOptions());
     const auto replayed =
         evaluateSweep(points, cold_alone, runner, &reopened);
-    EXPECT_EQ(reopened.hits(), points.size());
+    EXPECT_EQ(replayedCount(replayed), points.size());
 
     ASSERT_EQ(replayed.size(), first.size());
     for (std::size_t i = 0; i < first.size(); ++i)
@@ -180,7 +195,7 @@ TEST_F(JournalTest, RunSweepEntriesRoundTrip)
     SweepJournal reopened(path_);
     EXPECT_EQ(reopened.loadedEntries(), 1u);
     const auto replayed = runSweep(points, runner, &reopened);
-    EXPECT_EQ(reopened.hits(), 1u);
+    EXPECT_EQ(replayedCount(replayed), 1u);
 
     ASSERT_EQ(replayed.size(), 1u);
     EXPECT_EQ(replayed[0].outcome.status, first[0].outcome.status);
@@ -190,6 +205,41 @@ TEST_F(JournalTest, RunSweepEntriesRoundTrip)
                   first[0].value.cores[c].ipc);
         EXPECT_EQ(replayed[0].value.cores[c].cycles,
                   first[0].value.cores[c].cycles);
+    }
+}
+
+TEST_F(JournalTest, DuplicateLinesLoadAsOneEntry)
+{
+    // Two processes sharing one journal can each record the same point;
+    // a journal concatenated with itself holds every point twice. It
+    // loads one entry per point, and a resume replays each point once.
+    const auto points = twoPolicyPoints();
+    ParallelExperimentRunner runner(2);
+    std::vector<Result<RunMetrics>> first;
+    {
+        SweepJournal journal(path_);
+        first = runSweep(points, runner, &journal);
+    }
+    std::string text;
+    {
+        std::ifstream in(path_, std::ios::binary);
+        text.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    {
+        std::ofstream out(path_, std::ios::binary | std::ios::app);
+        out << text;
+    }
+
+    SweepJournal doubled(path_);
+    EXPECT_EQ(doubled.loadedEntries(), points.size());
+    const auto replayed = runSweep(points, runner, &doubled);
+    EXPECT_EQ(replayedCount(replayed), points.size());
+    ASSERT_EQ(replayed.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        SCOPED_TRACE("point " + std::to_string(i));
+        EXPECT_EQ(test::leafDump(replayed[i].value),
+                  test::leafDump(first[i].value));
     }
 }
 
@@ -338,7 +388,7 @@ TEST_F(JournalTest, PreviousFormatLoadsAsAMissAndThePointReruns)
     EXPECT_EQ(journal.loadedEntries(), 0u);
     ParallelExperimentRunner runner(1);
     const auto results = runSweep(points, runner, &journal);
-    EXPECT_EQ(journal.hits(), 0u);
+    EXPECT_EQ(replayedCount(results), 0u);
     EXPECT_EQ(results[0].outcome.attempts, 1u) << "point was not rerun";
     SweepJournal reopened(path_);
     EXPECT_EQ(reopened.loadedEntries(), 1u); // the rerun's new record
@@ -378,7 +428,7 @@ TEST_F(JournalTest, KilledThenResumedSweepIsBitIdenticalToStraightRun)
     EXPECT_EQ(resumed.loadedEntries(), 2u);
     AloneIpcCache alone(base2(), quickOptions());
     const auto results = evaluateSweep(points, alone, runner, &resumed);
-    EXPECT_EQ(resumed.hits(), 2u); // first half replayed, not rerun
+    EXPECT_EQ(replayedCount(results), 2u); // first half replayed, not rerun
 
     ASSERT_EQ(results.size(), reference.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -434,7 +484,7 @@ TEST_F(JournalTest, StopRaisedOnOneRunnerThreadStopsTheOthersAndResumes)
     SweepJournal resumed(path_);
     EXPECT_EQ(resumed.loadedEntries(), ok);
     const auto second = runSweep(points, runner, &resumed);
-    EXPECT_EQ(resumed.hits(), ok);
+    EXPECT_EQ(replayedCount(second), ok);
     ASSERT_EQ(second.size(), points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
         SCOPED_TRACE("point " + std::to_string(i));
