@@ -13,12 +13,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -472,26 +469,26 @@ telemetryOverheadCheck()
 }
 
 /**
- * Wall seconds for one sim::runSweep of @p points on @p runner. With a
- * non-empty @p out_dir the sweep runs the way `padc run --progress`
- * runs it: a FleetMonitor writing into @p out_dir is built, installed,
- * told sweepStarted and sweepFinished, and torn down inside the timed
- * window, so every hook a point fires is paid for.
+ * Wall seconds for one sim::runSweep of @p points on @p runner. When
+ * @p observed, the sweep runs the way `padc run --progress` runs it: a
+ * FleetMonitor is built, installed, told sweepStarted and
+ * sweepFinished, and torn down inside the timed window, so every hook
+ * a point fires is paid for.
  */
 double
 timedSweep(const std::vector<sim::SweepPoint> &points,
-           sim::ParallelExperimentRunner &runner, const std::string &out_dir)
+           sim::ParallelExperimentRunner &runner, bool observed)
 {
     const auto begin = std::chrono::steady_clock::now();
     std::unique_ptr<obs::FleetMonitor> monitor;
-    if (!out_dir.empty()) {
-        monitor = std::make_unique<obs::FleetMonitor>(out_dir);
+    if (observed) {
+        monitor = std::make_unique<obs::FleetMonitor>();
         obs::setActiveMonitor(monitor.get());
-        monitor->sweepStarted("obs_overhead", points.size(), 0);
+        monitor->sweepStarted("obs_overhead", points.size());
     }
     const auto results = sim::runSweep(points, runner);
     if (monitor != nullptr) {
-        monitor->sweepFinished(false);
+        monitor->sweepFinished();
         obs::setActiveMonitor(nullptr);
         monitor.reset();
     }
@@ -501,13 +498,12 @@ timedSweep(const std::vector<sim::SweepPoint> &points,
 }
 
 /**
- * Assert that the fleet monitor a `--progress` run installs
- * (events.jsonl, status.json and the stderr progress line) stays within
- * measurement noise of the same sweep unobserved. The sweep is 64 short
- * one-core PADC points on one thread, so the per-point hooks weigh as
- * much as they ever can; fewer points make each timed arm short enough
- * for host noise to swing the A/A ratio past the bound. The monitor
- * writes into a fresh temp directory, removed before returning.
+ * Assert that the fleet monitor a `--progress` run installs (the stderr
+ * progress line) stays within measurement noise of the same sweep
+ * unobserved. The sweep is 64 short one-core PADC points on one
+ * thread, so the per-point hooks weigh as much as they ever can; fewer
+ * points make each timed arm short enough for host noise to swing the
+ * A/A ratio past the bound.
  */
 int
 obsOverheadCheck()
@@ -525,17 +521,10 @@ obsOverheadCheck()
         points[i].options.mix_seed = i;
     }
     sim::ParallelExperimentRunner runner(1);
-
-    const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() /
-        ("padc_obs_overhead." + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir);
-    const int code = overheadCheck(
+    return overheadCheck(
         "obs-overhead-check", "monitor off", "monitor on",
-        [&] { return timedSweep(points, runner, ""); },
-        [&] { return timedSweep(points, runner, dir.string()); });
-    std::filesystem::remove_all(dir);
-    return code;
+        [&] { return timedSweep(points, runner, false); },
+        [&] { return timedSweep(points, runner, true); });
 }
 
 } // namespace

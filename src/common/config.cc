@@ -29,11 +29,7 @@ ConfigErrors::str() const
 namespace
 {
 
-/**
- * One row of an enum name table. The first row carrying a given value
- * defines its canonical (toString) name; every row is accepted by
- * parsing, so aliases are extra rows after the canonical one.
- */
+/** One row of an enum name table: a value and its toString name. */
 template <typename E>
 struct EnumName
 {
@@ -52,28 +48,12 @@ nameOf(const EnumName<E> (&table)[N], E value)
     return "unknown";
 }
 
-template <typename E, std::size_t N>
-bool
-parseName(const EnumName<E> (&table)[N], const std::string &name, E *out)
-{
-    for (const auto &entry : table) {
-        if (name == entry.name) {
-            *out = entry.value;
-            return true;
-        }
-    }
-    return false;
-}
-
 /** Scheduling policies; canonical names match the paper's figures. */
 constexpr EnumName<SchedPolicyKind> kSchedPolicyNames[] = {
     {SchedPolicyKind::FrFcfs, "demand-pref-equal"},
-    {SchedPolicyKind::FrFcfs, "frfcfs"},
-    {SchedPolicyKind::FrFcfs, "demand-prefetch-equal"},
     {SchedPolicyKind::DemandFirst, "demand-first"},
     {SchedPolicyKind::PrefetchFirst, "prefetch-first"},
     {SchedPolicyKind::Aps, "aps"},
-    {SchedPolicyKind::Aps, "padc"},
 };
 
 constexpr EnumName<PrefetcherKind> kPrefetcherNames[] = {
@@ -89,7 +69,6 @@ constexpr EnumName<RowPolicy> kRowPolicyNames[] = {
 
 constexpr EnumName<RequestClass> kRequestClassNames[] = {
     {RequestClass::DemandRead, "demand-read"},
-    {RequestClass::DemandRead, "demand"},
     {RequestClass::Prefetch, "prefetch"},
     {RequestClass::Writeback, "writeback"},
     {RequestClass::PtwRead, "ptw-read"},
@@ -120,30 +99,6 @@ std::string
 toString(RequestClass cls)
 {
     return nameOf(kRequestClassNames, cls);
-}
-
-bool
-parseSchedPolicy(const std::string &name, SchedPolicyKind *out)
-{
-    return parseName(kSchedPolicyNames, name, out);
-}
-
-bool
-parsePrefetcher(const std::string &name, PrefetcherKind *out)
-{
-    return parseName(kPrefetcherNames, name, out);
-}
-
-bool
-parseRowPolicy(const std::string &name, RowPolicy *out)
-{
-    return parseName(kRowPolicyNames, name, out);
-}
-
-bool
-parseRequestClass(const std::string &name, RequestClass *out)
-{
-    return parseName(kRequestClassNames, name, out);
 }
 
 } // namespace padc

@@ -131,26 +131,6 @@ std::string toString(RowPolicy policy);
 /** Stable lowercase request-class name ("demand-read", "prefetch", ...). */
 std::string toString(RequestClass cls);
 
-/**
- * Parse a policy name ("demand-first", "demand-pref-equal", "frfcfs",
- * "prefetch-first", "aps", "padc").
- * @return true on success; *out unchanged on failure.
- */
-bool parseSchedPolicy(const std::string &name, SchedPolicyKind *out);
-
-/** Parse a prefetcher name ("none", "stream", "stride", "cdc", "markov"). */
-bool parsePrefetcher(const std::string &name, PrefetcherKind *out);
-
-/** Parse a row-buffer policy name ("open-row", "closed-row"). */
-bool parseRowPolicy(const std::string &name, RowPolicy *out);
-
-/**
- * Parse a request-class name ("demand-read", "prefetch", "writeback",
- * "ptw-read", "dram-cache-fill"; alias "demand").
- * @return true on success; *out unchanged on failure.
- */
-bool parseRequestClass(const std::string &name, RequestClass *out);
-
 } // namespace padc
 
 #endif // PADC_COMMON_CONFIG_HH

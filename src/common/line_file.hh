@@ -1,8 +1,7 @@
 /**
  * @file
- * Append-only file of '\n'-terminated lines: the durability idiom the
- * sweep journal (sim/journal.hh) and the run-event log (obs/events.hh)
- * share.
+ * Append-only file of '\n'-terminated lines: the durability idiom of
+ * the sweep journal (sim/journal.hh).
  *
  * The file is opened O_APPEND and every line goes out in ONE write(2),
  * so concurrent writers interleave whole lines only, and a process

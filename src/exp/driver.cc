@@ -19,7 +19,6 @@
 #include "exp/registry.hh"
 #include "exp/report.hh"
 #include "obs/monitor.hh"
-#include "obs/status.hh"
 #include "sim/interrupt.hh"
 #include "telemetry/export.hh"
 #include "telemetry/profiler.hh"
@@ -88,9 +87,6 @@ driverUsage()
            "  list                     list every registered experiment\n"
            "  run <name|tag|glob>...   run the selected experiments\n"
            "  run --all                run every registered experiment\n"
-           "  status <dir>             render the live status.json a\n"
-           "                           `run --progress` sweep keeps in\n"
-           "                           its --out directory\n"
            "  help                     show this message\n"
            "\n"
            "options:\n"
@@ -105,10 +101,9 @@ driverUsage()
            "  --format FMT   text | json (default: text)\n"
            "  --out DIR      directory for BENCH_<name>.json files "
            "(default: .)\n"
-           "  --progress     live sweep observability: a stderr progress\n"
-           "                 line (done/total, rate, ETA) plus\n"
-           "                 <out>/status.json and <out>/events.jsonl;\n"
-           "                 stdout output is unchanged\n"
+           "  --progress     a live stderr progress line per sweep\n"
+           "                 (done/total, rate, ETA); stdout output is\n"
+           "                 unchanged\n"
            "  --timeseries[=PATH]\n"
            "                 record per-interval telemetry (PAR, drop\n"
            "                 threshold, bus util, queues) to a CSV\n"
@@ -118,8 +113,6 @@ driverUsage()
            "                 (default: <out>/<name>.trace.json)\n"
            "  --trace-limit N\n"
            "                 events retained per run (default: 1048576)\n"
-           "  --json         status: print the raw status.json snapshot\n"
-           "                 instead of the text report\n"
            "\n"
            "Every run also writes a machine-readable BENCH_<name>.json\n"
            "(schema padc-bench-result-v1) per experiment into --out.\n"
@@ -145,8 +138,6 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
         out->command = DriverOptions::Command::List;
     } else if (command == "run") {
         out->command = DriverOptions::Command::Run;
-    } else if (command == "status") {
-        out->command = DriverOptions::Command::Status;
     } else {
         *error = "unknown command '" + command + "' (try 'padc help')";
         return false;
@@ -203,13 +194,6 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
             out->out_dir = text;
         } else if (arg == "--progress") {
             out->progress = true;
-        } else if (arg == "--json") {
-            if (out->command != DriverOptions::Command::Status) {
-                *error = "--json only applies to 'status'; use --format "
-                         "json for machine-readable output";
-                return false;
-            }
-            out->json = true;
         } else if (arg == "--timeseries") {
             out->timeseries = true;
         } else if (arg.rfind("--timeseries=", 0) == 0) {
@@ -243,9 +227,6 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
             return false;
         } else if (out->command == DriverOptions::Command::Run) {
             out->selectors.push_back(arg);
-        } else if (out->command == DriverOptions::Command::Status &&
-                   out->status_dir.empty()) {
-            out->status_dir = arg;
         } else {
             *error = "unexpected argument '" + arg + "'";
             return false;
@@ -255,11 +236,6 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
     if (out->command == DriverOptions::Command::Run &&
         out->selectors.empty() && !out->all) {
         *error = "run expects experiment names, tags, globs, or --all";
-        return false;
-    }
-    if (out->command == DriverOptions::Command::Status &&
-        out->status_dir.empty()) {
-        *error = "status expects the --out directory of a running sweep";
         return false;
     }
     return true;
@@ -523,45 +499,6 @@ recordRunProfile(ExperimentResult &result)
 }
 
 /**
- * `padc status <dir>`: render the status.json a `run --progress` sweep
- * maintains. Works mid-sweep (the writer atomic-renames complete
- * snapshots, so this never sees a torn document) and after the sweep
- * died, where the last snapshot is exactly what an operator wants to
- * see.
- */
-int
-statusCommand(const DriverOptions &options)
-{
-    const std::filesystem::path path =
-        std::filesystem::is_directory(options.status_dir)
-            ? std::filesystem::path(options.status_dir) /
-                  obs::kStatusFileName
-            : std::filesystem::path(options.status_dir);
-    obs::SweepStatus status;
-    std::string error;
-    if (!obs::loadStatusFile(path.string(), &status, &error)) {
-        std::error_code exists_error;
-        if (!std::filesystem::exists(path, exists_error)) {
-            // The common case is simply "nothing ever ran here": say
-            // that, not a raw open(2) failure.
-            std::fprintf(stderr,
-                         "padc: no %s in '%s' -- no sweep has run here "
-                         "yet. Start one with `padc run --progress "
-                         "--out <dir>`.\n",
-                         obs::kStatusFileName, options.status_dir.c_str());
-        } else {
-            std::fprintf(stderr, "padc: %s\n", error.c_str());
-        }
-        return 1;
-    }
-    if (options.json)
-        std::printf("%s\n", obs::formatStatus(status).c_str());
-    else
-        std::printf("%s", obs::renderStatusReport(status).c_str());
-    return 0;
-}
-
-/**
  * Owns the --progress FleetMonitor for the scope of a run: installs it
  * as the process-global observer and clears the global before the
  * monitor is destroyed (driverMain is a library function; tests call it
@@ -574,7 +511,7 @@ class MonitorGuard
     {
         if (!options.progress)
             return;
-        monitor_ = std::make_unique<obs::FleetMonitor>(options.out_dir);
+        monitor_ = std::make_unique<obs::FleetMonitor>();
         obs::setActiveMonitor(monitor_.get());
     }
 
@@ -660,8 +597,6 @@ driverMain(int argc, const char *const *argv)
         return 0;
       case DriverOptions::Command::List:
         return listExperiments(options);
-      case DriverOptions::Command::Status:
-        return statusCommand(options);
       case DriverOptions::Command::Run:
         break;
     }
@@ -712,9 +647,8 @@ driverMain(int argc, const char *const *argv)
     sim::resetInterruptState();
     StopSignalGuard stop_signals;
 
-    // --progress observability: events.jsonl + status.json in --out and
-    // a stderr progress line. Everything stays on stderr / in files so
-    // the stdout streams above are byte-identical with the flag off.
+    // --progress observability: a stderr progress line, so the stdout
+    // streams above are byte-identical with the flag off.
     MonitorGuard monitor_guard(options);
 
     // This call's flags alone choose the runner and the journal; every

@@ -39,7 +39,6 @@ struct DriverOptions
         Help,
         List,
         Run,
-        Status,
     };
 
     enum class Format
@@ -58,8 +57,6 @@ struct DriverOptions
     std::string out_dir = ".";          ///< BENCH_<name>.json directory
 
     bool progress = false;       ///< --progress live sweep status
-    std::string status_dir;      ///< `padc status <dir>` argument
-    bool json = false;           ///< status --json: the raw snapshot
 
     bool timeseries = false;     ///< --timeseries[=PATH]
     bool trace = false;          ///< --trace[=PATH]

@@ -112,17 +112,13 @@ std::vector<sim::Result<T>>
 ExperimentContext::sweep(const std::vector<sim::SweepPoint> &points,
                          Execute &&execute, AddMetrics &&add_metrics)
 {
-    if (obs::FleetMonitor *monitor = obs::activeMonitor()) {
-        monitor->sweepStarted(info_.name, points.size(),
-                              journal_ != nullptr
-                                  ? journal_->loadedEntries()
-                                  : 0);
-    }
+    if (obs::FleetMonitor *monitor = obs::activeMonitor())
+        monitor->sweepStarted(info_.name, points.size());
     std::vector<sim::Result<T>> results = execute();
     reportSweepFailures(points, results);
     result_.interrupted = result_.interrupted || sim::interruptRequested();
     if (obs::FleetMonitor *monitor = obs::activeMonitor())
-        monitor->sweepFinished(result_.interrupted);
+        monitor->sweepFinished();
 
     for (std::size_t i = 0; i < points.size(); ++i) {
         const sim::RunMetrics &run = runOf(results[i].value);

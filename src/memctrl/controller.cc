@@ -323,10 +323,6 @@ void
 MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
                                Cycle now)
 {
-    if (issue_log_ != nullptr) {
-        issue_log_->push_back({now, cmd, req.isWrite(), req.coord.bank,
-                               req.coord.row, req.seq});
-    }
     bool auto_pre = false;
     switch (cmd) {
       case NextCmd::Precharge:

@@ -254,32 +254,12 @@ class MemoryController
     /** The next DRAM command a request needs, given current bank state. */
     enum class NextCmd : std::uint8_t { Precharge, Activate, Column, None };
 
-    /** One DRAM command issued by the scheduler (for equivalence tests). */
-    struct IssueRecord
-    {
-        Cycle cycle;
-        NextCmd cmd;
-        bool is_write;
-        std::uint32_t bank;
-        std::uint64_t row;
-        std::uint64_t seq;
-
-        bool operator==(const IssueRecord &other) const = default;
-    };
-
-    /**
-     * Record every issued command into @p log (nullptr disables logging).
-     * The log captures the complete scheduling decision sequence, which
-     * is what the equivalence test compares with its reference
-     * controller's.
-     */
-    void setIssueLog(std::vector<IssueRecord> *log) { issue_log_ = log; }
-
     /**
      * Attach a request-lifecycle trace sink tagged with this
      * controller's channel id (nullptr disables tracing; the disabled
-     * path is a single null test per event site, same idiom as the
-     * issue log).
+     * path is a single null test per event site). Its command events
+     * are the complete scheduling decision sequence, which the
+     * equivalence test compares with its reference controller's.
      */
     void setTrace(telemetry::TraceBuffer *trace, std::uint8_t channel_id)
     {
@@ -567,8 +547,6 @@ class MemoryController
         P bit; critical-request counts for RANK derive from these. */
     std::array<std::uint32_t, kMaxCores> demands_per_core_{};
     std::array<std::uint32_t, kMaxCores> prefs_per_core_{};
-
-    std::vector<IssueRecord> *issue_log_ = nullptr;
 
     telemetry::TraceBuffer *trace_ = nullptr;
     std::uint8_t trace_channel_ = 0;

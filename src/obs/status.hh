@@ -1,10 +1,8 @@
 /**
  * @file
- * Live sweep status for external observers (DESIGN.md section 14):
- * a rolling-window rate/ETA estimator, the `padc-sweep-status-v2`
- * snapshot document periodically atomic-renamed to `status.json`
- * (so a poller — `padc status <dir>` — never reads a torn file), and
- * the stderr progress-line renderer.
+ * Live sweep progress (DESIGN.md section 14): a rolling-window
+ * rate/ETA estimator and the renderer of the stderr progress line a
+ * `padc run --progress` prints.
  *
  * All timestamps are std::chrono::steady_clock milliseconds: wall
  * clocks step under NTP and would corrupt rates/ETAs mid-sweep. The
@@ -21,12 +19,6 @@
 
 namespace padc::obs
 {
-
-/** Schema tag carried by every status.json snapshot. */
-inline constexpr char kStatusSchema[] = "padc-sweep-status-v2";
-
-/** The snapshot's file name inside a run's --out directory. */
-inline constexpr char kStatusFileName[] = "status.json";
 
 /** Steady-clock now in milliseconds (the only clock obs code uses). */
 std::uint64_t steadyNowMs();
@@ -81,42 +73,19 @@ enum class PointEnding : std::uint8_t
     Interrupted, ///< a stop came before it started
 };
 
-/** The padc-sweep-status-v2 document. */
+/** What the progress line shows of the current sweep. */
 struct SweepStatus
 {
-    std::string state = "running"; ///< running | finished | interrupted
     std::string experiment;
     std::uint64_t total = 0;
-    std::uint64_t done = 0;     ///< executed + replayed + interrupted
-    std::uint64_t executed = 0; ///< really simulated this run
+    std::uint64_t done = 0;     ///< ran + replayed + interrupted
     std::uint64_t replayed = 0; ///< satisfied from the resume journal
-    std::uint64_t failed = 0;   ///< ran or replayed, not ok
-    double elapsed_seconds = 0.0;
     double rate_per_sec = 0.0;
     double eta_seconds = -1.0; ///< negative = unknown
 };
 
-/** Serialize @p status as the padc-sweep-status-v2 JSON document. */
-std::string formatStatus(const SweepStatus &status);
-
-/**
- * Atomically replace @p path with the serialized @p status via
- * common/atomic_file (write temp sibling, rename): a poller or a
- * post-mortem reader always sees a complete schema-valid snapshot,
- * even when the writer is SIGKILLed mid-write.
- */
-bool writeStatusFile(const std::string &path, const SweepStatus &status,
-                     std::string *error = nullptr);
-
-/** Parse a status.json document; false + @p error on any mismatch. */
-bool loadStatusFile(const std::string &path, SweepStatus *out,
-                    std::string *error = nullptr);
-
 /** One-line progress summary for the stderr --progress stream. */
 std::string renderProgressLine(const SweepStatus &status);
-
-/** Multi-line human rendering for `padc status <dir>`. */
-std::string renderStatusReport(const SweepStatus &status);
 
 } // namespace padc::obs
 

@@ -145,11 +145,21 @@ AloneIpcCache::ipcAlone(const std::string &profile_name, std::uint32_t core,
         auto it = cache_.find(key);
         if (it != cache_.end())
             return it->second;
+        auto failed = failed_.find(key);
+        if (failed != failed_.end())
+            throw std::runtime_error(failed->second);
     }
     // Computed outside the lock so concurrent misses on distinct keys
-    // overlap; a racing duplicate computes the identical value, and
+    // overlap; a racing duplicate computes the identical outcome, and
     // emplace keeps whichever insert lands first.
-    const double ipc = computeAlone(profile_name, core, mix_seed);
+    double ipc = 0.0;
+    try {
+        ipc = computeAlone(profile_name, core, mix_seed);
+    } catch (const std::exception &e) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        failed_.emplace(key, e.what());
+        throw;
+    }
     std::lock_guard<std::mutex> lock(mutex_);
     cache_.emplace(key, ipc);
     return ipc;
@@ -165,8 +175,9 @@ using MixSeed = std::pair<const workload::Mix *, std::uint64_t>;
  * Fill @p alone for every distinct (profile, core, seed) alone run of
  * @p mixes across @p runner. Strict: rethrow the lowest-index failure
  * (the runner's rule). Otherwise a failing alone run is left to the
- * points that need it, whose own lookup raises it again, and an
- * interrupt stops the rest: those points fail as "interrupted" anyway.
+ * points that need it, whose own lookup rethrows the remembered
+ * failure, and an interrupt stops the rest: those points fail as
+ * "interrupted" anyway.
  */
 void
 warmAlone(AloneIpcCache &alone, const std::vector<MixSeed> &mixes,
@@ -319,10 +330,8 @@ runPoints(const std::vector<SweepPoint> &points, SweepJournal *journal,
             outcome.status = PointStatus::Failed;
             outcome.detail = kInterruptedDetail;
         }
-        if (monitor != nullptr) {
-            monitor->pointFinished(i, done.ending, toString(outcome.status),
-                                   outcome.attempts, outcome.detail);
-        }
+        if (monitor != nullptr)
+            monitor->pointFinished(done.ending);
     };
 
     std::vector<std::size_t> todo;

@@ -115,7 +115,9 @@ class AloneIpcCache
      * Alone IPC of @p profile_name running on core @p core of the CMP.
      * Throws std::runtime_error, naming the profile, core and seed, when
      * the alone run hits the cycle cap, so the point that needs it fails
-     * rather than being normalised by a partial IPC.
+     * rather than being normalised by a partial IPC. A failed alone run
+     * is remembered: later lookups rethrow its message without running
+     * it again.
      */
     double ipcAlone(const std::string &profile_name, std::uint32_t core,
                     std::uint64_t mix_seed);
@@ -137,6 +139,7 @@ class AloneIpcCache
     RunOptions options_;
     std::mutex mutex_;
     std::map<std::string, double> cache_;
+    std::map<std::string, std::string> failed_; ///< key -> what() text
 };
 
 /** Together-run + WS/HS/UF against alone-runs, in one call. */

@@ -18,19 +18,18 @@
  *    transitions) with cycle timestamps and core/channel/bank/row tags.
  *
  * Hook sites hold a nullable TraceBuffer pointer and test it before
- * building an event (the same idiom as MemoryController's issue log),
- * so compiled-in-but-disabled telemetry costs one predictable branch
- * per event site and nothing per cycle. A Collector owns both sinks
- * for one simulation run; SystemConfig carries a non-owning Collector
- * pointer that is excluded from validation and sweep keys, so attaching
- * telemetry never changes simulated behaviour or journal identity.
+ * building an event, so compiled-in-but-disabled telemetry costs one
+ * predictable branch per event site and nothing per cycle. A Collector
+ * owns both sinks for one simulation run; SystemConfig carries a
+ * non-owning Collector pointer that is excluded from validation and
+ * sweep keys, so attaching telemetry never changes simulated behaviour
+ * or journal identity.
  *
  * Exporters (CSV, Chrome trace JSON) live in telemetry/export.hh; the
  * wall-clock profiler in telemetry/profiler.hh. This module observes
- * one simulation from the inside; its fleet-level counterpart -- the
- * structured run-event log and the live sweep status a `padc run
- * --progress` maintains -- lives in src/obs/ (see obs/monitor.hh and
- * DESIGN.md section 14).
+ * one simulation from the inside; its sweep-level counterpart -- the
+ * progress line a `padc run --progress` prints -- lives in src/obs/
+ * (see obs/monitor.hh and DESIGN.md section 14).
  */
 
 #ifndef PADC_TELEMETRY_TELEMETRY_HH

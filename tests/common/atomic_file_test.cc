@@ -1,10 +1,9 @@
 /**
  * @file
- * AtomicFile unit tests: the temp-then-rename contract its two writers,
- * the BENCH files and status.json, rely on. An open failure names the
- * path and the reason, a commit leaves no `.tmp`, and neither a failed
- * rename nor an abandoned write leaves a `.tmp` or touches the
- * destination.
+ * AtomicFile unit tests: the temp-then-rename contract its writer, the
+ * driver's BENCH files, relies on. An open failure names the path and
+ * the reason, a commit leaves no `.tmp`, and neither a failed rename
+ * nor an abandoned write leaves a `.tmp` or touches the destination.
  */
 
 #include "common/atomic_file.hh"

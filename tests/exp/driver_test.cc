@@ -155,11 +155,9 @@ TEST(ParseDriverArgs, Rejections)
         return fails(argv) &&
                error.find(diagnostic) != std::string::npos;
     };
-    // --json belongs to `status`; everywhere else --format json does
-    // that job, and the diagnostic says so instead of ignoring it.
-    EXPECT_TRUE(failsWith({"run", "smoke", "--json"}, "--format json"));
+    EXPECT_TRUE(failsWith({"run", "smoke", "--json"}, "unknown option"));
     for (const char *command :
-         {"serve", "submit", "jobs", "cancel", "metrics"}) {
+         {"serve", "submit", "jobs", "cancel", "metrics", "status"}) {
         EXPECT_TRUE(failsWith({command, "/tmp/x"}, "unknown command"))
             << command;
     }

@@ -1,39 +1,32 @@
 /**
  * @file
- * Fleet-observability integration tests of `padc run --progress` and
- * `padc status`, driving the real driver binary (PADC_DRIVER_BIN) as
- * subprocesses with stdout and stderr captured SEPARATELY — the whole
- * point of the --progress contract is that the machine-readable stdout
- * streams stay byte-clean while the human-facing progress line, the
- * events.jsonl log, and the status.json snapshot ride elsewhere.
+ * Integration tests of `padc run --progress`, driving the real driver
+ * binary (PADC_DRIVER_BIN) as subprocesses with stdout and stderr
+ * captured SEPARATELY — the whole point of the --progress contract is
+ * that the machine-readable stdout streams stay byte-clean while the
+ * human-facing progress line rides on stderr, and that --out holds
+ * nothing but the BENCH files.
  *
- * Covers the acceptance scenarios: an interrupted sweep reports every
- * point once, status.json stays a complete schema-valid snapshot
- * across a SIGKILLed run, the event log tail-repairs on resume, and
- * `padc status` renders both live and post-mortem state.
+ * Covers the acceptance scenarios: a JSON run keeps stdout one
+ * document, and an interrupted sweep reports every point once, on the
+ * progress line and in its BENCH file.
  */
 
 #include <fcntl.h>
-#include <signal.h>
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exp/json.hh"
-#include "obs/events.hh"
-#include "obs/status.hh"
 
 extern char **environ;
 
@@ -128,39 +121,29 @@ slurp(const std::filesystem::path &path)
     return out.str();
 }
 
-/** Journal lines on disk (complete, newline-terminated ones). */
-std::size_t
-journalLines(const std::string &path)
+/** The last line of @p text, without its newline. */
+std::string
+lastLine(const std::string &text)
 {
-    const std::string text = slurp(path);
-    std::size_t lines = 0;
-    for (const char c : text)
-        lines += c == '\n' ? 1 : 0;
-    return lines;
+    std::istringstream in(text);
+    std::string last;
+    for (std::string line; std::getline(in, line);)
+        last = line;
+    return last;
 }
 
-/** Poll until the journal holds @p want lines (sweep progress gate). */
-bool
-awaitJournalLines(const std::string &path, std::size_t want)
-{
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (std::chrono::steady_clock::now() < deadline) {
-        if (journalLines(path) >= want)
-            return true;
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    return false;
-}
+/** How the final progress line of a whole smoke_grid sweep begins. */
+const std::string kSmokeGridDone =
+    "[padc] smoke_grid 9/9 done (0 replayed) | ";
 
-std::size_t
-countEvents(const std::vector<obs::Event> &events,
-            const std::string &type)
+/** The names of the files in @p dir. */
+std::vector<std::string>
+filesIn(const std::filesystem::path &dir)
 {
-    std::size_t n = 0;
-    for (const obs::Event &event : events)
-        n += event.type == type ? 1 : 0;
-    return n;
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    return names;
 }
 
 TEST(ObsDriver, ProgressKeepsJsonStdoutByteClean)
@@ -169,8 +152,9 @@ TEST(ObsDriver, ProgressKeepsJsonStdoutByteClean)
     // single byte — the whole stream is exactly one parseable JSON
     // document, and every progress marker lands on stderr.
     const auto dir = freshDir("stdout_clean");
+    const auto out_dir = dir / "out";
     ASSERT_EQ(runDriver({"run", "smoke_grid", "--format", "json",
-                         "--progress", "--out", dir.string()},
+                         "--progress", "--out", out_dir.string()},
                         {}, (dir / "stdout.log").string(),
                         (dir / "stderr.log").string()),
               0);
@@ -188,199 +172,69 @@ TEST(ObsDriver, ProgressKeepsJsonStdoutByteClean)
     EXPECT_EQ(out.substr(out.find_last_not_of(" \n")).front(), '}');
     EXPECT_EQ(out.find("[padc]"), std::string::npos);
 
-    // The progress stream went to stderr instead.
-    EXPECT_NE(err.find("[padc] smoke_grid"), std::string::npos);
-    EXPECT_NE(err.find("9/9"), std::string::npos);
+    // The progress stream went to stderr instead, ending on the whole
+    // sweep.
+    EXPECT_EQ(lastLine(err).substr(0, kSmokeGridDone.size()),
+              kSmokeGridDone)
+        << err;
 
-    // And the sidecar files exist in --out.
-    EXPECT_TRUE(std::filesystem::exists(dir / "status.json"));
-    EXPECT_TRUE(std::filesystem::exists(dir / "events.jsonl"));
+    // And --out holds the BENCH file alone.
+    EXPECT_EQ(filesIn(out_dir),
+              std::vector<std::string>{"BENCH_smoke_grid.json"});
     std::filesystem::remove_all(dir);
 }
 
 TEST(ObsDriver, WithoutProgressNoSidecarFilesAppear)
 {
-    // Default runs must stay exactly as before: no monitor, no
-    // events.jsonl, no status.json.
+    // Default runs print no progress line and leave only the BENCH
+    // file in --out.
     const auto dir = freshDir("no_progress");
-    ASSERT_EQ(runDriver({"run", "smoke_grid", "--out", dir.string()}, {},
-                        (dir / "stdout.log").string(),
+    const auto out_dir = dir / "out";
+    ASSERT_EQ(runDriver({"run", "smoke_grid", "--out", out_dir.string()},
+                        {}, (dir / "stdout.log").string(),
                         (dir / "stderr.log").string()),
               0);
-    EXPECT_FALSE(std::filesystem::exists(dir / "status.json"));
-    EXPECT_FALSE(std::filesystem::exists(dir / "events.jsonl"));
+    EXPECT_EQ(slurp(dir / "stderr.log").find("[padc]"), std::string::npos);
+    EXPECT_EQ(filesIn(out_dir),
+              std::vector<std::string>{"BENCH_smoke_grid.json"});
     std::filesystem::remove_all(dir);
 }
 
 TEST(ObsDriver, PooledInterruptReportsEveryPoint)
 {
     // An interrupt after the first point of a one-thread sweep: the
-    // other eight never start, and each one reaches the monitor once.
+    // other eight never start, and each one reaches the monitor once
+    // and the BENCH file as interrupted.
     const auto dir = freshDir("interrupt_threads");
+    const auto out_dir = dir / "out";
     EXPECT_EQ(runDriver({"run", "smoke_grid", "--threads", "1",
-                         "--progress", "--out", dir.string()},
+                         "--progress", "--out", out_dir.string()},
                         {"PADC_TEST_INTERRUPT_AFTER=1"},
                         (dir / "stdout.log").string(),
                         (dir / "stderr.log").string()),
               130);
-    obs::SweepStatus s;
-    std::vector<obs::Event> events;
-    ASSERT_TRUE(obs::loadStatusFile((dir / "status.json").string(), &s));
-    ASSERT_TRUE(
-        obs::EventLog::load((dir / "events.jsonl").string(), &events));
-    EXPECT_EQ(s.state, "interrupted");
-    EXPECT_EQ(s.done, 9u);
-    EXPECT_EQ(s.executed, 1u);
-    EXPECT_EQ(s.replayed, 0u);
-    EXPECT_EQ(s.failed, 0u);
-    EXPECT_EQ(countEvents(events, "point_complete"), 1u);
-    EXPECT_EQ(countEvents(events, "point_interrupted"), 8u);
-    EXPECT_EQ(countEvents(events, "sweep_interrupted"), 1u);
-    std::filesystem::remove_all(dir);
-}
+    const std::string err = slurp(dir / "stderr.log");
+    EXPECT_EQ(lastLine(err).substr(0, kSmokeGridDone.size()),
+              kSmokeGridDone)
+        << err;
 
-TEST(ObsDriver, StatusSubcommandRendersFinishedSweep)
-{
-    const auto dir = freshDir("status_cmd");
-    ASSERT_EQ(runDriver({"run", "smoke_grid", "--progress", "--out",
-                         dir.string()},
-                        {}, (dir / "stdout.log").string(),
-                        (dir / "stderr.log").string()),
-              0);
-
-    ASSERT_EQ(runDriver({"status", dir.string()}, {},
-                        (dir / "status_out.log").string(),
-                        (dir / "status_err.log").string()),
-              0);
-    const std::string report = slurp(dir / "status_out.log");
-    EXPECT_NE(report.find("sweep 'smoke_grid'"), std::string::npos);
-    EXPECT_NE(report.find("finished"), std::string::npos);
-    EXPECT_NE(report.find("9/9"), std::string::npos);
-
-    // --json prints the snapshot itself, one parseable document.
-    ASSERT_EQ(runDriver({"status", dir.string(), "--json"}, {},
-                        (dir / "status_json.log").string(),
-                        (dir / "status_json_err.log").string()),
-              0);
-    JsonValue doc;
+    JsonValue bench;
     std::string error;
-    ASSERT_TRUE(parseJson(slurp(dir / "status_json.log"), &doc, &error))
+    ASSERT_TRUE(parseJson(slurp(out_dir / "BENCH_smoke_grid.json"), &bench,
+                          &error))
         << error;
-    ASSERT_NE(doc.find("schema"), nullptr);
-    EXPECT_EQ(doc.find("schema")->string, "padc-sweep-status-v2");
-    ASSERT_NE(doc.find("state"), nullptr);
-    EXPECT_EQ(doc.find("state")->string, "finished");
-    ASSERT_NE(doc.find("done"), nullptr);
-    EXPECT_EQ(doc.find("done")->number, 9.0);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ObsDriver, StatusSubcommandFailsCleanlyWithoutStatusFile)
-{
-    const auto dir = freshDir("status_missing");
-    EXPECT_EQ(runDriver({"status", dir.string()}, {},
-                        (dir / "out.log").string(),
-                        (dir / "err.log").string()),
-              1);
-    // A dir nothing ever ran in explains itself instead of dumping a
-    // raw open(2) failure.
-    EXPECT_NE(slurp(dir / "err.log").find("no sweep has run here"),
-              std::string::npos);
-    EXPECT_EQ(runDriver({"status", dir.string(), "--json"}, {},
-                        (dir / "json_out.log").string(),
-                        (dir / "json_err.log").string()),
-              1);
-    EXPECT_TRUE(slurp(dir / "json_out.log").empty());
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ObsDriver, KilledSupervisorLeavesValidStatusAndRepairableLog)
-{
-    // S4: kill -9 a one-thread tab07 run (one sweep of 65 points) once
-    // about five points are journaled. The atomic-rename writer
-    // guarantees status.json is a complete schema-valid snapshot, the
-    // event log loses at most its torn tail, and a resumed run repairs
-    // the tail and appends a sweep_resume record.
-    constexpr std::size_t kPoints = 65;
-    const auto dir = freshDir("kill9");
-    const std::string journal = (dir / "sweep.padcjournal").string();
-    const std::string events_path = (dir / "events.jsonl").string();
-
-    const pid_t pid =
-        spawnDriver({"run", "tab07", "--threads", "1", "--progress",
-                     "--resume", journal, "--out", dir.string()},
-                    {}, (dir / "out1.log").string(),
-                    (dir / "err1.log").string());
-    ASSERT_GT(pid, 0);
-    ASSERT_TRUE(awaitJournalLines(journal, 5));
-
-    // Live observation mid-sweep: status.json is already a complete
-    // snapshot and `padc status` renders it.
-    obs::SweepStatus live;
-    std::string error;
-    ASSERT_TRUE(obs::loadStatusFile((dir / "status.json").string(),
-                                    &live, &error))
-        << error;
-    EXPECT_EQ(live.state, "running");
-    EXPECT_EQ(live.experiment, "tab07");
-    EXPECT_EQ(live.total, kPoints);
-    ASSERT_EQ(runDriver({"status", dir.string()}, {},
-                        (dir / "live_out.log").string(),
-                        (dir / "live_err.log").string()),
-              0);
-    EXPECT_NE(slurp(dir / "live_out.log").find("running"),
-              std::string::npos);
-
-    ASSERT_EQ(::kill(pid, SIGKILL), 0);
-    EXPECT_EQ(waitDriver(pid), 128 + SIGKILL);
-    const std::size_t journaled = journalLines(journal);
-    // A kill after the last point would leave nothing to resume.
-    ASSERT_LT(journaled, kPoints)
-        << "the killed run had already journaled every point";
-
-    // Post-mortem: the snapshot is still complete and schema-valid.
-    obs::SweepStatus dead;
-    ASSERT_TRUE(obs::loadStatusFile((dir / "status.json").string(),
-                                    &dead, &error))
-        << error;
-    EXPECT_EQ(dead.state, "running"); // nobody got to write "finished"
-    EXPECT_EQ(dead.total, kPoints);
-
-    // Simulate the kill having torn the event log mid-write.
-    {
-        std::ofstream torn(events_path,
-                           std::ios::app | std::ios::binary);
-        torn << "{\"padc\":\"padc-run-event-v1\",\"ev\":\"point_";
+    const JsonValue *points = bench.find("points");
+    ASSERT_NE(points, nullptr);
+    ASSERT_EQ(points->array.size(), 9u);
+    std::size_t ok = 0;
+    std::size_t interrupted = 0;
+    for (const JsonValue &point : points->array) {
+        ok += point.find("status")->string == "ok";
+        interrupted += point.find("status")->string == "failed" &&
+                       point.find("detail")->string == "interrupted";
     }
-
-    // Resume with --progress: the log tail-repairs, the journaled
-    // points replay, and the monitor records a sweep_resume.
-    ASSERT_EQ(runDriver({"run", "tab07", "--threads", "2", "--progress",
-                         "--resume", journal, "--out", dir.string()},
-                        {}, (dir / "out2.log").string(),
-                        (dir / "err2.log").string()),
-              0);
-    EXPECT_EQ(journalLines(journal), kPoints);
-
-    std::vector<obs::Event> events;
-    ASSERT_TRUE(obs::EventLog::load(events_path, &events, &error))
-        << error;
-    EXPECT_EQ(countEvents(events, "sweep_start"), 1u);
-    EXPECT_EQ(countEvents(events, "sweep_resume"), 1u);
-    EXPECT_EQ(countEvents(events, "sweep_finish"), 1u);
-    EXPECT_EQ(countEvents(events, "point_replay"), journaled);
-    // The killed run may have journaled its last point without logging
-    // it; every other point logged one completion.
-    EXPECT_GE(countEvents(events, "point_complete"), kPoints - 1);
-
-    obs::SweepStatus final_status;
-    ASSERT_TRUE(obs::loadStatusFile((dir / "status.json").string(),
-                                    &final_status, &error))
-        << error;
-    EXPECT_EQ(final_status.state, "finished");
-    EXPECT_EQ(final_status.done, kPoints);
-    EXPECT_EQ(final_status.replayed, journaled);
-    EXPECT_EQ(final_status.executed, kPoints - journaled);
+    EXPECT_EQ(ok, 1u);
+    EXPECT_EQ(interrupted, 8u);
     std::filesystem::remove_all(dir);
 }
 

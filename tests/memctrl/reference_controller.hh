@@ -34,15 +34,33 @@
 #include "memctrl/dropping.hh"
 #include "memctrl/policy.hh"
 #include "memctrl/request.hh"
+#include "telemetry/telemetry.hh"
 
 namespace padc::memctrl::test
 {
+
+/**
+ * One issued DRAM command, as the equivalence suite compares them: the
+ * reference logs it, and production's trace event for it reduces to
+ * it. A line has at most one queued read and one pending write, so the
+ * line address and the write bit name the request.
+ */
+struct CommandRecord
+{
+    Cycle cycle;
+    telemetry::EventKind kind; ///< CmdPrecharge/Activate/Read/Write
+    bool is_write;
+    std::uint32_t bank;
+    std::uint64_t row;
+    Addr line;
+
+    bool operator==(const CommandRecord &other) const = default;
+};
 
 class ReferenceController
 {
   public:
     using NextCmd = MemoryController::NextCmd;
-    using IssueRecord = MemoryController::IssueRecord;
 
     ReferenceController(const SchedulerConfig &config,
                         dram::Channel &channel, AccuracyTracker &tracker,
@@ -164,7 +182,8 @@ class ReferenceController
 
     const ControllerStats &stats() const { return stats_; }
 
-    void setIssueLog(std::vector<IssueRecord> *log) { issue_log_ = log; }
+    /** Record every issued command into @p log. */
+    void setCommandLog(std::vector<CommandRecord> *log) { command_log_ = log; }
 
   private:
     /** Forwarded read waiting to be reported complete. */
@@ -378,9 +397,17 @@ class ReferenceController
     void
     issue(Request &req, NextCmd cmd, Cycle now)
     {
-        if (issue_log_ != nullptr) {
-            issue_log_->push_back({now, cmd, req.isWrite(), req.coord.bank,
-                                   req.coord.row, req.seq});
+        if (command_log_ != nullptr && cmd != NextCmd::None) {
+            using telemetry::EventKind;
+            const EventKind column =
+                req.isWrite() ? EventKind::CmdWrite : EventKind::CmdRead;
+            const EventKind kind =
+                cmd == NextCmd::Precharge  ? EventKind::CmdPrecharge
+                : cmd == NextCmd::Activate ? EventKind::CmdActivate
+                                           : column;
+            command_log_->push_back({now, kind, req.isWrite(),
+                                     req.coord.bank, req.coord.row,
+                                     req.line_addr});
         }
         switch (cmd) {
           case NextCmd::Precharge:
@@ -425,7 +452,7 @@ class ReferenceController
     std::uint64_t next_seq_ = 0;
     ControllerStats stats_;
 
-    std::vector<IssueRecord> *issue_log_ = nullptr;
+    std::vector<CommandRecord> *command_log_ = nullptr;
 };
 
 } // namespace padc::memctrl::test

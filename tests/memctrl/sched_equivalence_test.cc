@@ -12,15 +12,17 @@
  * that push cores below and back above the promotion threshold across
  * accuracy intervals, and interval ticks -- one stack around each
  * controller. The test then compares the complete DRAM command streams
- * (IssueRecord logs), the completion/drop event sequences, and every
- * statistic. A second instantiation turns periodic refresh on, which
- * closes every bank between scheduling rounds; a third lengthens the
- * data burst past tCCD, so the data bus binds column commands.
+ * (production's trace events against the reference's command log), the
+ * completion/drop event sequences, and every statistic. A second
+ * instantiation turns periodic refresh on, which closes every bank
+ * between scheduling rounds; a third lengthens the data burst past
+ * tCCD, so the data bus binds column commands.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/random.hh"
@@ -28,12 +30,14 @@
 #include "dram/channel.hh"
 #include "memctrl/controller.hh"
 #include "reference_controller.hh"
+#include "telemetry/telemetry.hh"
 
 namespace padc::memctrl
 {
 namespace
 {
 
+using test::CommandRecord;
 using test::ReferenceController;
 
 /** Records completions and drops in arrival order, comparably. */
@@ -68,7 +72,10 @@ class LoggingHandler : public ResponseHandler
     std::vector<Event> events;
 };
 
-/** One controller plus everything it owns, for lockstep driving. */
+/**
+ * One controller plus everything it owns, for lockstep driving.
+ * Production traces its commands; the reference logs them.
+ */
 template <typename Controller>
 struct Stack
 {
@@ -78,7 +85,34 @@ struct Stack
           tracker(num_cores, config.accuracy),
           ctrl(config, channel, tracker, handler, num_cores)
     {
-        ctrl.setIssueLog(&issues);
+        if constexpr (std::is_same_v<Controller, MemoryController>)
+            ctrl.setTrace(&trace, 0);
+        else
+            ctrl.setCommandLog(&commands);
+    }
+
+    /**
+     * The commands issued so far. Production's trace events for them
+     * are reduced to records as they arrive; the others are skipped.
+     */
+    const std::vector<CommandRecord> &
+    issued()
+    {
+        using telemetry::EventKind;
+        const auto &events = trace.events();
+        for (; traced < events.size(); ++traced) {
+            const telemetry::TraceEvent &e = events[traced];
+            if (e.kind == EventKind::CmdPrecharge ||
+                e.kind == EventKind::CmdActivate ||
+                e.kind == EventKind::CmdRead ||
+                e.kind == EventKind::CmdWrite) {
+                commands.push_back(
+                    {e.cycle, e.kind,
+                     (e.flags & telemetry::TraceEvent::kWrite) != 0, e.bank,
+                     e.row, e.addr});
+            }
+        }
+        return commands;
     }
 
     dram::TimingParams timing;
@@ -88,7 +122,9 @@ struct Stack
     AccuracyTracker tracker;
     LoggingHandler handler;
     Controller ctrl;
-    std::vector<MemoryController::IssueRecord> issues;
+    telemetry::TraceBuffer trace{1u << 20};
+    std::size_t traced = 0; ///< trace events already reduced
+    std::vector<CommandRecord> commands;
 };
 
 void
@@ -222,7 +258,7 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
         trackAccuracy();
         ref.ctrl.tick(now);
         opt.ctrl.tick(now);
-        ASSERT_EQ(ref.issues.size(), opt.issues.size())
+        ASSERT_EQ(ref.issued().size(), opt.issued().size())
             << "issue-count divergence at cycle " << now;
     }
     for (Cycle now = kDriveCycles; now < kDriveCycles + kDrainCycles;
@@ -233,18 +269,22 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
         opt.ctrl.tick(now);
     }
 
-    EXPECT_GT(ref.issues.size(), 0u) << "stimulus issued no commands";
+    const std::vector<CommandRecord> &want = ref.issued();
+    const std::vector<CommandRecord> &got = opt.issued();
+    EXPECT_EQ(opt.trace.dropped(), 0u) << "the trace lost commands";
+    EXPECT_GT(want.size(), 0u) << "stimulus issued no commands";
     EXPECT_GT(ref.ctrl.stats().read_row_conflicts, 0u)
         << "stimulus made no row conflict";
-    ASSERT_EQ(ref.issues.size(), opt.issues.size());
-    for (std::size_t i = 0; i < ref.issues.size(); ++i) {
-        EXPECT_TRUE(ref.issues[i] == opt.issues[i])
-            << "command " << i << " differs: cycle " << ref.issues[i].cycle
-            << " vs " << opt.issues[i].cycle << ", bank "
-            << ref.issues[i].bank << " vs " << opt.issues[i].bank
-            << ", seq " << ref.issues[i].seq << " vs "
-            << opt.issues[i].seq;
-        if (!(ref.issues[i] == opt.issues[i]))
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(want[i] == got[i])
+            << "command " << i << " differs: cycle " << want[i].cycle
+            << " vs " << got[i].cycle << ", "
+            << telemetry::toString(want[i].kind) << " vs "
+            << telemetry::toString(got[i].kind) << ", bank " << want[i].bank
+            << " vs " << got[i].bank << ", line 0x" << std::hex
+            << want[i].line << " vs 0x" << got[i].line << std::dec;
+        if (!(want[i] == got[i]))
             break; // one divergence floods everything after it
     }
     ASSERT_EQ(ref.handler.events.size(), opt.handler.events.size());

@@ -1,19 +1,14 @@
 /**
  * @file
- * Live-status unit tests: the deterministic rolling-window rate/ETA
- * estimator (driven with explicit now_ms values — no real clock), the
- * status.json write/load roundtrip through the atomic-rename writer,
- * and the progress/report renderers.
+ * Live-progress unit tests: the deterministic rolling-window rate/ETA
+ * estimator (driven with explicit now_ms values — no real clock) and
+ * the progress-line renderer.
  */
 
 #include "obs/status.hh"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
-#include <fstream>
 #include <string>
 
 namespace padc
@@ -90,71 +85,13 @@ obs::SweepStatus
 sampleStatus()
 {
     obs::SweepStatus status;
-    status.state = "running";
     status.experiment = "smoke_grid";
     status.total = 9;
     status.done = 5;
-    status.executed = 3;
     status.replayed = 2;
-    status.failed = 1;
-    status.elapsed_seconds = 12.5;
     status.rate_per_sec = 1.75;
     status.eta_seconds = 2.3;
     return status;
-}
-
-TEST(SweepStatusTest, WriteLoadRoundtrip)
-{
-    const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() /
-        ("padc_status_test_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    const std::string path = (dir / "status.json").string();
-
-    const obs::SweepStatus written = sampleStatus();
-    std::string error;
-    ASSERT_TRUE(obs::writeStatusFile(path, written, &error)) << error;
-
-    obs::SweepStatus loaded;
-    ASSERT_TRUE(obs::loadStatusFile(path, &loaded, &error)) << error;
-    EXPECT_EQ(loaded.state, written.state);
-    EXPECT_EQ(loaded.experiment, written.experiment);
-    EXPECT_EQ(loaded.total, written.total);
-    EXPECT_EQ(loaded.done, written.done);
-    EXPECT_EQ(loaded.executed, written.executed);
-    EXPECT_EQ(loaded.replayed, written.replayed);
-    EXPECT_EQ(loaded.failed, written.failed);
-    EXPECT_DOUBLE_EQ(loaded.elapsed_seconds, written.elapsed_seconds);
-    EXPECT_DOUBLE_EQ(loaded.rate_per_sec, written.rate_per_sec);
-    EXPECT_DOUBLE_EQ(loaded.eta_seconds, written.eta_seconds);
-
-    std::filesystem::remove_all(dir);
-}
-
-TEST(SweepStatusTest, LoadRejectsWrongSchemaAndMissingFile)
-{
-    const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() /
-        ("padc_status_bad_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    const std::string path = (dir / "status.json").string();
-
-    obs::SweepStatus out;
-    std::string error;
-    EXPECT_FALSE(obs::loadStatusFile(path, &out, &error));
-    EXPECT_FALSE(error.empty());
-
-    {
-        std::ofstream file(path);
-        file << "{\"schema\": \"padc-bench-result-v1\"}\n";
-    }
-    error.clear();
-    EXPECT_FALSE(obs::loadStatusFile(path, &out, &error));
-    EXPECT_FALSE(error.empty());
-
-    std::filesystem::remove_all(dir);
 }
 
 TEST(SweepStatusTest, ProgressLineCarriesTheHeadlineNumbers)

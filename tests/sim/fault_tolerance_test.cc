@@ -15,6 +15,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/parallel.hh"
+#include "telemetry/profiler.hh"
 
 namespace padc::sim
 {
@@ -233,10 +234,11 @@ TEST(SweepFaults, TruncatedPointCarriesDiagnosticAndPartialValue)
 
 TEST(SweepFaults, TruncatedAloneRunFailsThePoint)
 {
-    // The point itself converges, but the alone runs that normalise it
-    // hit their cycle cap: the point must fail, naming the alone run,
-    // rather than divide by a partial alone IPC. The prewarm swallows
-    // the failure and the point's own lookup raises it again.
+    // The points themselves converge, but the alone runs that normalise
+    // them hit their cycle cap: each point must fail, naming the alone
+    // run, rather than divide by a partial alone IPC. The prewarm runs
+    // each of the two alone slots once; the points' own lookups rethrow
+    // the remembered failure instead of simulating it again.
     const SystemConfig base = SystemConfig::baseline(2);
     RunOptions options;
     options.instructions = 2000;
@@ -247,22 +249,35 @@ TEST(SweepFaults, TruncatedAloneRunFailsThePoint)
     const std::vector<SweepPoint> points = {
         {applyPolicy(base, PolicySetup::Padc), {"milc_06", "swim_00"},
          options},
+        {applyPolicy(base, PolicySetup::DemandFirst),
+         {"milc_06", "swim_00"}, options},
+        {applyPolicy(base, PolicySetup::NoPref), {"milc_06", "swim_00"},
+         options},
+    };
+    const auto aloneRuns = [] {
+        return telemetry::WallProfiler::instance().snapshot().calls(
+            telemetry::ProfilePhase::Alone);
     };
 
     for (unsigned threads : {1u, 2u}) {
         ParallelExperimentRunner runner(threads);
         AloneIpcCache alone(base, capped);
+        const std::uint64_t before = aloneRuns();
         const auto results = evaluateSweep(points, alone, runner);
-        ASSERT_EQ(results.size(), 1u);
-        const PointOutcome &outcome = results[0].outcome;
-        EXPECT_EQ(outcome.status, PointStatus::Failed);
-        EXPECT_NE(outcome.detail.find("alone run of milc_06 on core 0, "
-                                      "seed 0"),
-                  std::string::npos)
-            << "diagnostic: " << outcome.detail;
-        EXPECT_NE(outcome.detail.find("300-cycle cap"), std::string::npos)
-            << "diagnostic: " << outcome.detail;
-        EXPECT_TRUE(results[0].value.metrics.cores.empty());
+        EXPECT_EQ(aloneRuns() - before, 2u) << threads << " thread(s)";
+        ASSERT_EQ(results.size(), points.size());
+        for (const auto &result : results) {
+            const PointOutcome &outcome = result.outcome;
+            EXPECT_EQ(outcome.status, PointStatus::Failed);
+            EXPECT_NE(outcome.detail.find("alone run of milc_06 on core 0, "
+                                          "seed 0"),
+                      std::string::npos)
+                << "diagnostic: " << outcome.detail;
+            EXPECT_NE(outcome.detail.find("300-cycle cap"),
+                      std::string::npos)
+                << "diagnostic: " << outcome.detail;
+            EXPECT_TRUE(result.value.metrics.cores.empty());
+        }
     }
 }
 
