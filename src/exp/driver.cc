@@ -1,6 +1,5 @@
 #include "exp/driver.hh"
 
-#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -8,7 +7,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
@@ -39,45 +37,7 @@ hex16(std::uint64_t value)
     return buf;
 }
 
-/**
- * Redirect stdout to /dev/null for the scope (RAII): the structured
- * --format json stream replaces the experiments' human-readable rows,
- * which keep printing through printf.
- */
-class StdoutSilencer
-{
-  public:
-    explicit StdoutSilencer(bool active)
-    {
-        if (!active)
-            return;
-        std::fflush(stdout);
-        saved_ = ::dup(::fileno(stdout));
-        const int devnull = ::open("/dev/null", O_WRONLY);
-        if (devnull >= 0) {
-            ::dup2(devnull, ::fileno(stdout));
-            ::close(devnull);
-        }
-    }
-
-    ~StdoutSilencer()
-    {
-        if (saved_ < 0)
-            return;
-        std::fflush(stdout);
-        ::dup2(saved_, ::fileno(stdout));
-        ::close(saved_);
-    }
-
-    StdoutSilencer(const StdoutSilencer &) = delete;
-    StdoutSilencer &operator=(const StdoutSilencer &) = delete;
-
-  private:
-    int saved_ = -1;
-};
-
-} // namespace
-
+/** The driver's usage text. */
 std::string
 driverUsage()
 {
@@ -98,19 +58,17 @@ driverUsage()
            "                 the points it holds\n"
            "  --seed N       override the random-mix seed of seeded "
            "experiments\n"
-           "  --format FMT   text | json (default: text)\n"
-           "  --out DIR      directory for BENCH_<name>.json files "
-           "(default: .)\n"
+           "  --out DIR      directory for the BENCH, trace and\n"
+           "                 timeseries files (default: .)\n"
            "  --progress     a live stderr progress line per sweep\n"
            "                 (done/total, rate, ETA); stdout output is\n"
            "                 unchanged\n"
-           "  --timeseries[=PATH]\n"
-           "                 record per-interval telemetry (PAR, drop\n"
-           "                 threshold, bus util, queues) to a CSV\n"
-           "                 (default: <out>/<name>.timeseries.csv)\n"
-           "  --trace[=PATH] record request-lifecycle events to a Chrome\n"
+           "  --timeseries   record per-interval telemetry (PAR, drop\n"
+           "                 threshold, bus util, queues) to\n"
+           "                 <out>/<name>.timeseries.csv\n"
+           "  --trace        record request-lifecycle events to\n"
+           "                 <out>/<name>.trace.json, a Chrome\n"
            "                 trace-event JSON loadable in Perfetto\n"
-           "                 (default: <out>/<name>.trace.json)\n"
            "  --trace-limit N\n"
            "                 events retained per run (default: 1048576)\n"
            "\n"
@@ -120,6 +78,8 @@ driverUsage()
            "writes the partial BENCH file and exits 130; a second one\n"
            "exits at once.\n";
 }
+
+} // namespace
 
 bool
 parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
@@ -174,17 +134,6 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
                 return false;
             }
             out->seed = seed;
-        } else if (arg == "--format") {
-            const char *text = value();
-            if (text != nullptr && std::strcmp(text, "text") == 0) {
-                out->format = DriverOptions::Format::Text;
-            } else if (text != nullptr &&
-                       std::strcmp(text, "json") == 0) {
-                out->format = DriverOptions::Format::Json;
-            } else {
-                *error = "--format expects text or json";
-                return false;
-            }
         } else if (arg == "--out") {
             const char *text = value();
             if (text == nullptr || *text == '\0') {
@@ -196,29 +145,10 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
             out->progress = true;
         } else if (arg == "--timeseries") {
             out->timeseries = true;
-        } else if (arg.rfind("--timeseries=", 0) == 0) {
-            out->timeseries = true;
-            out->timeseries_path = arg.substr(std::strlen("--timeseries="));
-            if (out->timeseries_path.empty()) {
-                *error = "--timeseries= expects a file path";
-                return false;
-            }
         } else if (arg == "--trace") {
             out->trace = true;
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            out->trace = true;
-            out->trace_path = arg.substr(std::strlen("--trace="));
-            if (out->trace_path.empty()) {
-                *error = "--trace= expects a file path";
-                return false;
-            }
-        } else if (arg == "--trace-limit" ||
-                   arg.rfind("--trace-limit=", 0) == 0) {
-            const char *text =
-                arg == "--trace-limit"
-                    ? value()
-                    : arg.c_str() + std::strlen("--trace-limit=");
-            if (!parseU64(text, &out->trace_limit)) {
+        } else if (arg == "--trace-limit") {
+            if (!parseU64(value(), &out->trace_limit)) {
                 *error = "--trace-limit expects a non-negative integer";
                 return false;
             }
@@ -241,6 +171,14 @@ parseDriverArgs(int argc, const char *const *argv, DriverOptions *out,
     return true;
 }
 
+namespace
+{
+
+/**
+ * Render one experiment's structured result as the
+ * `padc-bench-result-v1` JSON document (the BENCH_<name>.json
+ * contents).
+ */
 std::string
 resultJson(const ExperimentInfo &info, const ExperimentResult &result)
 {
@@ -303,38 +241,11 @@ resultJson(const ExperimentInfo &info, const ExperimentResult &result)
     return writer.str();
 }
 
-namespace
-{
-
 int
-listExperiments(const DriverOptions &options)
+listExperiments()
 {
-    const auto experiments = ExperimentRegistry::instance().all();
-    if (options.format == DriverOptions::Format::Json) {
-        JsonWriter writer;
-        writer.beginObject();
-        writer.member("schema", "padc-experiment-list-v1");
-        writer.beginArray("experiments");
-        for (const Experiment *experiment : experiments) {
-            const ExperimentInfo &info = experiment->info;
-            writer.beginObject();
-            writer.member("name", info.name);
-            writer.member("anchor", info.anchor);
-            writer.member("title", info.title);
-            writer.member("paper_shape", info.paper_shape);
-            writer.beginArray("tags");
-            for (const std::string &tag : info.tags)
-                writer.element(tag);
-            writer.endArray();
-            writer.endObject();
-        }
-        writer.endArray();
-        writer.endObject();
-        std::printf("%s\n", writer.str().c_str());
-        return 0;
-    }
-
-    for (const Experiment *experiment : experiments) {
+    for (const Experiment *experiment :
+         ExperimentRegistry::instance().all()) {
         const ExperimentInfo &info = experiment->info;
         std::string tags;
         for (const std::string &tag : info.tags) {
@@ -382,44 +293,20 @@ selectExperiments(const DriverOptions &options, bool *ok)
 }
 
 /**
- * Fail early when an explicit telemetry output path points into a
- * directory that does not exist: better a clear pre-run diagnostic
- * than minutes of simulation followed by a failed fopen.
- */
-bool
-checkSinkPath(const std::string &path, const char *flag)
-{
-    if (path.empty())
-        return true;
-    const std::filesystem::path parent =
-        std::filesystem::path(path).parent_path();
-    if (parent.empty() || std::filesystem::is_directory(parent))
-        return true;
-    std::fprintf(stderr,
-                 "padc: %s directory '%s' does not exist\n", flag,
-                 parent.string().c_str());
-    return false;
-}
-
-/**
- * Export one experiment's telemetry captures and record the written
- * files in the result. Export failures mark the run failed rather than
- * silently losing the requested artifacts.
+ * Export one experiment's telemetry captures into --out and record the
+ * written files in the result. Export failures mark the run failed
+ * rather than silently losing the requested artifacts.
  */
 void
 writeSinks(const DriverOptions &options, const ExperimentInfo &info,
            ExperimentContext &context, ExperimentResult &result,
            bool *any_failed)
 {
-    const auto emit = [&](const char *kind, const std::string &explicit_path,
-                          const std::string &default_name,
+    const auto emit = [&](const char *kind, const std::string &name,
                           const std::string &text, std::uint64_t rows,
                           std::uint64_t dropped) {
         const std::string path =
-            explicit_path.empty()
-                ? (std::filesystem::path(options.out_dir) / default_name)
-                      .string()
-                : explicit_path;
+            (std::filesystem::path(options.out_dir) / name).string();
         std::string error;
         if (!telemetry::writeTextFile(path, text, &error)) {
             std::fprintf(stderr, "padc: %s\n", error.c_str());
@@ -442,9 +329,8 @@ writeSinks(const DriverOptions &options, const ExperimentInfo &info,
                 dropped += sampler->dropped();
             }
         }
-        emit("timeseries", options.timeseries_path,
-             info.name + ".timeseries.csv", telemetry::timeseriesCsv(series),
-             rows, dropped);
+        emit("timeseries", info.name + ".timeseries.csv",
+             telemetry::timeseriesCsv(series), rows, dropped);
     }
     if (options.trace) {
         std::vector<telemetry::LabeledTrace> traces;
@@ -459,7 +345,7 @@ writeSinks(const DriverOptions &options, const ExperimentInfo &info,
                 dropped += trace->dropped();
             }
         }
-        emit("trace", options.trace_path, info.name + ".trace.json",
+        emit("trace", info.name + ".trace.json",
              telemetry::chromeTraceJson(traces), rows, dropped);
     }
 }
@@ -596,7 +482,7 @@ driverMain(int argc, const char *const *argv)
         std::printf("%s", driverUsage().c_str());
         return 0;
       case DriverOptions::Command::List:
-        return listExperiments(options);
+        return listExperiments();
       case DriverOptions::Command::Run:
         break;
     }
@@ -605,23 +491,6 @@ driverMain(int argc, const char *const *argv)
     const auto experiments = selectExperiments(options, &selectors_ok);
     if (!selectors_ok)
         return 2;
-
-    // One explicit telemetry file cannot hold several experiments'
-    // output; require default (per-experiment) naming in that case.
-    if (experiments.size() > 1 && (!options.trace_path.empty() ||
-                                   !options.timeseries_path.empty())) {
-        std::fprintf(stderr,
-                     "padc: explicit --trace=/--timeseries= paths only "
-                     "work with a single selected experiment (%zu "
-                     "selected); use the flag without a path for "
-                     "per-experiment files\n",
-                     experiments.size());
-        return 2;
-    }
-    if (!checkSinkPath(options.trace_path, "--trace") ||
-        !checkSinkPath(options.timeseries_path, "--timeseries")) {
-        return 2;
-    }
 
     std::error_code dir_error;
     std::filesystem::create_directories(options.out_dir, dir_error);
@@ -632,10 +501,7 @@ driverMain(int argc, const char *const *argv)
         return 2;
     }
 
-    const bool silent_text =
-        options.format != DriverOptions::Format::Text;
     bool any_failed = false;
-    std::vector<std::string> documents;
     telemetry::TelemetryConfig tcfg;
     tcfg.timeseries = options.timeseries;
     tcfg.trace = options.trace;
@@ -647,8 +513,8 @@ driverMain(int argc, const char *const *argv)
     sim::resetInterruptState();
     StopSignalGuard stop_signals;
 
-    // --progress observability: a stderr progress line, so the stdout
-    // streams above are byte-identical with the flag off.
+    // --progress observability: a stderr progress line, so stdout is
+    // byte-identical with the flag off.
     MonitorGuard monitor_guard(options);
 
     // This call's flags alone choose the runner and the journal; every
@@ -677,15 +543,12 @@ driverMain(int argc, const char *const *argv)
                                   options.seed, tcfg);
         telemetry::WallProfiler::instance().reset();
         const auto start = std::chrono::steady_clock::now();
-        {
-            StdoutSilencer silence(silent_text);
-            banner(info.anchor, info.title, info.paper_shape);
-            try {
-                experiment->run(context);
-            } catch (const std::exception &e) {
-                context.result().status = "failed";
-                context.result().detail = e.what();
-            }
+        banner(info.anchor, info.title, info.paper_shape);
+        try {
+            experiment->run(context);
+        } catch (const std::exception &e) {
+            context.result().status = "failed";
+            context.result().detail = e.what();
         }
         const std::chrono::duration<double> wall =
             std::chrono::steady_clock::now() - start;
@@ -694,30 +557,27 @@ driverMain(int argc, const char *const *argv)
         result.wall_seconds = wall.count();
         recordRunProfile(result);
         writeSinks(options, info, context, result, &any_failed);
-        if (options.format == DriverOptions::Format::Text) {
-            std::printf(
-                "[%s] %.3g sim-cycles in %.2fs (%.3g cycles/sec); "
-                "build %.2fs, simulate %.2fs, alone %.2fs, "
-                "collect %.2fs\n",
-                info.name.c_str(),
-                static_cast<double>(result.simCycles()),
-                result.wall_seconds,
-                result.wall_seconds > 0.0
-                    ? static_cast<double>(result.simCycles()) /
-                          result.wall_seconds
-                    : 0.0,
-                result.profile.get("build_seconds"),
-                result.profile.get("simulate_seconds"),
-                result.profile.get("alone_seconds"),
-                result.profile.get("collect_seconds"));
-            for (const SinkSummary &sink : result.sinks) {
-                std::printf("[%s] wrote %s '%s' (%llu rows, %llu "
-                            "beyond retention)\n",
-                            info.name.c_str(), sink.kind.c_str(),
-                            sink.path.c_str(),
-                            static_cast<unsigned long long>(sink.rows),
-                            static_cast<unsigned long long>(sink.dropped));
-            }
+        std::printf("[%s] %.3g sim-cycles in %.2fs (%.3g cycles/sec); "
+                    "build %.2fs, simulate %.2fs, alone %.2fs, "
+                    "collect %.2fs\n",
+                    info.name.c_str(),
+                    static_cast<double>(result.simCycles()),
+                    result.wall_seconds,
+                    result.wall_seconds > 0.0
+                        ? static_cast<double>(result.simCycles()) /
+                              result.wall_seconds
+                        : 0.0,
+                    result.profile.get("build_seconds"),
+                    result.profile.get("simulate_seconds"),
+                    result.profile.get("alone_seconds"),
+                    result.profile.get("collect_seconds"));
+        for (const SinkSummary &sink : result.sinks) {
+            std::printf("[%s] wrote %s '%s' (%llu rows, %llu beyond "
+                        "retention)\n",
+                        info.name.c_str(), sink.kind.c_str(),
+                        sink.path.c_str(),
+                        static_cast<unsigned long long>(sink.rows),
+                        static_cast<unsigned long long>(sink.dropped));
         }
         if (result.status == "failed" && !result.detail.empty() &&
             result.points.empty()) {
@@ -726,18 +586,16 @@ driverMain(int argc, const char *const *argv)
         }
         any_failed = any_failed || result.status == "failed";
 
-        const std::string document = resultJson(info, result);
         const std::filesystem::path path =
             std::filesystem::path(options.out_dir) /
             ("BENCH_" + info.name + ".json");
         AtomicFile file(path.string());
-        const std::string text = document + "\n";
+        const std::string text = resultJson(info, result) + "\n";
         if (!file.write(text.data(), text.size()) || !file.commit()) {
             std::fprintf(stderr, "padc: cannot write '%s': %s\n",
                          path.c_str(), file.error().c_str());
             any_failed = true;
         }
-        documents.push_back(document);
         // A graceful stop still wrote this experiment's (partial) BENCH
         // file above; later experiments never start.
         if (result.interrupted) {
@@ -746,16 +604,6 @@ driverMain(int argc, const char *const *argv)
         }
     }
 
-    if (options.format == DriverOptions::Format::Json) {
-        std::string out = "{\"schema\": \"padc-bench-results-v1\", "
-                          "\"results\": [";
-        for (std::size_t i = 0; i < documents.size(); ++i) {
-            out += i == 0 ? "" : ",";
-            out += documents[i];
-        }
-        out += "]}";
-        std::printf("%s\n", out.c_str());
-    }
     if (any_interrupted)
         return 130;
     return any_failed ? 1 : 0;

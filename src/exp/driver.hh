@@ -9,10 +9,11 @@
  *   padc run 'fig1*' overall       ... by glob or tag
  *   padc run --all                 ... all of them
  *
- * Every run writes a machine-readable `BENCH_<name>.json` (schema
- * `padc-bench-result-v1`: config hash, per-point status + metrics,
- * wall time, sim-cycles/sec) next to the human-readable text output;
- * `--format json` swaps the stdout stream for the structured form.
+ * stdout is always the experiments' human-readable text. Every result
+ * file lands in `--out`: each run's
+ * `BENCH_<name>.json` (schema `padc-bench-result-v1`: config hash,
+ * per-point status + metrics, wall time, sim-cycles/sec) and, when
+ * asked for, its `<name>.trace.json` and `<name>.timeseries.csv`.
  *
  * driverMain is a library function so the CLI is testable in-process;
  * bench/padc_main.cc is the two-line real main().
@@ -25,8 +26,6 @@
 #include <optional>
 #include <string>
 #include <vector>
-
-#include "exp/experiment.hh"
 
 namespace padc::exp
 {
@@ -41,27 +40,18 @@ struct DriverOptions
         Run,
     };
 
-    enum class Format
-    {
-        Text,
-        Json,
-    };
-
     Command command = Command::Help;
     std::vector<std::string> selectors; ///< names / tags / globs, in order
     bool all = false;                   ///< run --all
     unsigned threads = 0;               ///< 0 = hardware concurrency
     std::string resume_path;            ///< empty = no journal
     std::optional<std::uint64_t> seed;  ///< --seed override
-    Format format = Format::Text;
     std::string out_dir = ".";          ///< BENCH_<name>.json directory
 
     bool progress = false;       ///< --progress live sweep status
 
-    bool timeseries = false;     ///< --timeseries[=PATH]
-    bool trace = false;          ///< --trace[=PATH]
-    std::string timeseries_path; ///< empty = <out>/<name>.timeseries.csv
-    std::string trace_path;      ///< empty = <out>/<name>.trace.json
+    bool timeseries = false;     ///< <out>/<name>.timeseries.csv
+    bool trace = false;          ///< <out>/<name>.trace.json
     std::uint64_t trace_limit = 1u << 20; ///< --trace-limit events kept
 };
 
@@ -72,17 +62,6 @@ struct DriverOptions
  */
 bool parseDriverArgs(int argc, const char *const *argv,
                      DriverOptions *out, std::string *error);
-
-/**
- * Render one experiment's structured result as the
- * `padc-bench-result-v1` JSON document (the BENCH_<name>.json
- * contents).
- */
-std::string resultJson(const ExperimentInfo &info,
-                       const ExperimentResult &result);
-
-/** The driver's usage text. */
-std::string driverUsage();
 
 /**
  * Full driver entry point.

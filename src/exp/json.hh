@@ -3,10 +3,9 @@
  * Minimal JSON support for the experiment layer.
  *
  * The writer produces the machine-readable `BENCH_<name>.json` result
- * files (and the driver's --format json stream); the parser decodes the
- * sweep journal's records and lets the test suite validate emitted
- * files against the checked-in schema snapshot without an external
- * dependency. Doubles are written with the shortest decimal form that
+ * files; the parser decodes the sweep journal's records and lets the
+ * test suite validate emitted files against the checked-in schema
+ * snapshot without an external dependency. Doubles are written with the shortest decimal form that
  * round-trips bit-exactly, so a parse of our own output reproduces
  * every metric.
  */

@@ -53,9 +53,9 @@ std::size_t
 reportSweepFailuresImpl(const std::vector<sim::SweepPoint> &points,
                         const std::vector<sim::Result<T>> &results)
 {
-    // Diagnostics go to stderr: with --format json the experiments'
-    // human-readable stdout is silenced (and must stay clean JSON), and
-    // failure reports are what an operator should see either way.
+    // Diagnostics go to stderr, apart from the experiments' rows on
+    // stdout: failure reports are what an operator should see even
+    // when stdout is piped elsewhere.
     std::size_t bad = 0;
     for (const auto &result : results)
         bad += result.ok() ? 0 : 1;

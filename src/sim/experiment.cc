@@ -193,15 +193,23 @@ warmAlone(AloneIpcCache &alone, const std::vector<MixSeed> &mixes,
         }
     }
     const auto run = [&](std::size_t k) {
-        if (!strict && interruptRequested())
-            return;
         const auto &[profile, core, seed] = slots[k];
         alone.ipcAlone(profile, core, seed);
     };
-    if (strict)
+    if (strict) {
         runner.forEach(slots.size(), run);
-    else
-        runner.tryForEach(slots.size(), run);
+        return;
+    }
+    runner.forEach(slots.size(), [&](std::size_t k) {
+        if (interruptRequested())
+            return;
+        try {
+            run(k);
+        } catch (...) {
+            // The cache remembers the failure; each point that needs
+            // this run rethrows it from its own lookup.
+        }
+    });
 }
 
 } // namespace

@@ -32,19 +32,8 @@ void
 ParallelExperimentRunner::forEach(std::size_t n,
                                   const std::function<void(std::size_t)> &fn)
 {
-    const std::vector<std::exception_ptr> errors = tryForEach(n, fn);
-    for (const std::exception_ptr &error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
-}
-
-std::vector<std::exception_ptr>
-ParallelExperimentRunner::tryForEach(
-    std::size_t n, const std::function<void(std::size_t)> &fn)
-{
     if (n == 0)
-        return {};
+        return;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         job_ = &fn;
@@ -63,7 +52,10 @@ ParallelExperimentRunner::tryForEach(
         job_ = nullptr;
         errors.swap(errors_);
     }
-    return errors;
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
 }
 
 void

@@ -22,8 +22,8 @@
  * captured per index on whatever thread ran the job; every remaining
  * index still runs. forEach rethrows the lowest-index exception on
  * the calling thread once the batch has fully drained (deterministic
- * regardless of thread count); tryForEach instead reports every
- * captured exception so callers can degrade per point.
+ * regardless of thread count). A caller that degrades per point
+ * catches inside its job.
  */
 
 #ifndef PADC_SIM_PARALLEL_HH
@@ -78,15 +78,6 @@ class ParallelExperimentRunner
      * batch drained; the pool stays usable for subsequent batches.
      */
     void forEach(std::size_t n, const std::function<void(std::size_t)> &fn);
-
-    /**
-     * Like forEach, but never throws for job failures: returns one
-     * std::exception_ptr per index, null where fn(i) succeeded. The
-     * fault-tolerant sweep layer uses this to turn per-point failures
-     * into recorded diagnostics instead of aborting the sweep.
-     */
-    std::vector<std::exception_ptr>
-    tryForEach(std::size_t n, const std::function<void(std::size_t)> &fn);
 
   private:
     void workerLoop();

@@ -1,18 +1,16 @@
 /**
  * CLI-level tests of the padc driver (in-process via driverMain):
  * argument parsing, list enumeration, unknown-selector diagnostics,
- * structured JSON output, and schema-snapshot validation of the
- * emitted BENCH_<name>.json files. PADC_SCHEMA_PATH points at the
- * checked-in tests/exp/bench_result_schema.json.
+ * and schema-snapshot validation of the emitted BENCH_<name>.json
+ * files. PADC_SCHEMA_PATH points at the checked-in
+ * tests/exp/bench_result_schema.json.
  */
 
 #include "exp/driver.hh"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -21,8 +19,7 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
+#include "driver_harness.hh"
 #include "exp/json.hh"
 #include "exp/registry.hh"
 
@@ -30,44 +27,6 @@ namespace padc::exp
 {
 namespace
 {
-
-int
-runDriver(const std::vector<std::string> &args, std::string *out,
-          std::string *err)
-{
-    std::vector<const char *> argv = {"padc"};
-    for (const auto &arg : args)
-        argv.push_back(arg.c_str());
-    testing::internal::CaptureStdout();
-    testing::internal::CaptureStderr();
-    const int rc =
-        driverMain(static_cast<int>(argv.size()), argv.data());
-    *out = testing::internal::GetCapturedStdout();
-    *err = testing::internal::GetCapturedStderr();
-    return rc;
-}
-
-std::string
-slurp(const std::filesystem::path &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-std::filesystem::path
-freshOutDir(const std::string &name)
-{
-    // Unique per process: ctest runs this suite both as individual
-    // cases and as one whole-binary smoke test, concurrently.
-    const auto dir = std::filesystem::temp_directory_path() /
-                     ("padc_driver_test_" + name + "." +
-                      std::to_string(::getpid()));
-    std::filesystem::remove_all(dir);
-    return dir;
-}
 
 TEST(ParseDriverArgs, CommandsAndFlags)
 {
@@ -78,43 +37,37 @@ TEST(ParseDriverArgs, CommandsAndFlags)
     ASSERT_TRUE(parseDriverArgs(2, list, &options, &error)) << error;
     EXPECT_EQ(options.command, DriverOptions::Command::List);
 
-    const char *run[] = {"padc",     "run",      "fig09", "overall",
-                         "--threads", "3",       "--seed", "42",
-                         "--format", "json",     "--out",  "/tmp/x",
-                         "--resume", "/tmp/j.jsonl"};
-    ASSERT_TRUE(parseDriverArgs(14, run, &options, &error)) << error;
+    const char *run[] = {"padc",     "run",         "fig09", "overall",
+                         "--threads", "3",          "--seed", "42",
+                         "--out",     "/tmp/x",     "--resume",
+                         "/tmp/j.jsonl"};
+    ASSERT_TRUE(parseDriverArgs(12, run, &options, &error)) << error;
     EXPECT_EQ(options.command, DriverOptions::Command::Run);
     ASSERT_EQ(options.selectors.size(), 2u);
     EXPECT_EQ(options.selectors[0], "fig09");
     EXPECT_EQ(options.threads, 3u);
     ASSERT_TRUE(options.seed.has_value());
     EXPECT_EQ(*options.seed, 42u);
-    EXPECT_EQ(options.format, DriverOptions::Format::Json);
     EXPECT_EQ(options.out_dir, "/tmp/x");
     EXPECT_EQ(options.resume_path, "/tmp/j.jsonl");
     EXPECT_FALSE(options.trace);
     EXPECT_FALSE(options.timeseries);
 
-    const char *telem[] = {"padc",          "run",
-                           "smoke",         "--trace=/tmp/t.json",
-                           "--timeseries",  "--trace-limit",
+    const char *telem[] = {"padc",         "run",           "smoke",
+                           "--trace",      "--timeseries",  "--trace-limit",
                            "512"};
     ASSERT_TRUE(parseDriverArgs(7, telem, &options, &error)) << error;
     EXPECT_TRUE(options.trace);
-    EXPECT_EQ(options.trace_path, "/tmp/t.json");
     EXPECT_TRUE(options.timeseries);
-    EXPECT_TRUE(options.timeseries_path.empty());
     EXPECT_EQ(options.trace_limit, 512u);
 
-    const char *telem2[] = {"padc", "run", "smoke",
-                            "--timeseries=/tmp/ts.csv",
-                            "--trace-limit=0", "--trace"};
-    ASSERT_TRUE(parseDriverArgs(6, telem2, &options, &error)) << error;
+    const char *telem2[] = {"padc",          "run", "smoke",
+                            "--timeseries",  "--trace-limit",
+                            "0",             "--trace"};
+    ASSERT_TRUE(parseDriverArgs(7, telem2, &options, &error)) << error;
     EXPECT_TRUE(options.timeseries);
-    EXPECT_EQ(options.timeseries_path, "/tmp/ts.csv");
     EXPECT_EQ(options.trace_limit, 0u); // 0 = count-only tracing
     EXPECT_TRUE(options.trace);
-    EXPECT_TRUE(options.trace_path.empty());
 }
 
 TEST(ParseDriverArgs, Rejections)
@@ -138,16 +91,11 @@ TEST(ParseDriverArgs, Rejections)
     EXPECT_TRUE(fails({"run", "smoke", "--threads", "2000"})); // > kMaxThreads
     EXPECT_TRUE(fails({"run", "smoke", "--threads"}));
     EXPECT_TRUE(fails({"run", "smoke", "--seed", "-1"}));
-    EXPECT_TRUE(fails({"run", "smoke", "--format", "xml"}));
-    EXPECT_TRUE(fails({"run", "smoke", "--format", "csv"}));
     EXPECT_TRUE(fails({"run", "smoke", "--frob"}));
     EXPECT_TRUE(fails({"list", "stray"}));
     EXPECT_TRUE(fails({"run", "smoke", "--trace-limit", "nope"}));
     EXPECT_TRUE(fails({"run", "smoke", "--trace-limit", "-1"}));
     EXPECT_TRUE(fails({"run", "smoke", "--trace-limit"}));
-    EXPECT_TRUE(fails({"run", "smoke", "--trace-limit=1x"}));
-    EXPECT_TRUE(fails({"run", "smoke", "--trace="}));
-    EXPECT_TRUE(fails({"run", "smoke", "--timeseries="}));
     EXPECT_TRUE(fails({"run", "smoke", "--corpus", "d"}));
 
     const auto failsWith = [&](std::vector<const char *> argv,
@@ -156,6 +104,18 @@ TEST(ParseDriverArgs, Rejections)
                error.find(diagnostic) != std::string::npos;
     };
     EXPECT_TRUE(failsWith({"run", "smoke", "--json"}, "unknown option"));
+    // Machine-readable output has one place, --out: no stdout format
+    // and no telemetry path of its own.
+    EXPECT_TRUE(
+        failsWith({"run", "smoke", "--format", "json"}, "unknown option"));
+    EXPECT_TRUE(
+        failsWith({"run", "smoke", "--format", "text"}, "unknown option"));
+    EXPECT_TRUE(failsWith({"run", "smoke", "--trace=/tmp/t.json"},
+                          "unknown option"));
+    EXPECT_TRUE(failsWith({"run", "smoke", "--timeseries=/tmp/t.csv"},
+                          "unknown option"));
+    EXPECT_TRUE(
+        failsWith({"run", "smoke", "--trace-limit=5"}, "unknown option"));
     for (const char *command :
          {"serve", "submit", "jobs", "cancel", "metrics", "status"}) {
         EXPECT_TRUE(failsWith({command, "/tmp/x"}, "unknown command"))
@@ -169,7 +129,7 @@ TEST(ParseDriverArgs, Rejections)
 TEST(DriverList, EnumeratesEveryExperimentExactlyOnce)
 {
     std::string out, err;
-    ASSERT_EQ(runDriver({"list"}, &out, &err), 0) << err;
+    ASSERT_EQ(runInProcess({"list"}, &out, &err), 0) << err;
 
     // First whitespace-delimited token of each line is the name.
     std::set<std::string> listed;
@@ -196,13 +156,13 @@ TEST(DriverList, EnumeratesEveryExperimentExactlyOnce)
 TEST(DriverRun, UnknownSelectorFailsWithSuggestion)
 {
     std::string out, err;
-    EXPECT_EQ(runDriver({"run", "fig9"}, &out, &err), 2);
+    EXPECT_EQ(runInProcess({"run", "fig9"}, &out, &err), 2);
     EXPECT_NE(err.find("unknown experiment"), std::string::npos) << err;
     EXPECT_NE(err.find("did you mean"), std::string::npos) << err;
     EXPECT_NE(err.find("fig"), std::string::npos) << err;
 
     // An unknown glob / tag fails the same way, before running anything.
-    EXPECT_EQ(runDriver({"run", "smoke", "zz_no_such*"}, &out, &err), 2);
+    EXPECT_EQ(runInProcess({"run", "smoke", "zz_no_such*"}, &out, &err), 2);
     EXPECT_NE(err.find("unknown experiment"), std::string::npos) << err;
 }
 
@@ -210,60 +170,26 @@ TEST(DriverRun, TraceIsAnUnknownCommand)
 {
     // Every workload is synthetic: there is no trace tool to reach.
     std::string out, err;
-    EXPECT_EQ(runDriver({"trace", "info", "f"}, &out, &err), 2);
+    EXPECT_EQ(runInProcess({"trace", "info", "f"}, &out, &err), 2);
     EXPECT_NE(err.find("unknown command 'trace'"), std::string::npos)
         << err;
-}
-
-TEST(DriverRun, JsonFormatIsParseableAndStructured)
-{
-    const auto dir = freshOutDir("json");
-    std::string out, err;
-    ASSERT_EQ(runDriver({"run", "smoke", "--format", "json", "--out",
-                         dir.string()},
-                        &out, &err),
-              0)
-        << err;
-
-    JsonValue root;
-    std::string error;
-    ASSERT_TRUE(parseJson(out, &root, &error)) << error;
-    ASSERT_TRUE(root.isObject());
-    EXPECT_EQ(root.find("schema")->string, "padc-bench-results-v1");
-    ASSERT_TRUE(root.find("results")->isArray());
-    ASSERT_EQ(root.find("results")->array.size(), 1u);
-
-    const JsonValue &result = root.find("results")->array[0];
-    EXPECT_EQ(result.find("name")->string, "smoke");
-    ASSERT_NE(result.find("config_hash"), nullptr);
-    EXPECT_TRUE(std::regex_match(result.find("config_hash")->string,
-                                 std::regex("[0-9a-f]{16}")));
-    // The smoke experiment is a 2-point sweep with per-point status.
-    ASSERT_TRUE(result.find("points")->isArray());
-    ASSERT_EQ(result.find("points")->array.size(), 2u);
-    for (const JsonValue &point : result.find("points")->array) {
-        ASSERT_NE(point.find("status"), nullptr);
-        EXPECT_TRUE(point.find("status")->isString());
-        EXPECT_NE(point.find("metrics")->object.size(), 0u);
-    }
-    std::filesystem::remove_all(dir);
 }
 
 TEST(DriverRun, EachCallHonorsItsOwnThreadsAndResume)
 {
     // No runner or journal outlives a driverMain call, so later calls
     // in the same process get exactly what their own flags ask for.
-    const auto dir = freshOutDir("per_call");
+    const auto dir = freshDir("per_call");
     const std::string journal = (dir / "sweep.padcjournal").string();
     std::string out, err;
-    ASSERT_EQ(runDriver({"run", "smoke", "--out", (dir / "A").string()},
-                        &out, &err),
+    ASSERT_EQ(runInProcess({"run", "smoke", "--out", (dir / "A").string()},
+                           &out, &err),
               0)
         << err;
 
-    ASSERT_EQ(runDriver({"run", "smoke", "--threads", "2", "--resume",
-                         journal, "--out", (dir / "B").string()},
-                        &out, &err),
+    ASSERT_EQ(runInProcess({"run", "smoke", "--threads", "2", "--resume",
+                            journal, "--out", (dir / "B").string()},
+                           &out, &err),
               0)
         << err;
     EXPECT_EQ(err.find("ignored"), std::string::npos) << err;
@@ -274,9 +200,9 @@ TEST(DriverRun, EachCallHonorsItsOwnThreadsAndResume)
     EXPECT_EQ(records, 2u);
 
     // Both points now replay from the journal the second call wrote.
-    ASSERT_EQ(runDriver({"run", "smoke", "--resume", journal, "--out",
-                         (dir / "C").string()},
-                        &out, &err),
+    ASSERT_EQ(runInProcess({"run", "smoke", "--resume", journal, "--out",
+                            (dir / "C").string()},
+                           &out, &err),
               0)
         << err;
     JsonValue document;
@@ -351,12 +277,12 @@ TEST(DriverRun, FailedBenchWriteFailsTheRunAndLeavesNoTemp)
     // A directory squats on the BENCH path, so the write cannot land:
     // the run fails naming the path and the reason, and no temp file
     // stays behind.
-    const auto dir = freshOutDir("bench_write");
+    const auto dir = freshDir("bench_write");
     const auto bench = dir / "BENCH_smoke.json";
     std::filesystem::create_directories(bench / "occupied");
     std::string out, err;
-    EXPECT_EQ(runDriver({"run", "smoke", "--out", dir.string()}, &out,
-                        &err),
+    EXPECT_EQ(runInProcess({"run", "smoke", "--out", dir.string()}, &out,
+                           &err),
               1);
     EXPECT_NE(err.find("cannot write '" + bench.string() + "'"),
               std::string::npos)
@@ -369,13 +295,13 @@ TEST(DriverRun, FailedBenchWriteFailsTheRunAndLeavesNoTemp)
 
 TEST(DriverRun, EmittedFileMatchesSchemaSnapshot)
 {
-    const auto dir = freshOutDir("schema");
+    const auto dir = freshDir("schema");
     std::string out, err;
-    ASSERT_EQ(runDriver({"run", "smoke", "--out", dir.string()}, &out,
-                        &err),
+    ASSERT_EQ(runInProcess({"run", "smoke", "--out", dir.string()}, &out,
+                           &err),
               0)
         << err;
-    // Text mode still prints the experiment's rows.
+    // stdout still carries the experiment's rows.
     EXPECT_NE(out.find("Smoke test"), std::string::npos);
 
     JsonValue schema;

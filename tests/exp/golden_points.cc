@@ -1,8 +1,10 @@
 /**
  * @file
  * The golden_points gate: reruns `padc run smoke_grid fig09 --threads 2`
- * through the real driver binary and compares every point with the
- * digests committed in tests/exp/golden/points.txt, one line per point:
+ * through the real driver binary, reads the BENCH_smoke_grid.json and
+ * BENCH_fig09.json it writes into PADC_GOLDEN_OUT, and compares every
+ * point with the digests committed in tests/exp/golden/points.txt, one
+ * line per point:
  *
  *   <experiment> <index> <status> <cycles> <digest>
  *
@@ -22,8 +24,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -62,57 +66,63 @@ digest(const std::string &label, const JsonValue &metrics)
     return hash;
 }
 
-/** Run the driver; its stdout (one JSON document) into @p out. */
+/** The experiments of the run, in run order. */
+const char *const kExperiments[] = {"smoke_grid", "fig09"};
+
+/** Run the driver; its BENCH files land in PADC_GOLDEN_OUT. */
 bool
-runDriver(std::string *out)
+runDriver()
 {
-    const std::string command = std::string("'") + PADC_DRIVER_BIN +
-                                "' run smoke_grid fig09 --threads 2 "
-                                "--format json --out '" PADC_GOLDEN_OUT "'";
-    std::FILE *pipe = ::popen(command.c_str(), "r");
-    if (pipe == nullptr)
-        return false;
-    char buffer[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0)
-        out->append(buffer, n);
-    const int status = ::pclose(pipe);
+    std::string command = "'" PADC_DRIVER_BIN "' run";
+    for (const char *experiment : kExperiments)
+        command += std::string(" ") + experiment;
+    command += " --threads 2 --out '" PADC_GOLDEN_OUT "' > /dev/null";
+    const int status = std::system(command.c_str());
     if (status != 0)
         std::fprintf(stderr, "golden_points: '%s' exited with status %d\n",
                      command.c_str(), status);
     return status == 0;
 }
 
-/** The digest lines of every point of @p doc, in run order. */
+/** Parse PADC_GOLDEN_OUT's BENCH file of @p experiment into @p doc. */
 bool
-collectPoints(const JsonValue &doc, std::vector<Point> *points)
+loadBench(const std::string &experiment, JsonValue *doc, std::string *error)
 {
-    const JsonValue *results = doc.find("results");
-    if (results == nullptr || !results->isArray())
+    const std::string path =
+        PADC_GOLDEN_OUT "/BENCH_" + experiment + ".json";
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    if (padc::exp::parseJson(text, doc, error))
+        return true;
+    *error = path + ": " + *error;
+    return false;
+}
+
+/** Append the digest lines of every point of @p result, in run order. */
+bool
+collectPoints(const JsonValue &result, std::vector<Point> *points)
+{
+    const JsonValue *name = result.find("name");
+    const JsonValue *list = result.find("points");
+    if (name == nullptr || list == nullptr || !list->isArray())
         return false;
-    for (const JsonValue &result : results->array) {
-        const JsonValue *name = result.find("name");
-        const JsonValue *list = result.find("points");
-        if (name == nullptr || list == nullptr || !list->isArray())
+    for (std::size_t i = 0; i < list->array.size(); ++i) {
+        const JsonValue &entry = list->array[i];
+        const JsonValue *label = entry.find("label");
+        const JsonValue *status = entry.find("status");
+        const JsonValue *cycles = entry.find("cycles");
+        const JsonValue *metrics = entry.find("metrics");
+        if (label == nullptr || status == nullptr || cycles == nullptr ||
+            metrics == nullptr || !metrics->isObject())
             return false;
-        for (std::size_t i = 0; i < list->array.size(); ++i) {
-            const JsonValue &entry = list->array[i];
-            const JsonValue *label = entry.find("label");
-            const JsonValue *status = entry.find("status");
-            const JsonValue *cycles = entry.find("cycles");
-            const JsonValue *metrics = entry.find("metrics");
-            if (label == nullptr || status == nullptr ||
-                cycles == nullptr || metrics == nullptr ||
-                !metrics->isObject())
-                return false;
-            char line[256];
-            std::snprintf(line, sizeof(line), "%s %zu %s %llu %016llx",
-                          name->string.c_str(), i, status->string.c_str(),
-                          static_cast<unsigned long long>(cycles->number),
-                          static_cast<unsigned long long>(
-                              digest(label->string, *metrics)));
-            points->push_back({line, label->string, metrics});
-        }
+        char line[256];
+        std::snprintf(line, sizeof(line), "%s %zu %s %llu %016llx",
+                      name->string.c_str(), i, status->string.c_str(),
+                      static_cast<unsigned long long>(cycles->number),
+                      static_cast<unsigned long long>(
+                          digest(label->string, *metrics)));
+        points->push_back({line, label->string, metrics});
     }
     return true;
 }
@@ -122,15 +132,18 @@ collectPoints(const JsonValue &doc, std::vector<Point> *points)
 int
 main()
 {
-    std::string text;
-    JsonValue doc;
-    std::string error;
-    std::vector<Point> actual;
-    if (!runDriver(&text) || !padc::exp::parseJson(text, &doc, &error) ||
-        !collectPoints(doc, &actual)) {
-        std::fprintf(stderr, "golden_points: no usable run output %s\n",
-                     error.c_str());
+    if (!runDriver())
         return 1;
+    JsonValue docs[std::size(kExperiments)];
+    std::vector<Point> actual;
+    for (std::size_t k = 0; k < std::size(kExperiments); ++k) {
+        std::string error;
+        if (!loadBench(kExperiments[k], &docs[k], &error) ||
+            !collectPoints(docs[k], &actual)) {
+            std::fprintf(stderr, "golden_points: no usable run output %s\n",
+                         error.c_str());
+            return 1;
+        }
     }
 
     const std::string actual_path = PADC_GOLDEN_OUT "/points.txt";

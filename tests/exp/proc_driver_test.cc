@@ -9,18 +9,11 @@
  * before the sweep ends.
  */
 
-#include <fcntl.h>
 #include <signal.h>
-#include <spawn.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -30,100 +23,13 @@
 
 #include <gtest/gtest.h>
 
+#include "driver_harness.hh"
 #include "exp/json.hh"
-
-extern char **environ;
 
 namespace padc::exp
 {
 namespace
 {
-
-std::filesystem::path
-freshDir(const std::string &name)
-{
-    // Unique per process: ctest runs this suite both as individual
-    // cases and as one whole-binary smoke test, concurrently.
-    const auto dir = std::filesystem::temp_directory_path() /
-                     ("padc_proc_driver_" + name + "." +
-                      std::to_string(::getpid()));
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
-/**
- * Spawn PADC_DRIVER_BIN with extra environment entries, stdout/stderr
- * redirected to @p log. Returns the child pid (or -1).
- */
-pid_t
-spawnDriver(const std::vector<std::string> &args,
-            const std::vector<std::string> &env_extra,
-            const std::string &log)
-{
-    std::vector<std::string> argv_store = {PADC_DRIVER_BIN};
-    argv_store.insert(argv_store.end(), args.begin(), args.end());
-    std::vector<char *> argv;
-    for (auto &arg : argv_store)
-        argv.push_back(arg.data());
-    argv.push_back(nullptr);
-
-    std::vector<std::string> env_store;
-    for (char **e = environ; *e != nullptr; ++e)
-        env_store.push_back(*e);
-    env_store.insert(env_store.end(), env_extra.begin(),
-                     env_extra.end());
-    std::vector<char *> envp;
-    for (auto &entry : env_store)
-        envp.push_back(entry.data());
-    envp.push_back(nullptr);
-
-    posix_spawn_file_actions_t actions;
-    posix_spawn_file_actions_init(&actions);
-    posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO,
-                                     log.c_str(),
-                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    posix_spawn_file_actions_adddup2(&actions, STDOUT_FILENO,
-                                     STDERR_FILENO);
-    pid_t pid = -1;
-    const int rc = ::posix_spawn(&pid, PADC_DRIVER_BIN, &actions,
-                                 nullptr, argv.data(), envp.data());
-    posix_spawn_file_actions_destroy(&actions);
-    return rc == 0 ? pid : -1;
-}
-
-/** Wait for @p pid; exit status, or 128+signal when killed. */
-int
-waitDriver(pid_t pid)
-{
-    int status = 0;
-    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    if (WIFEXITED(status))
-        return WEXITSTATUS(status);
-    if (WIFSIGNALED(status))
-        return 128 + WTERMSIG(status);
-    return -1;
-}
-
-int
-runDriver(const std::vector<std::string> &args,
-          const std::vector<std::string> &env_extra,
-          const std::string &log)
-{
-    const pid_t pid = spawnDriver(args, env_extra, log);
-    EXPECT_GT(pid, 0);
-    return pid > 0 ? waitDriver(pid) : -1;
-}
-
-std::string
-slurp(const std::filesystem::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream out;
-    out << in.rdbuf();
-    return out.str();
-}
 
 JsonValue
 loadBench(const std::filesystem::path &dir,

@@ -82,39 +82,6 @@ TEST(RunnerFaults, PoolStaysUsableAfterFailedBatch)
         EXPECT_EQ(out[i], i * 3);
 }
 
-TEST(RunnerFaults, TryForEachReportsPerIndexErrors)
-{
-    ParallelExperimentRunner runner(4);
-    const std::vector<std::exception_ptr> errors =
-        runner.tryForEach(23, [](std::size_t i) {
-            if (i % 2 == 0)
-                throw std::invalid_argument("even@" + std::to_string(i));
-        });
-    ASSERT_EQ(errors.size(), 23u);
-    for (std::size_t i = 0; i < errors.size(); ++i) {
-        if (i % 2 == 0) {
-            ASSERT_TRUE(errors[i]) << "index " << i;
-            try {
-                std::rethrow_exception(errors[i]);
-                FAIL();
-            } catch (const std::invalid_argument &e) {
-                EXPECT_EQ(std::string(e.what()),
-                          "even@" + std::to_string(i));
-            }
-        } else {
-            EXPECT_FALSE(errors[i]) << "index " << i;
-        }
-    }
-}
-
-TEST(RunnerFaults, TryForEachEmptyBatchReturnsNoErrors)
-{
-    ParallelExperimentRunner runner(2);
-    EXPECT_TRUE(runner.tryForEach(0, [](std::size_t) {
-                          throw std::runtime_error("never runs");
-                      }).empty());
-}
-
 // --- RunStatus propagation --------------------------------------------
 
 TEST(RunStatusFaults, TinyCycleCapReportsTruncation)

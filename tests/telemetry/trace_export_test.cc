@@ -2,22 +2,19 @@
  * @file
  * End-to-end telemetry export through the padc driver (in-process via
  * driverMain): `run smoke --trace --timeseries` must emit a parseable
- * Chrome trace JSON and a populated CSV, record both sinks in
- * BENCH_smoke.json next to the wall-clock profile, honour
- * --trace-limit, and fail fast -- before any simulation -- on invalid
- * flags or output paths.
+ * Chrome trace JSON and a populated CSV into --out, record both sinks
+ * in BENCH_smoke.json next to the wall-clock profile, honour
+ * --trace-limit, and fail fast -- before any simulation -- on an
+ * invalid flag.
  */
 
-#include "exp/driver.hh"
-
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../exp/driver_harness.hh"
 #include "exp/json.hh"
 
 namespace padc::exp
@@ -25,48 +22,13 @@ namespace padc::exp
 namespace
 {
 
-int
-runDriver(const std::vector<std::string> &args, std::string *out,
-          std::string *err)
-{
-    std::vector<const char *> argv = {"padc"};
-    for (const auto &arg : args)
-        argv.push_back(arg.c_str());
-    testing::internal::CaptureStdout();
-    testing::internal::CaptureStderr();
-    const int rc =
-        driverMain(static_cast<int>(argv.size()), argv.data());
-    *out = testing::internal::GetCapturedStdout();
-    *err = testing::internal::GetCapturedStderr();
-    return rc;
-}
-
-std::filesystem::path
-freshOutDir(const std::string &name)
-{
-    const auto dir = std::filesystem::temp_directory_path() /
-                     ("padc_trace_export_test_" + name);
-    std::filesystem::remove_all(dir);
-    return dir;
-}
-
-std::string
-readFile(const std::filesystem::path &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
 /** Parse a written JSON file or fail the test with the parse error. */
 JsonValue
 parseFile(const std::filesystem::path &path)
 {
     JsonValue root;
     std::string error;
-    EXPECT_TRUE(parseJson(readFile(path), &root, &error))
+    EXPECT_TRUE(parseJson(slurp(path), &root, &error))
         << path << ": " << error;
     return root;
 }
@@ -88,11 +50,11 @@ findSink(const JsonValue &result, const std::string &kind)
 
 TEST(TraceExport, SmokeRunWritesBothSinksAndRecordsThem)
 {
-    const auto dir = freshOutDir("sinks");
+    const auto dir = freshDir("trace_sinks");
     std::string out, err;
-    ASSERT_EQ(runDriver({"run", "smoke", "--trace", "--timeseries",
-                         "--out", dir.string()},
-                        &out, &err),
+    ASSERT_EQ(runInProcess({"run", "smoke", "--trace", "--timeseries",
+                            "--out", dir.string()},
+                           &out, &err),
               0)
         << err;
     // The text footer reports both written files and the profile line.
@@ -115,7 +77,7 @@ TEST(TraceExport, SmokeRunWritesBothSinksAndRecordsThem)
     EXPECT_GT(events->array.size(), 0u);
 
     // The CSV has the schema header and data rows for both sweep points.
-    std::istringstream csv(readFile(csv_path));
+    std::istringstream csv(slurp(csv_path));
     std::string header;
     ASSERT_TRUE(std::getline(csv, header));
     EXPECT_EQ(header.rfind("point,label,cycle,core,par,", 0), 0u);
@@ -149,11 +111,11 @@ TEST(TraceExport, SmokeRunWritesBothSinksAndRecordsThem)
 
 TEST(TraceExport, TraceLimitBoundsRetention)
 {
-    const auto dir = freshOutDir("limit");
+    const auto dir = freshDir("trace_limit");
     std::string out, err;
-    ASSERT_EQ(runDriver({"run", "smoke", "--trace", "--trace-limit",
-                         "10", "--out", dir.string()},
-                        &out, &err),
+    ASSERT_EQ(runInProcess({"run", "smoke", "--trace", "--trace-limit",
+                            "10", "--out", dir.string()},
+                           &out, &err),
               0)
         << err;
 
@@ -178,33 +140,11 @@ TEST(TraceExport, TraceLimitBoundsRetention)
 TEST(TraceExport, InvalidTraceLimitFailsWithUsage)
 {
     std::string out, err;
-    EXPECT_EQ(runDriver({"run", "smoke", "--trace-limit", "nope"}, &out,
-                        &err),
+    EXPECT_EQ(runInProcess({"run", "smoke", "--trace-limit", "nope"}, &out,
+                           &err),
               2);
     EXPECT_NE(err.find("--trace-limit"), std::string::npos) << err;
     EXPECT_NE(err.find("usage:"), std::string::npos) << err;
-}
-
-TEST(TraceExport, MissingSinkDirectoryFailsBeforeSimulation)
-{
-    std::string out, err;
-    EXPECT_EQ(runDriver({"run", "smoke",
-                         "--trace=/no/such/dir/x.trace.json"},
-                        &out, &err),
-              2);
-    EXPECT_NE(err.find("does not exist"), std::string::npos) << err;
-    EXPECT_NE(err.find("/no/such/dir"), std::string::npos) << err;
-}
-
-TEST(TraceExport, ExplicitPathRejectedForMultipleExperiments)
-{
-    std::string out, err;
-    EXPECT_EQ(runDriver({"run", "smoke", "fig09",
-                         "--timeseries=/tmp/x.timeseries.csv"},
-                        &out, &err),
-              2);
-    EXPECT_NE(err.find("single selected experiment"), std::string::npos)
-        << err;
 }
 
 } // namespace
