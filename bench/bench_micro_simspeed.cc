@@ -292,30 +292,27 @@ pointerChaseParams()
 }
 
 /**
- * Full System::run throughput (sim-cycles/sec counter), cycle-by-cycle
- * (BM_EndToEnd) vs. the event-driven next-event loop
- * (BM_EndToEndEventDriven). Arg 0 is an idle-heavy serial pointer chase
- * (pointerChaseParams, prefetcher off) where nearly every cycle is a
- * dead wait on a dependent DRAM miss; Arg 1 is a saturated streaming
- * profile (libquantum_06) where nearly every cycle does work. Both are
- * short single-core runs (~14k sim-cycles on Arg 1), so System
- * construction weighs on them. Compare the pair at the same arg: the
- * idle-heavy arg shows the skipping win, the saturated arg bounds its
- * overhead when there is nothing to skip. Arg 2 (event-driven only) is
- * a four-core saturated mix of prefetch-friendly profiles, long enough
- * that the controller's deep-queue scheduling, not construction,
- * dominates. Each iteration builds the System from its trace sources,
- * runs it and collects its metrics, as perfbench's serial points do.
+ * Full System::run throughput (sim-cycles/sec counter) of the
+ * event-driven next-event loop. Arg 0 is an idle-heavy serial pointer
+ * chase (pointerChaseParams, prefetcher off) where nearly every cycle
+ * is a dead wait on a dependent DRAM miss, so the loop jumps most of
+ * the run; Arg 1 is a saturated streaming profile (libquantum_06)
+ * where nearly every cycle does work. Both are short single-core runs
+ * (~14k sim-cycles on Arg 1), so System construction weighs on them.
+ * Arg 2 is a four-core saturated mix of prefetch-friendly profiles,
+ * long enough that the controller's deep-queue scheduling, not
+ * construction, dominates. Each iteration builds the System from its
+ * trace sources, runs it and collects its metrics, as perfbench's
+ * serial points do.
  */
 void
-endToEnd(benchmark::State &state, bool event_skip)
+BM_EndToEndEventDriven(benchmark::State &state)
 {
     const std::int64_t arm = state.range(0);
     const bool four_core = arm == 2;
     sim::SystemConfig cfg = sim::applyPolicy(
         sim::SystemConfig::baseline(four_core ? 4 : 1),
         sim::PolicySetup::Padc);
-    cfg.event_skip = event_skip;
     workload::Mix mix = {"libquantum_06"};
     if (arm == 0) {
         // No prefetcher: a stream prefetcher keeps the channel busy
@@ -349,19 +346,6 @@ endToEnd(benchmark::State &state, bool event_skip)
     }
     state.counters["sim_cycles_per_sec"] = benchmark::Counter(
         static_cast<double>(total_cycles), benchmark::Counter::kIsRate);
-}
-
-void
-BM_EndToEnd(benchmark::State &state)
-{
-    endToEnd(state, false);
-}
-BENCHMARK(BM_EndToEnd)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void
-BM_EndToEndEventDriven(benchmark::State &state)
-{
-    endToEnd(state, true);
 }
 BENCHMARK(BM_EndToEndEventDriven)
     ->Arg(0)

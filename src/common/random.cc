@@ -89,10 +89,4 @@ Rng::burstLength(double p, std::uint32_t cap)
     return len;
 }
 
-Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xA5A5A5A55A5A5A5AULL);
-}
-
 } // namespace padc

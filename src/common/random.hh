@@ -49,9 +49,6 @@ class Rng
      */
     std::uint32_t burstLength(double p, std::uint32_t cap);
 
-    /** Derive an independent child generator (for per-stream determinism). */
-    Rng fork();
-
   private:
     std::uint64_t state_[4];
 };

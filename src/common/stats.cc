@@ -1,8 +1,6 @@
 #include "common/stats.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace padc
 {
@@ -13,42 +11,27 @@ StatSet::add(const std::string &name, double value)
     entries_.emplace_back(name, value);
 }
 
-void
-StatSet::merge(const std::string &prefix, const StatSet &other)
+const std::pair<std::string, double> *
+StatSet::find(const std::string &name) const
 {
-    for (const auto &[name, value] : other.entries_)
-        entries_.emplace_back(prefix + name, value);
-}
-
-void
-StatSet::reindex() const
-{
-    for (; indexed_ < entries_.size(); ++indexed_)
-        index_.try_emplace(entries_[indexed_].first, indexed_);
+    for (const auto &entry : entries_) {
+        if (entry.first == name)
+            return &entry;
+    }
+    return nullptr;
 }
 
 double
 StatSet::get(const std::string &name) const
 {
-    reindex();
-    const auto it = index_.find(name);
-    return it == index_.end() ? 0.0 : entries_[it->second].second;
+    const auto *entry = find(name);
+    return entry == nullptr ? 0.0 : entry->second;
 }
 
 bool
 StatSet::has(const std::string &name) const
 {
-    reindex();
-    return index_.find(name) != index_.end();
-}
-
-std::string
-StatSet::toString() const
-{
-    std::ostringstream os;
-    for (const auto &[n, v] : entries_)
-        os << n << ' ' << v << '\n';
-    return os.str();
+    return find(name) != nullptr;
 }
 
 double

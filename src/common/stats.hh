@@ -11,10 +11,7 @@
 #ifndef PADC_COMMON_STATS_HH
 #define PADC_COMMON_STATS_HH
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,21 +22,14 @@ namespace padc
  * Ordered name -> value list used to export component statistics.
  *
  * Insertion order is preserved so dumps are stable and diffable.
- * Lookups (get/has) go through a lazily built name index, so
- * ratio-heavy post-processing over large merged sets costs O(1)
- * amortized per lookup instead of a linear scan; appends stay cheap
- * (the index catches up on the next lookup). When the same name was
- * added more than once, lookups see the first occurrence, exactly as
- * the original front-to-back scan did.
+ * Lookups (get/has) scan front to back, so when the same name was
+ * added more than once they see the first occurrence.
  */
 class StatSet
 {
   public:
     /** Append a named scalar statistic. */
     void add(const std::string &name, double value);
-
-    /** Append every entry of another set, prefixing its names. */
-    void merge(const std::string &prefix, const StatSet &other);
 
     /**
      * Look up a statistic by exact name.
@@ -57,22 +47,11 @@ class StatSet
         return entries_;
     }
 
-    /** Render as "name value" lines. */
-    std::string toString() const;
-
   private:
-    /** Index every entry appended since the last lookup. */
-    void reindex() const;
+    /** The first entry named @p name, or nullptr. */
+    const std::pair<std::string, double> *find(const std::string &name) const;
 
     std::vector<std::pair<std::string, double>> entries_;
-
-    /**
-     * name -> index of its first occurrence in entries_, covering
-     * entries_[0, indexed_). Entries beyond indexed_ were appended
-     * after the last lookup and are folded in by reindex().
-     */
-    mutable std::unordered_map<std::string, std::size_t> index_;
-    mutable std::size_t indexed_ = 0;
 };
 
 /** Geometric mean of a vector of strictly-positive values. */

@@ -73,7 +73,7 @@ driverUsage()
            "                 events retained per run (default: 1048576)\n"
            "\n"
            "Every run also writes a machine-readable BENCH_<name>.json\n"
-           "(schema padc-bench-result-v1) per experiment into --out.\n"
+           "(schema padc-bench-result-v2) per experiment into --out.\n"
            "The first SIGINT/SIGTERM stops after the points in flight,\n"
            "writes the partial BENCH file and exits 130; a second one\n"
            "exits at once.\n";
@@ -176,7 +176,7 @@ namespace
 
 /**
  * Render one experiment's structured result as the
- * `padc-bench-result-v1` JSON document (the BENCH_<name>.json
+ * `padc-bench-result-v2` JSON document (the BENCH_<name>.json
  * contents).
  */
 std::string
@@ -184,7 +184,7 @@ resultJson(const ExperimentInfo &info, const ExperimentResult &result)
 {
     JsonWriter writer;
     writer.beginObject();
-    writer.member("schema", "padc-bench-result-v1");
+    writer.member("schema", "padc-bench-result-v2");
     writer.member("name", info.name);
     writer.member("anchor", info.anchor);
     writer.member("title", info.title);
@@ -198,11 +198,7 @@ resultJson(const ExperimentInfo &info, const ExperimentResult &result)
     writer.member("interrupted", result.interrupted);
     writer.member("wall_seconds", result.wall_seconds);
     writer.member("sim_cycles", result.simCycles());
-    writer.member("sim_cycles_per_sec",
-                  result.wall_seconds > 0.0
-                      ? static_cast<double>(result.simCycles()) /
-                            result.wall_seconds
-                      : 0.0);
+    writer.member("sim_cycles_per_sec", result.simCyclesPerSec());
     writer.beginArray("points");
     for (const PointRecord &point : result.points) {
         writer.beginObject();
@@ -352,7 +348,7 @@ writeSinks(const DriverOptions &options, const ExperimentInfo &info,
 
 /**
  * Snapshot the process-wide WallProfiler into @p result's profile block:
- * build/simulate/collect seconds and the event-loop figures.
+ * build/simulate/collect/alone seconds and the event-loop figures.
  */
 void
 recordRunProfile(ExperimentResult &result)
@@ -368,13 +364,7 @@ recordRunProfile(ExperimentResult &result)
     result.profile.add("alone_seconds",
                        snap.seconds(telemetry::ProfilePhase::Alone));
     // Event-driven main loop: how much simulated time was jumped over
-    // rather than stepped. The caller sets wall_seconds before this
-    // runs, so the throughput figure tracks the same run.
-    result.profile.add("sim_cycles_per_sec",
-                       result.wall_seconds > 0.0
-                           ? static_cast<double>(result.simCycles()) /
-                                 result.wall_seconds
-                           : 0.0);
+    // rather than stepped.
     result.profile.add("skipped_cycles",
                        static_cast<double>(snap.skipped_cycles));
     result.profile.add("event_jumps",
@@ -562,11 +552,7 @@ driverMain(int argc, const char *const *argv)
                     "collect %.2fs\n",
                     info.name.c_str(),
                     static_cast<double>(result.simCycles()),
-                    result.wall_seconds,
-                    result.wall_seconds > 0.0
-                        ? static_cast<double>(result.simCycles()) /
-                              result.wall_seconds
-                        : 0.0,
+                    result.wall_seconds, result.simCyclesPerSec(),
                     result.profile.get("build_seconds"),
                     result.profile.get("simulate_seconds"),
                     result.profile.get("alone_seconds"),

@@ -11,7 +11,7 @@
  *
  * stdout is always the experiments' human-readable text. Every result
  * file lands in `--out`: each run's
- * `BENCH_<name>.json` (schema `padc-bench-result-v1`: config hash,
+ * `BENCH_<name>.json` (schema `padc-bench-result-v2`: config hash,
  * per-point status + metrics, wall time, sim-cycles/sec) and, when
  * asked for, its `<name>.trace.json` and `<name>.timeseries.csv`.
  *

@@ -72,6 +72,14 @@ ExperimentResult::simCycles() const
     return cycles;
 }
 
+double
+ExperimentResult::simCyclesPerSec() const
+{
+    return wall_seconds > 0.0
+               ? static_cast<double>(simCycles()) / wall_seconds
+               : 0.0;
+}
+
 ExperimentContext::ExperimentContext(
     const ExperimentInfo &info, sim::ParallelExperimentRunner &runner,
     sim::SweepJournal *journal, std::optional<std::uint64_t> seed_override,

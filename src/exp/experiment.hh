@@ -92,6 +92,9 @@ struct ExperimentResult
 
     /** Total simulated cycles across all points. */
     std::uint64_t simCycles() const;
+
+    /** simCycles() per second of wall_seconds; 0 before it is set. */
+    double simCyclesPerSec() const;
 };
 
 /**

@@ -16,6 +16,7 @@
 #include "exp/registry.hh"
 #include "exp/report.hh"
 #include "sim/system.hh"
+#include "telemetry/telemetry.hh"
 #include "workload/generator.hh"
 
 namespace padc::exp
@@ -31,6 +32,12 @@ runFig04(ExperimentContext &ctx)
     // Shrink the L2 so unused prefetched lines resolve (evict) within
     // the run; usefulness classification needs eviction or use.
     cfg.l2.size_bytes = 256 * 1024;
+    // Fig. 4(b) plots the PAR the interval sampler records at each
+    // accuracy-interval boundary.
+    telemetry::TelemetryConfig tcfg;
+    tcfg.timeseries = true;
+    telemetry::Collector collector(tcfg);
+    cfg.collector = &collector;
 
     const workload::Mix mix = {"milc_06"};
     std::vector<std::unique_ptr<workload::SyntheticTrace>> traces;
@@ -71,13 +78,13 @@ runFig04(ExperimentContext &ctx)
                     : "UNEXPECTED");
 
     std::printf("(b) prefetch accuracy per interval\n");
-    const auto &timeline = system.accuracyTimeline();
     double lo = 1.0;
     double hi = 0.0;
-    for (const auto &[cycle, acc] : timeline) {
+    for (const telemetry::IntervalRow &row : collector.sampler()->rows()) {
+        const double acc = row.par; // one core: every row is core 0's
         const int stars = static_cast<int>(acc * 50);
         std::printf("%9llu  %5.2f  |%.*s\n",
-                    static_cast<unsigned long long>(cycle), acc, stars,
+                    static_cast<unsigned long long>(row.cycle), acc, stars,
                     "**************************************************");
         lo = std::min(lo, acc);
         hi = std::max(hi, acc);

@@ -1,8 +1,13 @@
 #include "sim/journal.hh"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -236,6 +241,58 @@ constexpr char kLineTag[] = "padcj3";
 template <typename T>
 constexpr char kKind = std::is_same_v<T, RunMetrics> ? 'r' : 'e';
 
+// --- the file ---------------------------------------------------------
+
+/** write(2) all of @p text to @p fd, retrying EINTR; false on an error. */
+bool
+writeAll(int fd, const std::string &text)
+{
+    std::size_t off = 0;
+    while (off < text.size()) {
+        const ssize_t n = ::write(fd, text.data() + off, text.size() - off);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        off += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+/** Whether @p path is non-empty and its last byte is not '\n'. */
+bool
+hasTornTail(const std::string &path)
+{
+    std::FILE *in = std::fopen(path.c_str(), "rb");
+    if (in == nullptr)
+        return false;
+    const bool torn =
+        std::fseek(in, -1, SEEK_END) == 0 && std::fgetc(in) != '\n';
+    std::fclose(in);
+    return torn;
+}
+
+/**
+ * Open (creating if absent) @p path for appending and terminate a torn
+ * last line, so the next record cannot merge into it.
+ * @throws std::runtime_error naming the path when it cannot be opened.
+ */
+int
+openForAppend(const std::string &path)
+{
+    const bool torn = hasTornTail(path);
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    if (fd < 0) {
+        const int err = errno;
+        throw std::runtime_error("SweepJournal: cannot open '" + path +
+                                 "' for appending: " + std::strerror(err));
+    }
+    if (torn)
+        writeAll(fd, "\n");
+    return fd;
+}
+
 } // namespace
 
 std::uint64_t
@@ -272,14 +329,17 @@ template bool decodeRecord(const std::string &, Result<MixEvaluation> *,
                            std::string *);
 
 SweepJournal::SweepJournal(const std::string &path)
-    : loaded_(load(path, &entries_)), file_(path)
+    : loaded_(load(path, &entries_)), fd_(openForAppend(path))
 {
-    if (!file_.ok())
-        throw std::runtime_error("SweepJournal: " + file_.error());
     const char *fsync_env = std::getenv("PADC_JOURNAL_FSYNC");
     fsync_each_ = fsync_env != nullptr &&
                   (std::strcmp(fsync_env, "1") == 0 ||
                    std::strcmp(fsync_env, "always") == 0);
+}
+
+SweepJournal::~SweepJournal()
+{
+    ::close(fd_);
 }
 
 std::size_t
@@ -287,19 +347,21 @@ SweepJournal::load(const std::string &path,
                    std::map<EntryKey, std::string> *entries)
 {
     // Whatever a previous (possibly killed) run managed to append; a
-    // missing file loads nothing. This runs before file_ opens, so a
-    // torn tail is still unterminated here and forEachLine skips it.
-    LineFile::forEachLine(path, [&](const std::string &line) {
+    // missing file loads nothing. This runs before fd_ opens, so a torn
+    // tail is still unterminated here: getline() reaches the end of the
+    // file reading it, and it is skipped.
+    std::ifstream in(path, std::ios::binary);
+    for (std::string line; std::getline(in, line) && !in.eof();) {
         std::istringstream tokens(line);
         std::string tag, kind, key_hex;
         if (!(tokens >> tag >> kind >> key_hex) || tag != kLineTag ||
             kind.size() != 1) {
-            return;
+            continue;
         }
         char *end = nullptr;
         const std::uint64_t key = std::strtoull(key_hex.c_str(), &end, 16);
         if (end == key_hex.c_str() || *end != '\0')
-            return;
+            continue;
         std::string body;
         std::getline(tokens >> std::ws, body);
         // Validate the payload now so a corrupt line surfaces as a miss
@@ -312,10 +374,9 @@ SweepJournal::load(const std::string &path,
             Result<RunMetrics> probe;
             valid = decodeRecord(body, &probe, nullptr);
         }
-        if (!valid)
-            return;
-        (*entries)[{kind[0], key}] = body;
-    });
+        if (valid)
+            (*entries)[{kind[0], key}] = body;
+    }
     // A point recorded twice (say by two processes sharing the file)
     // is one entry, not two.
     return entries->size();
@@ -343,9 +404,10 @@ SweepJournal::recordLine(char kind, std::uint64_t key,
     char head[32];
     std::snprintf(head, sizeof(head), "%s %c %llx ", kLineTag, kind,
                   static_cast<unsigned long long>(key));
-    // Best-effort: a failed append must not stop the sweep.
-    if (file_.append(head + body) && fsync_each_)
-        file_.sync();
+    // Best-effort: a failed append must not stop the sweep. One write(2)
+    // per record keeps concurrent writers' lines whole (journal.hh).
+    if (writeAll(fd_, head + body + '\n') && fsync_each_)
+        ::fsync(fd_);
 }
 
 template <typename T>

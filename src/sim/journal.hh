@@ -67,7 +67,6 @@
 #include <string>
 #include <utility>
 
-#include "common/line_file.hh"
 #include "sim/experiment.hh"
 
 namespace padc::sim
@@ -106,6 +105,11 @@ class SweepJournal
      */
     explicit SweepJournal(const std::string &path);
 
+    ~SweepJournal();
+
+    SweepJournal(const SweepJournal &) = delete;
+    SweepJournal &operator=(const SweepJournal &) = delete;
+
     /** Distinct entries recovered when the journal was opened. */
     std::size_t loadedEntries() const { return loaded_; }
 
@@ -136,12 +140,13 @@ class SweepJournal
     void recordLine(char kind, std::uint64_t key, const std::string &body);
 
     // Declaration order is construction order: entries_ exists before
-    // load() fills it, and load() reads the file before file_ repairs
-    // a torn tail, so a record missing only its '\n' stays a miss.
+    // load() fills it, and load() reads the file before fd_ opens and
+    // repairs a torn tail, so a record missing only its '\n' stays a
+    // miss.
     std::mutex mutex_;
     std::map<EntryKey, std::string> entries_; ///< payload (line body)
     std::size_t loaded_ = 0;
-    LineFile file_;           ///< one write(2) per record
+    int fd_ = -1;             ///< O_APPEND; one write(2) per record
     bool fsync_each_ = false; ///< PADC_JOURNAL_FSYNC policy
 };
 

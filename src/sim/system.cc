@@ -674,7 +674,6 @@ System::traceMshr(telemetry::EventKind kind, CoreId core, Addr line_addr,
 void
 System::intervalTick(Cycle now)
 {
-    accuracy_timeline_.emplace_back(now, tracker_->accuracy(0));
     if (telem_ != nullptr && telem_->sampler() != nullptr)
         sampleTelemetry(now);
     if (config_.fdp_enabled) {
@@ -715,7 +714,7 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
             controller->tick(now_);
 
         for (CoreId i = 0; i < config_.num_cores; ++i) {
-            if (config_.event_skip && core_next_[i] > now_) {
+            if (core_next_[i] > now_) {
                 // Provably idle this cycle (nothing ticked the core and
                 // no completion touched it since its bound was taken):
                 // leave the cycle to settleIdle(), which replays the
@@ -758,17 +757,11 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
                             std::min(retire_goal, warmup_instructions);
                 }
             }
-            if (config_.event_skip) {
-                core_next_[i] =
-                    cores_[i]->nextEventCycle(now_ + 1, retire_goal);
-            }
+            core_next_[i] = cores_[i]->nextEventCycle(now_ + 1, retire_goal);
         }
         ++now_;
         if (cores_done == config_.num_cores)
             break;
-
-        if (!config_.event_skip)
-            continue;
 
         // Next-event jump: derive the earliest cycle >= now_ at which
         // anything can change -- interval and accuracy-tracker
@@ -778,7 +771,8 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
         // APD drop deadlines -- then advance simulated time in one step.
         // Skipped cycles are provably no-ops apart from per-cycle stat
         // integrals, which skipTo()/accountIdleCycles() replay exactly,
-        // so all results stay bit-identical with the legacy loop.
+        // so all results stay bit-identical with a run stepped one
+        // cycle at a time (the EventSkip suite's reference).
         Cycle next = std::min(end, next_interval_);
         next = std::min(next, tracker_->nextBoundary());
         if (next <= now_)

@@ -81,18 +81,6 @@ struct SystemConfig
     telemetry::Collector *collector = nullptr;
 
     /**
-     * Event-driven main loop: when no component can act for a span of
-     * cycles, System::run() jumps simulated time to the next event
-     * instead of stepping every cycle. Results are bit-identical either
-     * way (the EventSkip A/B suite runs both loops to prove exactly
-     * that), so this knob -- like collector above -- is an execution
-     * detail, not a simulated parameter: it is excluded from validate()
-     * and from sweep point keys. false selects the cycle-by-cycle
-     * reference loop.
-     */
-    bool event_skip = true;
-
-    /**
      * Baseline configuration for an n-core CMP following paper Tables
      * 3/4: 32KB L1, 512KB private L2 per core (1MB for single core),
      * MSHR/request buffer 64/64/128/256 entries for 1/2/4/8 cores,
@@ -115,9 +103,8 @@ struct SystemConfig
 /**
  * SystemConfig's field table; see common/fields.hh. Every row is a
  * simulated parameter, so the table is what the sweep key hashes.
- * collector and event_skip have no row: both are execution details
- * that cannot change a result (see their comments), so they are not
- * keyed.
+ * collector has no row: it is an observer that cannot change a result
+ * (see its comment), so it is not keyed.
  */
 template <fields::Of<SystemConfig> S, typename V>
 constexpr void
@@ -138,7 +125,7 @@ forEachField(S &s, V &&v)
     v("sched", s.sched);
     v("dram", s.dram);
 }
-static_assert(fields::complete<SystemConfig>(/*unlisted=*/2));
+static_assert(fields::complete<SystemConfig>(/*unlisted=*/1));
 
 /**
  * Outcome of one System::run call. A core is "truncated" when the
@@ -293,15 +280,6 @@ class System : public core::MemoryPort, public memctrl::ResponseHandler
     const Histogram &uselessServiceHist() const { return useless_hist_; }
 
     /**
-     * Per-interval prefetch-accuracy samples of core 0 (Fig. 4(b)):
-     * one (cycle, accuracy) pair per completed measurement interval.
-     */
-    const std::vector<std::pair<Cycle, double>> &accuracyTimeline() const
-    {
-        return accuracy_timeline_;
-    }
-
-    /**
      * Export every component's statistics as one flat, stably-ordered
      * name/value set ("core0.ipc", "ctrl0.prefetches_dropped",
      * "dram.activates", ...). Intended for tooling and regression
@@ -368,7 +346,7 @@ class System : public core::MemoryPort, public memctrl::ResponseHandler
     /** settleIdle() every core up to now_. */
     void settleAllIdle();
 
-    /** FDP interval rollover and accuracy-timeline sampling. */
+    /** FDP interval rollover and time-series sampling. */
     void intervalTick(Cycle now);
 
     /** Push one interval sample per core into the telemetry collector. */
@@ -418,7 +396,6 @@ class System : public core::MemoryPort, public memctrl::ResponseHandler
 
     Histogram useful_hist_;
     Histogram useless_hist_;
-    std::vector<std::pair<Cycle, double>> accuracy_timeline_;
     Cycle next_interval_ = 0;
 
     std::vector<Addr> candidate_buf_; ///< reused prefetch candidate list

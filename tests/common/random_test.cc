@@ -146,25 +146,6 @@ TEST(RngTest, BurstLengthZeroProbabilityIsOne)
         EXPECT_EQ(rng.burstLength(0.0, 100), 1u);
 }
 
-TEST(RngTest, ForkIsIndependentAndDeterministic)
-{
-    Rng a(31);
-    Rng b(31);
-    Rng fa = a.fork();
-    Rng fb = b.fork();
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(fa.next(), fb.next());
-    // Parent and child streams should differ.
-    Rng c(31);
-    Rng fc = c.fork();
-    int equal = 0;
-    for (int i = 0; i < 100; ++i) {
-        if (fc.next() == c.next())
-            ++equal;
-    }
-    EXPECT_LT(equal, 3);
-}
-
 /** Property sweep: nextBelow stays in range for many bounds and seeds. */
 class RngBoundProperty
     : public ::testing::TestWithParam<std::tuple<std::uint64_t,

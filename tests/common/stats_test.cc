@@ -31,9 +31,7 @@ TEST(StatSetTest, MissingReadsAsZero)
     EXPECT_DOUBLE_EQ(s.get("nope"), 0.0);
 }
 
-// Lookups go through the lazy name index; a duplicate name must keep
-// reading as its first occurrence, exactly like the original
-// front-to-back linear scan.
+// A duplicate name reads as its first occurrence.
 TEST(StatSetTest, DuplicateNameReadsFirstOccurrence)
 {
     StatSet s;
@@ -46,26 +44,18 @@ TEST(StatSetTest, DuplicateNameReadsFirstOccurrence)
     EXPECT_DOUBLE_EQ(s.entries()[2].second, 2.0); // both kept in order
 }
 
-// Appends after a lookup must be visible to later lookups (the index
-// catches up lazily instead of being rebuilt per add).
+// Appends after a lookup must be visible to later lookups.
 TEST(StatSetTest, IndexCatchesUpAfterInterleavedAdds)
 {
     StatSet s;
     s.add("a", 1.0);
-    EXPECT_DOUBLE_EQ(s.get("a"), 1.0); // builds index over {a}
+    EXPECT_DOUBLE_EQ(s.get("a"), 1.0);
     EXPECT_FALSE(s.has("b"));
     s.add("b", 2.0);
-    s.add("a", 9.0); // duplicate appended after the index was built
+    s.add("a", 9.0); // duplicate appended after a lookup
     EXPECT_TRUE(s.has("b"));
     EXPECT_DOUBLE_EQ(s.get("b"), 2.0);
     EXPECT_DOUBLE_EQ(s.get("a"), 1.0); // still the first occurrence
-
-    StatSet merged;
-    merged.add("x", 3.0);
-    EXPECT_TRUE(merged.has("x"));
-    merged.merge("pre.", s);
-    EXPECT_DOUBLE_EQ(merged.get("pre.b"), 2.0);
-    EXPECT_DOUBLE_EQ(merged.get("pre.a"), 1.0);
 }
 
 TEST(StatSetTest, InsertionOrderPreserved)
@@ -78,26 +68,6 @@ TEST(StatSetTest, InsertionOrderPreserved)
     EXPECT_EQ(s.entries()[0].first, "z");
     EXPECT_EQ(s.entries()[1].first, "a");
     EXPECT_EQ(s.entries()[2].first, "m");
-}
-
-TEST(StatSetTest, MergePrefixesNames)
-{
-    StatSet inner;
-    inner.add("x", 7);
-    StatSet outer;
-    outer.add("y", 1);
-    outer.merge("core0.", inner);
-    EXPECT_DOUBLE_EQ(outer.get("core0.x"), 7.0);
-    EXPECT_EQ(outer.entries().size(), 2u);
-}
-
-TEST(StatSetTest, ToStringContainsEntries)
-{
-    StatSet s;
-    s.add("ipc", 2.5);
-    const std::string text = s.toString();
-    EXPECT_NE(text.find("ipc"), std::string::npos);
-    EXPECT_NE(text.find("2.5"), std::string::npos);
 }
 
 TEST(MathTest, Geomean)

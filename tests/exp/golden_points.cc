@@ -4,14 +4,7 @@
  * through the real driver binary, reads the BENCH_smoke_grid.json and
  * BENCH_fig09.json it writes into PADC_GOLDEN_OUT, and compares every
  * point with the digests committed in tests/exp/golden/points.txt, one
- * line per point:
- *
- *   <experiment> <index> <status> <cycles> <digest>
- *
- * The digest is a 64-bit FNV-1a over the point's label and every
- * metric's name and double bits (metric names in sorted order). `key`
- * and `attempts` are left out, so adding or removing a keyed config
- * field does not churn the file.
+ * line per point (the line is golden_line.hh's goldenLine).
  *
  * The actual lines are always written to points.txt in the build-tree
  * directory PADC_GOLDEN_OUT (next to the BENCH files of the run). On a
@@ -22,18 +15,15 @@
  * why in its change log.
  */
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "common/fnv.hh"
 #include "exp/json.hh"
+#include "golden_line.hh"
 
 namespace
 {
@@ -47,24 +37,6 @@ struct Point
     std::string label;
     const JsonValue *metrics = nullptr;
 };
-
-std::uint64_t
-digest(const std::string &label, const JsonValue &metrics)
-{
-    // Each string is hashed with its terminating NUL, so the boundary
-    // between two fields is part of the digest.
-    std::uint64_t hash = padc::fnv1a(label.c_str(), label.size() + 1);
-    for (const auto &[name, value] : metrics.object) {
-        hash = padc::fnv1a(name.c_str(), name.size() + 1, hash);
-        const double number = value.isNumber()
-                                  ? value.number
-                                  : std::numeric_limits<double>::quiet_NaN();
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &number, sizeof(bits));
-        hash = padc::fnv1a(&bits, sizeof(bits), hash);
-    }
-    return hash;
-}
 
 /** The experiments of the run, in run order. */
 const char *const kExperiments[] = {"smoke_grid", "fig09"};
@@ -109,20 +81,12 @@ collectPoints(const JsonValue &result, std::vector<Point> *points)
         return false;
     for (std::size_t i = 0; i < list->array.size(); ++i) {
         const JsonValue &entry = list->array[i];
-        const JsonValue *label = entry.find("label");
-        const JsonValue *status = entry.find("status");
-        const JsonValue *cycles = entry.find("cycles");
-        const JsonValue *metrics = entry.find("metrics");
-        if (label == nullptr || status == nullptr || cycles == nullptr ||
-            metrics == nullptr || !metrics->isObject())
+        const std::string line =
+            padc::exp::goldenLine(name->string, i, entry);
+        if (line.empty())
             return false;
-        char line[256];
-        std::snprintf(line, sizeof(line), "%s %zu %s %llu %016llx",
-                      name->string.c_str(), i, status->string.c_str(),
-                      static_cast<unsigned long long>(cycles->number),
-                      static_cast<unsigned long long>(
-                          digest(label->string, *metrics)));
-        points->push_back({line, label->string, metrics});
+        points->push_back(
+            {line, entry.find("label")->string, entry.find("metrics")});
     }
     return true;
 }

@@ -86,6 +86,12 @@ TEST(ObsDriver, ProgressKeepsStdoutByteClean)
     ASSERT_EQ(run("plain", false), 0);
     ASSERT_EQ(run("progress", true), 0);
 
+    // Without the flag there is no progress line, and --out holds the
+    // BENCH file alone.
+    EXPECT_EQ(slurp(dir / "plain.err").find("[padc]"), std::string::npos);
+    EXPECT_EQ(filesIn(dir / "plain"),
+              std::vector<std::string>{"BENCH_smoke_grid.json"});
+
     const std::string out = slurp(dir / "progress.out");
     const std::string err = slurp(dir / "progress.err");
     EXPECT_EQ(withoutFooter(out), withoutFooter(slurp(dir / "plain.out")));
@@ -97,29 +103,13 @@ TEST(ObsDriver, ProgressKeepsStdoutByteClean)
               kSmokeGridDone)
         << err;
 
-    // And --out holds the BENCH file alone.
+    // And its --out holds the BENCH file alone too.
     EXPECT_EQ(filesIn(dir / "progress"),
               std::vector<std::string>{"BENCH_smoke_grid.json"});
     std::filesystem::remove_all(dir);
 }
 
-TEST(ObsDriver, WithoutProgressNoSidecarFilesAppear)
-{
-    // Default runs print no progress line and leave only the BENCH
-    // file in --out.
-    const auto dir = freshDir("no_progress");
-    const auto out_dir = dir / "out";
-    ASSERT_EQ(runDriver({"run", "smoke_grid", "--out", out_dir.string()},
-                        {}, (dir / "stdout.log").string(),
-                        (dir / "stderr.log").string()),
-              0);
-    EXPECT_EQ(slurp(dir / "stderr.log").find("[padc]"), std::string::npos);
-    EXPECT_EQ(filesIn(out_dir),
-              std::vector<std::string>{"BENCH_smoke_grid.json"});
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ObsDriver, PooledInterruptReportsEveryPoint)
+TEST(ObsDriver, InterruptReportsEveryPoint)
 {
     // An interrupt after the first point of a one-thread sweep: the
     // other eight never start, and each one reaches the monitor once

@@ -1,12 +1,15 @@
 /**
  * @file
  * A/B equivalence of the event-driven main loop (DESIGN.md section 11):
- * the same seeded mix run with event skipping on and off must be
- * bit-identical -- every exported statistic, every core-model and cache
- * counter (the ones a parked core's skipped bounces replay), every
- * interval time-series row, every request-lifecycle trace event, and
- * the RunStatus. This is the contract that makes SystemConfig::event_skip
- * an execution detail rather than a simulated parameter.
+ * the same seeded mix run by one System::run call and stepped one cycle
+ * at a time must be bit-identical -- every exported statistic, every
+ * core-model and cache counter (the ones a parked core's skipped
+ * bounces replay), every interval time-series row, every
+ * request-lifecycle trace event, and the RunStatus. The stepped
+ * reference calls System::run with a one-cycle cap until the run
+ * converges: each call starts with every core's cached bound cleared,
+ * so every core ticks, and caps its jump at the next cycle, so the loop
+ * lands on every cycle.
  */
 
 #include <gtest/gtest.h>
@@ -101,9 +104,13 @@ enum class Layout
     Alone,
 };
 
-/** Run @p mix under @p cfg with full telemetry and capture the output. */
+/**
+ * Run @p mix under @p cfg with full telemetry and capture the output:
+ * in one System::run call, or, when @p reference is set, stepped one
+ * cycle per call (see the file comment).
+ */
 RunArtifacts
-runOnce(SystemConfig cfg, const workload::Mix &mix, bool event_skip,
+runOnce(SystemConfig cfg, const workload::Mix &mix, bool reference,
         std::uint64_t instructions, std::uint64_t warmup,
         Layout layout = Layout::Mix, std::uint64_t seed = 0)
 {
@@ -112,7 +119,6 @@ runOnce(SystemConfig cfg, const workload::Mix &mix, bool event_skip,
     tcfg.trace = true;
     telemetry::Collector collector(tcfg);
     cfg.collector = &collector;
-    cfg.event_skip = event_skip;
 
     std::vector<std::unique_ptr<core::TraceSource>> traces;
     std::vector<core::TraceSource *> sources;
@@ -135,7 +141,15 @@ runOnce(SystemConfig cfg, const workload::Mix &mix, bool event_skip,
     RunArtifacts out;
     auto &profiler = telemetry::WallProfiler::instance();
     profiler.reset();
-    out.status = system.run(instructions, 30000000, warmup);
+    constexpr std::uint64_t cap = 30000000;
+    if (reference) {
+        // do-while: a default RunStatus reads as converged.
+        do {
+            out.status = system.run(instructions, 1, warmup);
+        } while (!out.status.converged() && system.cycles() < cap);
+    } else {
+        out.status = system.run(instructions, cap, warmup);
+    }
     out.loop = profiler.snapshot();
     out.stats = system.exportStats();
     addModelStats(out.stats, system);
@@ -191,33 +205,33 @@ expectSameEvents(const std::vector<telemetry::TraceEvent> &a,
     }
 }
 
-/** Assert every artifact of a skip-on and a skip-off run is identical. */
+/** Assert every artifact of a run and its stepped reference is identical. */
 void
-expectSameArtifacts(const RunArtifacts &on, const RunArtifacts &off)
+expectSameArtifacts(const RunArtifacts &run, const RunArtifacts &ref)
 {
-    EXPECT_EQ(on.status.truncated_mask, off.status.truncated_mask);
-    EXPECT_EQ(on.status.cores_completed, off.status.cores_completed);
-    EXPECT_EQ(on.status.cores_truncated, off.status.cores_truncated);
-    EXPECT_EQ(on.status.cycles, off.status.cycles);
+    EXPECT_EQ(run.status.truncated_mask, ref.status.truncated_mask);
+    EXPECT_EQ(run.status.cores_completed, ref.status.cores_completed);
+    EXPECT_EQ(run.status.cores_truncated, ref.status.cores_truncated);
+    EXPECT_EQ(run.status.cycles, ref.status.cycles);
 
-    const auto &ea = on.stats.entries();
-    const auto &eb = off.stats.entries();
+    const auto &ea = run.stats.entries();
+    const auto &eb = ref.stats.entries();
     ASSERT_EQ(ea.size(), eb.size());
     for (std::size_t i = 0; i < ea.size(); ++i) {
         EXPECT_EQ(ea[i].first, eb[i].first) << "stat name " << i;
         EXPECT_EQ(ea[i].second, eb[i].second) << "stat " << ea[i].first;
     }
 
-    EXPECT_EQ(on.rows_pushed, off.rows_pushed);
-    expectSameRows(on.rows, off.rows);
-    EXPECT_EQ(on.events_seen, off.events_seen);
-    expectSameEvents(on.events, off.events);
+    EXPECT_EQ(run.rows_pushed, ref.rows_pushed);
+    expectSameRows(run.rows, ref.rows);
+    EXPECT_EQ(run.events_seen, ref.events_seen);
+    expectSameEvents(run.events, ref.events);
 }
 
 /**
- * Run skip-on vs. skip-off and assert every artifact is identical.
- * @return the skip-on run's artifacts, so a case can check what it
- *         exercised: parked cores (issue retries, equal to the skip-off
+ * Run once and stepped, and assert every artifact is identical.
+ * @return the single run's artifacts, so a case can check what it
+ *         exercised: parked cores (issue retries, equal to the stepped
  *         run's when the artifacts match) or skipped cycles
  */
 RunArtifacts
@@ -226,12 +240,12 @@ expectEquivalent(const SystemConfig &cfg, const workload::Mix &mix,
                  std::uint64_t warmup = 1000, Layout layout = Layout::Mix,
                  std::uint64_t seed = 0)
 {
-    RunArtifacts on =
-        runOnce(cfg, mix, true, instructions, warmup, layout, seed);
-    const RunArtifacts off =
+    RunArtifacts run =
         runOnce(cfg, mix, false, instructions, warmup, layout, seed);
-    expectSameArtifacts(on, off);
-    return on;
+    const RunArtifacts ref =
+        runOnce(cfg, mix, true, instructions, warmup, layout, seed);
+    expectSameArtifacts(run, ref);
+    return run;
 }
 
 SystemConfig
@@ -333,13 +347,13 @@ TEST(EventSkipTest, AloneLayoutGoalsInsideComputeStretches)
     const SystemConfig cfg = applyPolicy(SystemConfig::baseline(4),
                                          PolicySetup::DemandFirst);
     ASSERT_NE(1003 % cfg.core.retire_width, 0u);
-    const RunArtifacts on =
+    const RunArtifacts run =
         expectEquivalent(cfg, workload::Mix(4, "wrf_06"), 8001, 1003,
                          Layout::Alone, 3);
     // Not vacuous: the spin cores' stretches dominate the run.
-    EXPECT_GT(on.loop.skipped_cycles * 2, on.status.cycles);
-    EXPECT_EQ(on.loop.landed_cycles + on.loop.skipped_cycles,
-              on.status.cycles);
+    EXPECT_GT(run.loop.skipped_cycles * 2, run.status.cycles);
+    EXPECT_EQ(run.loop.landed_cycles + run.loop.skipped_cycles,
+              run.status.cycles);
 }
 
 TEST(EventSkipTest, ComputeHeavyMixGoalsInsideComputeStretches)
@@ -356,22 +370,22 @@ TEST(EventSkipTest, JumpsActuallyTaken)
 {
     // Guard against the suite passing vacuously: on an idle-heavy
     // single-core mix the event loop must really take jumps.
-    const auto snap = runOnce(padcConfig(1), {"mcf_06"}, true, 8000, 0).loop;
+    const auto snap = runOnce(padcConfig(1), {"mcf_06"}, false, 8000, 0).loop;
     EXPECT_GT(snap.event_jumps, 0u);
     EXPECT_GT(snap.skipped_cycles, 0u);
     EXPECT_GE(snap.skipped_cycles, snap.event_jumps);
 }
 
-TEST(EventSkipTest, SkipOffLandsOnEveryCycle)
+TEST(EventSkipTest, ReferenceLandsOnEveryCycle)
 {
-    // SystemConfig::event_skip = false selects the cycle-by-cycle
-    // reference loop: it lands on every cycle and ticks every core
-    // there.
-    const RunArtifacts legacy =
-        runOnce(padcConfig(2), {"mcf_06", "wrf_06"}, false, 4000, 0);
-    EXPECT_EQ(legacy.loop.event_jumps, 0u);
-    EXPECT_EQ(legacy.loop.landed_cycles, legacy.status.cycles);
-    EXPECT_EQ(legacy.loop.core_ticks, 2 * legacy.status.cycles);
+    // The stepped reference must stay a cycle-by-cycle loop: it lands
+    // on every cycle and ticks every core there, so a change to run()
+    // cannot quietly turn it into a skipping loop.
+    const RunArtifacts ref =
+        runOnce(padcConfig(2), {"mcf_06", "wrf_06"}, true, 4000, 0);
+    EXPECT_EQ(ref.loop.event_jumps, 0u);
+    EXPECT_EQ(ref.loop.landed_cycles, ref.status.cycles);
+    EXPECT_EQ(ref.loop.core_ticks, 2 * ref.status.cycles);
 }
 
 } // namespace

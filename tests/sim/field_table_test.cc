@@ -22,6 +22,7 @@
 #include "field_walk.hh"
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
+#include "telemetry/telemetry.hh"
 
 namespace padc::sim
 {
@@ -61,7 +62,7 @@ TEST(FieldTable, EveryConfigLeafIsKeyed)
     const std::uint64_t base_key = sweepPointKey(base);
     const std::vector<std::string> paths = leafPaths(base);
     const std::size_t leaves = paths.size();
-    // 84 config leaves (collector and event_skip are not rows), the mix
+    // 84 config leaves (collector is not a row), the mix
     // and 4 RunOptions leaves, each under its own name.
     ASSERT_EQ(leaves, 84u + base.mix.size() + 4u);
     EXPECT_EQ(std::set<std::string>(paths.begin(), paths.end()).size(),
@@ -194,8 +195,10 @@ TEST(FieldTable, KeysMatchTheValuesPinnedBeforeTheTables)
 TEST(FieldTable, ExecutionDetailsAreNotKeyed)
 {
     const SweepPoint base = fancyPoint();
+    ASSERT_EQ(base.config.collector, nullptr);
+    telemetry::Collector collector(telemetry::TelemetryConfig{});
     SweepPoint point = base;
-    point.config.event_skip = !point.config.event_skip;
+    point.config.collector = &collector;
     EXPECT_EQ(sweepPointKey(point), sweepPointKey(base));
 }
 

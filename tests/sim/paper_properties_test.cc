@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "telemetry/telemetry.hh"
 
 namespace padc::sim
 {
@@ -141,12 +142,16 @@ TEST(PaperShapeTest, MixedCaseStudyPadcBeatsRigidPolicies)
 TEST(PaperShapeTest, MilcAccuracyShowsPhases)
 {
     // Fig. 4(b): milc's measured accuracy swings by a wide margin.
-    const SystemConfig cfg =
+    SystemConfig cfg =
         applyPolicy(SystemConfig::baseline(1), PolicySetup::DemandFirst);
+    // Use the System directly, sampling PAR at every interval.
+    telemetry::TelemetryConfig tcfg;
+    tcfg.timeseries = true;
+    telemetry::Collector collector(tcfg);
+    cfg.collector = &collector;
     RunOptions opt;
     opt.instructions = 300000;
     const workload::Mix mix = {"milc_06"};
-    // Use the System directly for the timeline.
     std::vector<std::unique_ptr<workload::SyntheticTrace>> traces;
     traces.push_back(std::make_unique<workload::SyntheticTrace>(
         workload::traceParamsFor(mix, 0, 0)));
@@ -154,9 +159,9 @@ TEST(PaperShapeTest, MilcAccuracyShowsPhases)
     system.run(opt.instructions, opt.max_cycles);
     double lo = 1.0;
     double hi = 0.0;
-    for (const auto &[cycle, acc] : system.accuracyTimeline()) {
-        lo = std::min(lo, acc);
-        hi = std::max(hi, acc);
+    for (const telemetry::IntervalRow &row : collector.sampler()->rows()) {
+        lo = std::min(lo, row.par);
+        hi = std::max(hi, row.par);
     }
     EXPECT_GT(hi - lo, 0.3);
 }

@@ -12,6 +12,7 @@
 
 #include "sim/metrics.hh"
 #include "sim/system.hh"
+#include "telemetry/telemetry.hh"
 #include "workload/generator.hh"
 #include "workload/mixes.hh"
 
@@ -135,14 +136,20 @@ TEST(SystemTest, HistogramsAccumulate)
 
 TEST(SystemTest, AccuracyTimelineRecorded)
 {
-    Harness h(padcConfig(1), {"milc_06"}, 60000);
-    const auto &timeline = h.system->accuracyTimeline();
-    ASSERT_GT(timeline.size(), 2u);
-    for (const auto &[cycle, acc] : timeline) {
-        EXPECT_GE(acc, 0.0);
-        EXPECT_LE(acc, 1.0);
+    telemetry::TelemetryConfig tcfg;
+    tcfg.timeseries = true;
+    telemetry::Collector collector(tcfg);
+    SystemConfig cfg = padcConfig(1);
+    cfg.collector = &collector;
+    Harness h(cfg, {"milc_06"}, 60000);
+    const std::vector<telemetry::IntervalRow> rows =
+        collector.sampler()->rows();
+    ASSERT_GT(rows.size(), 2u);
+    for (const telemetry::IntervalRow &row : rows) {
+        EXPECT_GE(row.par, 0.0);
+        EXPECT_LE(row.par, 1.0);
     }
-    EXPECT_LT(timeline.front().first, timeline.back().first);
+    EXPECT_LT(rows.front().cycle, rows.back().cycle);
 }
 
 TEST(SystemTest, MultiCoreAllComplete)
